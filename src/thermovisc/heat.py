@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grid import NodalField
-from .mech import SolverConfig, StepRejectedError
+from .mech import SolverConfig
+from .newton import minimize
 
 
 @dataclass
@@ -133,85 +133,30 @@ def heat_hessian(inc: HeatIncrement, theta: NodalField):
 def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatResult:
     """Damped Newton from theta_prev; audits and clamps tiny undershoots.
 
-    Each iteration takes a Newton step with a Levenberg shift ladder and
-    Armijo backtracking.  Once the predicted decrease is below the roundoff
-    of J (the noise floor), the raw Newton step is probed once and kept only
-    if J stays at or below its value at the start of the solve and the dual
-    residual at least halves; otherwise the solve stops there, possibly
-    above its target.  ``residual_norm`` is always the dual norm of the
-    returned ``residual_vector``, the gradient at the final Newton iterate
-    (before any clamp of a nodal undershoot).
+    The globalization (shift ladder, Armijo backtracking, noise-floor probe
+    against J0) is :func:`thermovisc.newton.minimize`, over all dofs with
+    the scalar (H^1)* norm; the thermal field has no Dirichlet part.
+    ``residual_norm`` is always the dual norm of the returned
+    ``residual_vector``, the gradient at the final Newton iterate (before
+    any clamp of a nodal undershoot).
     """
     cfg = config or SolverConfig()
     g, m = inc.grid, inc.model
 
-    theta = inc.theta_prev.copy()
-    J0 = heat_functional(inc, theta)
-    J = J0
-    r = heat_gradient(inc, theta)
-    rnorm0 = _dual_all(g, r)
-    rnorm = rnorm0
-    target = max(cfg.tol_heat * rnorm0, cfg.atol_residual)
+    def dual_norm(r):
+        if not np.any(r):
+            return 0.0
+        lu = g.dual_norm_solver(1, free_only=False)
+        return float(np.sqrt(abs(r @ lu.solve(r))))
 
-    iters = 0
-    at_floor = False
-    while rnorm > target and iters < cfg.max_newton:
-        H = heat_hessian(inc, theta).tocsc()
-        scale = max(float(np.mean(np.abs(H.diagonal()))), 1e-30)
-        accepted = False
-        shift = 0.0
-        for _ in range(12):
-            try:
-                lu = splu(H + shift * scale * sp.identity(H.shape[0], format="csc"))
-                p = -lu.solve(r)
-            except RuntimeError:
-                p = None
-            if p is not None and np.all(np.isfinite(p)) and r @ p < 0.0:
-                slope = float(r @ p)
-                in_noise = abs(slope) <= 1e-15 * (1.0 + abs(J))
-                if in_noise and shift == 0.0:
-                    # decrease below the roundoff of J: probe the raw Newton
-                    # step and keep it only if it halves the residual while
-                    # staying below the solve's starting value (a roundoff
-                    # rise against the current J must not reject it); either
-                    # way this is the floor regime, a line search cannot add
-                    # anything
-                    at_floor = True
-                    cand = NodalField(g, theta.values + p)
-                    Jc = heat_functional(inc, cand)
-                    if np.isfinite(Jc) and Jc <= J0:
-                        r_c = heat_gradient(inc, cand)
-                        rc = _dual_all(g, r_c)
-                        if rc < 0.5 * rnorm:
-                            theta, J, r, rnorm = cand, Jc, r_c, rc
-                            accepted = True
-                    break
-                t = 1.0
-                for _ in range(cfg.max_backtracks):
-                    cand = NodalField(g, theta.values + t * p)
-                    Jc = heat_functional(inc, cand)
-                    if np.isfinite(Jc) and Jc <= J + cfg.armijo * t * slope:
-                        theta, J = cand, Jc
-                        accepted = True
-                        break
-                    t *= 0.5
-            if accepted or at_floor:
-                break
-            shift = 1e-8 if shift == 0.0 else shift * 100.0
-        if at_floor:
-            if not accepted:
-                break   # converged at the noise floor without moving
-            iters += 1
-            continue    # gradient already refreshed by the probe
-        if not accepted:
-            raise StepRejectedError(f"thermal line search failed at iteration {iters}")
-        r = heat_gradient(inc, theta)
-        rnorm = _dual_all(g, r)
-        iters += 1
-
-    if rnorm > target and not at_floor:
-        raise StepRejectedError(
-            f"thermal Newton did not converge (residual {rnorm:.3e}, target {target:.3e})")
+    res = minimize(
+        inc.theta_prev.copy(),
+        functional=lambda th: (heat_functional(inc, th), None),
+        gradient=lambda th, _: heat_gradient(inc, th),
+        hessian=lambda th, _: heat_hessian(inc, th),
+        dual_norm=dual_norm, rtol=cfg.tol_heat, cfg=cfg, factor=splu,
+        label="thermal")
+    theta = res.x
 
     th_qp, _ = g.eval_scalar(theta)
     nd = g.ndof_node
@@ -224,19 +169,8 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
     w_new = m.enthalpy_ext(inc.phi1_new, th_qp)
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
                       min_theta=min_theta, clamp_magnitude=clamp,
-                      functional_value=J, iterations=iters,
-                      residual_norm=rnorm, residual_vector=r)
-
-
-def _dual_all(grid, r):
-    """Scalar (H^1)* norm over all dofs (the thermal field has no Dirichlet part)."""
-    if not np.any(r):
-        return 0.0
-    key = ("scalar_all",)
-    if key not in grid._gram_cache:
-        grid._gram_cache[key] = splu(grid.h1_gram(1).tocsc())
-    lu = grid._gram_cache[key]
-    return float(np.sqrt(abs(r @ lu.solve(r))))
+                      functional_value=res.value, iterations=res.iterations,
+                      residual_norm=res.residual_norm, residual_vector=res.residual)
 
 
 def robin_flux(inc: HeatIncrement, theta: NodalField):

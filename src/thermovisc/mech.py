@@ -10,10 +10,10 @@ of the boundary,
 with R the frame-indifferent quadratic rate potential and Psi the free
 energy (stored + hyperstress + thermal coupling at the frozen previous
 temperature).  Infeasible states (det grad y <= 0 anywhere) carry the
-value +inf.  The solver is a damped Newton method with a Levenberg shift
-fallback for indefinite Hessian models and a backtracking line search
-that enforces both Armijo decrease and a determinant floor, so every
-accepted iterate descends and stays locally invertible.
+value +inf.  The solver is the damped Newton method of ``newton.py``
+(Levenberg shift ladder, Armijo backtracking, noise-floor probe against
+J0) with a determinant floor as its admissibility gate, so every accepted
+iterate descends and stays locally invertible.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grid import NodalField, zero_dirichlet_rows
 from .materials import rate_of_cauchy_green
-
-
-class StepRejectedError(RuntimeError):
-    """The incremental solve failed; the caller may retry with tau/2."""
+from .newton import StepRejectedError, minimize  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -143,98 +139,29 @@ def incremental_hessian(inc: MechIncrement, kin):
 
 
 def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechResult:
-    """Damped Newton on the incremental functional from y_prev."""
+    """:func:`newton.minimize` from y_prev on the free dofs, gated so that
+    min det grad y stays above ``det_floor`` times the current iterate's."""
     cfg = config or SolverConfig()
-    grid = inc.grid
-    d = grid.d
+    grid, d = inc.grid, inc.grid.d
     free = np.repeat(grid.free_sdofs, d)
-
-    y = inc.y_prev.copy()
-    J0, kin = incremental_functional(inc, y)
-    if not np.isfinite(J0):
-        raise ValueError("incremental functional must be finite at y_prev")
-    J = J0
-    iterate_dets = [kin.min_detF]
-    r, _ = incremental_gradient(inc, y, kin)
-    rnorm0 = grid.dual_norm(r, ncomp=d)
-    rnorm = rnorm0
-    target = max(cfg.tol_mech * rnorm0, cfg.atol_residual)
-
-    iters = 0
-    at_floor = False
-    while rnorm > target and iters < cfg.max_newton:
-        H = incremental_hessian(inc, kin)
-        Hf = H[free][:, free].tocsc()
-        rf = r.reshape(-1)[free]
-        scale = max(float(np.mean(np.abs(Hf.diagonal()))), 1e-30)
-        accepted = False
-        shift = 0.0
-        for _ in range(12):
-            try:
-                lu = splu(Hf + shift * scale * sp.identity(Hf.shape[0], format="csc"))
-                p = -lu.solve(rf)
-            except RuntimeError:
-                p = None
-            if p is not None and np.all(np.isfinite(p)) and rf @ p < 0.0:
-                slope = float(rf @ p)
-                in_noise = abs(slope) <= 1e-15 * (1.0 + abs(J))
-                if in_noise and shift == 0.0:
-                    # decrease below the roundoff of J: probe the raw Newton
-                    # step and keep it only if it halves the residual while
-                    # staying below the step's starting value (so the
-                    # descent certificate stays exact); either way this is
-                    # the floor regime, a line search cannot add anything
-                    at_floor = True
-                    cand = y.copy()
-                    cand.values.reshape(-1)[free] += p
-                    Jc, kin_c = incremental_functional(inc, cand)
-                    if (np.isfinite(Jc) and Jc <= J0
-                            and kin_c.detF.min() > cfg.det_floor * kin.detF.min()):
-                        r_c, _ = incremental_gradient(inc, cand, kin_c)
-                        rc = grid.dual_norm(r_c, ncomp=d)
-                        if rc < 0.5 * rnorm:
-                            y, J, kin = cand, Jc, kin_c
-                            r, rnorm = r_c, rc
-                            iterate_dets.append(kin.min_detF)
-                            accepted = True
-                    break
-                t = 1.0
-                for _ in range(cfg.max_backtracks):
-                    cand = y.copy()
-                    cand.values.reshape(-1)[free] += t * p
-                    Jc, kin_c = incremental_functional(inc, cand)
-                    if (Jc <= J + cfg.armijo * t * slope
-                            and np.isfinite(Jc)
-                            and kin_c.detF.min() > cfg.det_floor * kin.detF.min()):
-                        y, J, kin = cand, Jc, kin_c
-                        iterate_dets.append(kin.min_detF)
-                        accepted = True
-                        break
-                    t *= 0.5
-            if accepted or at_floor:
-                break
-            shift = 1e-8 if shift == 0.0 else shift * 100.0
-        if at_floor:
-            if not accepted:
-                break   # converged at the noise floor without moving
-            iters += 1
-            continue    # gradient already refreshed by the probe
-        if not accepted:
-            raise StepRejectedError(
-                f"mechanical line search failed at iteration {iters} "
-                f"(residual {rnorm:.3e})")
-        r, _ = incremental_gradient(inc, y, kin)
-        rnorm = grid.dual_norm(r, ncomp=d)
-        iters += 1
-
-    if rnorm > target and not at_floor:
-        raise StepRejectedError(
-            f"mechanical Newton did not converge in {cfg.max_newton} iterations "
-            f"(residual {rnorm:.3e}, target {target:.3e})")
-    return MechResult(y_new=y, functional_value=J, descent_gap=J0 - J,
-                      iterations=iters, min_detF=kin.min_detF,
-                      residual_norm=rnorm, residual_vector=r, kinematics=kin,
-                      iterate_min_dets=iterate_dets)
+    iterate_dets = []
+    res = minimize(
+        inc.y_prev.copy(),
+        functional=lambda y: incremental_functional(inc, y),
+        gradient=lambda y, kin: incremental_gradient(inc, y, kin)[0],
+        hessian=lambda y, kin: incremental_hessian(inc, kin)[free][:, free],
+        dual_norm=lambda r: grid.dual_norm(r, ncomp=d),
+        rtol=cfg.tol_mech, cfg=cfg, factor=splu,
+        free=free,
+        admissible=lambda kin_c, kin: kin_c.detF.min() > cfg.det_floor * kin.detF.min(),
+        on_accept=lambda kin: iterate_dets.append(kin.min_detF),
+        label="mechanical")
+    kin = res.aux
+    return MechResult(y_new=res.x, functional_value=res.value,
+                      descent_gap=res.initial_value - res.value,
+                      iterations=res.iterations, min_detF=kin.min_detF,
+                      residual_norm=res.residual_norm, residual_vector=res.residual,
+                      kinematics=kin, iterate_min_dets=iterate_dets)
 
 
 def main_mechanical_energy(grid, model, kin):

@@ -130,7 +130,7 @@ def emit_outputs(traj, outdir, config_text=None, config_hash="", extra_report=No
     if config_text is not None:
         with open(os.path.join(outdir, "config.ini"), "w", encoding="utf-8") as fh:
             fh.write(config_text)
-    report = run_certificates(traj)
+    report = run_certificates(traj, tol_pos=traj.config.tol_pos)
     if extra_report:
         report.update(extra_report)
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:

@@ -312,11 +312,6 @@ def _single_step(traj, snap_prev, t0, t1):
         include_coupling=not scenario.isothermal,
         F_prev=snap_prev.F, min_det_prev=snap_prev.min_detF)
     mech_res = solve_mech(mech_inc, cfg)
-    traj.mech_log.append({
-        "t": t1, "descent_gap": mech_res.descent_gap,
-        "iterations": mech_res.iterations, "min_detF": mech_res.min_detF,
-        "iterate_min_det": min(mech_res.iterate_min_dets),
-        "residual_norm": mech_res.residual_norm})
 
     if scenario.isothermal:
         heat_res = None
@@ -338,6 +333,12 @@ def _single_step(traj, snap_prev, t0, t1):
                         F=mech_res.kinematics.F, G=mech_res.kinematics.G,
                         detF=mech_res.kinematics.detF,
                         theta_qp=heat_res.theta_new_qp)
+    # logged only now: a heat rejection abandons this mech solve
+    traj.mech_log.append({
+        "t": t1, "descent_gap": mech_res.descent_gap,
+        "iterations": mech_res.iterations, "min_detF": mech_res.min_detF,
+        "iterate_min_det": min(mech_res.iterate_min_dets),
+        "residual_norm": mech_res.residual_norm})
 
     ctx = diag.StepContext(tau=tau_step, eps=traj.eps, load_vector=load,
                            theta_b=theta_b, mech_res=mech_res, heat_res=heat_res,

@@ -192,12 +192,15 @@ def test_cli_validate_ok_and_bad(tmp_path, capsys):
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     cfg = MINIMAL.replace("extents = 6 6", "extents = 5 5").replace("T = 0.2", "T = 0.1")
     cfg += "\n[loads]\nscenario = shear_pulse\namplitude = 0.1\nt_pulse = 0.08\n"
+    cfg += "\n[solver]\ntol_pos = 1e-7\n"
     path = write_cfg(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert cli_main(["simulate", path, "--out", out]) == 0
     assert (tmp_path / "out" / "timeseries.csv").exists()
-    assert (tmp_path / "out" / "report.json").exists()
     assert (tmp_path / "out" / "fields_000000.bin").exists()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    min_theta = next(c for c in report["checks"] if c["name"] == "min_theta")
+    assert min_theta["threshold"] == -1e-7   # [solver] tol_pos, not the default
     assert "PASS" in capsys.readouterr().out
 
 

@@ -149,6 +149,27 @@ def test_step_rejection_bubbles_up():
         run(sc, tau=0.2, eps=0.0, config=cfg)
 
 
+def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
+    import thermovisc.scheme as scheme
+    solve_heat = scheme.solve_heat
+    calls = []
+
+    def heat_rejects_first(inc, cfg):
+        calls.append(inc.tau)
+        if len(calls) == 1:
+            raise StepRejectedError("injected thermal failure")
+        return solve_heat(inc, cfg)
+
+    monkeypatch.setattr(scheme, "solve_heat", heat_rejects_first)
+    sc = shear_pulse(grid=grid66(), T=0.05, amplitude=0.1, t_pulse=0.08)
+    cfg = SolverConfig(max_step_halvings=1, korn_every=0, hk_every=0)
+    traj = run(sc, tau=0.05, eps=0.01, config=cfg)
+    assert calls == [0.05, 0.025, 0.025]
+    # the two accepted half steps, not the abandoned full-step mech solve
+    assert len(traj.mech_log) == 2
+    assert [rec["t"] for rec in traj.mech_log] == [0.025, 0.05]
+
+
 def test_checkpoint_restart_reproduces_run(tmp_path):
     sc = shear_pulse(grid=grid66(), T=0.2, amplitude=0.1, t_pulse=0.15)
     cfg = SolverConfig(checkpoint_every=2, korn_every=0, hk_every=0)
