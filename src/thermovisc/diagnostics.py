@@ -13,9 +13,12 @@ import itertools
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.sparse.linalg import splu
 
-from .grid import Kinematics, NodalField
+from .grid import Kinematics, NodalField, tensor_derivatives
+from .heat import robin_flux
+from .materials import viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
@@ -147,12 +150,7 @@ def compute_step_diagnostics(grid, model, snap_prev, snap_new, ctx: StepContext)
             np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
         pcpl_new = grid.assemble_scalar(
             np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
-        boundary_heat = 0.0
-        for name, p in grid.faces.items():
-            thf = grid.eval_face_scalar(name, snap_new.theta)
-            boundary_heat += model.kappa * float(
-                np.einsum("cq,q->", thf - ctx.theta_b[name], p.weights))
-        boundary_heat *= tau
+        boundary_heat = tau * robin_flux(grid, snap_new.theta, ctx.theta_b, model.kappa)
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(ctx.heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
@@ -343,16 +341,6 @@ def hk_determinant_bound(grid, model, kin, energy_bound=None):
 # generalized Korn constant
 
 
-def korn_form_matrix(grid, F_qp):
-    """Matrix of int |F^T grad v + (grad v)^T F|^2 on the vector space."""
-    d = grid.d
-    delta = np.eye(d)
-    FFt = F_qp @ np.swapaxes(F_qp, -1, -2)
-    c4 = (2.0 * np.einsum("ab,cqij->cqiajb", delta, FFt)
-          + 2.0 * np.einsum("cqib,cqja->cqiajb", F_qp, F_qp))
-    return grid.assemble_hessian(d, c4=c4)
-
-
 def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
     """Smallest generalized eigenvalue of the Korn form against the H^1 form
     over vector fields vanishing on the fixed boundary part.
@@ -365,7 +353,8 @@ def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
     if np.min(np.linalg.det(F_qp)) <= 0:
         raise ValueError("Korn form needs det F > 0")
     free = np.repeat(grid.free_sdofs, d)
-    A = korn_form_matrix(grid, F_qp)[free][:, free].tocsc()
+    # the Korn form int |F^T grad v + (grad v)^T F|^2
+    A = grid.assemble_hessian(d, c4=viscous_form(F_qp))[free][:, free].tocsc()
     key = ("korn_gram", d)
     if key not in grid._gram_cache:
         grid._gram_cache[key] = grid.h1_gram(d, free_only=True).tocsr()
@@ -397,7 +386,6 @@ def apriori_monitor(traj):
     p = model.p
     out = {"t": [], "y_w2p": [], "rate_grad_l2": [], "min_det": [],
            "theta_l2": [], "theta_h1": [], "w_rate_dual": []}
-    lu = None
     for k, snap in enumerate(traj.snapshots):
         yv = grid.eval_vector_values(snap.y)
         w2p = (grid.assemble_scalar(np.sum(yv**2, axis=-1) ** (p / 2.0))
@@ -419,8 +407,7 @@ def apriori_monitor(traj):
         out["rate_grad_l2"].append(np.sqrt(grid.assemble_scalar(np.sum(rate**2, axis=(-2, -1)))))
         dw = (snap.w_qp - prev.w_qp) / tau
         b = grid.assemble_gradient(1, source=dw)
-        if lu is None:
-            lu = splu(grid.h1_gram(1).tocsc())
+        lu = grid.dual_norm_solver(1, free_only=False)
         out["w_rate_dual"].append(float(np.sqrt(abs(b @ lu.solve(b)))))
     return {k: np.asarray(v) for k, v in out.items()}
 
@@ -433,42 +420,44 @@ class TestBank:
     """Deterministic bank of smooth space-time test fields.
 
     Mechanical tests vanish on the fixed boundary part for all times;
-    thermal tests vanish at the final time.  Spatial tables are cached at
-    the volume and face quadrature points of the grid.
+    thermal tests vanish at the final time.  Every spatial field is
+    separable, amp * prod_k f_k(x_k), with f_k = P_k sin(a x + ph) for a
+    mechanical component (P_k the product of the clamp factors x/L or
+    1 - x/L of the fixed faces on axis k, else 1) and f_k = cos(a x + ph)
+    for the thermal field.  Values, gradients and Hessians follow in
+    closed form from the 1D derivatives by the product rule
+    (:func:`thermovisc.grid.tensor_derivatives`) and are cached at the
+    volume and face quadrature points of the grid.
     """
 
     __test__ = False   # not a pytest class
 
     def __init__(self, grid, T, n_elements=10, seed=1234):
-        import sympy as sy
         self.grid = grid
         self.T = float(T)
         d = grid.d
         rng = np.random.default_rng(seed)
-        xs = sy.symbols(f"x0:{d}")
-        mu = sy.Integer(1)
+        one = Polynomial([1.0])
+        clamp, clamp_scale = [one] * d, 1.0
         for name in grid.dirichlet_faces:
-            axis = {"x": 0, "y": 1, "z": 2}[name[0]]
-            L = grid.lengths[axis]
-            mu *= (xs[axis] / L) if name[1] == "0" else (1 - xs[axis] / L)
+            # x/L or 1 - x/L, with 1/L split off so the factor is exactly 0 on the face
+            p = grid.faces[name]
+            L = grid.lengths[p.axis]
+            clamp[p.axis] = clamp[p.axis] * Polynomial([0.0, 1.0] if p.side == 0 else [L, -1.0])
+            clamp_scale /= L
 
-        Xq = grid.qcoords.reshape(-1, d)
-        self.elements = []
-        for _ in range(n_elements):
-            comps = []
-            for _c in range(d):
-                expr = mu
-                for k in range(d):
-                    kk = int(rng.integers(1, 3))
-                    ph = float(rng.uniform(0, 2 * np.pi))
-                    expr *= sy.sin(np.pi * kk * xs[k] / grid.lengths[k] + ph)
-                comps.append(float(rng.uniform(0.5, 1.5)) * expr)
-            vexpr = sy.Integer(1)
+        def draw(polys, trig, scale):
+            modes = []
             for k in range(d):
                 kk = int(rng.integers(1, 3))
                 ph = float(rng.uniform(0, 2 * np.pi))
-                vexpr *= sy.cos(np.pi * kk * xs[k] / grid.lengths[k] + ph)
-            vexpr = float(rng.uniform(0.5, 1.5)) * vexpr
+                modes.append((polys[k], np.pi * kk / grid.lengths[k], ph, trig))
+            return scale * float(rng.uniform(0.5, 1.5)), modes
+
+        self.elements = []
+        for _ in range(n_elements):
+            comps = [draw(clamp, "sin", clamp_scale) for _c in range(d)]
+            vfield = draw([one] * d, "cos", 1.0)
             om_z = float(rng.uniform(0.5, 2.0))
             ph_z = float(rng.uniform(0, 2 * np.pi))
             om_v = float(rng.uniform(0.5, 2.0))
@@ -480,44 +469,32 @@ class TestBank:
                                             - (1.0 - t / self.T) * om * np.pi / self.T
                                             * np.sin(om * np.pi * t / self.T)),
             }
-            elem.update(self._tabulate(comps, vexpr, xs, Xq))
+            Z, gZ, hZ = zip(*(_separable(grid.qcoords, *c) for c in comps))
+            elem.update(Z=np.stack(Z, axis=-1), gradZ=np.stack(gZ, axis=-2),
+                        hessZ=np.stack(hZ, axis=-3))
+            elem["V"], elem["gradV"], _ = _separable(grid.qcoords, *vfield)
+            # face tables for the vector test (traction) and scalar test (Robin)
+            elem["Zface"] = {name: np.stack([_separable(p.qcoords, *c)[0] for c in comps],
+                                            axis=-1)
+                             for name, p in grid.faces.items()}
+            elem["Vface"] = {name: _separable(p.qcoords, *vfield)[0]
+                             for name, p in grid.faces.items()}
             self.elements.append(elem)
 
-    def _tabulate(self, comps, vexpr, xs, Xq):
-        import sympy as sy
-        grid = self.grid
-        d = grid.d
-        ncq = (grid.n_cells, grid.nq)
 
-        def lamb(expr):
-            f = sy.lambdify(xs, expr, "numpy")
-            vals = f(*[Xq[:, k] for k in range(d)])
-            return np.broadcast_to(np.asarray(vals, dtype=float), (Xq.shape[0],)).reshape(ncq)
-
-        Z = np.stack([lamb(c) for c in comps], axis=-1)
-        gZ = np.stack([np.stack([lamb(sy.diff(c, xs[b])) for b in range(d)], axis=-1)
-                       for c in comps], axis=-2)
-        hZ = np.stack([np.stack([np.stack([lamb(sy.diff(c, xs[b], xs[g]))
-                                           for g in range(d)], axis=-1)
-                                 for b in range(d)], axis=-2)
-                       for c in comps], axis=-3)
-        V = lamb(vexpr)
-        gV = np.stack([lamb(sy.diff(vexpr, xs[b])) for b in range(d)], axis=-1)
-        # face tables for the vector test (traction) and scalar test (Robin)
-        Zface, Vface = {}, {}
-        for name, p in grid.faces.items():
-            Xf = p.qcoords.reshape(-1, d)
-
-            def lambf(expr):
-                f = sy.lambdify(xs, expr, "numpy")
-                vals = f(*[Xf[:, k] for k in range(d)])
-                return np.broadcast_to(np.asarray(vals, dtype=float),
-                                       (Xf.shape[0],)).reshape(p.qcoords.shape[:2])
-
-            Zface[name] = np.stack([lambf(c) for c in comps], axis=-1)
-            Vface[name] = lambf(vexpr)
-        return {"Z": Z, "gradZ": gZ, "hessZ": hZ, "V": V, "gradV": gV,
-                "Zface": Zface, "Vface": Vface}
+def _separable(X, amp, modes):
+    """Value, gradient and Hessian of amp * prod_k P_k(x_k) trig(a_k x_k + ph_k)
+    at points X (..., d), for modes (P_k, a_k, ph_k, "sin" | "cos")."""
+    factors = []
+    for k, (P, a, ph, trig) in enumerate(modes):
+        x = X[..., k]
+        s, c = np.sin(a * x + ph), np.cos(a * x + ph)
+        g0, g1 = (s, a * c) if trig == "sin" else (c, -a * s)
+        g2 = -a * a * g0
+        p0, p1, p2 = P(x), P.deriv(1)(x), P.deriv(2)(x)
+        factors.append((p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2))
+    value, grad, hess = tensor_derivatives(*zip(*factors))
+    return amp * value, amp * grad, amp * hess
 
 
 def _time_nodes(t0, t1, npts=5):
@@ -534,6 +511,7 @@ def weak_residuals(traj, bank: TestBank):
     identities.  Evaluation uses the affine interpolants with per-step Gauss
     quadrature in time.
     """
+    traj.require_start_at_zero("weak_residuals")
     grid, model = traj.grid, traj.model
     scenario = traj.scenario
     eps = traj.eps

@@ -59,6 +59,34 @@ def _hermite_1d(side, m, t, h, order):
     raise ValueError(key)
 
 
+def tensor_derivatives(vals, der1, der2):
+    """Value, gradient and Hessian of the product prod_k f_k(x_k).
+
+    vals, der1, der2: per-axis lists of f_k, f_k' and f_k'' at the same
+    points, arrays of one shape S; the results have shapes S, S + (d,) and
+    S + (d, d).  Each entry takes its derivative factors first and
+    multiplies the other axes in axis order, a fixed operation order so
+    rebuilt tables are bit-identical.
+    """
+    d = len(vals)
+
+    def times_others(first, skip):
+        for k in range(d):
+            if k not in skip:
+                first = first * vals[k]
+        return first
+
+    value = np.prod(vals, axis=0)
+    grad = np.empty(value.shape + (d,))
+    hess = np.empty(value.shape + (d, d))
+    for b in range(d):
+        grad[..., b] = times_others(der1[b], (b,))
+        for c in range(d):
+            hess[..., b, c] = (times_others(der2[b], (b,)) if c == b
+                               else times_others(der1[b] * der1[c], (b, c)))
+    return value, grad, hess
+
+
 FACE_NAMES = {2: ("x0", "x1", "y0", "y1"),
               3: ("x0", "x1", "y0", "y1", "z0", "z1")}
 
@@ -171,28 +199,9 @@ class StructuredGrid:
         B1 = np.zeros((self.nloc, self.nq, d))
         B2 = np.zeros((self.nloc, self.nq, d, d))
         for a, (o, m) in enumerate((o, m) for o in o_list for m in m_list):
-            vals = [_hermite_1d(o[k], m[k], tq[:, k], self.h[k], 0) for k in range(d)]
-            der1 = [_hermite_1d(o[k], m[k], tq[:, k], self.h[k], 1) for k in range(d)]
-            der2 = [_hermite_1d(o[k], m[k], tq[:, k], self.h[k], 2) for k in range(d)]
-            B0[a] = np.prod(vals, axis=0)
-            for b in range(d):
-                prod = der1[b].copy()
-                for k in range(d):
-                    if k != b:
-                        prod = prod * vals[k]
-                B1[a, :, b] = prod
-                for c in range(d):
-                    if c == b:
-                        prod2 = der2[b].copy()
-                        for k in range(d):
-                            if k != b:
-                                prod2 = prod2 * vals[k]
-                    else:
-                        prod2 = der1[b] * der1[c]
-                        for k in range(d):
-                            if k not in (b, c):
-                                prod2 = prod2 * vals[k]
-                    B2[a, :, b, c] = prod2
+            B0[a], B1[a], B2[a] = tensor_derivatives(
+                *[[_hermite_1d(o[k], m[k], tq[:, k], self.h[k], order) for k in range(d)]
+                  for order in range(3)])
         self.B0, self.B1, self.B2 = B0, B1, B2
 
         # physical quadrature coordinates per cell

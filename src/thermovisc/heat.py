@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .grid import NodalField
+from .grid import NodalField, robin_boundary
 from .mech import SolverConfig
 from .newton import minimize
 
@@ -97,12 +97,7 @@ def heat_functional(inc: HeatIncrement, theta: NodalField):
             + 0.5 * np.einsum("cqa,cqab,cqb->cq", gth, inc.K_prev, gth)
             - inc.xi_reg_qp * th
             - mval * inc.cpl_qp)
-    value = g.assemble_scalar(dens)
-    for name, p in g.faces.items():
-        thf = g.eval_face_scalar(name, theta)
-        diff = thf - inc.theta_b[name]
-        value += 0.5 * m.kappa * float(np.einsum("cq,q->", diff**2, p.weights))
-    return value
+    return g.assemble_scalar(dens) + robin_boundary(g, theta, inc.theta_b, m.kappa)[0]
 
 
 def heat_gradient(inc: HeatIncrement, theta: NodalField):
@@ -113,12 +108,7 @@ def heat_gradient(inc: HeatIncrement, theta: NodalField):
     source = (w_th - inc.w_prev_qp) / inc.tau - inc.xi_reg_qp - m1 * inc.cpl_qp
     flux = np.einsum("cqab,cqb->cqa", inc.K_prev, gth)
     r = g.assemble_gradient(1, stress=flux, source=source)
-    coef = {}
-    for name in g.faces:
-        thf = g.eval_face_scalar(name, theta)
-        coef[name] = m.kappa * (thf - inc.theta_b[name])
-    r = r + g.assemble_face_gradient(list(g.faces), coef, ncomp=1)
-    return r
+    return r + robin_boundary(g, theta, inc.theta_b, m.kappa)[1]
 
 
 def heat_hessian(inc: HeatIncrement, theta: NodalField):
@@ -173,13 +163,12 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
                       residual_norm=res.residual_norm, residual_vector=res.residual)
 
 
-def robin_flux(inc: HeatIncrement, theta: NodalField):
+def robin_flux(grid, theta: NodalField, theta_b: dict, kappa: float):
     """Boundary heat outflow int_Gamma kappa (theta - theta_b) dS."""
-    g, m = inc.grid, inc.model
     total = 0.0
-    for name, p in g.faces.items():
-        thf = g.eval_face_scalar(name, theta)
-        total += m.kappa * float(np.einsum("cq,q->", thf - inc.theta_b[name], p.weights))
+    for name, p in grid.faces.items():
+        thf = grid.eval_face_scalar(name, theta)
+        total += kappa * float(np.einsum("cq,q->", thf - theta_b[name], p.weights))
     return total
 
 

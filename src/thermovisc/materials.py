@@ -64,6 +64,16 @@ def rate_of_cauchy_green(F, Fdot):
     return np.swapaxes(Fdot, -1, -2) @ F + np.swapaxes(F, -1, -2) @ Fdot
 
 
+def viscous_form(F):
+    """2 (delta (x) F F^T + F (x) F), indexed [..., i, a, j, b]: the form of
+    G -> |F^T G + G^T F|^2, i.e. the viscous rate Hessian divided by nu."""
+    F = np.asarray(F, dtype=float)
+    FFt = F @ np.swapaxes(F, -1, -2)
+    t1 = np.einsum("ab,...ij->...iajb", np.eye(F.shape[-1]), FFt)
+    t2 = np.einsum("...ib,...ja->...iajb", F, F)
+    return 2.0 * (t1 + t2)
+
+
 @dataclass(frozen=True)
 class MaterialModel:
     """Immutable bundle of constitutive constants.
@@ -371,12 +381,7 @@ class MaterialModel:
 
     def viscous_hessian(self, F):
         """Constant-in-rate Hessian of the viscous potential in Fdot."""
-        F = np.asarray(F, dtype=float)
-        delta = np.eye(self.d)
-        FFt = F @ np.swapaxes(F, -1, -2)
-        t1 = np.einsum("ab,...ij->...iajb", delta, FFt)
-        t2 = np.einsum("...ib,...ja->...iajb", F, F)
-        return 2.0 * self.nu * (t1 + t2)
+        return self.nu * viscous_form(F)
 
     def dissipation_rate(self, F, Fdot, theta):
         """Heat production rate nu |Cdot|^2 = 2 * viscous_potential."""

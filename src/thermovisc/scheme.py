@@ -136,6 +136,14 @@ class Trajectory:
     def times(self):
         return np.array([s.t for s in self.snapshots])
 
+    def require_start_at_zero(self, what):
+        """Reject a resumed trajectory: its snapshots begin at the restart
+        step, so they cannot be indexed by step number from t = 0."""
+        k0 = self.snapshots[0].k
+        if k0 != 0:
+            raise ValueError(f"{what} needs the trajectory from step 0; "
+                             f"this one was resumed at step {k0}")
+
 
 def _damping_derivatives(eps):
     """First three derivatives of v -> v/(1 + eps v), for the dof chain rule."""
@@ -367,6 +375,7 @@ class Interpolants:
 
 def interpolants(traj: Trajectory, t: float) -> Interpolants:
     """The three interpolant families evaluated at one time."""
+    traj.require_start_at_zero("interpolants")
     T = traj.snapshots[-1].t
     if t < -1e-12 or t > T + 1e-12:
         raise ValueError(f"t={t} outside [0, {T}]")
@@ -512,7 +521,8 @@ def load_checkpoint(traj: Trajectory, directory):
     """Resume from the newest checkpoint whose config hash matches.
 
     A resumed trajectory holds snapshots from the restart point onward;
-    diagnostics of the skipped steps are not reconstructed.
+    diagnostics of the skipped steps are not reconstructed, and the
+    interpolants and weak residuals, which need the run from t = 0, raise.
     """
     from .outputs import read_field_dump
     if not os.path.isdir(directory):

@@ -2,9 +2,15 @@
 determinant lower bound, the Korn eigensolve, a-priori monitors and the
 weak-form residual audit."""
 
+import copy
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import thermovisc
 from thermovisc.diagnostics import (
     TestBank,
     apriori_monitor,
@@ -260,6 +266,91 @@ def test_isothermal_weak_residual_mech_only():
     mech, heat = weak_residuals(traj, bank)
     assert np.isfinite(mech)
     assert heat == 0.0
+
+
+def test_weak_residual_audit_does_not_import_sympy():
+    code = ("import sys\n"
+            "from thermovisc.diagnostics import TestBank, weak_residuals\n"
+            "from thermovisc.grid import StructuredGrid\n"
+            "from thermovisc.presets import steady\n"
+            "from thermovisc.scheme import run\n"
+            "grid = StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=('y0',))\n"
+            "traj = run(steady(grid=grid, T=0.1), tau=0.05, eps=0.01)\n"
+            "weak_residuals(traj, TestBank(grid, T=0.1, n_elements=2, seed=5))\n"
+            "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(thermovisc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("extents, lengths, faces", [
+    ((4, 3), (1.3, 0.7), ("x0", "x1")),
+    ((2, 2, 3), (0.9, 1.1, 1.4), ("y1", "z0", "z1")),
+], ids=["2d", "3d"])
+def test_test_bank_derivatives_match_central_differences(extents, lengths, faces):
+    grid = StructuredGrid(extents, lengths, dirichlet_faces=faces)
+    h = 1e-5
+
+    def elements_at(shift):
+        g = copy.copy(grid)
+        g.qcoords = grid.qcoords + shift
+        return TestBank(g, T=1.0, n_elements=3, seed=11).elements
+
+    base = elements_at(0.0)
+    for b in range(grid.d):
+        plus = elements_at(h * np.eye(grid.d)[b])
+        minus = elements_at(-h * np.eye(grid.d)[b])
+        for el, ep, em in zip(base, plus, minus):
+            for key, dkey in (("Z", "gradZ"), ("gradZ", "hessZ"), ("V", "gradV")):
+                fd = (ep[key] - em[key]) / (2.0 * h)
+                exact = el[dkey][..., b]
+                assert np.max(np.abs(fd - exact)) <= 1e-7 * max(1.0, np.max(np.abs(exact))), dkey
+    for el in base:   # mechanical tests vanish exactly on the fixed faces
+        for name in faces:
+            assert np.all(el["Zface"][name] == 0.0)
+
+
+# Entries of element 3 of TestBank(grid, T=0.3, n_elements=4, seed=1234),
+# recorded from the earlier symbolic (sympy) construction of the same
+# fields; a changed rng draw order or a wrong derivative moves them.
+BANK_PINS = {
+    "2d": (((5, 4), (1.3, 0.7), ("x0", "x1")), "y1", {
+        "Z": [0.07182643915302879, -0.0022494982011009163],
+        "gradZ": [-0.6742048531078825, 0.013801041960485623],
+        "hessZ": [0.8045417164791963, -1.4467317142434895],
+        "V": -0.7217486918552493,
+        "gradV": [-2.111788191822282, -1.8534107069342274],
+        "Zface": [0.003342555012586008, -0.15250621066065503],
+        "Vface": 0.0012360249121278254,
+        "s_r_rdot": [0.9387124318406103, -0.1947585620952035, -10.931546696981593],
+    }),
+    "3d": (((3, 2, 4), (0.9, 1.1, 1.4), ("x0", "y1", "z0", "z1")), "x1", {
+        "Z": [0.032705769886642554, -0.018486148033055743, -0.008571953438547856],
+        "gradZ": [0.01956342592123996, 0.2635093504699783, -0.015208317944156172],
+        "hessZ": [0.06046034578576033, -0.01597212095977756, -0.3702100875367438],
+        "V": 0.022818415404253067,
+        "gradV": [2.764645822449542, -0.018541382581003928, -0.01317282976043662],
+        "Zface": [-0.007078875159884479, 0.016501334764229037, -0.00019169886339954668],
+        "Vface": 0.09590284077501228,
+        "s_r_rdot": [0.0852688258546315, 0.5391143360296774, -5.161975638308547],
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BANK_PINS))
+def test_test_bank_pinned_entries(case):
+    (extents, lengths, faces), face, want = BANK_PINS[case]
+    grid = StructuredGrid(extents, lengths, dirichlet_faces=faces)
+    el = TestBank(grid, T=0.3, n_elements=4, seed=1234).elements[3]
+    got = {"Z": el["Z"][7, 5], "gradZ": el["gradZ"][7, 5, -1],
+           "hessZ": el["hessZ"][7, 5, 0, -1], "V": el["V"][7, 5],
+           "gradV": el["gradV"][7, 5], "Zface": el["Zface"][face][1, 2],
+           "Vface": el["Vface"][face][1, 2],
+           "s_r_rdot": [el[k](0.1) for k in ("s", "r", "rdot")]}
+    for key, value in want.items():
+        np.testing.assert_allclose(got[key], value, rtol=0.0, atol=1e-12, err_msg=key)
 
 
 # ---------------------------------------------------------------------------

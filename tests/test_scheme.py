@@ -5,6 +5,7 @@ the regularized initial data."""
 import numpy as np
 import pytest
 
+from thermovisc.diagnostics import TestBank, weak_residuals
 from thermovisc.grid import StructuredGrid
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig, StepRejectedError
@@ -17,6 +18,7 @@ from thermovisc.scheme import (
     run,
     step_load_vector,
     step_theta_b,
+    trajectory_distance,
     transform_nodal_scalar,
 )
 
@@ -170,14 +172,31 @@ def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
     assert [rec["t"] for rec in traj.mech_log] == [0.025, 0.05]
 
 
-def test_checkpoint_restart_reproduces_run(tmp_path):
+@pytest.fixture(scope="module")
+def restarted_pulse(tmp_path_factory):
+    """A checkpointed pulse run and its resume from the latest checkpoint."""
     sc = shear_pulse(grid=grid66(), T=0.2, amplitude=0.1, t_pulse=0.15)
     cfg = SolverConfig(checkpoint_every=2, korn_every=0, hk_every=0)
-    full = run(sc, tau=0.05, eps=0.01, config=cfg, checkpoint_dir=str(tmp_path))
-    resumed = run(sc, tau=0.05, eps=0.01, config=cfg,
-                  checkpoint_dir=str(tmp_path), resume=True)
+    ckpt = str(tmp_path_factory.mktemp("checkpoints"))
+    full = run(sc, tau=0.05, eps=0.01, config=cfg, checkpoint_dir=ckpt)
+    resumed = run(sc, tau=0.05, eps=0.01, config=cfg, checkpoint_dir=ckpt, resume=True)
+    return full, resumed
+
+
+def test_checkpoint_restart_reproduces_run(restarted_pulse):
+    full, resumed = restarted_pulse
     assert resumed.snapshots[0].k == 4  # restarted from the latest checkpoint
     assert np.array_equal(resumed.snapshots[0].y.values, full.snapshots[4].y.values)
+
+
+def test_resumed_trajectory_rejects_interpolants_and_weak_residuals(restarted_pulse):
+    full, resumed = restarted_pulse
+    with pytest.raises(ValueError, match="resumed at step 4"):
+        interpolants(resumed, 0.2)
+    with pytest.raises(ValueError, match="resumed at step 4"):
+        trajectory_distance(full, resumed)
+    with pytest.raises(ValueError, match="resumed at step 4"):
+        weak_residuals(resumed, TestBank(resumed.grid, T=0.2, n_elements=2, seed=5))
 
 
 def test_determinism_bit_identical():
