@@ -16,9 +16,9 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.sparse.linalg import splu
 
-from .grid import Kinematics, NodalField, tensor_derivatives
+from .grid import SPD_LU, Kinematics, NodalField, tensor_derivatives
 from .heat import robin_flux
-from .materials import viscous_form
+from .materials import det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
@@ -235,18 +235,17 @@ def mechanical_energy_check(traj, k):
     solver_term.  A negative gap means the inequality holds with margin.
     """
     from .mech import estimate_lambda
-    d = traj.step_diags[k - 1]
+    snap_prev, snap, d = traj.step(k)
     gap = ((d.M - d.M_prev) + d.dissipation_step + d.defect_eps
            + d.pcpl_old - d.ext_power)
-    lam = estimate_lambda(traj.grid, traj.model,
-                          traj.snapshots[k].y, traj.snapshots[k - 1].y)
+    lam = estimate_lambda(traj.grid, traj.model, snap.y, snap_prev.y)
     slack = lam * d.gradsq_step
     return gap, slack, d.solver_term
 
 
 def total_energy_check(traj, k):
     """Itemized total-energy ledger of step k; the items sum to the gap."""
-    d = traj.step_diags[k - 1]
+    d = traj.step(k)[2]
     items = d.ledger_items()
     assert abs(sum(items.values()) - d.energy_gap_total) < 1e-10 * max(
         1.0, abs(d.E)), "ledger items must reproduce the stored gap"
@@ -255,7 +254,7 @@ def total_energy_check(traj, k):
 
 
 def entropy_production(traj, k):
-    return traj.step_diags[k - 1].entropy_prod
+    return traj.step(k)[2].entropy_prod
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +349,16 @@ def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
     plain inverse iteration with the Rayleigh quotient converges.
     """
     d = grid.d
-    if np.min(np.linalg.det(F_qp)) <= 0:
+    if np.min(det(F_qp)) <= 0:
         raise ValueError("Korn form needs det F > 0")
     free = np.repeat(grid.free_sdofs, d)
     # the Korn form int |F^T grad v + (grad v)^T F|^2
-    A = grid.assemble_hessian(d, c4=viscous_form(F_qp))[free][:, free].tocsc()
+    A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
     key = ("korn_gram", d)
     if key not in grid._gram_cache:
         grid._gram_cache[key] = grid.h1_gram(d, free_only=True).tocsr()
     B = grid._gram_cache[key]
-    lu = splu(A)
+    lu = splu(A, **SPD_LU)
     x = np.ones(A.shape[0])
     x /= np.sqrt(x @ (B @ x))
     rho_prev = np.inf
@@ -598,7 +597,9 @@ def run_certificates(traj, tol_pos=1e-10, ledger_rtol=1e-8, w_tol=1e-12):
     invertible with the certified determinant bound below the measured
     minimum, entropy production stayed nonnegative, the itemized energy
     ledger closed to ledger_rtol, and the stored enthalpy matched the
-    constitutive relation pointwise.
+    constitutive relation pointwise.  A trajectory resumed from a
+    checkpoint holds only the steps after its restart; the summary then
+    reports ``partial`` with the restart step as ``first_step``.
     """
     diags = traj.step_diags
     iso = traj.scenario.isothermal
@@ -648,6 +649,8 @@ def run_certificates(traj, tol_pos=1e-10, ledger_rtol=1e-8, w_tol=1e-12):
 
     return {
         "n_steps": traj.n_steps,
+        "first_step": traj.first_step,
+        "partial": traj.first_step > 0,
         "tau": traj.tau,
         "eps": traj.eps,
         "scenario": traj.scenario.name,

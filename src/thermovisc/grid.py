@@ -9,18 +9,35 @@ node for every m in {0,1}^d, so the basis reproduces full bicubic
 
 Quadrature is tensor Gauss with 4 points per axis (exact through degree
 7 per axis, i.e. beyond twice the basis degree); boundary faces carry
-the induced trace rule.  Assembly reductions use a fixed summation
-order so repeated runs are bit-identical.
+the induced trace rule.
+
+Evaluation and assembly are GEMMs with per-cell operators D_k that map
+the local dofs to the field, gradient or Hessian at every quadrature
+point (after Cuvelier, Japhet & Scarella, BIT Numer. Math. 2016).
+Element Hessian blocks are batched products (w D)^T C D, or (T w)^T T
+for the rank-one hyperstress part, and one bincount adds them into a
+fixed CSC pattern, built on first use for all dofs or for the free ones,
+so no sparse matrix is converted or sliced per Newton iteration.  The
+operations and their order are fixed, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from .materials import det
+
+# SuperLU settings of every SPD factorization: minimum degree on A^T + A,
+# diagonal pivots (no row interchanges unless a pivot is exactly zero)
+SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+          "options": {"SymmetricMode": True}}
 
 
 def _hermite_1d(side, m, t, h, order):
@@ -154,6 +171,7 @@ class StructuredGrid:
         self._build_faces(quad_pts)
         self._build_dirichlet_mask()
         self._pattern_cache = {}
+        self._operator_cache = {}
         self._gram_cache = {}
 
     # -- construction -------------------------------------------------------
@@ -372,26 +390,44 @@ class StructuredGrid:
         """Gather (n_cells, nloc[, ncomp]) local dof values."""
         return field_values[self.cells_sdofs]
 
+    def _operators(self, ncomp):
+        """(D_k, w D_k) for k = 0, 1, 2: D_k maps the local dofs of a cell,
+        flattened (nloc*ncomp) with the component fastest, to the field
+        (k = 0), gradient (1) or Hessian (2) at all quadrature points,
+        flattened (nq*ncomp*d^k): D_k[(q, j, x), (b, j')] = B_k[b, q, x]
+        delta_jj'.  w D_k weights each row by its quadrature weight."""
+        if ncomp not in self._operator_cache:
+            ops = []
+            for B in (self.B0, self.B1, self.B2):
+                Bq = np.moveaxis(B, 0, -1).reshape(self.nq, -1, self.nloc)   # (q, x, b)
+                D = np.einsum("qxb,jk->qjxbk", Bq, np.eye(ncomp)).reshape(
+                    -1, self.nloc * ncomp)
+                w = np.repeat(self.qweights, D.shape[0] // self.nq)
+                ops.append((D, D * w[:, None]))
+            self._operator_cache[ncomp] = ops
+        return self._operator_cache[ncomp]
+
+    def _at_quadrature(self, values, k):
+        """Order-k derivatives of a nodal field at every quadrature point,
+        (ncells, nq[, ncomp]) + (d,) * k, as one GEMM."""
+        ncomp = 1 if values.ndim == 1 else values.shape[1]
+        D = self._operators(ncomp)[k][0]
+        loc = self.local_values(values).reshape(self.n_cells, -1)
+        return (loc @ D.T).reshape((self.n_cells, self.nq) + values.shape[1:] + (self.d,) * k)
+
     def eval_scalar(self, field):
-        loc = self.local_values(field.values)
-        vals = np.einsum("aq,ca->cq", self.B0, loc)
-        grads = np.einsum("aqb,ca->cqb", self.B1, loc)
-        return vals, grads
+        return self._at_quadrature(field.values, 0), self._at_quadrature(field.values, 1)
 
     def eval_kinematics(self, y):
         """Per-quadrature deformation gradient, second gradient and det."""
-        loc = self.local_values(y.values)           # (ncells, nloc, d)
-        F = np.einsum("aqb,cai->cqib", self.B1, loc)
-        G = np.einsum("aqbg,cai->cqibg", self.B2, loc)
-        return Kinematics(F=F, G=G, detF=np.linalg.det(F))
+        F = self._at_quadrature(y.values, 1)
+        return Kinematics(F=F, G=self._at_quadrature(y.values, 2), detF=det(F))
 
     def eval_vector_values(self, y):
-        loc = self.local_values(y.values)
-        return np.einsum("aq,cai->cqi", self.B0, loc)
+        return self._at_quadrature(y.values, 0)
 
     def eval_face_scalar(self, face, field):
-        loc = field.values[self.faces[face].sdofs]
-        return np.einsum("aq,ca->cq", self.faces[face].B0, loc)
+        return field.values[self.faces[face].sdofs] @ self.faces[face].B0
 
     # -- assembly ---------------------------------------------------------------
 
@@ -403,36 +439,55 @@ class StructuredGrid:
         """Nodal dual vector of S:grad z + H:grad^2 z + s.z.
 
         stress (ncells,nq,[ncomp,]d), hyperstress (ncells,nq,[ncomp,]d,d),
-        source (ncells,nq[,ncomp]); returns (n_sdofs[, ncomp]).
+        source (ncells,nq[,ncomp]); returns (n_sdofs[, ncomp]).  Each term is
+        one GEMM against a weighted operator, then one bincount scatter.
         """
-        w = self.qweights
-        shape = (self.n_sdofs,) if ncomp == 1 else (self.n_sdofs, ncomp)
-        out = np.zeros(shape)
-        loc = 0.0
-        if stress is not None:
-            sub = "cqib,aqb,q->cai" if ncomp > 1 else "cqb,aqb,q->ca"
-            loc = loc + np.einsum(sub, stress, self.B1, w)
-        if hyperstress is not None:
-            sub = "cqibg,aqbg,q->cai" if ncomp > 1 else "cqbg,aqbg,q->ca"
-            loc = loc + np.einsum(sub, hyperstress, self.B2, w)
-        if source is not None:
-            sub = "cqi,aq,q->cai" if ncomp > 1 else "cq,aq,q->ca"
-            loc = loc + np.einsum(sub, source, self.B0, w)
-        np.add.at(out, self.cells_sdofs, loc)
-        return out
+        ops = self._operators(ncomp)
+        loc = 0.0                                     # (ncells, nloc*ncomp)
+        for k, coeff in ((1, stress), (2, hyperstress), (0, source)):
+            if coeff is not None:
+                loc = loc + coeff.reshape(self.n_cells, -1) @ ops[k][1]
+        gdofs = self.cells_sdofs[:, :, None] * ncomp + np.arange(ncomp)
+        out = np.bincount(gdofs.ravel(), weights=np.ravel(loc),
+                          minlength=self.n_sdofs * ncomp)
+        return out if ncomp == 1 else out.reshape(self.n_sdofs, ncomp)
 
-    def _hessian_pattern(self, ncomp):
-        if ncomp in self._pattern_cache:
-            return self._pattern_cache[ncomp]
-        nl = self.nloc * ncomp
-        gdofs = (self.cells_sdofs[:, :, None] * ncomp
-                 + np.arange(ncomp)[None, None, :]).reshape(self.n_cells, nl)
-        rows = np.repeat(gdofs, nl, axis=1).ravel()
-        cols = np.tile(gdofs, (1, nl)).ravel()
-        self._pattern_cache[ncomp] = (rows, cols, gdofs)
-        return self._pattern_cache[ncomp]
+    def _csc_pattern(self, ncomp, free):
+        """CSC structure of the matrix on the ``free`` dofs (all when None).
 
-    def assemble_hessian(self, ncomp, c4=None, c0=None, hyper_scal=None, hyper_rank1=None):
+        Returns (slots, indices, indptr): element-block entry (c, r, s), in
+        C order, adds into data[slots[...]]; entries in a fixed row or
+        column go to the spill slot ``len(indices)``.  Built on first use
+        per (ncomp, free) and kept.
+        """
+        key = (ncomp, None if free is None else np.asarray(free, dtype=bool).tobytes())
+        if key not in self._pattern_cache:
+            n = self.n_sdofs * ncomp
+            keep = np.ones(n, dtype=bool) if free is None else np.asarray(free, dtype=bool)
+            m = int(keep.sum())
+            number = np.where(keep, np.cumsum(keep) - 1, -1)
+            nl = self.nloc * ncomp
+            g = number[(self.cells_sdofs[:, :, None] * ncomp
+                        + np.arange(ncomp)).reshape(self.n_cells, nl)]
+            rows = np.repeat(g, nl, axis=1).ravel()
+            cols = np.tile(g, (1, nl)).ravel()
+            inside = (rows >= 0) & (cols >= 0)
+            entries, slot = np.unique(cols[inside] * m + rows[inside], return_inverse=True)
+            slots = np.full(rows.size, entries.size)
+            slots[inside] = slot
+            indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(np.bincount(entries // m, minlength=m), out=indptr[1:])
+            self._pattern_cache[key] = (slots, (entries % m).astype(np.int32), indptr)
+        return self._pattern_cache[key]
+
+    @cached_property
+    def _hyper_table(self):
+        """(nq, nloc*nloc) table w_q B2_a : B2_b."""
+        hyper = np.einsum("aqxy,bqxy,q->qab", self.B2, self.B2, self.qweights)
+        return hyper.reshape(self.nq, -1)
+
+    def assemble_hessian(self, ncomp, c4=None, c0=None, hyper_scal=None, hyper_rank1=None,
+                         free=None):
         """Sparse bilinear form from per-quadrature coefficient tensors.
 
         c4: (ncells,nq,ncomp,d,ncomp,d) pairing first gradients (for a
@@ -440,48 +495,40 @@ class StructuredGrid:
         coefficient (ncells,nq[,ncomp,ncomp]); hyper_scal multiplies the
         second-gradient inner product identity, hyper_rank1
         (ncells,nq,ncomp,d,d) enters through the square of its pairing
-        with second gradients.
+        with second gradients.  Returns the CSC matrix restricted to the
+        dofs where the (n_sdofs*ncomp,) mask ``free`` is true (all dofs when
+        None).  Element blocks are batched GEMMs with the operators D_k;
+        the scatter is one bincount into a fixed pattern.
         """
-        w = self.qweights
-        nl = self.nloc * ncomp
-        blocks = np.zeros((self.n_cells, nl, nl))
-
-        def scatter(loc):
-            # loc indexed (c, a, i, b, j) -> (c, a*ncomp+i, b*ncomp+j)
-            return loc.reshape(self.n_cells, nl, nl)
-
-        if c4 is not None:
-            if ncomp == 1 and c4.ndim == 4:
-                c4 = c4[:, :, None, :, None, :]
-            tmp = np.einsum("aqA,cqiAjB->cqaijB", self.B1, c4, optimize=True)
-            loc = np.einsum("cqaijB,bqB,q->caibj", tmp, self.B1, w, optimize=True)
-            blocks += scatter(loc)
-        if c0 is not None:
-            if not hasattr(self, "_mass3q"):
-                self._mass3q = np.einsum("aq,bq,q->abq", self.B0, self.B0, w)
-            if c0.ndim == 2:
-                base = np.einsum("cq,abq->cab", c0, self._mass3q)
-                loc = np.einsum("cab,ij->caibj", base, np.eye(ncomp))
-            else:
-                loc = np.einsum("aq,cqij,bq,q->caibj", self.B0, c0, self.B0, w,
-                                optimize=True)
-            blocks += scatter(loc)
+        nc, nq, nloc = self.n_cells, self.nq, self.nloc
+        nl = nloc * ncomp
+        ops = self._operators(ncomp)
+        blocks = np.zeros((nc, nl, nl))
+        if c0 is not None and c0.ndim == 2:
+            c0 = c0[:, :, None, None] * np.eye(ncomp)
+        for k, coeff in ((1, c4), (0, c0)):
+            if coeff is not None:
+                # sum_q (w D_k)_q^T coeff[c, q] (D_k)_q: per point, then per cell
+                D, WD = ops[k]
+                m = D.shape[0] // nq
+                Y = np.moveaxis(coeff.reshape(nc, nq, m, m), 1, 0) @ D.reshape(nq, 1, m, nl)
+                blocks += WD.T @ np.ascontiguousarray(np.swapaxes(Y, 0, 1)).reshape(nc, -1, nl)
         if hyper_scal is not None:
-            # sum_q w * hyper_scal * (B2_a : B2_b) * delta_ij
-            if not hasattr(self, "_hyper3q"):
-                self._hyper3q = np.einsum("aqxy,bqxy,q->abq", self.B2, self.B2, w)
-            base = np.einsum("cq,abq->cab", hyper_scal, self._hyper3q)
-            loc = np.einsum("cab,ij->caibj", base, np.eye(ncomp))
-            blocks += scatter(loc)
+            # hyper_scal (B2_a : B2_b) delta_ij: one table for every component
+            base = (hyper_scal @ self._hyper_table).reshape(nc, nloc, nloc)
+            blocks5 = blocks.reshape(nc, nloc, ncomp, nloc, ncomp)
+            for i in range(ncomp):
+                blocks5[:, :, i, :, i] += base
         if hyper_rank1 is not None:
-            T = np.einsum("aqbg,cqibg->cqai", self.B2, hyper_rank1)
-            loc = np.einsum("cqai,cqbj,q->caibj", T, T, w)
-            blocks += scatter(loc)
+            # (T w)^T T with T[c, q] = R[c, q] (D_2)_q
+            T = np.moveaxis(hyper_rank1.reshape(nc, nq, -1), 1, 0) @ ops[2][0].reshape(nq, -1, nl)
+            T = np.ascontiguousarray(np.swapaxes(T, 0, 1))
+            blocks += np.swapaxes(T * self.qweights[:, None], 1, 2) @ T
 
-        rows, cols, _ = self._hessian_pattern(ncomp)
-        n = self.n_sdofs * ncomp
-        H = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
-        return H.tocsr()
+        slots, indices, indptr = self._csc_pattern(ncomp, free)
+        data = np.bincount(slots, weights=blocks.ravel(), minlength=indices.size + 1)
+        m = indptr.size - 1
+        return sp.csc_matrix((data[:-1], indices, indptr), shape=(m, m))
 
     # -- boundary -----------------------------------------------------------------
 
@@ -529,18 +576,14 @@ class StructuredGrid:
         eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(self.d))
         c4 = np.broadcast_to(eye4, (self.n_cells, self.nq, ncomp, self.d, ncomp, self.d))
         c0 = np.ones((self.n_cells, self.nq))
-        B = self.assemble_hessian(ncomp, c4=np.ascontiguousarray(c4), c0=c0)
-        if free_only:
-            free = np.repeat(self.free_sdofs, ncomp)
-            B = B[free][:, free]
-        return B
+        free = np.repeat(self.free_sdofs, ncomp) if free_only else None
+        return self.assemble_hessian(ncomp, c4=c4, c0=c0, free=free)
 
     def dual_norm_solver(self, ncomp=1, free_only=True):
         """Cached factorized H^1 Gram for discrete dual norms."""
         key = (ncomp, free_only)
         if key not in self._gram_cache:
-            B = self.h1_gram(ncomp, free_only=free_only).tocsc()
-            self._gram_cache[key] = splu(B)
+            self._gram_cache[key] = splu(self.h1_gram(ncomp, free_only=free_only), **SPD_LU)
         return self._gram_cache[key]
 
     def dual_norm(self, residual, ncomp=1):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .grid import NodalField, robin_boundary
+from .grid import SPD_LU, NodalField, robin_boundary
+from .materials import det
 from .mech import SolverConfig
 from .newton import minimize
 
@@ -51,7 +52,7 @@ class HeatIncrement:
             self.F_prev = g.eval_kinematics(self.y_prev).F
         if self.F_new is None:
             self.F_new = g.eval_kinematics(self.y_new).F
-        if np.linalg.det(self.F_prev).min() <= 0 or np.linalg.det(self.F_new).min() <= 0:
+        if det(self.F_prev).min() <= 0 or det(self.F_new).min() <= 0:
             raise ValueError("deformation states must be locally invertible")
         self.theta_prev_qp, _ = g.eval_scalar(self.theta_prev)
         if self.theta_prev_qp.min() < -1e-9:
@@ -144,7 +145,8 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
         functional=lambda th: (heat_functional(inc, th), None),
         gradient=lambda th, _: heat_gradient(inc, th),
         hessian=lambda th, _: heat_hessian(inc, th),
-        dual_norm=dual_norm, rtol=cfg.tol_heat, cfg=cfg, factor=splu,
+        dual_norm=dual_norm, rtol=cfg.tol_heat, cfg=cfg,
+        factor=lambda A: splu(A, **SPD_LU),
         label="thermal")
     theta = res.x
 

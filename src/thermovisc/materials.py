@@ -32,8 +32,33 @@ class DomainError(ValueError):
     """Argument outside the physical domain (e.g. negative temperature)."""
 
 
-def _det(F):
-    return np.linalg.det(F)
+def det(F):
+    """Determinant of (..., d, d) arrays, d = 2 or 3, in closed form."""
+    F = np.asarray(F, dtype=float)
+    if F.shape[-1] == 2:
+        return F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    return (F[..., 0, 0] * (F[..., 1, 1] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 1])
+            - F[..., 0, 1] * (F[..., 1, 0] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 0])
+            + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1] - F[..., 1, 1] * F[..., 2, 0]))
+
+
+def inv(F):
+    """Inverse of (..., d, d) arrays, d = 2 or 3: adjugate over determinant."""
+    F = np.asarray(F, dtype=float)
+    adj = np.empty_like(F)
+    if F.shape[-1] == 2:
+        adj[..., 0, 0] = F[..., 1, 1]
+        adj[..., 0, 1] = -F[..., 0, 1]
+        adj[..., 1, 0] = -F[..., 1, 0]
+        adj[..., 1, 1] = F[..., 0, 0]
+    else:
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                # adj[j, i] is the (i, j) cofactor
+                adj[..., j, i] = F[..., i1, j1] * F[..., i2, j2] - F[..., i1, j2] * F[..., i2, j1]
+    return adj / det(F)[..., None, None]
 
 
 def _frob(F):
@@ -41,7 +66,7 @@ def _frob(F):
 
 
 def _check_detF(F):
-    J = _det(F)
+    J = det(F)
     if np.any(J <= 0.0):
         raise NonphysicalStateError("det F <= 0 is nonphysical")
     return J
@@ -191,7 +216,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         J = _check_detF(F)
         n = _frob(F)
-        FiT = np.swapaxes(np.linalg.inv(F), -1, -2)
+        FiT = np.swapaxes(inv(F), -1, -2)
         growth = self.c1 * self.s * n[..., None, None] ** (self.s - 2.0) * F
         barrier = -self.c2 * self.q * J[..., None, None] ** (-self.q) * FiT
         return growth + barrier
@@ -201,7 +226,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         J = _check_detF(F)
         n = _frob(F)
-        FiT = np.swapaxes(np.linalg.inv(F), -1, -2)
+        FiT = np.swapaxes(inv(F), -1, -2)
         eye4 = np.einsum("ij,ab->iajb", np.eye(self.d), np.eye(self.d))
         nn = n[..., None, None, None, None]
         FF = np.einsum("...ia,...jb->...iajb", F, F)
@@ -408,7 +433,7 @@ class MaterialModel:
         """det(F) F^-1 K(theta) F^-T, the reference-configuration tensor."""
         F = np.asarray(F, dtype=float)
         J = _check_detF(F)
-        Fi = np.linalg.inv(F)
+        Fi = inv(F)
         K = self.conductivity(theta)
         return J[..., None, None] * (Fi @ K @ np.swapaxes(Fi, -1, -2))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .grid import NodalField, zero_dirichlet_rows
+from .grid import SPD_LU, NodalField, zero_dirichlet_rows
 from .materials import rate_of_cauchy_green
 from .newton import StepRejectedError, minimize  # noqa: F401  (re-exported)
 
@@ -128,14 +128,15 @@ def incremental_gradient(inc: MechIncrement, y: NodalField, kin=None):
     r = r - inc.load_vector
     return zero_dirichlet_rows(inc.grid, r), kin
 
-def incremental_hessian(inc: MechIncrement, kin):
+def incremental_hessian(inc: MechIncrement, kin, free=None):
+    """Assembled Hessian of the step functional on the ``free`` dofs."""
     m = inc.model
     c4 = inc._visc_c4 + m.elastic_hessian(kin.F)
     if inc.include_coupling:
         c4 = c4 + m.coupling_hessian(kin.F, inc.theta_prev_qp)
     scal, rank1 = m.hyperstress_hessian_parts(kin.G)
     return inc.grid.assemble_hessian(inc.grid.d, c4=c4,
-                                     hyper_scal=scal, hyper_rank1=rank1)
+                                     hyper_scal=scal, hyper_rank1=rank1, free=free)
 
 
 def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechResult:
@@ -149,9 +150,9 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechRe
         inc.y_prev.copy(),
         functional=lambda y: incremental_functional(inc, y),
         gradient=lambda y, kin: incremental_gradient(inc, y, kin)[0],
-        hessian=lambda y, kin: incremental_hessian(inc, kin)[free][:, free],
+        hessian=lambda y, kin: incremental_hessian(inc, kin, free),
         dual_norm=lambda r: grid.dual_norm(r, ncomp=d),
-        rtol=cfg.tol_mech, cfg=cfg, factor=splu,
+        rtol=cfg.tol_mech, cfg=cfg, factor=lambda A: splu(A, **SPD_LU),
         free=free,
         admissible=lambda kin_c, kin: kin_c.detF.min() > cfg.det_floor * kin.detF.min(),
         on_accept=lambda kin: iterate_dets.append(kin.min_detF),

@@ -70,7 +70,8 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
         shift = 0.0
         for _ in range(12):
             try:
-                lu = factor(Hf + shift * scale * sp.identity(Hf.shape[0], format="csc"))
+                lu = factor(Hf if shift == 0.0 else
+                            Hf + shift * scale * sp.identity(Hf.shape[0], format="csc"))
                 p = -lu.solve(rf)
             except RuntimeError:
                 p = None

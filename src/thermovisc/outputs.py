@@ -45,7 +45,7 @@ def _fmt(x):
 def write_timeseries(path, traj):
     lines = [f"# thermovisc-timeseries v{TIMESERIES_VERSION}",
              ",".join(TIMESERIES_COLUMNS)]
-    for k, d in enumerate(traj.step_diags, start=1):
+    for k, d in enumerate(traj.step_diags, start=traj.first_step + 1):
         row = [str(k)]
         row += [_fmt(getattr(d, _COLUMN_SOURCES[c])) for c in TIMESERIES_COLUMNS[1:]]
         lines.append(",".join(row))

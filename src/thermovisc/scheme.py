@@ -130,8 +130,14 @@ class Trajectory:
         return self.scenario.model
 
     @property
+    def first_step(self):
+        """Step number of the first snapshot: 0, or the restart step."""
+        return self.snapshots[0].k
+
+    @property
     def n_steps(self):
-        return len(self.snapshots) - 1
+        """Number of the last step, counted from t = 0 also after a resume."""
+        return self.snapshots[-1].k
 
     def times(self):
         return np.array([s.t for s in self.snapshots])
@@ -139,10 +145,19 @@ class Trajectory:
     def require_start_at_zero(self, what):
         """Reject a resumed trajectory: its snapshots begin at the restart
         step, so they cannot be indexed by step number from t = 0."""
-        k0 = self.snapshots[0].k
-        if k0 != 0:
+        if self.first_step != 0:
             raise ValueError(f"{what} needs the trajectory from step 0; "
-                             f"this one was resumed at step {k0}")
+                             f"this one was resumed at step {self.first_step}")
+
+    def step(self, k):
+        """(snapshot before, snapshot after, diagnostics) of step k, the step
+        from t_{k-1} to t_k, by absolute step number.  A resumed trajectory
+        holds only the steps after its restart."""
+        k0 = self.first_step
+        if not k0 < k <= self.n_steps:
+            raise ValueError(f"step {k} is not in {k0 + 1}..{self.n_steps}"
+                             + (f"; this trajectory was resumed at step {k0}" if k0 else ""))
+        return self.snapshots[k - k0 - 1], self.snapshots[k - k0], self.step_diags[k - k0 - 1]
 
 
 def _damping_derivatives(eps):
@@ -521,8 +536,10 @@ def load_checkpoint(traj: Trajectory, directory):
     """Resume from the newest checkpoint whose config hash matches.
 
     A resumed trajectory holds snapshots from the restart point onward;
-    diagnostics of the skipped steps are not reconstructed, and the
-    interpolants and weak residuals, which need the run from t = 0, raise.
+    diagnostics of the skipped steps are not reconstructed.  Per-step
+    checks index it by absolute step (see ``Trajectory.step``), the run
+    certificates mark it partial, and the interpolants and weak residuals,
+    which need the run from t = 0, raise.
     """
     from .outputs import read_field_dump
     if not os.path.isdir(directory):

@@ -4,6 +4,7 @@ the Robin boundary term."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thermovisc.grid import (
     NodalField,
@@ -226,6 +227,154 @@ def test_mass_hessian_integrates_squares():
                       dfn=lambda X, m: np.ones(len(X)) if m == (1, 0) else np.zeros(len(X)))
     # int_0^1 x^2 = 1/3
     assert f.values @ (M @ f.values) == pytest.approx(1.0 / 3.0, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# GEMM kernels against the einsum formulas they replaced
+
+
+def reference_blocks(g, ncomp, c4=None, c0=None, hyper_scal=None, hyper_rank1=None):
+    """Element blocks (c, a*ncomp+i, b*ncomp+j) by one einsum per term."""
+    w, eye = g.qweights, np.eye(ncomp)
+    loc = np.zeros((g.n_cells, g.nloc, ncomp, g.nloc, ncomp))
+    if c4 is not None:
+        if c4.ndim == 4:
+            c4 = c4[:, :, None, :, None, :]
+        loc += np.einsum("aqA,cqiAjB,bqB,q->caibj", g.B1, c4, g.B1, w, optimize=True)
+    if c0 is not None:
+        if c0.ndim == 2:
+            loc += np.einsum("aq,cq,bq,q,ij->caibj", g.B0, c0, g.B0, w, eye, optimize=True)
+        else:
+            loc += np.einsum("aq,cqij,bq,q->caibj", g.B0, c0, g.B0, w, optimize=True)
+    if hyper_scal is not None:
+        loc += np.einsum("aqxy,cq,bqxy,q,ij->caibj", g.B2, hyper_scal, g.B2, w, eye,
+                         optimize=True)
+    if hyper_rank1 is not None:
+        T = np.einsum("aqbg,cqibg->cqai", g.B2, hyper_rank1)
+        loc += np.einsum("cqai,cqbj,q->caibj", T, T, w)
+    nl = g.nloc * ncomp
+    return loc.reshape(g.n_cells, nl, nl)
+
+
+def reference_hessian(g, ncomp, **coeffs):
+    """Dense matrix of the reference blocks scattered through a COO matrix."""
+    nl = g.nloc * ncomp
+    gdofs = (g.cells_sdofs[:, :, None] * ncomp + np.arange(ncomp)).reshape(g.n_cells, nl)
+    rows = np.repeat(gdofs, nl, axis=1).ravel()
+    cols = np.tile(gdofs, (1, nl)).ravel()
+    n = g.n_sdofs * ncomp
+    blocks = reference_blocks(g, ncomp, **coeffs)
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).toarray()
+
+
+def reference_gradient(g, ncomp, stress=None, hyperstress=None, source=None):
+    w = g.qweights
+    v = "i" if ncomp > 1 else ""
+    loc = 0.0
+    if stress is not None:
+        loc = loc + np.einsum(f"cq{v}b,aqb,q->ca{v}", stress, g.B1, w)
+    if hyperstress is not None:
+        loc = loc + np.einsum(f"cq{v}bg,aqbg,q->ca{v}", hyperstress, g.B2, w)
+    if source is not None:
+        loc = loc + np.einsum(f"cq{v},aq,q->ca{v}", source, g.B0, w)
+    out = np.zeros((g.n_sdofs,) + ((ncomp,) if ncomp > 1 else ()))
+    np.add.at(out, g.cells_sdofs, loc)
+    return out
+
+
+def kernel_grid(d):
+    return StructuredGrid((3, 2) if d == 2 else (2, 2, 2), (1.0, 0.7, 1.3)[:d],
+                          dirichlet_faces=("x0", "y1"))
+
+
+def assert_close(new, ref):
+    assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def hessian_coefficients(g, ncomp, rng):
+    c, q, d = g.n_cells, g.nq, g.d
+    return {"c4": rng.standard_normal((c, q, ncomp, d, ncomp, d)),
+            "c0": rng.standard_normal((c, q)),
+            "c0_tensor": rng.standard_normal((c, q, ncomp, ncomp)),
+            "hyper_scal": rng.standard_normal((c, q)),
+            "hyper_rank1": rng.standard_normal((c, q, ncomp, d, d))}
+
+
+HESSIAN_TERMS = ["c4", "c0", "c0_tensor", "hyper_scal", "hyper_rank1"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("term", HESSIAN_TERMS)
+def test_hessian_kernels_match_einsum_reference(d, vector, term):
+    g = kernel_grid(d)
+    ncomp = d if vector else 1
+    rng = np.random.default_rng([d, ncomp, HESSIAN_TERMS.index(term)])
+    coeff = hessian_coefficients(g, ncomp, rng)[term]
+    name = "c0" if term == "c0_tensor" else term
+    H = g.assemble_hessian(ncomp, **{name: coeff})
+    assert H.format == "csc" and H.has_canonical_format
+    assert_close(H.toarray(), reference_hessian(g, ncomp, **{name: coeff}))
+    if term == "c4" and ncomp == 1:   # the (ncells, nq, d, d) scalar form
+        c4 = coeff.reshape(g.n_cells, g.nq, d, d)
+        assert_close(g.assemble_hessian(1, c4=c4).toarray(), reference_hessian(g, 1, c4=c4))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_free_dof_hessian_is_the_free_block_of_the_full_one(d, ncomp):
+    g = kernel_grid(d)
+    rng = np.random.default_rng(10 * d + ncomp)
+    co = hessian_coefficients(g, ncomp, rng)
+    terms = dict(c4=co["c4"], c0=co["c0"], hyper_scal=co["hyper_scal"],
+                 hyper_rank1=co["hyper_rank1"])
+    full = g.assemble_hessian(ncomp, **terms)
+    assert_close(full.toarray(), reference_hessian(g, ncomp, **terms))
+    free = np.repeat(g.free_sdofs, ncomp)
+    Hf = g.assemble_hessian(ncomp, **terms, free=free)
+    assert Hf.format == "csc" and Hf.has_canonical_format
+    assert np.array_equal(Hf.toarray(), full[free][:, free].toarray())
+    again = g.assemble_hessian(ncomp, **terms, free=free.copy())   # cached pattern
+    assert np.array_equal(again.toarray(), Hf.toarray())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("vector", [False, True])
+def test_gradient_and_evaluation_kernels_match_einsum_reference(d, vector):
+    g = kernel_grid(d)
+    ncomp = d if vector else 1
+    rng = np.random.default_rng(20 * d + ncomp)
+    c, q = g.n_cells, g.nq
+    v = (ncomp,) if vector else ()
+    stress = rng.standard_normal((c, q) + v + (d,))
+    hyper = rng.standard_normal((c, q) + v + (d, d))
+    source = rng.standard_normal((c, q) + v)
+    for terms in ({"stress": stress}, {"hyperstress": hyper}, {"source": source},
+                  {"stress": stress, "hyperstress": hyper, "source": source}):
+        assert_close(g.assemble_gradient(ncomp, **terms), reference_gradient(g, ncomp, **terms))
+
+    field = random_field(g, rng, ncomp)
+    loc = g.local_values(field.values)
+    if vector:
+        kin = g.eval_kinematics(field)
+        assert_close(kin.F, np.einsum("aqb,cai->cqib", g.B1, loc))
+        assert_close(kin.G, np.einsum("aqbg,cai->cqibg", g.B2, loc))
+        assert_close(kin.detF, np.linalg.det(kin.F))
+        assert_close(g.eval_vector_values(field), np.einsum("aq,cai->cqi", g.B0, loc))
+    else:
+        vals, grads = g.eval_scalar(field)
+        assert_close(vals, np.einsum("aq,ca->cq", g.B0, loc))
+        assert_close(grads, np.einsum("aqb,ca->cqb", g.B1, loc))
+        for name, p in g.faces.items():
+            assert_close(g.eval_face_scalar(name, field),
+                         np.einsum("aq,ca->cq", p.B0, field.values[p.sdofs]))
+
+
+def test_no_pattern_is_built_with_the_grid():
+    g = kernel_grid(2)
+    assert g._pattern_cache == {} and g._operator_cache == {}
+    g.dual_norm(np.ones((g.n_sdofs, 2)), ncomp=2)
+    assert list(g._pattern_cache) == [(2, np.repeat(g.free_sdofs, 2).tobytes())]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from thermovisc.materials import (
     DomainError,
     MaterialModel,
     NonphysicalStateError,
+    det,
+    inv,
     random_feasible_gradient,
     random_rotation,
     rate_of_cauchy_green,
@@ -494,3 +496,18 @@ def test_constant_validation():
         MaterialModel(nu=0.0)
     m = MODEL.isothermal()
     assert m.phi1_amp == 0.0 and m.nu == MODEL.nu
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_det_and_inverse_match_linalg(d):
+    rng = np.random.default_rng(70 + d)
+    F = np.array([random_feasible_gradient(rng, d, spread=0.5, det_floor=0.05)
+                  for _ in range(200)]).reshape(10, 20, d, d)
+    ref_det = np.linalg.det(F)
+    assert np.max(np.abs(det(F) - ref_det) / np.abs(ref_det)) < 1e-13
+    ref_inv = np.linalg.inv(F)
+    rel = (np.max(np.abs(inv(F) - ref_inv), axis=(-2, -1))
+           / np.max(np.abs(ref_inv), axis=(-2, -1)))
+    assert np.max(rel) < 1e-13
+    assert det(F[0, 0]) == pytest.approx(float(ref_det[0, 0]), rel=1e-13)   # single matrix
+    assert np.array_equal(det(np.eye(d)), 1.0) and np.array_equal(inv(np.eye(d)), np.eye(d))

@@ -1,13 +1,17 @@
-"""The shared damped-Newton driver on small closed-form problems (no grid)."""
+"""The shared damped-Newton driver on small closed-form problems (no grid),
+and the factorization setting every solve uses."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
-from thermovisc import mech
+from thermovisc import diagnostics, grid, heat, mech
+from thermovisc.grid import SPD_LU, StructuredGrid
 from thermovisc.mech import SolverConfig
 from thermovisc.newton import StepRejectedError, minimize
+from thermovisc.presets import shear_pulse
+from thermovisc.scheme import run
 
 
 class Vec:
@@ -56,14 +60,14 @@ def test_start_at_minimizer_takes_no_step():
     assert np.array_equal(res.x.values, C)
 
 
-def test_indefinite_start_takes_shift_ladder_and_descends():
+def double_well_shift_ladder(lu_options):
     x0 = np.array([0.1, 0.2])
     h0 = 3.0 * x0**2 - 1.0               # J'' < 0 on both components
     shifts = []                          # diagonal shift of each factorization
 
     def factor(A):
         shifts.append(float(A.diagonal()[0] - h0[0]))
-        return splu(A)
+        return splu(A, **lu_options)
 
     values = []
     res = minimize(Vec(x0), **DOUBLE_WELL, rtol=1e-10, cfg=SolverConfig(),
@@ -74,6 +78,54 @@ def test_indefinite_start_takes_shift_ladder_and_descends():
     assert all(b <= a for a, b in zip(values, values[1:]))   # no iterate ascends
     assert res.value < res.initial_value
     assert np.allclose(np.abs(res.x.values), 1.0, atol=1e-12)   # both wells minimize
+
+
+def test_indefinite_start_takes_shift_ladder_and_descends():
+    double_well_shift_ladder({})
+
+
+def test_indefinite_start_with_the_production_factorization():
+    double_well_shift_ladder(SPD_LU)
+
+
+def test_singular_hessian_moves_up_one_rung():
+    # J = sum x^4/4 - x from x = (1, 0): H = diag(3, 0) is exactly singular
+    quartic = separable(lambda x: 0.25 * x**4 - x, lambda x: x**3 - 1.0,
+                        lambda x: 3.0 * x**2)
+    attempts = []                        # (diagonal shift, raised) per factorization
+
+    def factor(A):
+        shift = float(A.diagonal()[0] - 3.0)   # x_0 = 1 is already optimal
+        try:
+            lu = splu(A, **SPD_LU)
+        except RuntimeError:
+            attempts.append((shift, True))
+            raise
+        attempts.append((shift, False))
+        return lu
+
+    res = minimize(Vec([1.0, 0.0]), **quartic, rtol=1e-12, cfg=SolverConfig(),
+                   factor=factor)
+    assert attempts[0] == (0.0, True)           # the unshifted matrix breaks down
+    assert attempts[1][0] > 0.0 and attempts[1][1] is False   # the next rung factorizes
+    assert np.allclose(res.x.values, 1.0, atol=1e-12)
+    assert res.value < res.initial_value
+
+
+def test_every_factorization_uses_the_spd_setting(monkeypatch):
+    calls = {}
+    for module in (mech, heat, diagnostics, grid):
+        def recorder(A, _name=module.__name__, **kwargs):
+            calls.setdefault(_name, []).append(kwargs)
+            lu = splu(A, **kwargs)
+            assert isinstance(lu, SuperLU)
+            return lu
+        monkeypatch.setattr(module, "splu", recorder)
+    g = StructuredGrid((4, 4), (1.0, 1.0), dirichlet_faces=("y0",))
+    traj = run(shear_pulse(grid=g, T=0.04, amplitude=0.15, t_pulse=0.5), tau=0.02, eps=0.01)
+    assert traj.step_diags[-1].mech_iterations > 0
+    assert sorted(calls) == sorted(m.__name__ for m in (mech, heat, diagnostics, grid))
+    assert all(kwargs == SPD_LU for made in calls.values() for kwargs in made)
 
 
 def test_gate_rejecting_every_candidate_raises():

@@ -5,17 +5,27 @@ the regularized initial data."""
 import numpy as np
 import pytest
 
-from thermovisc.diagnostics import TestBank, weak_residuals
+from thermovisc.diagnostics import (
+    TestBank,
+    entropy_production,
+    mechanical_energy_check,
+    run_certificates,
+    total_energy_check,
+    weak_residuals,
+)
 from thermovisc.grid import StructuredGrid
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig, StepRejectedError
+from thermovisc.outputs import read_timeseries, write_timeseries
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import (
     Scenario,
+    Trajectory,
     _damping_derivatives,
     interpolants,
     refinement_study,
     run,
+    save_checkpoint,
     step_load_vector,
     step_theta_b,
     trajectory_distance,
@@ -197,6 +207,36 @@ def test_resumed_trajectory_rejects_interpolants_and_weak_residuals(restarted_pu
         trajectory_distance(full, resumed)
     with pytest.raises(ValueError, match="resumed at step 4"):
         weak_residuals(resumed, TestBank(resumed.grid, T=0.2, n_elements=2, seed=5))
+
+
+def test_resumed_run_counts_absolute_steps_and_is_certified_partial(restarted_pulse, tmp_path):
+    full, resumed = restarted_pulse
+    assert full.n_steps == resumed.n_steps == 4
+    report = run_certificates(full)
+    assert (report["first_step"], report["partial"]) == (0, False)
+    report = run_certificates(resumed)
+    assert (report["n_steps"], report["first_step"], report["partial"]) == (4, 4, True)
+    for check in (mechanical_energy_check, total_energy_check, entropy_production):
+        with pytest.raises(ValueError, match="resumed at step 4"):
+            check(resumed, 4)
+        with pytest.raises(ValueError, match="not in 1..4"):
+            check(full, 0)
+
+    # resumed from step 2: steps 3 and 4 are checked under their own numbers
+    head = Trajectory(scenario=full.scenario, tau=full.tau, eps=full.eps,
+                      config=full.config, snapshots=full.snapshots[:3])
+    save_checkpoint(head, str(tmp_path))
+    tail = run(full.scenario, tau=full.tau, eps=full.eps, config=full.config,
+               checkpoint_dir=str(tmp_path), resume=True)
+    assert (tail.first_step, tail.n_steps, len(tail.step_diags)) == (2, 4, 2)
+    write_timeseries(str(tmp_path / "tail.csv"), tail)
+    assert list(read_timeseries(str(tmp_path / "tail.csv"))["step"]) == [3.0, 4.0]
+    for k in (3, 4):   # a restart reproduces the run bit for bit
+        assert mechanical_energy_check(tail, k) == mechanical_energy_check(full, k)
+        assert total_energy_check(tail, k) == total_energy_check(full, k)
+        assert entropy_production(tail, k) == entropy_production(full, k)
+    with pytest.raises(ValueError, match="resumed at step 2"):
+        mechanical_energy_check(tail, 2)
 
 
 def test_determinism_bit_identical():
