@@ -38,7 +38,7 @@ _SCHEMA = {
                "max_newton": "int", "max_backtracks": "int", "det_floor": "float",
                "max_step_halvings": "int", "isothermal": "bool",
                "korn_every": "int", "hk_every": "int", "checkpoint_every": "int"},
-    "output": {"directory": "str", "seed": "int", "diagnostics": "str",
+    "output": {"directory": "str", "diagnostics": "str",
                "tau_list": "float_list", "eps_list": "float_list"},
 }
 
@@ -47,7 +47,7 @@ _DEFAULTS = {
     "loads": {"scenario": "steady", "amplitude": 0.15, "t_pulse": 0.5,
               "theta_b": 1.0, "theta0": 1.0},
     "time": {"T": 1.0, "tau": 0.05, "eps": 0.01},
-    "output": {"directory": "out", "seed": 1234, "diagnostics": "full",
+    "output": {"directory": "out", "diagnostics": "full",
                "tau_list": [], "eps_list": []},
 }
 
@@ -96,7 +96,6 @@ class RunConfig:
     solver: SolverConfig
     isothermal: bool
     directory: str
-    seed: int
     diagnostics: str
     tau_list: list = field(default_factory=list)
     eps_list: list = field(default_factory=list)
@@ -168,7 +167,6 @@ class RunConfig:
             "",
             "[output]",
             f"directory = {self.directory}",
-            f"seed = {self.seed}",
             f"diagnostics = {self.diagnostics}",
             "tau_list = " + " ".join(f"{v:.17g}" for v in self.tau_list),
             "eps_list = " + " ".join(f"{v:.17g}" for v in self.eps_list),
@@ -300,5 +298,5 @@ def parse_config(text: str) -> RunConfig:
         t_pulse=get("loads", "t_pulse"), theta_b=get("loads", "theta_b"),
         theta0=get("loads", "theta0"), T=T, tau=tau, eps=eps, solver=solver,
         isothermal=bool(get("solver", "isothermal", scenario == "isothermal_creep")),
-        directory=get("output", "directory"), seed=get("output", "seed"),
-        diagnostics=diagnostics, tau_list=tau_list, eps_list=eps_list)
+        directory=get("output", "directory"), diagnostics=diagnostics,
+        tau_list=tau_list, eps_list=eps_list)

@@ -586,13 +586,15 @@ class StructuredGrid:
             self._gram_cache[key] = splu(self.h1_gram(ncomp, free_only=free_only), **SPD_LU)
         return self._gram_cache[key]
 
-    def dual_norm(self, residual, ncomp=1):
-        """Discrete (H^1)* norm of a nodal dual vector on the free dofs."""
-        free = np.repeat(self.free_sdofs, ncomp) if ncomp > 1 else self.free_sdofs
-        r = residual.reshape(-1)[free]
+    def dual_norm(self, residual, ncomp=1, free_only=True):
+        """Discrete (H^1)* norm of a nodal dual vector, on the free dofs or,
+        with free_only=False, on all dofs."""
+        r = residual.reshape(-1)
+        if free_only:
+            r = r[np.repeat(self.free_sdofs, ncomp)]
         if not np.any(r):
             return 0.0
-        lu = self.dual_norm_solver(ncomp, free_only=True)
+        lu = self.dual_norm_solver(ncomp, free_only=free_only)
         return float(np.sqrt(abs(r @ lu.solve(r))))
 
 

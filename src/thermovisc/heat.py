@@ -134,18 +134,12 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
     cfg = config or SolverConfig()
     g, m = inc.grid, inc.model
 
-    def dual_norm(r):
-        if not np.any(r):
-            return 0.0
-        lu = g.dual_norm_solver(1, free_only=False)
-        return float(np.sqrt(abs(r @ lu.solve(r))))
-
     res = minimize(
         inc.theta_prev.copy(),
         functional=lambda th: (heat_functional(inc, th), None),
         gradient=lambda th, _: heat_gradient(inc, th),
         hessian=lambda th, _: heat_hessian(inc, th),
-        dual_norm=dual_norm, rtol=cfg.tol_heat, cfg=cfg,
+        dual_norm=lambda r: g.dual_norm(r, free_only=False), rtol=cfg.tol_heat, cfg=cfg,
         factor=lambda A: splu(A, **SPD_LU),
         label="thermal")
     theta = res.x

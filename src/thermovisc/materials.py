@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
 # below this value theta*log(theta) is evaluated by its continuous extension 0
@@ -77,11 +76,6 @@ def _check_theta(theta):
     if np.any(theta < 0.0):
         raise DomainError("temperature must be nonnegative")
     return theta
-
-
-def sym(A):
-    """Symmetric part of the last two axes."""
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def rate_of_cauchy_green(F, Fdot):
@@ -271,7 +265,7 @@ class MaterialModel:
         """Local entropy, minus the theta-derivative of the coupling energy."""
         return -self.coupling_dtheta(F, theta)
 
-    # -- thermal internal energy and its inverse ----------------------------
+    # -- thermal internal energy ---------------------------------------------
 
     def _h_family(self, theta):
         # h with h' = 1 - a + theta a' (the enthalpy bracket), h'' = theta a''
@@ -292,43 +286,6 @@ class MaterialModel:
         theta = _check_theta(theta)
         _, _, h2 = self._h_family(theta)
         return self.c + self.phi1(F) * h2
-
-    def enthalpy_inverse(self, F, w):
-        """Unique theta >= 0 with enthalpy(F, theta) = w."""
-        w = np.asarray(w, dtype=float)
-        if np.any(w < 0.0):
-            raise DomainError("enthalpy must be nonnegative")
-        phi1v = np.broadcast_to(self.phi1(F), w.shape)
-
-        def solve_one(wv, pv):
-            if wv == 0.0:
-                return 0.0
-            hi = wv / self.c  # enthalpy slope >= c gives theta <= w/c
-
-            def f(t):
-                _, h1, _ = self._h_family(t)
-                return self.c * t + pv * h1 - wv
-
-            return brentq(f, 0.0, hi * (1.0 + 1e-12), xtol=1e-15, rtol=8.9e-16)
-
-        out = np.array([solve_one(wv, pv)
-                        for wv, pv in zip(np.ravel(w), np.ravel(phi1v))])
-        return out.reshape(w.shape) if w.shape else float(out[0])
-
-    def thermal_test_potentials(self, F, theta):
-        """Antiderivative pair (phi_C, W) used by the convex thermal update.
-
-        phi_C integrates the coupling energy in theta from 0; W = 2 phi_C -
-        theta * coupling_energy, so that dW/dtheta recovers the enthalpy and
-        d^2W/dtheta^2 the heat capacity.
-        """
-        theta = _check_theta(theta)
-        phi1v = self.phi1(F)
-        m = theta - self.a_int(theta)
-        phi_c = phi1v * m + self.c * (0.75 * theta**2 - 0.5 * xlogy(theta**2, theta))
-        h, _, _ = self._h_family(theta)
-        W = phi1v * h + 0.5 * self.c * theta**2
-        return phi_c, W
 
     # extensions below theta = 0 by the quadratic Taylor model at 0; these are
     # what the unconstrained thermal minimization evaluates.
@@ -440,37 +397,6 @@ class MaterialModel:
     def isothermal(self):
         """Copy with the thermal coupling switched off."""
         return replace(self, phi1_amp=0.0)
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Temperature/enthalpy pair at a point, kept mutually consistent."""
-
-    theta: float
-    w: float
-
-    def __post_init__(self):
-        if self.theta < 0.0:
-            raise DomainError("temperature must be nonnegative")
-        if self.w < 0.0:
-            raise DomainError("enthalpy must be nonnegative")
-
-    @classmethod
-    def from_temperature(cls, model, F, theta):
-        return cls(theta=float(theta), w=float(model.enthalpy(F, theta)))
-
-    @classmethod
-    def from_enthalpy(cls, model, F, w):
-        return cls(theta=float(model.enthalpy_inverse(F, w)), w=float(w))
-
-    def check_bounds(self, model, F):
-        """Two-sided slope bounds eps_hat*theta <= w <= K*theta at this F."""
-        cv0 = float(model.heat_capacity(F, 0.0))
-        cv = float(model.heat_capacity(F, self.theta))
-        lo = min(cv0, cv, float(model.c))
-        hi = max(cv0, cv, float(model.c) + model.alpha * (model.alpha + 1.0)
-                 * float(model.phi1(F)))
-        return lo * self.theta - 1e-12 <= self.w <= hi * self.theta + 1e-12
 
 
 def validate_constants(m) -> list[str]:

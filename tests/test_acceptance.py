@@ -119,8 +119,8 @@ def test_criterion_01_gradient_consistency():
         check(MODEL.coupling_dtheta(F, th),
               (MODEL.coupling_energy(F, th + h) - MODEL.coupling_energy(F, th - h)) / (2 * h))
         check(MODEL.enthalpy(F, th),
-              (MODEL.thermal_test_potentials(F, th + h)[1]
-               - MODEL.thermal_test_potentials(F, th - h)[1]) / (2 * h))
+              (MODEL.w_total_ext(MODEL.phi1(F), th + h)
+               - MODEL.w_total_ext(MODEL.phi1(F), th - h)) / (2 * h))
 
     # assembled gradients: grid energy, mechanical increment, thermal update
     grid = StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=("y0",))

@@ -71,6 +71,13 @@ def test_unknown_key_suggests_nearest():
     assert "nearest valid key: amplitude" in str(exc.value)
 
 
+def test_output_seed_is_unknown_key():
+    # nothing reads a seed: the weak-residual bank is seeded by its caller
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + "\n[output]\nseed = 1234\n")
+    assert "unknown key 'seed' in [output]" in str(exc.value)
+
+
 def test_roundtrip_serialize_parse():
     cfg = parse_config(MINIMAL + "\n[loads]\nscenario = shear_pulse\namplitude = 0.125\n")
     text = cfg.serialize()

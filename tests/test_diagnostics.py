@@ -23,10 +23,10 @@ from thermovisc.diagnostics import (
     total_energy_check,
     weak_residuals,
 )
-from thermovisc.grid import StructuredGrid, apply_dirichlet_identity
+from thermovisc.grid import NodalField, StructuredGrid, apply_dirichlet_identity
 from thermovisc.materials import MaterialModel, random_rotation
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
-from thermovisc.scheme import run
+from thermovisc.scheme import Scenario, run
 
 
 def grid66():
@@ -268,6 +268,133 @@ def test_isothermal_weak_residual_mech_only():
     assert heat == 0.0
 
 
+def loop_weak_residuals(traj, bank):
+    """Reference audit: the per-element loop over every time node that the
+    stacked contraction of ``weak_residuals`` replaced, term by term."""
+    grid, model = traj.grid, traj.model
+    scenario = traj.scenario
+    eps = traj.eps
+    ne = len(bank.V)
+    mech_res = np.zeros(ne)
+    heat_res = np.zeros(ne)
+    for k in range(1, traj.n_steps + 1):
+        s0, s1 = traj.snapshots[k - 1], traj.snapshots[k]
+        tau = s1.t - s0.t
+        rate = (s1.F - s0.F) / tau
+        g, w = np.polynomial.legendre.leggauss(5)
+        ts, ws = 0.5 * tau * g + 0.5 * (s0.t + s1.t), 0.5 * tau * w
+        for t, wt in zip(ts, ws):
+            lam = (t - s0.t) / tau
+            F = (1 - lam) * s0.F + lam * s1.F
+            G = (1 - lam) * s0.G + lam * s1.G
+            th_qp = np.maximum((1 - lam) * s0.theta_qp + lam * s1.theta_qp, 0.0)
+            w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
+            theta_blend = NodalField(grid, (1 - lam) * s0.theta.values + lam * s1.theta.values)
+            _, gth = grid.eval_scalar(theta_blend)
+
+            stress = (model.viscous_stress(F, rate, th_qp) + eps * rate
+                      + model.elastic_stress(F))
+            if not scenario.isothermal:
+                stress = stress + model.coupling_stress(F, th_qp)
+            hyper = model.hyperstress(G)
+            gload = (np.asarray(scenario.bulk_force(t, grid.qcoords), dtype=float)
+                     if scenario.bulk_force is not None else None)
+
+            if not scenario.isothermal:
+                Kt = model.pullback_conductivity(F, th_qp)
+                flux = np.einsum("cqab,cqb->cqa", Kt, gth)
+                xi_reg = model.regularized_rate(F, rate, th_qp, eps)
+                src = xi_reg + np.sum(model.coupling_stress(F, th_qp) * rate, axis=(-2, -1))
+
+            for e in range(ne):
+                s_t, r_t, rd_t = bank.s(t)[e], bank.r(t)[e], bank.rdot(t)[e]
+                dens = (np.einsum("cqib,cqib->cq", stress, bank.gradZ[e])
+                        + np.einsum("cqibg,cqibg->cq", hyper, bank.hessZ[e]))
+                if gload is not None:
+                    dens = dens - np.einsum("cqi,cqi->cq", gload, bank.Z[e])
+                contrib = grid.assemble_scalar(dens)
+                if scenario.traction is not None:
+                    for name in grid.neumann_faces:
+                        p = grid.faces[name]
+                        fval = np.asarray(scenario.traction(t, name, p.qcoords), dtype=float)
+                        contrib -= float(np.einsum(
+                            "cqi,cqi,q->", fval, bank.Zface[name][e], p.weights))
+                mech_res[e] += wt * s_t * contrib
+
+                if scenario.isothermal:
+                    continue
+                hdens = (np.einsum("cqa,cqa->cq", flux, bank.gradV[e]) * r_t
+                         - src * r_t * bank.V[e]
+                         - w_qp * rd_t * bank.V[e])
+                hcontrib = grid.assemble_scalar(hdens)
+                for name, p in grid.faces.items():
+                    thf = ((1 - lam) * grid.eval_face_scalar(name, s0.theta)
+                           + lam * grid.eval_face_scalar(name, s1.theta))
+                    tb = scenario._theta_b_raw(t, name, p.qcoords)
+                    tb = tb / (1.0 + eps * tb)
+                    hcontrib += model.kappa * float(np.einsum(
+                        "cq,cq,q->", thf - tb, bank.Vface[name][e], p.weights)) * r_t
+                heat_res[e] += wt * hcontrib
+
+    if not scenario.isothermal:
+        s0 = traj.snapshots[0]
+        for e in range(ne):
+            heat_res[e] -= bank.r(0.0)[e] * grid.assemble_scalar(s0.w_qp * bank.V[e])
+    return (float(np.sqrt(np.mean(mech_res**2))),
+            float(np.sqrt(np.mean(heat_res**2))))
+
+
+def bulk_force_traj():
+    grid = grid66()
+    T = 0.1
+
+    def bulk_force(t, X):
+        g = np.zeros(X.shape)
+        g[..., 0] = 0.3 * np.sin(np.pi * t / T) * X[..., 1]
+        g[..., 1] = -0.1 * X[..., 0]
+        return g
+
+    sc = Scenario(name="bulk", grid=grid, model=MaterialModel(), T=T, bulk_force=bulk_force,
+                  theta_b=lambda t, X: 1.0 + 0.2 * t * X[..., 0])
+    return run(sc, tau=0.05, eps=0.01)
+
+
+def shear3d_traj():
+    grid = StructuredGrid((2, 2, 2), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
+    model = MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)   # stress-free identity in 3D
+    sc = shear_pulse(grid=grid, model=model, T=0.05, amplitude=0.15, t_pulse=0.5)
+    return run(sc, tau=0.05, eps=0.01)
+
+
+@pytest.mark.parametrize("case", ["pulse", "isothermal", "bulk_force", "3d"])
+def test_weak_residuals_match_per_element_loop(case, pulse_traj):
+    traj = {"pulse": lambda: pulse_traj,
+            "isothermal": lambda: run(isothermal_creep(grid=grid66(), T=0.1, amplitude=0.05),
+                                      tau=0.05, eps=0.0),
+            "bulk_force": bulk_force_traj,
+            "3d": shear3d_traj}[case]()
+    bank = TestBank(traj.grid, T=traj.scenario.T, n_elements=5, seed=3)
+    got, ref = weak_residuals(traj, bank), loop_weak_residuals(traj, bank)
+    assert ref[0] > 0.0
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-15 + 1e-9 * abs(r), (got, ref)
+
+
+def test_weak_residuals_trace_each_snapshot_once(pulse_traj, monkeypatch):
+    grid = pulse_traj.grid
+    bank = TestBank(grid, T=0.3, n_elements=4, seed=5)
+    calls = []
+    trace = grid.eval_face_scalar
+
+    def counted(*args):
+        calls.append(args)
+        return trace(*args)
+
+    monkeypatch.setattr(grid, "eval_face_scalar", counted)
+    weak_residuals(pulse_traj, bank)
+    assert len(calls) == len(pulse_traj.snapshots) * len(grid.faces)
+
+
 def test_weak_residual_audit_does_not_import_sympy():
     code = ("import sys\n"
             "from thermovisc.diagnostics import TestBank, weak_residuals\n"
@@ -293,23 +420,22 @@ def test_test_bank_derivatives_match_central_differences(extents, lengths, faces
     grid = StructuredGrid(extents, lengths, dirichlet_faces=faces)
     h = 1e-5
 
-    def elements_at(shift):
+    def bank_at(shift):
         g = copy.copy(grid)
         g.qcoords = grid.qcoords + shift
-        return TestBank(g, T=1.0, n_elements=3, seed=11).elements
+        return TestBank(g, T=1.0, n_elements=3, seed=11)
 
-    base = elements_at(0.0)
+    base = bank_at(0.0)
     for b in range(grid.d):
-        plus = elements_at(h * np.eye(grid.d)[b])
-        minus = elements_at(-h * np.eye(grid.d)[b])
-        for el, ep, em in zip(base, plus, minus):
-            for key, dkey in (("Z", "gradZ"), ("gradZ", "hessZ"), ("V", "gradV")):
-                fd = (ep[key] - em[key]) / (2.0 * h)
-                exact = el[dkey][..., b]
+        plus = bank_at(h * np.eye(grid.d)[b])
+        minus = bank_at(-h * np.eye(grid.d)[b])
+        for key, dkey in (("Z", "gradZ"), ("gradZ", "hessZ"), ("V", "gradV")):
+            for e in range(3):
+                fd = (getattr(plus, key)[e] - getattr(minus, key)[e]) / (2.0 * h)
+                exact = getattr(base, dkey)[e][..., b]
                 assert np.max(np.abs(fd - exact)) <= 1e-7 * max(1.0, np.max(np.abs(exact))), dkey
-    for el in base:   # mechanical tests vanish exactly on the fixed faces
-        for name in faces:
-            assert np.all(el["Zface"][name] == 0.0)
+    for name in faces:   # mechanical tests vanish exactly on the fixed faces
+        assert np.all(base.Zface[name] == 0.0)
 
 
 # Entries of element 3 of TestBank(grid, T=0.3, n_elements=4, seed=1234),
@@ -343,12 +469,12 @@ BANK_PINS = {
 def test_test_bank_pinned_entries(case):
     (extents, lengths, faces), face, want = BANK_PINS[case]
     grid = StructuredGrid(extents, lengths, dirichlet_faces=faces)
-    el = TestBank(grid, T=0.3, n_elements=4, seed=1234).elements[3]
-    got = {"Z": el["Z"][7, 5], "gradZ": el["gradZ"][7, 5, -1],
-           "hessZ": el["hessZ"][7, 5, 0, -1], "V": el["V"][7, 5],
-           "gradV": el["gradV"][7, 5], "Zface": el["Zface"][face][1, 2],
-           "Vface": el["Vface"][face][1, 2],
-           "s_r_rdot": [el[k](0.1) for k in ("s", "r", "rdot")]}
+    bank = TestBank(grid, T=0.3, n_elements=4, seed=1234)
+    got = {"Z": bank.Z[3, 7, 5], "gradZ": bank.gradZ[3, 7, 5, -1],
+           "hessZ": bank.hessZ[3, 7, 5, 0, -1], "V": bank.V[3, 7, 5],
+           "gradV": bank.gradV[3, 7, 5], "Zface": bank.Zface[face][3, 1, 2],
+           "Vface": bank.Vface[face][3, 1, 2],
+           "s_r_rdot": [bank.s(0.1)[3], bank.r(0.1)[3], bank.rdot(0.1)[3]]}
     for key, value in want.items():
         np.testing.assert_allclose(got[key], value, rtol=0.0, atol=1e-12, err_msg=key)
 

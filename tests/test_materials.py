@@ -218,21 +218,6 @@ def test_enthalpy_consistent_with_legendre_form():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
-def test_enthalpy_inverse_roundtrip():
-    rng = np.random.default_rng(13)
-    assert MODEL.enthalpy_inverse(np.eye(2), 0.0) == 0.0
-    m0 = MaterialModel(phi1_amp=0.0)
-    assert m0.enthalpy_inverse(np.eye(2), 3.0) == pytest.approx(3.0, abs=1e-12)
-    for _ in range(50):
-        F = random_feasible_gradient(rng, 2)
-        w = rng.uniform(0.0, 5.0)
-        th = MODEL.enthalpy_inverse(F, w)
-        assert th >= 0.0
-        assert MODEL.enthalpy(F, th) == pytest.approx(w, abs=1e-10)
-    with pytest.raises(DomainError):
-        MODEL.enthalpy_inverse(np.eye(2), -1.0)
-
-
 def test_heat_capacity_limits_and_fd():
     rng = np.random.default_rng(14)
     F = random_feasible_gradient(rng, 2)
@@ -266,24 +251,21 @@ def test_enthalpy_two_sided_bounds():
 
 
 def test_thermal_potentials_zero_at_zero():
-    phi_c, W = MODEL.thermal_test_potentials(np.eye(2) * 1.1, 0.0)
-    assert phi_c == 0.0 and W == 0.0
+    assert MODEL.w_total_ext(MODEL.phi1(np.eye(2) * 1.1), 0.0) == 0.0
 
 
 def test_thermal_potentials_derivative_relations():
+    # the heat solve's potential W: dW/dtheta is the enthalpy, d^2W/dtheta^2
+    # the heat capacity
     rng = np.random.default_rng(16)
     for _ in range(100):
         F = random_feasible_gradient(rng, 2, spread=0.4)
         th = rng.uniform(0.05, 3.0)
-        dW = fd_scalar(lambda t: MODEL.thermal_test_potentials(F, t)[1], th)
+        phi1v = MODEL.phi1(F)
+        dW = fd_scalar(lambda t: MODEL.w_total_ext(phi1v, t), th)
         assert rel_err(MODEL.enthalpy(F, th), dW) < 1e-6
-        dphic = fd_scalar(lambda t: MODEL.thermal_test_potentials(F, t)[0], th)
-        assert rel_err(MODEL.coupling_energy(F, th), dphic, floor=1e-6) < 1e-6
-        # second theta-derivative of W is the heat capacity
         h = 1e-4
-        _, Wp = MODEL.thermal_test_potentials(F, th + h)
-        _, W0 = MODEL.thermal_test_potentials(F, th)
-        _, Wm = MODEL.thermal_test_potentials(F, th - h)
+        Wp, W0, Wm = (MODEL.w_total_ext(phi1v, t) for t in (th + h, th, th - h))
         d2W = (Wp - 2 * W0 + Wm) / h**2
         assert rel_err(MODEL.heat_capacity(F, th), d2W) < 1e-5
 
@@ -471,20 +453,6 @@ def test_pullback_spd_on_feasible_set():
 
 # ---------------------------------------------------------------------------
 # parameter validation
-
-
-def test_thermal_state_pairing():
-    from thermovisc.materials import ThermalState
-    rng = np.random.default_rng(27)
-    for _ in range(20):
-        F = random_feasible_gradient(rng, 2)
-        th = rng.uniform(0.0, 4.0)
-        st = ThermalState.from_temperature(MODEL, F, th)
-        assert st.check_bounds(MODEL, F)
-        back = ThermalState.from_enthalpy(MODEL, F, st.w)
-        assert back.theta == pytest.approx(th, abs=1e-10)
-    with pytest.raises(DomainError):
-        ThermalState(theta=-0.1, w=0.0)
 
 
 def test_constant_validation():
