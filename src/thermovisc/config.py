@@ -273,6 +273,10 @@ def parse_config(text: str) -> RunConfig:
     for key in ("tol_mech", "tol_heat", "tol_pos"):
         if getattr(solver, key) <= 0:
             errors.append(f"[solver] {key} must be positive")
+    for key, least in (("max_newton", 1), ("max_backtracks", 1), ("max_step_halvings", 0),
+                       ("korn_every", 0), ("hk_every", 0), ("checkpoint_every", 0)):
+        if getattr(solver, key) < least:
+            errors.append(f"[solver] {key} must be at least {least} (got {getattr(solver, key)})")
     if not 0 < solver.det_floor < 1:
         errors.append(f"[solver] det_floor must lie in (0, 1) (got {solver.det_floor:g})")
 

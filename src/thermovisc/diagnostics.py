@@ -16,24 +16,12 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.sparse.linalg import splu
 
-from .grid import SPD_LU, Kinematics, tensor_derivatives
+from .grid import SPD_LU, tensor_derivatives
 from .heat import robin_flux
 from .materials import det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
-
-
-@dataclass
-class StepContext:
-    tau: float
-    eps: float
-    load_vector: np.ndarray
-    theta_b: dict | None
-    mech_res: object
-    heat_res: object | None
-    isothermal: bool
-    config: object
 
 
 @dataclass
@@ -90,9 +78,7 @@ class StepDiagnostics:
 
 def state_energies(grid, model, snap, isothermal=False):
     """(M, H, Phi_cpl, W, E) of one snapshot."""
-    kin = Kinematics(F=snap.F, G=snap.G, detF=snap.detF)
-    H_val = grid.assemble_scalar(model.hyperstress_energy(snap.G))
-    M = grid.assemble_scalar(model.elastic_energy(snap.F)) + H_val
+    M, H_val = main_mechanical_energy(grid, model, snap)
     if isothermal:
         return M, H_val, 0.0, 0.0, M
     Phi_cpl = grid.assemble_scalar(
@@ -106,67 +92,63 @@ def total_entropy(grid, model, snap):
     return grid.assemble_scalar(model.entropy_density(snap.F, th))
 
 
-def compute_step_diagnostics(grid, model, snap_prev, snap_new, ctx: StepContext):
-    tau, eps = ctx.tau, ctx.eps
-    cfg = ctx.config
+def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
+                             heat_inc, heat_res, config):
+    """Certificates of one accepted step, from what the step computed: both
+    snapshots with their energies, and the increment and result of each
+    solve (heat_inc and heat_res are None when isothermal)."""
+    grid, model = mech_inc.grid, mech_inc.model
+    tau, eps = mech_inc.tau, mech_inc.eps
     dF = snap_new.F - snap_prev.F
-    rate = dF / tau
-    th_prev = np.maximum(snap_prev.theta_qp, 0.0)
-    th_new = np.maximum(snap_new.theta_qp, 0.0)
+    th_prev = mech_inc.theta_prev_qp
 
-    xi = model.dissipation_rate(snap_prev.F, rate, th_prev)
-    xi_reg = xi / (1.0 + eps * xi)
+    if heat_inc is None:
+        xi = model.dissipation_rate(snap_prev.F, dF / tau, th_prev)
+        xi_reg = xi / (1.0 + eps * xi)
+    else:
+        xi, xi_reg = heat_inc.xi_qp, heat_inc.xi_reg_qp
     dissipation_step = tau * grid.assemble_scalar(xi)
     reg_step = tau * grid.assemble_scalar(xi_reg)
 
     dvals = snap_new.y.values - snap_prev.y.values
-    ext_power = float(np.sum(ctx.load_vector * dvals))
+    ext_power = float(np.sum(mech_inc.load_vector * dvals))
     gradsq_step = grid.assemble_scalar(np.sum(dF**2, axis=(-2, -1)))
     defect_eps = (eps / tau) * gradsq_step
 
-    kin_new = Kinematics(F=snap_new.F, G=snap_new.G, detF=snap_new.detF)
-    kin_prev = Kinematics(F=snap_prev.F, G=snap_prev.G, detF=snap_prev.detF)
+    M_prev, _, _, _, E_prev = snap_prev.energies
+    M, H_val, Phi_cpl, W_total, E = snap_new.energies
     defect_semiconvex = semiconvexity_gap(grid, model, snap_new.y, snap_prev.y,
-                                          kin_new=kin_new, kin_prev=kin_prev)
+                                          mech_res.kinematics, M, M_prev)
 
-    M_prev, _, _, _, E_prev = state_energies(grid, model, snap_prev, ctx.isothermal)
-    M, H_val, Phi_cpl, W_total, E = state_energies(grid, model, snap_new, ctx.isothermal)
-
-    mech_term = float(np.sum(ctx.mech_res.residual_vector * dvals))
-    if ctx.isothermal:
-        pcpl_old = pcpl_new = 0.0
-        boundary_heat = 0.0
-        heat_term = 0.0
-        entropy_prod = 0.0
-        entropy_tot = float("nan")
-        min_theta = float(snap_new.theta_qp.min())
-        clamp = 0.0
-        heat_resid = 0.0
-        heat_iters = 0
-        excluded = 0
+    mech_term = float(np.sum(mech_res.residual_vector * dvals))
+    if heat_inc is None:
+        pcpl_old = pcpl_new = boundary_heat = heat_term = entropy_prod = 0.0
+        entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
+        clamp = heat_resid = 0.0
+        heat_iters = excluded = 0
         ledger_reg = dissipation_step  # all dissipated power leaves the ledger
     else:
+        th_new = np.maximum(snap_new.theta_qp, 0.0)
         pcpl_old = grid.assemble_scalar(
             np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
         pcpl_new = grid.assemble_scalar(
             np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
-        boundary_heat = tau * robin_flux(grid, snap_new.theta, ctx.theta_b, model.kappa)
+        boundary_heat = tau * robin_flux(grid, snap_new.theta, heat_inc.theta_b, model.kappa)
         ones = grid.constant_field(1.0).values
-        heat_term = tau * float(np.sum(ctx.heat_res.residual_vector * ones))
+        heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
-        K_prev = model.pullback_conductivity(snap_prev.F, th_prev)
         _, gth = grid.eval_scalar(snap_new.theta)
-        cond = np.einsum("cqa,cqab,cqb->cq", gth, K_prev, gth)
+        cond = np.einsum("cqa,cqab,cqb->cq", gth, heat_inc.K_prev, gth)
         mask = snap_new.theta_qp > THETA_FLOOR
         dens = np.where(mask, xi / np.maximum(snap_new.theta_qp, THETA_FLOOR)
                         + cond / np.maximum(snap_new.theta_qp, THETA_FLOOR) ** 2, 0.0)
         entropy_prod = tau * grid.assemble_scalar(dens)
         excluded = int((~mask).sum())
         entropy_tot = total_entropy(grid, model, snap_new)
-        min_theta = ctx.heat_res.min_theta
-        clamp = ctx.heat_res.clamp_magnitude
-        heat_resid = ctx.heat_res.residual_norm
-        heat_iters = ctx.heat_res.iterations
+        min_theta = heat_res.min_theta
+        clamp = heat_res.clamp_magnitude
+        heat_resid = heat_res.residual_norm
+        heat_iters = heat_res.iterations
         ledger_reg = dissipation_step - reg_step
 
     defect_coupling = pcpl_old - pcpl_new
@@ -175,10 +157,10 @@ def compute_step_diagnostics(grid, model, snap_prev, snap_new, ctx: StepContext)
                  + defect_eps + defect_semiconvex + defect_coupling - solver_term)
 
     hk = float("nan")
-    if cfg is None or cfg.hk_every:
-        hk = hk_determinant_bound(grid, model, kin_new)["bound"]
+    if config.hk_every:
+        hk = hk_determinant_bound(grid, model, mech_res.kinematics)["bound"]
     korn = float("nan")
-    if cfg is None or cfg.korn_every:
+    if config.korn_every:
         korn = korn_constant(grid, snap_new.F)
 
     return StepDiagnostics(
@@ -188,12 +170,12 @@ def compute_step_diagnostics(grid, model, snap_prev, snap_new, ctx: StepContext)
         ext_power=ext_power, boundary_heat=boundary_heat,
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
         min_detF=float(snap_new.detF.min()), hk_bound=hk, korn_const=korn,
-        mech_residual=ctx.mech_res.residual_norm, heat_residual=heat_resid,
+        mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
         energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
         solver_term=solver_term, pcpl_old=pcpl_old, pcpl_new=pcpl_new,
-        gradsq_step=gradsq_step, mech_iterations=ctx.mech_res.iterations,
+        gradsq_step=gradsq_step, mech_iterations=mech_res.iterations,
         heat_iterations=heat_iters, entropy_excluded=excluded)
 
 
@@ -230,17 +212,16 @@ def mechanical_energy_check(traj, k):
               + coupling power - external power.
 
     Inserting the previous state certifies gap <= solver pairing; the
-    positive side can additionally be violated only by the semiconvexity
-    defect, which the pairwise Lambda estimate bounds: gap <= slack +
-    solver_term.  A negative gap means the inequality holds with margin.
+    positive side can additionally be violated only by a negative
+    semiconvexity defect, so gap <= slack + solver_term with slack =
+    max(0, -defect_semiconvex).  On a halved step the stored defect is the
+    sum over its substeps.  A negative gap means the inequality holds with
+    margin.
     """
-    from .mech import estimate_lambda
-    snap_prev, snap, d = traj.step(k)
+    d = traj.step(k)[2]
     gap = ((d.M - d.M_prev) + d.dissipation_step + d.defect_eps
            + d.pcpl_old - d.ext_power)
-    lam = estimate_lambda(traj.grid, traj.model, snap.y, snap_prev.y)
-    slack = lam * d.gradsq_step
-    return gap, slack, d.solver_term
+    return gap, max(0.0, -d.defect_semiconvex), d.solver_term
 
 
 def total_energy_check(traj, k):
@@ -330,7 +311,7 @@ def hk_determinant_bound(grid, model, kin, energy_bound=None):
            "ratio": float(bound / measured), "holder_constant": C2,
            "C1": C1, "c3": c3, "lambda": lam}
     if energy_bound is not None:
-        M = main_mechanical_energy(grid, model, kin)
+        M = main_mechanical_energy(grid, model, kin)[0]
         out["energy"] = M
         out["energy_bound_ok"] = bool(M <= energy_bound + 1e-12)
     return out
@@ -544,8 +525,8 @@ def weak_residuals(traj, bank: TestBank):
             G = (1 - lam) * s0.G + lam * s1.G
             th_qp = np.maximum((1 - lam) * s0.theta_qp + lam * s1.theta_qp, 0.0)
 
-            stress = (model.viscous_stress(F, rate, th_qp) + eps * rate
-                      + model.elastic_stress(F))
+            visc = model.viscous_stress(F, rate, th_qp)
+            stress = visc + eps * rate + model.elastic_stress(F)
             if thermal:
                 cpl = model.coupling_stress(F, th_qp)
                 stress = stress + cpl
@@ -565,7 +546,8 @@ def weak_residuals(traj, bank: TestBank):
             w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
             flux = np.einsum("cqab,cqb->cqa", model.pullback_conductivity(F, th_qp),
                              (1 - lam) * gth[k - 1] + lam * gth[k])
-            src = model.regularized_rate(F, rate, th_qp, eps) + np.sum(cpl * rate, axis=(-2, -1))
+            xi = np.sum(visc * rate, axis=(-2, -1))   # the viscous power nu |Cdot|^2
+            src = xi / (1.0 + eps * xi) + np.sum(cpl * rate, axis=(-2, -1))
             robin = 0.0
             for name, p in grid.faces.items():
                 tb = scenario._theta_b_raw(t, name, p.qcoords)

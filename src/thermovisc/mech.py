@@ -166,9 +166,10 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechRe
 
 
 def main_mechanical_energy(grid, model, kin):
-    """Stored + hyperstress energy of a state from its kinematics."""
-    dens = model.elastic_energy(kin.F) + model.hyperstress_energy(kin.G)
-    return grid.assemble_scalar(dens)
+    """(M, H): the stored + hyperstress energy M of a state and its
+    hyperstress part H, from its kinematics (or a snapshot)."""
+    H = grid.assemble_scalar(model.hyperstress_energy(kin.G))
+    return grid.assemble_scalar(model.elastic_energy(kin.F)) + H, H
 
 
 def mech_energy_gradient(grid, model, kin):
@@ -186,8 +187,8 @@ def estimate_lambda(grid, model, y1: NodalField, y2: NodalField):
     kin2 = grid.eval_kinematics(y2)
     if kin1.detF.min() <= 0 or kin2.detF.min() <= 0:
         raise ValueError("both states must be locally invertible")
-    M1 = main_mechanical_energy(grid, model, kin1)
-    M2 = main_mechanical_energy(grid, model, kin2)
+    M1 = main_mechanical_energy(grid, model, kin1)[0]
+    M2 = main_mechanical_energy(grid, model, kin2)[0]
     dv = y2.values - y1.values
     lin = float(np.sum(mech_energy_gradient(grid, model, kin1) * dv))
     gradsq = grid.assemble_scalar(np.sum((kin2.F - kin1.F) ** 2, axis=(-2, -1)))
@@ -198,19 +199,14 @@ def estimate_lambda(grid, model, y1: NodalField, y2: NodalField):
 
 
 def semiconvexity_gap(grid, model, y_new: NodalField, y_prev: NodalField,
-                      kin_new=None, kin_prev=None):
-    """Exact defect DM(y_new)[y_new - y_prev] - (M(y_new) - M(y_prev)).
+                      kin_new, M_new, M_prev):
+    """Exact defect DM(y_new)[y_new - y_prev] - (M_new - M_prev), from the
+    main mechanical energies M_new, M_prev of the two states.
 
     This is the quantity the per-step energy identity loses by evaluating
     the stored-energy derivative only at the new state; for convex energies
     it is nonnegative.
     """
-    if kin_new is None:
-        kin_new = grid.eval_kinematics(y_new)
-    if kin_prev is None:
-        kin_prev = grid.eval_kinematics(y_prev)
-    M_new = main_mechanical_energy(grid, model, kin_new)
-    M_prev = main_mechanical_energy(grid, model, kin_prev)
     dv = y_new.values - y_prev.values
     lin = float(np.sum(mech_energy_gradient(grid, model, kin_new) * dv))
     return lin - (M_new - M_prev)

@@ -105,6 +105,7 @@ class Snapshot:
     G: np.ndarray
     detF: np.ndarray
     theta_qp: np.ndarray
+    energies: tuple = None   # (M, H, Phi_cpl, W, E), set once by _make_snapshot
 
     @property
     def min_detF(self):
@@ -254,16 +255,25 @@ def step_theta_b(scenario, eps, t0, t1, npts=4):
     return out
 
 
-def _make_snapshot(grid, model, k, t, y, theta, w_qp=None, isothermal=False):
-    kin = grid.eval_kinematics(y)
-    th_qp, _ = grid.eval_scalar(theta)
+def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
+    """A state of the run; its energies are evaluated here, once."""
+    snap = Snapshot(k=k, t=t, y=y, theta=theta, w_qp=w_qp, F=kin.F, G=kin.G,
+                    detF=kin.detF, theta_qp=theta_qp)
+    snap.energies = diag.state_energies(traj.grid, traj.model, snap,
+                                        traj.scenario.isothermal)
+    return snap
+
+
+def _start_snapshot(traj, k, t, y, theta, w_qp=None):
+    """Snapshot of a start state: step 0, or the step a run resumes at."""
+    kin = traj.grid.eval_kinematics(y)
+    th_qp, _ = traj.grid.eval_scalar(theta)
     if w_qp is None:
-        if isothermal:
+        if traj.scenario.isothermal:
             w_qp = np.zeros_like(th_qp)
         else:
-            w_qp = model.enthalpy(kin.F, np.maximum(th_qp, 0.0))
-    return Snapshot(k=k, t=t, y=y, theta=theta, w_qp=w_qp,
-                    F=kin.F, G=kin.G, detF=kin.detF, theta_qp=th_qp)
+            w_qp = traj.model.enthalpy(kin.F, np.maximum(th_qp, 0.0))
+    return _make_snapshot(traj, k, t, y, theta, kin, th_qp, w_qp)
 
 
 def run(scenario: Scenario, tau: float, eps: float,
@@ -279,7 +289,7 @@ def run(scenario: Scenario, tau: float, eps: float,
     if abs(n_steps * tau - scenario.T) > 1e-9 * scenario.T:
         raise ValueError(f"T/tau must be an integer (T={scenario.T}, tau={tau})")
 
-    grid, model = scenario.grid, scenario.model
+    grid = scenario.grid
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
 
     y0 = (scenario.y0 or grid.identity_field()).copy()
@@ -287,8 +297,7 @@ def run(scenario: Scenario, tau: float, eps: float,
     th0 = scenario._theta0_field().copy()
     if eps > 0 and not scenario.isothermal:
         th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
-    traj.snapshots.append(_make_snapshot(grid, model, 0, 0.0, y0, th0,
-                                         isothermal=scenario.isothermal))
+    traj.snapshots.append(_start_snapshot(traj, 0, 0.0, y0, th0))
 
     start_k = 0
     if resume and checkpoint_dir:
@@ -337,12 +346,8 @@ def _single_step(traj, snap_prev, t0, t1):
     mech_res = solve_mech(mech_inc, cfg)
 
     if scenario.isothermal:
-        heat_res = None
-        theta_b = None
-        snap = Snapshot(k=-1, t=t1, y=mech_res.y_new, theta=snap_prev.theta,
-                        w_qp=np.zeros_like(snap_prev.w_qp),
-                        F=mech_res.kinematics.F, G=mech_res.kinematics.G,
-                        detF=mech_res.kinematics.detF, theta_qp=snap_prev.theta_qp)
+        heat_inc = heat_res = None
+        theta, theta_qp, w_qp = snap_prev.theta, snap_prev.theta_qp, np.zeros_like(snap_prev.w_qp)
     else:
         theta_b = step_theta_b(scenario, traj.eps, t0, t1, cfg.time_quad_pts)
         heat_inc = HeatIncrement(
@@ -351,11 +356,9 @@ def _single_step(traj, snap_prev, t0, t1):
             tau=tau_step, eps=traj.eps, theta_b=theta_b,
             F_prev=snap_prev.F, F_new=mech_res.kinematics.F)
         heat_res = solve_heat(heat_inc, cfg)
-        snap = Snapshot(k=-1, t=t1, y=mech_res.y_new, theta=heat_res.theta_new,
-                        w_qp=heat_res.w_new_qp,
-                        F=mech_res.kinematics.F, G=mech_res.kinematics.G,
-                        detF=mech_res.kinematics.detF,
-                        theta_qp=heat_res.theta_new_qp)
+        theta, theta_qp, w_qp = heat_res.theta_new, heat_res.theta_new_qp, heat_res.w_new_qp
+    snap = _make_snapshot(traj, -1, t1, mech_res.y_new, theta, mech_res.kinematics,
+                          theta_qp, w_qp)
     # logged only now: a heat rejection abandons this mech solve
     traj.mech_log.append({
         "t": t1, "descent_gap": mech_res.descent_gap,
@@ -363,10 +366,8 @@ def _single_step(traj, snap_prev, t0, t1):
         "iterate_min_det": min(mech_res.iterate_min_dets),
         "residual_norm": mech_res.residual_norm})
 
-    ctx = diag.StepContext(tau=tau_step, eps=traj.eps, load_vector=load,
-                           theta_b=theta_b, mech_res=mech_res, heat_res=heat_res,
-                           isothermal=scenario.isothermal, config=cfg)
-    d = diag.compute_step_diagnostics(grid, model, snap_prev, snap, ctx)
+    d = diag.compute_step_diagnostics(snap_prev, snap, mech_inc, mech_res,
+                                      heat_inc, heat_res, cfg)
     return snap, d
 
 
@@ -555,8 +556,7 @@ def load_checkpoint(traj: Trajectory, directory):
         y = NodalField(grid, arrays["y"].reshape(grid.n_sdofs, grid.d))
         theta = NodalField(grid, arrays["theta"])
         w = arrays["w"].reshape(grid.n_cells, grid.nq)
-        snap = _make_snapshot(grid, traj.model, int(meta["step"]), float(meta["t"]),
-                              y, theta, w_qp=w, isothermal=traj.scenario.isothermal)
-        traj.snapshots = [snap]
+        traj.snapshots = [_start_snapshot(traj, int(meta["step"]), float(meta["t"]),
+                                          y, theta, w_qp=w)]
         return int(meta["step"])
     return None

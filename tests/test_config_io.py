@@ -64,6 +64,23 @@ def test_all_violations_reported_not_first_failure():
     assert "T/tau" in joined
 
 
+def test_negative_solver_counts_reported_together():
+    # korn_every = -1 would run Korn, checkpoint_every = -2 checkpoint every
+    # 2 steps and max_step_halvings = -1 switch halving off, none as documented
+    bad = MINIMAL + ("\n[solver]\nmax_newton = 0\nmax_backtracks = -3\nkorn_every = -1\n"
+                     "hk_every = -1\ncheckpoint_every = -2\nmax_step_halvings = -1\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    errs = exc.value.errors
+    assert len(errs) == 6
+    for key, least in (("max_newton", 1), ("max_backtracks", 1), ("korn_every", 0),
+                       ("hk_every", 0), ("checkpoint_every", 0), ("max_step_halvings", 0)):
+        assert any(e.startswith(f"[solver] {key} must be at least {least}") for e in errs), key
+    ok = parse_config(MINIMAL + "\n[solver]\nmax_newton = 1\nmax_backtracks = 1\nkorn_every = 0\n"
+                      "hk_every = 0\ncheckpoint_every = 0\nmax_step_halvings = 0\n")
+    assert (ok.solver.max_newton, ok.solver.max_step_halvings) == (1, 0)
+
+
 def test_unknown_key_suggests_nearest():
     bad = MINIMAL + "\n[loads]\namplituda = 0.1\n"
     with pytest.raises(ConfigError) as exc:

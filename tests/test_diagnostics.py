@@ -3,6 +3,8 @@ determinant lower bound, the Korn eigensolve, a-priori monitors and the
 weak-form residual audit."""
 
 import copy
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 
 import thermovisc
+import thermovisc.diagnostics as diagnostics
 from thermovisc.diagnostics import (
+    THETA_FLOOR,
+    StepDiagnostics,
     TestBank,
     apriori_monitor,
     entropy_production,
@@ -19,12 +24,15 @@ from thermovisc.diagnostics import (
     holder_constant,
     korn_constant,
     mechanical_energy_check,
+    merge_step_diagnostics,
     run_certificates,
     total_energy_check,
     weak_residuals,
 )
-from thermovisc.grid import NodalField, StructuredGrid, apply_dirichlet_identity
+from thermovisc.grid import Kinematics, NodalField, StructuredGrid, apply_dirichlet_identity
+from thermovisc.heat import robin_flux
 from thermovisc.materials import MaterialModel, random_rotation
+from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, run
 
@@ -118,6 +126,198 @@ def test_merged_substep_diagnostics_keep_ledger_closed():
     items = merged.ledger_items()
     assert sum(items.values()) == pytest.approx(merged.energy_gap_total, abs=1e-12)
     assert abs(merged.energy_gap_total) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# step certificates: consumers of the step, checked against a recomputation
+
+
+def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_inc,
+                                heat_res, config):
+    """Reference certificates of one step, recomputed from its two snapshots
+    without reusing what the step computed: the energies of both states,
+    the semiconvexity defect from the summed energy density of both states,
+    and the dissipation rate and pulled-back conductivity at the previous
+    state.  Only the step data (tau, eps, loads, boundary temperature) and
+    the solver results are read from the step."""
+    grid, model = mech_inc.grid, mech_inc.model
+    tau, eps, iso = mech_inc.tau, mech_inc.eps, heat_res is None
+    dF = snap_new.F - snap_prev.F
+    th_prev = np.maximum(snap_prev.theta_qp, 0.0)
+    th_new = np.maximum(snap_new.theta_qp, 0.0)
+    xi = model.dissipation_rate(snap_prev.F, dF / tau, th_prev)
+    xi_reg = xi / (1.0 + eps * xi)
+    dissipation_step = tau * grid.assemble_scalar(xi)
+    reg_step = tau * grid.assemble_scalar(xi_reg)
+
+    def energies(s):
+        H = grid.assemble_scalar(model.hyperstress_energy(s.G))
+        M = grid.assemble_scalar(model.elastic_energy(s.F)) + H
+        if iso:
+            return M, H, 0.0, 0.0, M
+        W = grid.assemble_scalar(s.w_qp)
+        Phi = grid.assemble_scalar(model.coupling_energy(s.F, np.maximum(s.theta_qp, 0.0)))
+        return M, H, Phi, W, M + W
+
+    def main_energy(s):
+        return grid.assemble_scalar(model.elastic_energy(s.F) + model.hyperstress_energy(s.G))
+
+    M_prev, _, _, _, E_prev = energies(snap_prev)
+    M, H_val, Phi_cpl, W_total, E = energies(snap_new)
+    dvals = snap_new.y.values - snap_prev.y.values
+    DM = grid.assemble_gradient(grid.d, stress=model.elastic_stress(snap_new.F),
+                                hyperstress=model.hyperstress(snap_new.G))
+    defect_semiconvex = (float(np.sum(DM * dvals))
+                         - (main_energy(snap_new) - main_energy(snap_prev)))
+    ext_power = float(np.sum(mech_inc.load_vector * dvals))
+    gradsq_step = grid.assemble_scalar(np.sum(dF**2, axis=(-2, -1)))
+    defect_eps = (eps / tau) * gradsq_step
+    mech_term = float(np.sum(mech_res.residual_vector * dvals))
+    if iso:
+        pcpl_old = pcpl_new = boundary_heat = heat_term = entropy_prod = 0.0
+        entropy_tot, min_theta, clamp = float("nan"), float(snap_new.theta_qp.min()), 0.0
+        heat_resid, heat_iters, excluded, ledger_reg = 0.0, 0, 0, dissipation_step
+    else:
+        pcpl_old = grid.assemble_scalar(
+            np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
+        pcpl_new = grid.assemble_scalar(
+            np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
+        boundary_heat = tau * robin_flux(grid, snap_new.theta, heat_inc.theta_b, model.kappa)
+        heat_term = tau * float(np.sum(heat_res.residual_vector
+                                       * grid.constant_field(1.0).values))
+        K_prev = model.pullback_conductivity(snap_prev.F, th_prev)
+        _, gth = grid.eval_scalar(snap_new.theta)
+        cond = np.einsum("cqa,cqab,cqb->cq", gth, K_prev, gth)
+        mask = snap_new.theta_qp > THETA_FLOOR
+        th = np.maximum(snap_new.theta_qp, THETA_FLOOR)
+        entropy_prod = tau * grid.assemble_scalar(np.where(mask, xi / th + cond / th**2, 0.0))
+        excluded = int((~mask).sum())
+        entropy_tot = grid.assemble_scalar(model.entropy_density(snap_new.F, th))
+        min_theta, clamp = heat_res.min_theta, heat_res.clamp_magnitude
+        heat_resid, heat_iters = heat_res.residual_norm, heat_res.iterations
+        ledger_reg = dissipation_step - reg_step
+    defect_coupling = pcpl_old - pcpl_new
+    solver_term = mech_term + heat_term
+    gap_total = ((E - E_prev) - ext_power + boundary_heat + ledger_reg
+                 + defect_eps + defect_semiconvex + defect_coupling - solver_term)
+    kin_new = Kinematics(F=snap_new.F, G=snap_new.G, detF=snap_new.detF)
+    hk = (hk_determinant_bound(grid, model, kin_new)["bound"] if config.hk_every
+          else float("nan"))
+    korn = korn_constant(grid, snap_new.F) if config.korn_every else float("nan")
+    return StepDiagnostics(
+        t=snap_new.t, M=M, M_prev=M_prev, H_val=H_val, Phi_cpl=Phi_cpl,
+        W_total=W_total, E=E, E_prev=E_prev,
+        dissipation_step=dissipation_step, reg_dissipation_step=reg_step,
+        ext_power=ext_power, boundary_heat=boundary_heat,
+        entropy_prod=entropy_prod, entropy_total=entropy_tot,
+        min_detF=float(snap_new.detF.min()), hk_bound=hk, korn_const=korn,
+        mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
+        energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
+        defect_reg=ledger_reg, defect_eps=defect_eps,
+        defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
+        solver_term=solver_term, pcpl_old=pcpl_old, pcpl_new=pcpl_new,
+        gradsq_step=gradsq_step, mech_iterations=mech_res.iterations,
+        heat_iterations=heat_iters, entropy_excluded=excluded)
+
+
+def run_recording_steps(monkeypatch, scenario, tau, eps, config, heat_rejects_first=False):
+    """Run and return (trajectory, [(arguments, row)] of every step certificate)."""
+    import thermovisc.scheme as scheme
+    steps = []
+    compute, solve_heat = diagnostics.compute_step_diagnostics, scheme.solve_heat
+
+    def recorded(*args):
+        steps.append((args, compute(*args)))
+        return steps[-1][1]
+
+    def rejecting(inc, cfg):   # a thermal failure of the first attempt forces a halving
+        if not rejecting.failed:
+            rejecting.failed = True
+            raise StepRejectedError("injected thermal failure")
+        return solve_heat(inc, cfg)
+
+    rejecting.failed = False
+    monkeypatch.setattr(diagnostics, "compute_step_diagnostics", recorded)
+    if heat_rejects_first:
+        monkeypatch.setattr(scheme, "solve_heat", rejecting)
+    return run(scenario, tau, eps, config), steps
+
+
+def assert_rows_match(got, ref):
+    """Every field bit-identical, except the semiconvexity defect and the
+    ledger gap it enters, which may move by roundoff of the energy sums."""
+    for f in dataclasses.fields(StepDiagnostics):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if f.name in ("defect_semiconvex", "energy_gap_total"):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(ref.E)), (f.name, a, b)
+        else:
+            assert a == b or (np.isnan(a) and np.isnan(b)), (f.name, a, b)
+
+
+@pytest.mark.parametrize("case", ["pulse", "isothermal", "halved"])
+def test_step_diagnostics_match_recomputation_from_snapshots(case, monkeypatch):
+    if case == "pulse":
+        sc = shear_pulse(grid=grid66(), T=0.1, amplitude=0.2, t_pulse=0.08)
+        traj, steps = run_recording_steps(monkeypatch, sc, 0.05, 0.01, SolverConfig())
+    elif case == "isothermal":
+        sc = isothermal_creep(grid=grid66(), T=0.1, amplitude=0.05)
+        traj, steps = run_recording_steps(monkeypatch, sc, 0.05, 0.0, SolverConfig())
+    else:
+        sc = shear_pulse(grid=grid66(), T=0.05, amplitude=0.1, t_pulse=0.08)
+        traj, steps = run_recording_steps(monkeypatch, sc, 0.05, 0.01,
+                                          SolverConfig(max_step_halvings=1),
+                                          heat_rejects_first=True)
+    refs = [recomputed_step_diagnostics(*args) for args, _ in steps]
+    for (_, got), ref in zip(steps, refs):
+        assert_rows_match(got, ref)
+    if case == "halved":   # one merged row from the two recorded substeps
+        assert len(steps) == 2 and len(traj.step_diags) == 1
+        refs = [merge_step_diagnostics(*refs)]
+    assert len(refs) == len(traj.step_diags) > 0
+    for got, ref in zip(traj.step_diags, refs):
+        assert_rows_match(got, ref)
+
+
+def test_step_diagnostics_reuse_the_step(monkeypatch):
+    # no constitutive function sees the previous deformation from the
+    # certificates, and each snapshot's energies are evaluated exactly once
+    energies, on_prev, current = [], [], []
+    state_energies = diagnostics.state_energies
+    compute = diagnostics.compute_step_diagnostics
+
+    def counted(grid, model, snap, *args):
+        energies.append(snap)
+        return state_energies(grid, model, snap, *args)
+
+    def watched(snap_prev, *args):
+        current.append(snap_prev)
+        try:
+            return compute(snap_prev, *args)
+        finally:
+            current.pop()
+
+    def spy(name, fn):
+        def spied(self, *args, **kwargs):
+            prev = current[-1] if current else None
+            for a in args:
+                if prev is not None and any(
+                        a is b or (np.shape(a) == b.shape and np.array_equal(a, b))
+                        for b in (prev.F, prev.G)):
+                    on_prev.append(name)
+            return fn(self, *args, **kwargs)
+        return spied
+
+    for name, fn in list(vars(MaterialModel).items()):
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            monkeypatch.setattr(MaterialModel, name, spy(name, fn))
+    monkeypatch.setattr(diagnostics, "state_energies", counted)
+    monkeypatch.setattr(diagnostics, "compute_step_diagnostics", watched)
+    sc = shear_pulse(grid=grid66(), T=0.15, amplitude=0.2, t_pulse=0.08)
+    traj = run(sc, tau=0.05, eps=0.01)
+    assert len(traj.step_diags) == 3
+    assert on_prev == []
+    assert len(energies) == len(traj.snapshots)
+    assert all(a is b for a, b in zip(energies, traj.snapshots))
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,10 @@ def test_semiconvexity_gap_exact_identity():
     rng = np.random.default_rng(5)
     y1 = feasible_perturbation(g, rng, scale=0.02)
     y2 = feasible_perturbation(g, rng, scale=0.02)
-    gap = semiconvexity_gap(g, MODEL, y2, y1)
     kin1, kin2 = g.eval_kinematics(y1), g.eval_kinematics(y2)
-    M1 = main_mechanical_energy(g, MODEL, kin1)
-    M2 = main_mechanical_energy(g, MODEL, kin2)
+    M1, _ = main_mechanical_energy(g, MODEL, kin1)
+    M2, _ = main_mechanical_energy(g, MODEL, kin2)
+    gap = semiconvexity_gap(g, MODEL, y2, y1, kin2, M2, M1)
     lam = estimate_lambda(g, MODEL, y2, y1)
     gradsq = g.assemble_scalar(np.sum((kin2.F - kin1.F) ** 2, axis=(-2, -1)))
     # gap >= -Lambda ||dF||^2 by construction of the estimator

@@ -10,6 +10,7 @@ from thermovisc.diagnostics import (
     entropy_production,
     mechanical_energy_check,
     run_certificates,
+    state_energies,
     total_energy_check,
     weak_residuals,
 )
@@ -180,6 +181,12 @@ def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
     # the two accepted half steps, not the abandoned full-step mech solve
     assert len(traj.mech_log) == 2
     assert [rec["t"] for rec in traj.mech_log] == [0.025, 0.05]
+    # the merged row starts from snapshot 0's energies and its ledger closes
+    (d,) = traj.step_diags
+    M0, _, _, _, E0 = state_energies(traj.grid, traj.model, traj.snapshots[0])
+    assert (d.M_prev, d.E_prev) == (M0, E0)
+    assert abs(sum(d.ledger_items().values())) <= 1e-12 * max(1.0, abs(d.E))
+    assert abs(d.energy_gap_total) <= 1e-12 * max(1.0, abs(d.E))
 
 
 @pytest.fixture(scope="module")
