@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, tensor_derivatives
@@ -137,7 +138,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
-        _, gth = grid.eval_scalar(snap_new.theta)
+        gth = heat_res.theta_new_grad_qp
         cond = np.einsum("cqa,cqab,cqb->cq", gth, heat_inc.K_prev, gth)
         mask = snap_new.theta_qp > THETA_FLOOR
         dens = np.where(mask, xi / np.maximum(snap_new.theta_qp, THETA_FLOOR)
@@ -335,10 +336,8 @@ def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
     free = np.repeat(grid.free_sdofs, d)
     # the Korn form int |F^T grad v + (grad v)^T F|^2
     A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
-    key = ("korn_gram", d)
-    if key not in grid._gram_cache:
-        grid._gram_cache[key] = grid.h1_gram(d, free_only=True).tocsr()
-    B = grid._gram_cache[key]
+    # the H^1 form on vector fields (component fastest) from the scalar Gram
+    B = sp.kron(grid.h1_gram(free_only=True), sp.identity(d), format="csr")
     lu = splu(A, **SPD_LU)
     x = np.ones(A.shape[0])
     x /= np.sqrt(x @ (B @ x))

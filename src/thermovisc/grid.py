@@ -571,31 +571,30 @@ class StructuredGrid:
 
     # -- norms and cached Gram factorizations ----------------------------------
 
-    def h1_gram(self, ncomp=1, free_only=False):
-        """H^1 Gram matrix (mass + stiffness), optionally on free dofs."""
-        eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(self.d))
-        c4 = np.broadcast_to(eye4, (self.n_cells, self.nq, ncomp, self.d, ncomp, self.d))
-        c0 = np.ones((self.n_cells, self.nq))
-        free = np.repeat(self.free_sdofs, ncomp) if free_only else None
-        return self.assemble_hessian(ncomp, c4=c4, c0=c0, free=free)
+    def _gram(self, free_only):
+        """(G, lu): the scalar H^1 Gram (mass + stiffness) on the free dofs
+        or all dofs and its factorization, built once per mask and kept."""
+        if free_only not in self._gram_cache:
+            c4 = np.broadcast_to(np.eye(self.d), (self.n_cells, self.nq, self.d, self.d))
+            G = self.assemble_hessian(1, c4=c4, c0=np.ones((self.n_cells, self.nq)),
+                                      free=self.free_sdofs if free_only else None)
+            self._gram_cache[free_only] = (G, splu(G, **SPD_LU))
+        return self._gram_cache[free_only]
 
-    def dual_norm_solver(self, ncomp=1, free_only=True):
-        """Cached factorized H^1 Gram for discrete dual norms."""
-        key = (ncomp, free_only)
-        if key not in self._gram_cache:
-            self._gram_cache[key] = splu(self.h1_gram(ncomp, free_only=free_only), **SPD_LU)
-        return self._gram_cache[key]
+    def h1_gram(self, free_only=False):
+        """Scalar H^1 Gram matrix (CSC), on the free dofs or all dofs.  The
+        Gram of a d-vector field, component fastest, is kron(G, I_d)."""
+        return self._gram(free_only)[0]
 
-    def dual_norm(self, residual, ncomp=1, free_only=True):
-        """Discrete (H^1)* norm of a nodal dual vector, on the free dofs or,
-        with free_only=False, on all dofs."""
-        r = residual.reshape(-1)
-        if free_only:
-            r = r[np.repeat(self.free_sdofs, ncomp)]
+    def dual_norm(self, residual, free_only=True):
+        """Discrete (H^1)* norm sqrt(R : G^{-1} R) of a nodal dual vector R,
+        (n_sdofs,) or (n_sdofs, ncomp), on the free dofs or, with
+        free_only=False, on all dofs.  G is the scalar Gram; a vector
+        residual is solved as ncomp right-hand sides of its factorization."""
+        r = residual[self.free_sdofs] if free_only else residual
         if not np.any(r):
             return 0.0
-        lu = self.dual_norm_solver(ncomp, free_only=free_only)
-        return float(np.sqrt(abs(r @ lu.solve(r))))
+        return float(np.sqrt(abs(np.vdot(r, self._gram(free_only)[1].solve(r)))))
 
 
 @dataclass

@@ -81,6 +81,7 @@ class HeatResult:
     theta_new: NodalField
     w_new_qp: np.ndarray
     theta_new_qp: np.ndarray
+    theta_new_grad_qp: np.ndarray
     min_theta: float
     clamp_magnitude: float
     functional_value: float
@@ -129,7 +130,9 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
     the scalar (H^1)* norm; the thermal field has no Dirichlet part.
     ``residual_norm`` is always the dual norm of the returned
     ``residual_vector``, the gradient at the final Newton iterate (before
-    any clamp of a nodal undershoot).
+    any clamp of a nodal undershoot).  ``theta_new_qp`` and
+    ``theta_new_grad_qp`` are the returned field and its gradient at the
+    quadrature points, after any clamp.
     """
     cfg = config or SolverConfig()
     g, m = inc.grid, inc.model
@@ -144,17 +147,17 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
         label="thermal")
     theta = res.x
 
-    th_qp, _ = g.eval_scalar(theta)
+    th_qp, gth_qp = g.eval_scalar(theta)
     nd = g.ndof_node
     node_vals = theta.values[0::nd]
     min_theta = float(min(th_qp.min(), node_vals.min()))
     clamp = float(max(0.0, -node_vals.min()))
     if clamp > 0.0:
         theta.values[0::nd] = np.maximum(node_vals, 0.0)
-        th_qp, _ = g.eval_scalar(theta)
+        th_qp, gth_qp = g.eval_scalar(theta)
     w_new = m.enthalpy_ext(inc.phi1_new, th_qp)
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
-                      min_theta=min_theta, clamp_magnitude=clamp,
+                      theta_new_grad_qp=gth_qp, min_theta=min_theta, clamp_magnitude=clamp,
                       functional_value=res.value, iterations=res.iterations,
                       residual_norm=res.residual_norm, residual_vector=res.residual)
 

@@ -151,7 +151,7 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechRe
         functional=lambda y: incremental_functional(inc, y),
         gradient=lambda y, kin: incremental_gradient(inc, y, kin)[0],
         hessian=lambda y, kin: incremental_hessian(inc, kin, free),
-        dual_norm=lambda r: grid.dual_norm(r, ncomp=d),
+        dual_norm=grid.dual_norm,
         rtol=cfg.tol_mech, cfg=cfg, factor=lambda A: splu(A, **SPD_LU),
         free=free,
         admissible=lambda kin_c, kin: kin_c.detF.min() > cfg.det_floor * kin.detF.min(),

@@ -292,18 +292,15 @@ def run(scenario: Scenario, tau: float, eps: float,
     grid = scenario.grid
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
 
-    y0 = (scenario.y0 or grid.identity_field()).copy()
-    apply_dirichlet_identity(grid, y0)
-    th0 = scenario._theta0_field().copy()
-    if eps > 0 and not scenario.isothermal:
-        th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
-    traj.snapshots.append(_start_snapshot(traj, 0, 0.0, y0, th0))
-
-    start_k = 0
-    if resume and checkpoint_dir:
-        loaded = load_checkpoint(traj, checkpoint_dir)
-        if loaded is not None:
-            start_k = loaded
+    start_k = load_checkpoint(traj, checkpoint_dir) if resume and checkpoint_dir else None
+    if start_k is None:   # no matching checkpoint: start from step 0
+        start_k = 0
+        y0 = (scenario.y0 or grid.identity_field()).copy()
+        apply_dirichlet_identity(grid, y0)
+        th0 = scenario._theta0_field().copy()
+        if eps > 0 and not scenario.isothermal:
+            th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
+        traj.snapshots.append(_start_snapshot(traj, 0, 0.0, y0, th0))
 
     for k in range(start_k + 1, n_steps + 1):
         t0, t1 = (k - 1) * tau, k * tau

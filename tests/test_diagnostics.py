@@ -280,25 +280,33 @@ def test_step_diagnostics_match_recomputation_from_snapshots(case, monkeypatch):
 
 def test_step_diagnostics_reuse_the_step(monkeypatch):
     # no constitutive function sees the previous deformation from the
-    # certificates, and each snapshot's energies are evaluated exactly once
-    energies, on_prev, current = [], [], []
+    # certificates, the certificates do not re-evaluate the new temperature,
+    # and each snapshot's energies are evaluated exactly once
+    energies, on_prev, on_new_theta, current = [], [], [], []
     state_energies = diagnostics.state_energies
     compute = diagnostics.compute_step_diagnostics
+    eval_scalar = StructuredGrid.eval_scalar
 
     def counted(grid, model, snap, *args):
         energies.append(snap)
         return state_energies(grid, model, snap, *args)
 
-    def watched(snap_prev, *args):
-        current.append(snap_prev)
+    def watched(snap_prev, snap_new, *args):
+        current.append((snap_prev, snap_new))
         try:
-            return compute(snap_prev, *args)
+            return compute(snap_prev, snap_new, *args)
         finally:
             current.pop()
 
+    def scalar_spy(self, field):
+        if current and (field is current[-1][1].theta
+                        or np.array_equal(field.values, current[-1][1].theta.values)):
+            on_new_theta.append(field)
+        return eval_scalar(self, field)
+
     def spy(name, fn):
         def spied(self, *args, **kwargs):
-            prev = current[-1] if current else None
+            prev = current[-1][0] if current else None
             for a in args:
                 if prev is not None and any(
                         a is b or (np.shape(a) == b.shape and np.array_equal(a, b))
@@ -312,10 +320,12 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
             monkeypatch.setattr(MaterialModel, name, spy(name, fn))
     monkeypatch.setattr(diagnostics, "state_energies", counted)
     monkeypatch.setattr(diagnostics, "compute_step_diagnostics", watched)
+    monkeypatch.setattr(StructuredGrid, "eval_scalar", scalar_spy)
     sc = shear_pulse(grid=grid66(), T=0.15, amplitude=0.2, t_pulse=0.08)
     traj = run(sc, tau=0.05, eps=0.01)
     assert len(traj.step_diags) == 3
     assert on_prev == []
+    assert on_new_theta == []
     assert len(energies) == len(traj.snapshots)
     assert all(a is b for a, b in zip(energies, traj.snapshots))
 

@@ -5,15 +5,22 @@ the Robin boundary term."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import thermovisc.grid as grid_module
+from thermovisc.diagnostics import korn_constant
 from thermovisc.grid import (
+    SPD_LU,
     NodalField,
     StructuredGrid,
     apply_dirichlet_identity,
     robin_boundary,
     zero_dirichlet_rows,
 )
-from thermovisc.materials import MaterialModel
+from thermovisc.materials import MaterialModel, random_feasible_gradient, viscous_form
+from thermovisc.mech import SolverConfig
+from thermovisc.presets import shear_pulse
+from thermovisc.scheme import run
 
 
 def small_grid(n=3, d=2, dirichlet=("x0",)):
@@ -373,8 +380,86 @@ def test_gradient_and_evaluation_kernels_match_einsum_reference(d, vector):
 def test_no_pattern_is_built_with_the_grid():
     g = kernel_grid(2)
     assert g._pattern_cache == {} and g._operator_cache == {}
-    g.dual_norm(np.ones((g.n_sdofs, 2)), ncomp=2)
-    assert list(g._pattern_cache) == [(2, np.repeat(g.free_sdofs, 2).tobytes())]
+    g.dual_norm(np.ones((g.n_sdofs, 2)))
+    assert list(g._pattern_cache) == [(1, g.free_sdofs.tobytes())]
+
+
+# ---------------------------------------------------------------------------
+# the scalar H^1 Gram against the vector Gram it replaced
+
+
+def reference_gram(g, ncomp, free_only):
+    """The ncomp-vector H^1 Gram assembled as one form (mass + stiffness,
+    component fastest), as dual norms and the Korn form once built it."""
+    eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(g.d))
+    c4 = np.broadcast_to(eye4, (g.n_cells, g.nq, ncomp, g.d, ncomp, g.d))
+    free = np.repeat(g.free_sdofs, ncomp) if free_only else None
+    return g.assemble_hessian(ncomp, c4=c4, c0=np.ones((g.n_cells, g.nq)), free=free)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("free_only", [True, False])
+def test_dual_norm_matches_the_vector_gram(d, vector, free_only):
+    g = kernel_grid(d)
+    ncomp = d if vector else 1
+    rng = np.random.default_rng([d, ncomp, int(free_only)])
+    r = random_field(g, rng, ncomp).values
+    rf = r.reshape(-1)[np.repeat(g.free_sdofs, ncomp)] if free_only else r.reshape(-1)
+    ref = np.sqrt(rf @ splu(reference_gram(g, ncomp, free_only)).solve(rf))
+    assert abs(g.dual_norm(r, free_only=free_only) - ref) <= 1e-13 * ref
+    assert g.dual_norm(np.zeros_like(r), free_only=free_only) == 0.0
+
+
+def reference_korn(g, F_qp, tol=1e-12, max_iter=500):
+    """korn_constant's inverse iteration with B the assembled vector Gram."""
+    free = np.repeat(g.free_sdofs, g.d)
+    A = g.assemble_hessian(g.d, c4=viscous_form(F_qp), free=free)
+    B = reference_gram(g, g.d, free_only=True).tocsr()
+    lu = splu(A, **SPD_LU)
+    x = np.ones(A.shape[0])
+    x /= np.sqrt(x @ (B @ x))
+    rho_prev = np.inf
+    for _ in range(max_iter):
+        x = lu.solve(B @ x)
+        x /= np.sqrt(x @ (B @ x))
+        rho = float(x @ (A @ x))
+        if abs(rho - rho_prev) <= tol * rho:
+            return rho
+        rho_prev = rho
+    return rho_prev
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_korn_constant_matches_the_vector_gram(d):
+    g = kernel_grid(d)
+    rng = np.random.default_rng(50 + d)
+    F = np.stack([random_feasible_gradient(rng, d) for _ in range(g.n_cells)])
+    F_qp = np.ascontiguousarray(np.broadcast_to(F[:, None], (g.n_cells, g.nq, d, d)))
+    ref = reference_korn(g, F_qp)
+    assert ref > 0.0
+    assert abs(korn_constant(g, F_qp) - ref) <= 1e-12 * ref
+
+
+def test_a_step_factorizes_one_scalar_gram_per_dof_mask(monkeypatch):
+    # mech (vector, free dofs), heat (scalar, all dofs) and the Korn form
+    # (vector, free dofs) share the two scalar factorizations
+    sc = shear_pulse(grid=small_grid(4), T=0.05, amplitude=0.1, t_pulse=0.08)
+    g = sc.grid
+    shapes = []
+
+    def counted(A, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(grid_module, "splu", counted)
+    traj = run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=1, hk_every=0))
+    assert np.isfinite(traj.step_diags[0].korn_const)
+    n_free = int(g.free_sdofs.sum())
+    assert sorted(shapes) == [(n_free, n_free), (g.n_sdofs, g.n_sdofs)]
+    korn_constant(g, traj.snapshots[-1].F)
+    g.dual_norm(np.ones(g.n_sdofs), free_only=True)
+    assert len(shapes) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +555,11 @@ def test_face_hessian_matches_robin_gradient():
 
 def test_dual_norm_zero_and_positive():
     g = small_grid(3)
-    assert g.dual_norm(np.zeros((g.n_sdofs, 2)), ncomp=2) == 0.0
+    assert g.dual_norm(np.zeros((g.n_sdofs, 2))) == 0.0
     rng = np.random.default_rng(47)
     r = rng.standard_normal((g.n_sdofs, 2))
     zero_dirichlet_rows(g, r)
-    assert g.dual_norm(r, ncomp=2) > 0.0
+    assert g.dual_norm(r) > 0.0
 
 
 def test_3d_type_layer_kinematics():

@@ -22,7 +22,7 @@ MODEL = MaterialModel()
 
 def dual_norm_all(grid, r):
     """(H^1)* norm over all scalar dofs, from a fresh Gram factorization."""
-    return float(np.sqrt(abs(r @ splu(grid.h1_gram(1).tocsc()).solve(r))))
+    return float(np.sqrt(abs(r @ splu(grid.h1_gram().tocsc()).solve(r))))
 
 
 def assert_reported_residual_consistent(res):

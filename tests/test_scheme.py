@@ -206,6 +206,25 @@ def test_checkpoint_restart_reproduces_run(restarted_pulse):
     assert np.array_equal(resumed.snapshots[0].y.values, full.snapshots[4].y.values)
 
 
+def test_resume_builds_only_the_restart_snapshot(restarted_pulse, tmp_path, monkeypatch):
+    # a matching checkpoint replaces step 0, so step 0 is never evaluated
+    full, _ = restarted_pulse
+    head = Trajectory(scenario=full.scenario, tau=full.tau, eps=full.eps,
+                      config=full.config, snapshots=full.snapshots[:5])
+    save_checkpoint(head, str(tmp_path))
+    seen = []
+
+    def counted(grid, model, snap, *args):
+        seen.append(snap.k)
+        return state_energies(grid, model, snap, *args)
+
+    monkeypatch.setattr("thermovisc.diagnostics.state_energies", counted)
+    resumed = run(full.scenario, tau=full.tau, eps=full.eps, config=full.config,
+                  checkpoint_dir=str(tmp_path), resume=True)
+    assert (resumed.first_step, resumed.n_steps) == (4, 4)
+    assert seen == [4]
+
+
 def test_resumed_trajectory_rejects_interpolants_and_weak_residuals(restarted_pulse):
     full, resumed = restarted_pulse
     with pytest.raises(ValueError, match="resumed at step 4"):
