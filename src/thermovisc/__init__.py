@@ -6,7 +6,7 @@ monitors energy and entropy balances, determinant positivity and the
 generalized Korn constant along every run.
 """
 
-from .grid import NodalField, StructuredGrid, robin_boundary
+from .grid import NodalField, StructuredGrid
 from .heat import HeatIncrement, HeatResult, solve_heat
 from .materials import DomainError, MaterialModel, NonphysicalStateError
 from .mech import (
@@ -38,7 +38,6 @@ __all__ = [
     "estimate_lambda",
     "interpolants",
     "refinement_study",
-    "robin_boundary",
     "run",
     "solve_heat",
     "solve_mech",

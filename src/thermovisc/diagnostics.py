@@ -94,10 +94,12 @@ def total_entropy(grid, model, snap):
 
 
 def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
-                             heat_inc, heat_res, config):
+                             heat_inc, heat_res):
     """Certificates of one accepted step, from what the step computed: both
     snapshots with their energies, and the increment and result of each
-    solve (heat_inc and heat_res are None when isothermal)."""
+    solve (heat_inc and heat_res are None when isothermal).  hk_bound and
+    korn_const are left NaN; ``scheme.run`` fills them in once per macro
+    step."""
     grid, model = mech_inc.grid, mech_inc.model
     tau, eps = mech_inc.tau, mech_inc.eps
     dF = snap_new.F - snap_prev.F
@@ -134,7 +136,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
             np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
         pcpl_new = grid.assemble_scalar(
             np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
-        boundary_heat = tau * robin_flux(grid, snap_new.theta, heat_inc.theta_b, model.kappa)
+        boundary_heat = tau * robin_flux(heat_inc, snap_new.theta)
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
@@ -157,20 +159,13 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
     gap_total = ((E - E_prev) - ext_power + boundary_heat + ledger_reg
                  + defect_eps + defect_semiconvex + defect_coupling - solver_term)
 
-    hk = float("nan")
-    if config.hk_every:
-        hk = hk_determinant_bound(grid, model, mech_res.kinematics)["bound"]
-    korn = float("nan")
-    if config.korn_every:
-        korn = korn_constant(grid, snap_new.F)
-
     return StepDiagnostics(
         t=snap_new.t, M=M, M_prev=M_prev, H_val=H_val, Phi_cpl=Phi_cpl,
         W_total=W_total, E=E, E_prev=E_prev,
         dissipation_step=dissipation_step, reg_dissipation_step=reg_step,
         ext_power=ext_power, boundary_heat=boundary_heat,
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
-        min_detF=float(snap_new.detF.min()), hk_bound=hk, korn_const=korn,
+        min_detF=float(snap_new.detF.min()), hk_bound=float("nan"), korn_const=float("nan"),
         mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
         energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
         defect_reg=ledger_reg, defect_eps=defect_eps,
@@ -366,7 +361,7 @@ def apriori_monitor(traj):
     out = {"t": [], "y_w2p": [], "rate_grad_l2": [], "min_det": [],
            "theta_l2": [], "theta_h1": [], "w_rate_dual": []}
     for k, snap in enumerate(traj.snapshots):
-        yv = grid.eval_vector_values(snap.y)
+        yv = grid.eval_values(snap.y)
         w2p = (grid.assemble_scalar(np.sum(yv**2, axis=-1) ** (p / 2.0))
                + grid.assemble_scalar(np.sum(snap.F**2, axis=(-2, -1)) ** (p / 2.0))
                + grid.assemble_scalar(np.sum(snap.G**2, axis=(-3, -2, -1)) ** (p / 2.0)))

@@ -173,6 +173,7 @@ class StructuredGrid:
         self._pattern_cache = {}
         self._operator_cache = {}
         self._gram_cache = {}
+        self._face_mass = None
 
     # -- construction -------------------------------------------------------
 
@@ -423,8 +424,9 @@ class StructuredGrid:
         F = self._at_quadrature(y.values, 1)
         return Kinematics(F=F, G=self._at_quadrature(y.values, 2), detF=det(F))
 
-    def eval_vector_values(self, y):
-        return self._at_quadrature(y.values, 0)
+    def eval_values(self, field):
+        """Field values at every quadrature point, (ncells, nq[, ncomp])."""
+        return self._at_quadrature(field.values, 0)
 
     def eval_face_scalar(self, face, field):
         return field.values[self.faces[face].sdofs] @ self.faces[face].B0
@@ -532,14 +534,6 @@ class StructuredGrid:
 
     # -- boundary -----------------------------------------------------------------
 
-    def assemble_face_scalar(self, faces, density):
-        """Sum over faces of the per-face-quadrature density integral."""
-        total = 0.0
-        for name in faces:
-            p = self.faces[name]
-            total += float(np.einsum("cq,q->", density[name], p.weights))
-        return total
-
     def assemble_face_gradient(self, faces, coeff, ncomp=1):
         """Dual vector of the boundary pairing integral coeff . z."""
         shape = (self.n_sdofs,) if ncomp == 1 else (self.n_sdofs, ncomp)
@@ -553,21 +547,21 @@ class StructuredGrid:
             np.add.at(out, p.sdofs, loc)
         return out
 
-    def assemble_face_hessian(self, faces, coeff=None):
-        """Scalar boundary mass form (for the Robin term)."""
-        n = self.n_sdofs
-        rows, cols, data = [], [], []
-        for name in faces:
-            p = self.faces[name]
-            cf = coeff[name] if coeff is not None else np.ones((p.sdofs.shape[0], p.weights.size))
-            loc = np.einsum("cq,aq,bq,q->cab", cf, p.B0, p.B0, p.weights)
-            nf = p.sdofs.shape[1]
-            rows.append(np.repeat(p.sdofs, nf, axis=1).ravel())
-            cols.append(np.tile(p.sdofs, (1, nf)).ravel())
-            data.append(loc.ravel())
-        H = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        return H.tocsr()
+    def assemble_face_hessian(self):
+        """Scalar boundary mass form over all faces (the Robin term), built on
+        first use and kept."""
+        if self._face_mass is None:
+            rows, cols, data = [], [], []
+            for p in self.faces.values():
+                loc = np.einsum("aq,bq,q->ab", p.B0, p.B0, p.weights)
+                nf = p.sdofs.shape[1]
+                rows.append(np.repeat(p.sdofs, nf, axis=1).ravel())
+                cols.append(np.tile(p.sdofs, (1, nf)).ravel())
+                data.append(np.broadcast_to(loc, (p.sdofs.shape[0], nf, nf)).ravel())
+            n = self.n_sdofs
+            self._face_mass = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows),
+                                             np.concatenate(cols))), shape=(n, n)).tocsr()
+        return self._face_mass
 
     # -- norms and cached Gram factorizations ----------------------------------
 
@@ -647,21 +641,3 @@ def zero_dirichlet_rows(grid, residual):
     residual[grid.dirichlet_sdofs] = 0.0
     return residual
 
-
-def robin_boundary(grid, theta, theta_b, kappa):
-    """Robin boundary energy int (kappa/2)(theta-theta_b)^2 and its gradient.
-
-    theta_b: scalar or dict face -> (n_face_cells, nqf) array.
-    """
-    names = list(grid.faces)
-    dens = {}
-    coef = {}
-    for name in names:
-        th = grid.eval_face_scalar(name, theta)
-        tb = theta_b[name] if isinstance(theta_b, dict) else theta_b
-        diff = th - tb
-        dens[name] = 0.5 * kappa * diff**2
-        coef[name] = kappa * diff
-    energy = grid.assemble_face_scalar(names, dens)
-    residual = grid.assemble_face_gradient(names, coef, ncomp=1)
-    return energy, residual

@@ -14,6 +14,19 @@ coupling uses the implicit antiderivative form, which is what keeps the
 temperature nonnegative.  The functional is extended below theta = 0 by
 the quadratic Taylor models of its pieces, so the minimization runs
 unconstrained and nonnegativity is audited afterwards.
+
+With K_prev frozen, the conduction and Robin terms are one fixed quadratic
+form per step, written in the deviation u = theta - theta_ref from a
+reference boundary temperature (the first value of theta_b):
+
+    (1/2) u.A u - l.u + c,   l = kappa int_Gamma (theta_b - theta_ref) v dS,
+                             c = int_Gamma (kappa/2) (theta_b - theta_ref)^2 dS,
+
+where A is the conduction stiffness plus kappa times the boundary mass.
+These are exactly the two terms above, constant included (the stiffness
+vanishes on constants, so the shift only moves the Robin term).  For
+uniform boundary data l = 0 and c = 0, so no term of size
+kappa theta_b^2 |Gamma| is formed and cancelled.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .grid import SPD_LU, NodalField, robin_boundary
+from .grid import SPD_LU, NodalField
 from .materials import det
 from .mech import SolverConfig
 from .newton import minimize
@@ -58,7 +71,6 @@ class HeatIncrement:
         if self.theta_prev_qp.min() < -1e-9:
             raise ValueError("previous temperature must be nonnegative")
         dF = (self.F_new - self.F_prev) / self.tau
-        self.rate_qp = dF
         # explicit data: conductivity and capped dissipation at the old state
         th_old = np.maximum(self.theta_prev_qp, 0.0)
         self.K_prev = m.pullback_conductivity(self.F_prev, th_old)
@@ -71,9 +83,15 @@ class HeatIncrement:
         # implicit coupling enters through phi1'(F_new) : dF
         self.phi1_new = m.phi1(self.F_new)
         self.cpl_qp = np.sum(m.phi1_grad(self.F_new) * dF, axis=(-2, -1))
-        # conduction and Robin parts of the Hessian are state independent
-        self._H_fixed = (g.assemble_hessian(1, c4=self.K_prev)
-                         + m.kappa * g.assemble_face_hessian(list(g.faces)))
+        # conduction and Robin terms: the fixed form (1/2) u.A u - l.u + c in
+        # u = theta - theta_ref (module docstring)
+        t_ref = float(next(iter(self.theta_b.values())).flat[0])
+        self.theta_ref = g.constant_field(t_ref)
+        dev = {name: tb - t_ref for name, tb in self.theta_b.items()}
+        self.A = g.assemble_hessian(1, c4=self.K_prev) + m.kappa * g.assemble_face_hessian()
+        self.robin_load = m.kappa * g.assemble_face_gradient(g.faces, dev)
+        self.robin_const = 0.5 * m.kappa * sum(
+            float(np.einsum("cq,q->", d**2, g.faces[name].weights)) for name, d in dev.items())
 
 
 @dataclass
@@ -92,34 +110,32 @@ class HeatResult:
 
 def heat_functional(inc: HeatIncrement, theta: NodalField):
     g, m = inc.grid, inc.model
-    th, gth = g.eval_scalar(theta)
+    th = g.eval_values(theta)
     W = m.w_total_ext(inc.phi1_new, th)
     mval, _, _ = m.coupling_factor_ext(th)
-    dens = ((W - inc.w_prev_qp * th) / inc.tau
-            + 0.5 * np.einsum("cqa,cqab,cqb->cq", gth, inc.K_prev, gth)
-            - inc.xi_reg_qp * th
-            - mval * inc.cpl_qp)
-    return g.assemble_scalar(dens) + robin_boundary(g, theta, inc.theta_b, m.kappa)[0]
+    dens = (W - inc.w_prev_qp * th) / inc.tau - inc.xi_reg_qp * th - mval * inc.cpl_qp
+    u = theta.values - inc.theta_ref.values
+    return (g.assemble_scalar(dens) + float(u @ (0.5 * (inc.A @ u) - inc.robin_load))
+            + inc.robin_const)
 
 
 def heat_gradient(inc: HeatIncrement, theta: NodalField):
     g, m = inc.grid, inc.model
-    th, gth = g.eval_scalar(theta)
+    th = g.eval_values(theta)
     w_th = m.enthalpy_ext(inc.phi1_new, th)
     _, m1, _ = m.coupling_factor_ext(th)
     source = (w_th - inc.w_prev_qp) / inc.tau - inc.xi_reg_qp - m1 * inc.cpl_qp
-    flux = np.einsum("cqab,cqb->cqa", inc.K_prev, gth)
-    r = g.assemble_gradient(1, stress=flux, source=source)
-    return r + robin_boundary(g, theta, inc.theta_b, m.kappa)[1]
+    u = theta.values - inc.theta_ref.values
+    return g.assemble_gradient(1, source=source) + inc.A @ u - inc.robin_load
 
 
 def heat_hessian(inc: HeatIncrement, theta: NodalField):
     g, m = inc.grid, inc.model
-    th, _ = g.eval_scalar(theta)
+    th = g.eval_values(theta)
     cv = m.heat_capacity_ext(inc.phi1_new, th)
     _, _, m2 = m.coupling_factor_ext(th)
     c0 = cv / inc.tau - m2 * inc.cpl_qp
-    return inc._H_fixed + g.assemble_hessian(1, c0=c0)
+    return inc.A + g.assemble_hessian(1, c0=c0)
 
 
 def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatResult:
@@ -162,13 +178,13 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
                       residual_norm=res.residual_norm, residual_vector=res.residual)
 
 
-def robin_flux(grid, theta: NodalField, theta_b: dict, kappa: float):
-    """Boundary heat outflow int_Gamma kappa (theta - theta_b) dS."""
-    total = 0.0
-    for name, p in grid.faces.items():
-        thf = grid.eval_face_scalar(name, theta)
-        total += kappa * float(np.einsum("cq,q->", thf - theta_b[name], p.weights))
-    return total
+def robin_flux(inc: HeatIncrement, theta: NodalField):
+    """Boundary heat outflow int_Gamma kappa (theta - theta_b) dS: the Robin
+    gradient kappa M_Gamma u - l paired with the constant field 1."""
+    g = inc.grid
+    u = theta.values - inc.theta_ref.values
+    robin = inc.model.kappa * (g.assemble_face_hessian() @ u) - inc.robin_load
+    return float(g.constant_field(1.0).values @ robin)
 
 
 def uniform_theta_b(grid, value):

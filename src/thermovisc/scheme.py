@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -307,6 +307,11 @@ def run(scenario: Scenario, tau: float, eps: float,
         snap_prev = traj.snapshots[-1]
         snap, d = _advance(traj, snap_prev, t0, t1, depth=0)
         snap.k, snap.t = k, t1
+        # eigenvalue certificates, once per macro step on its end state
+        if cfg.hk_every:
+            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, traj.model, snap)["bound"])
+        if cfg.korn_every:
+            d = replace(d, korn_const=diag.korn_constant(grid, snap.F))
         traj.snapshots.append(snap)
         traj.step_diags.append(d)
         if checkpoint_dir and cfg.checkpoint_every and k % cfg.checkpoint_every == 0:
@@ -363,8 +368,7 @@ def _single_step(traj, snap_prev, t0, t1):
         "iterate_min_det": min(mech_res.iterate_min_dets),
         "residual_norm": mech_res.residual_norm})
 
-    d = diag.compute_step_diagnostics(snap_prev, snap, mech_inc, mech_res,
-                                      heat_inc, heat_res, cfg)
+    d = diag.compute_step_diagnostics(snap_prev, snap, mech_inc, mech_res, heat_inc, heat_res)
     return snap, d
 
 

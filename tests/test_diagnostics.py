@@ -30,7 +30,6 @@ from thermovisc.diagnostics import (
     weak_residuals,
 )
 from thermovisc.grid import Kinematics, NodalField, StructuredGrid, apply_dirichlet_identity
-from thermovisc.heat import robin_flux
 from thermovisc.materials import MaterialModel, random_rotation
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
@@ -133,13 +132,15 @@ def test_merged_substep_diagnostics_keep_ledger_closed():
 
 
 def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_inc,
-                                heat_res, config):
+                                heat_res):
     """Reference certificates of one step, recomputed from its two snapshots
     without reusing what the step computed: the energies of both states,
     the semiconvexity defect from the summed energy density of both states,
     and the dissipation rate and pulled-back conductivity at the previous
     state.  Only the step data (tau, eps, loads, boundary temperature) and
-    the solver results are read from the step."""
+    the solver results are read from the step.  hk_bound and korn_const
+    are NaN, as ``scheme.run`` fills them in (see
+    ``with_eigen_certificates``)."""
     grid, model = mech_inc.grid, mech_inc.model
     tau, eps, iso = mech_inc.tau, mech_inc.eps, heat_res is None
     dF = snap_new.F - snap_prev.F
@@ -182,7 +183,14 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
             np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
         pcpl_new = grid.assemble_scalar(
             np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
-        boundary_heat = tau * robin_flux(grid, snap_new.theta, heat_inc.theta_b, model.kappa)
+        # Robin gradient kappa M_Gamma u - l paired with the constant field, in
+        # the deviation u from the first boundary temperature
+        t_ref = float(next(iter(heat_inc.theta_b.values())).flat[0])
+        load = model.kappa * grid.assemble_face_gradient(
+            grid.faces, {name: tb - t_ref for name, tb in heat_inc.theta_b.items()})
+        u = snap_new.theta.values - grid.constant_field(t_ref).values
+        robin = model.kappa * (grid.assemble_face_hessian() @ u) - load
+        boundary_heat = tau * float(grid.constant_field(1.0).values @ robin)
         heat_term = tau * float(np.sum(heat_res.residual_vector
                                        * grid.constant_field(1.0).values))
         K_prev = model.pullback_conductivity(snap_prev.F, th_prev)
@@ -200,17 +208,13 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
     solver_term = mech_term + heat_term
     gap_total = ((E - E_prev) - ext_power + boundary_heat + ledger_reg
                  + defect_eps + defect_semiconvex + defect_coupling - solver_term)
-    kin_new = Kinematics(F=snap_new.F, G=snap_new.G, detF=snap_new.detF)
-    hk = (hk_determinant_bound(grid, model, kin_new)["bound"] if config.hk_every
-          else float("nan"))
-    korn = korn_constant(grid, snap_new.F) if config.korn_every else float("nan")
     return StepDiagnostics(
         t=snap_new.t, M=M, M_prev=M_prev, H_val=H_val, Phi_cpl=Phi_cpl,
         W_total=W_total, E=E, E_prev=E_prev,
         dissipation_step=dissipation_step, reg_dissipation_step=reg_step,
         ext_power=ext_power, boundary_heat=boundary_heat,
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
-        min_detF=float(snap_new.detF.min()), hk_bound=hk, korn_const=korn,
+        min_detF=float(snap_new.detF.min()), hk_bound=float("nan"), korn_const=float("nan"),
         mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
         energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
         defect_reg=ledger_reg, defect_eps=defect_eps,
@@ -218,6 +222,17 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         solver_term=solver_term, pcpl_old=pcpl_old, pcpl_new=pcpl_new,
         gradsq_step=gradsq_step, mech_iterations=mech_res.iterations,
         heat_iterations=heat_iters, entropy_excluded=excluded)
+
+
+def with_eigen_certificates(row, traj, k):
+    """Row of macro step k with hk_bound and korn_const of its end state."""
+    cfg, snap = traj.config, traj.snapshots[k]
+    kin = Kinematics(F=snap.F, G=snap.G, detF=snap.detF)
+    return dataclasses.replace(
+        row,
+        hk_bound=(hk_determinant_bound(traj.grid, traj.model, kin)["bound"]
+                  if cfg.hk_every else float("nan")),
+        korn_const=korn_constant(traj.grid, snap.F) if cfg.korn_every else float("nan"))
 
 
 def run_recording_steps(monkeypatch, scenario, tau, eps, config, heat_rejects_first=False):
@@ -274,18 +289,20 @@ def test_step_diagnostics_match_recomputation_from_snapshots(case, monkeypatch):
         assert len(steps) == 2 and len(traj.step_diags) == 1
         refs = [merge_step_diagnostics(*refs)]
     assert len(refs) == len(traj.step_diags) > 0
-    for got, ref in zip(traj.step_diags, refs):
-        assert_rows_match(got, ref)
+    for k, (got, ref) in enumerate(zip(traj.step_diags, refs), start=1):
+        assert_rows_match(got, with_eigen_certificates(ref, traj, k))
 
 
 def test_step_diagnostics_reuse_the_step(monkeypatch):
     # no constitutive function sees the previous deformation from the
-    # certificates, the certificates do not re-evaluate the new temperature,
-    # and each snapshot's energies are evaluated exactly once
-    energies, on_prev, on_new_theta, current = [], [], [], []
+    # certificates, the certificates do not re-evaluate the new temperature
+    # or trace any boundary face, and each snapshot's energies are evaluated
+    # exactly once
+    energies, on_prev, on_new_theta, on_face, current = [], [], [], [], []
     state_energies = diagnostics.state_energies
     compute = diagnostics.compute_step_diagnostics
     eval_scalar = StructuredGrid.eval_scalar
+    eval_face_scalar = StructuredGrid.eval_face_scalar
 
     def counted(grid, model, snap, *args):
         energies.append(snap)
@@ -304,6 +321,11 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
             on_new_theta.append(field)
         return eval_scalar(self, field)
 
+    def face_spy(self, face, field):
+        if current:
+            on_face.append(face)
+        return eval_face_scalar(self, face, field)
+
     def spy(name, fn):
         def spied(self, *args, **kwargs):
             prev = current[-1][0] if current else None
@@ -321,11 +343,13 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
     monkeypatch.setattr(diagnostics, "state_energies", counted)
     monkeypatch.setattr(diagnostics, "compute_step_diagnostics", watched)
     monkeypatch.setattr(StructuredGrid, "eval_scalar", scalar_spy)
+    monkeypatch.setattr(StructuredGrid, "eval_face_scalar", face_spy)
     sc = shear_pulse(grid=grid66(), T=0.15, amplitude=0.2, t_pulse=0.08)
     traj = run(sc, tau=0.05, eps=0.01)
     assert len(traj.step_diags) == 3
     assert on_prev == []
     assert on_new_theta == []
+    assert on_face == []
     assert len(energies) == len(traj.snapshots)
     assert all(a is b for a, b in zip(energies, traj.snapshots))
 

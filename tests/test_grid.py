@@ -1,6 +1,7 @@
 """Discretization tests: polynomial exactness, quadrature, the
 gradient/energy adjoint-consistency oracle, Dirichlet trace handling and
-the Robin boundary term."""
+the Robin boundary term, whose boundary mass and load are checked against
+face-by-face traces."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from thermovisc.grid import (
     NodalField,
     StructuredGrid,
     apply_dirichlet_identity,
-    robin_boundary,
     zero_dirichlet_rows,
+)
+from thermovisc.heat import (
+    HeatIncrement,
+    heat_functional,
+    heat_gradient,
+    robin_flux,
+    uniform_theta_b,
 )
 from thermovisc.materials import MaterialModel, random_feasible_gradient, viscous_form
 from thermovisc.mech import SolverConfig
@@ -367,7 +374,7 @@ def test_gradient_and_evaluation_kernels_match_einsum_reference(d, vector):
         assert_close(kin.F, np.einsum("aqb,cai->cqib", g.B1, loc))
         assert_close(kin.G, np.einsum("aqbg,cai->cqibg", g.B2, loc))
         assert_close(kin.detF, np.linalg.det(kin.F))
-        assert_close(g.eval_vector_values(field), np.einsum("aq,cai->cqi", g.B0, loc))
+        assert_close(g.eval_values(field), np.einsum("aq,cai->cqi", g.B0, loc))
     else:
         vals, grads = g.eval_scalar(field)
         assert_close(vals, np.einsum("aq,ca->cq", g.B0, loc))
@@ -506,18 +513,81 @@ def test_normal_derivative_dofs_stay_free():
 # Robin boundary term
 
 
+def trace_robin(g, theta, theta_b, kappa):
+    """Reference Robin energy int (kappa/2)(theta - theta_b)^2 dS and its
+    gradient, traced face by face at the boundary quadrature points.
+
+    theta_b: dict face -> (n_face_cells, nqf) array.
+    """
+    energy, grad = 0.0, np.zeros(g.n_sdofs)
+    for name, p in g.faces.items():
+        diff = g.eval_face_scalar(name, theta) - theta_b[name]
+        energy += 0.5 * kappa * float(np.einsum("cq,q->", diff**2, p.weights))
+        np.add.at(grad, p.sdofs, kappa * np.einsum("cq,aq,q->ca", diff, p.B0, p.weights))
+    return energy, grad
+
+
+def trace_flux(g, theta, theta_b, kappa):
+    """Reference boundary outflow int kappa (theta - theta_b) dS."""
+    return sum(kappa * float(np.einsum("cq,q->", g.eval_face_scalar(name, theta)
+                                       - theta_b[name], p.weights))
+               for name, p in g.faces.items())
+
+
+def heat_model(d, kappa=1.0):
+    # stress-free identity in 3D needs c2 * q = 12
+    return MaterialModel(d=d, kappa=kappa) if d == 2 else MaterialModel(
+        d=3, q=13.0, c2=12.0 / 13.0, kappa=kappa)
+
+
+def heat_increment(g, theta_b, kappa=1.0, y_new=None, theta_prev=None):
+    """A thermal increment on g with Robin data theta_b (scalar or dict)."""
+    model = heat_model(g.d, kappa)
+    y_prev = g.identity_field()
+    th_prev = theta_prev or g.constant_field(1.0)
+    th_qp, _ = g.eval_scalar(th_prev)
+    w_prev = model.enthalpy(g.eval_kinematics(y_prev).F, np.maximum(th_qp, 0.0))
+    tb = uniform_theta_b(g, theta_b) if np.isscalar(theta_b) else theta_b
+    return HeatIncrement(grid=g, model=model, y_prev=y_prev, y_new=y_new or y_prev,
+                         theta_prev=th_prev, w_prev_qp=w_prev, tau=0.05, eps=0.01,
+                         theta_b=tb)
+
+
+def robin_form(inc, theta):
+    """Robin energy and gradient of an increment, from the boundary mass
+    M_Gamma, the load l and the constant c in the deviation u = theta -
+    theta_ref: u.(kappa/2 M u - l) + c and kappa M u - l."""
+    kappa = inc.model.kappa
+    u = theta.values - inc.theta_ref.values
+    M_u = inc.grid.assemble_face_hessian() @ u
+    energy = float(u @ (0.5 * kappa * M_u - inc.robin_load)) + inc.robin_const
+    return energy, kappa * M_u - inc.robin_load
+
+
 def test_robin_matching_temperature_is_zero():
     g = small_grid(4)
     th = g.constant_field(1.3)
-    e, r = robin_boundary(g, th, 1.3, kappa=1.0)
+    inc = heat_increment(g, 1.3)
+    e, r = robin_form(inc, th)
     assert e == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(r, 0.0, atol=1e-15)
+    assert robin_flux(inc, th) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_robin_flux_keeps_relative_precision_near_equilibrium():
+    # an outflow 1e-9 of kappa theta_b |Gamma|: theta and theta_b are dyadic,
+    # so the exact value is kappa 2^-30 |Gamma|; a face trace of theta carries
+    # roundoff of theta_b's size and is 4e-8 off here
+    g = StructuredGrid((4, 4), (2.0, 1.0))
+    inc = heat_increment(g, 1.25, kappa=0.5)
+    flux = robin_flux(inc, g.constant_field(1.25 + 2.0**-30))
+    assert flux == pytest.approx(0.5 * 2.0**-30 * g.boundary_measure, rel=1e-14)
 
 
 def test_robin_uniform_offset_energy():
     g = StructuredGrid((4, 4), (2.0, 1.0))
     th = g.constant_field(2.0)
-    e, _ = robin_boundary(g, th, 1.0, kappa=1.0)
+    e, _ = robin_form(heat_increment(g, 1.0), th)
     assert e == pytest.approx(0.5 * g.boundary_measure, rel=1e-13)
 
 
@@ -525,12 +595,12 @@ def test_robin_gradient_matches_fd():
     g = small_grid(3)
     rng = np.random.default_rng(45)
     th = NodalField(g, rng.standard_normal(g.n_sdofs))
+    inc = heat_increment(g, 0.4, kappa=0.7)
 
     def energy(vals):
-        e, _ = robin_boundary(g, NodalField(g, vals), 0.4, kappa=0.7)
-        return e
+        return robin_form(inc, NodalField(g, vals))[0]
 
-    _, grad = robin_boundary(g, th, 0.4, kappa=0.7)
+    _, grad = robin_form(inc, th)
     h = 1e-6
     for _ in range(20):
         dv = rng.standard_normal(g.n_sdofs)
@@ -544,9 +614,63 @@ def test_face_hessian_matches_robin_gradient():
     rng = np.random.default_rng(46)
     th = NodalField(g, rng.standard_normal(g.n_sdofs))
     kappa = 0.7
-    H = g.assemble_face_hessian(list(g.faces)) * kappa
-    _, r0 = robin_boundary(g, th, 0.0, kappa=kappa)
+    H = g.assemble_face_hessian() * kappa
+    _, r0 = trace_robin(g, th, uniform_theta_b(g, 0.0), kappa)
     assert np.allclose(H @ th.values, r0, atol=1e-12)
+
+
+def reference_heat_step(inc, theta):
+    """Heat functional and gradient with conduction at the quadrature points
+    and the Robin term traced face by face."""
+    g, m = inc.grid, inc.model
+    th, gth = g.eval_scalar(theta)
+    mval, m1, _ = m.coupling_factor_ext(th)
+    dens = ((m.w_total_ext(inc.phi1_new, th) - inc.w_prev_qp * th) / inc.tau
+            + 0.5 * np.einsum("cqa,cqab,cqb->cq", gth, inc.K_prev, gth)
+            - inc.xi_reg_qp * th - mval * inc.cpl_qp)
+    source = ((m.enthalpy_ext(inc.phi1_new, th) - inc.w_prev_qp) / inc.tau
+              - inc.xi_reg_qp - m1 * inc.cpl_qp)
+    flux = np.einsum("cqab,cqb->cqa", inc.K_prev, gth)
+    e, r = trace_robin(g, theta, inc.theta_b, m.kappa)
+    return (g.assemble_scalar(dens) + e,
+            g.assemble_gradient(1, stress=flux, source=source) + r)
+
+
+@pytest.mark.parametrize("extents,lengths", [((4, 4), (2.0, 1.0)),
+                                             ((2, 2, 2), (1.0, 1.5, 0.5))])
+def test_heat_fixed_form_matches_face_traces(extents, lengths):
+    # unequal faces and a boundary datum that varies along them
+    g = StructuredGrid(extents, lengths)
+    rng = np.random.default_rng(48)
+    y_new = g.identity_field()
+    y_new.values += 0.01 * rng.standard_normal(y_new.values.shape)
+    theta_b = {name: rng.uniform(0.2, 1.5, (p.sdofs.shape[0], p.weights.size))
+               for name, p in g.faces.items()}
+    th_prev = NodalField(g, g.constant_field(1.0).values + 0.05 * rng.standard_normal(g.n_sdofs))
+    inc = heat_increment(g, theta_b, kappa=0.7, y_new=NodalField(g, y_new.values),
+                         theta_prev=th_prev)
+    theta = NodalField(g, g.constant_field(0.8).values + 0.1 * rng.standard_normal(g.n_sdofs))
+    J_ref, r_ref = reference_heat_step(inc, theta)
+    J = heat_functional(inc, theta)
+    assert abs(J - J_ref) <= 1e-13 * abs(J_ref)
+    assert np.max(np.abs(heat_gradient(inc, theta) - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+    flux_ref = trace_flux(g, theta, theta_b, 0.7)
+    assert abs(robin_flux(inc, theta) - flux_ref) <= 1e-13 * abs(flux_ref)
+
+
+def test_heat_increments_share_one_boundary_mass(monkeypatch):
+    returned = []
+    build = StructuredGrid.assemble_face_hessian
+
+    def recorded(self):
+        returned.append(build(self))
+        return returned[-1]
+
+    monkeypatch.setattr(StructuredGrid, "assemble_face_hessian", recorded)
+    g = small_grid(3)
+    heat_increment(g, 0.5)
+    heat_increment(g, 0.9, kappa=2.0)
+    assert len(returned) == 2 and returned[0] is returned[1]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_pure_heating_enthalpy_balance():
     res = solve_heat(inc)
     assert_reported_residual_consistent(res)
     dW = g.assemble_scalar(res.w_new_qp - inc.w_prev_qp)
-    outflow = robin_flux(g, res.theta_new, inc.theta_b, inc.model.kappa)
+    outflow = robin_flux(inc, res.theta_new)
     expect = tau * (hsrc * g.domain_volume - outflow)
     assert abs(dW - expect) < 1e-9 * max(1.0, abs(expect))
     # heating with nonnegative data keeps theta nonnegative
