@@ -10,12 +10,12 @@ evidence that a run did what the analysis says it must.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import lobpcg, splu
 
 from .grid import SPD_LU, tensor_derivatives
 from .heat import robin_flux
@@ -23,6 +23,8 @@ from .materials import det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
+KORN_TOL = 1e-8       # LOBPCG residual |A x - lambda B x| at x.B x = 1
+KORN_MAX_ITER = 100   # LOBPCG iterations before the LU fallback
 
 
 @dataclass
@@ -317,13 +319,25 @@ def hk_determinant_bound(grid, model, kin, energy_bound=None):
 # generalized Korn constant
 
 
-def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
+@dataclass
+class KornState:
+    """The last Korn eigenvector of a run: the start of the next solve."""
+
+    x: np.ndarray | None = None
+
+
+def korn_constant(grid, F_qp, state=None):
     """Smallest generalized eigenvalue of the Korn form against the H^1 form
     over vector fields vanishing on the fixed boundary part.
 
-    Inverse iteration on the pencil with a deterministic start vector; the
-    spectrum is real and the smallest eigenvalue simple or near-simple, so
-    plain inverse iteration with the Rayleigh quotient converges.
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil
+    (A(F), kron(G, I_d)), preconditioned by the grid's cached scalar Gram
+    factorization applied to the field's d components, from the
+    eigenvector kept in ``state`` (a :class:`KornState`) or from ones.  If
+    it misses ``KORN_TOL`` within ``KORN_MAX_ITER`` iterations, inverse
+    iteration against an LU of A(F) from ones gives the value instead.
+    The result is the Rayleigh quotient of the eigenvector, which ``state``
+    keeps for the next call.
     """
     d = grid.d
     if np.min(det(F_qp)) <= 0:
@@ -331,23 +345,47 @@ def korn_constant(grid, F_qp, tol=1e-12, max_iter=500):
     free = np.repeat(grid.free_sdofs, d)
     # the Korn form int |F^T grad v + (grad v)^T F|^2
     A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
-    # the H^1 form on vector fields (component fastest) from the scalar Gram
-    B = sp.kron(grid.h1_gram(free_only=True), sp.identity(d), format="csr")
+    # the H^1 form on vector fields, kron(G, I_d) with the component fastest:
+    # the scalar Gram G acting on the d columns of the (n_free, d) field
+    G = grid.h1_gram(free_only=True)
+
+    def gram(X):
+        return (G @ X.reshape(G.shape[0], -1)).reshape(X.shape)
+
+    def gram_solve(X):
+        return grid.h1_gram_solve(X.reshape(G.shape[0], -1)).reshape(X.shape)
+
+    state = state or KornState()
+    x0 = state.x if state.x is not None else np.ones(A.shape[0])
+    with warnings.catch_warnings():   # a miss is handled below
+        warnings.simplefilter("ignore", UserWarning)
+        _, X, res_norms = lobpcg(A, x0[:, None], B=gram, M=gram_solve, tol=KORN_TOL,
+                                 maxiter=KORN_MAX_ITER, largest=False,
+                                 retResidualNormsHistory=True)
+    x = X[:, 0] if res_norms[-1] <= KORN_TOL else _korn_inverse_iteration(A, gram)
+    state.x = x / np.sqrt(x @ gram(x))
+    return float(state.x @ (A @ state.x))
+
+
+def _korn_inverse_iteration(A, gram, tol=1e-12, max_iter=500):
+    """Eigenvector of the smallest eigenvalue of (A, B), B x = gram(x), by
+    inverse iteration from ones to a relative Rayleigh-quotient change of
+    ``tol``, against an LU of A."""
     lu = splu(A, **SPD_LU)
     x = np.ones(A.shape[0])
-    x /= np.sqrt(x @ (B @ x))
+    x /= np.sqrt(x @ gram(x))
     rho_prev = np.inf
     for _ in range(max_iter):
-        x = lu.solve(B @ x)
-        bn = np.sqrt(x @ (B @ x))
+        x = lu.solve(gram(x))
+        bn = np.sqrt(x @ gram(x))
         if bn == 0.0 or not np.isfinite(bn):
             raise RuntimeError("Korn inverse iteration broke down")
         x /= bn
         rho = float(x @ (A @ x))
         if abs(rho - rho_prev) <= tol * max(rho, 1e-300):
-            return rho
+            break
         rho_prev = rho
-    return rho_prev
+    return x
 
 
 # ---------------------------------------------------------------------------

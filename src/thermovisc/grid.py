@@ -580,6 +580,11 @@ class StructuredGrid:
         Gram of a d-vector field, component fastest, is kron(G, I_d)."""
         return self._gram(free_only)[0]
 
+    def h1_gram_solve(self, rhs, free_only=True):
+        """G^{-1} R for R of shape (n,) or (n, ncomp) on the free dofs or all
+        dofs, through the cached factorization: ncomp right-hand sides."""
+        return self._gram(free_only)[1].solve(rhs)
+
     def dual_norm(self, residual, free_only=True):
         """Discrete (H^1)* norm sqrt(R : G^{-1} R) of a nodal dual vector R,
         (n_sdofs,) or (n_sdofs, ncomp), on the free dofs or, with
@@ -588,7 +593,7 @@ class StructuredGrid:
         r = residual[self.free_sdofs] if free_only else residual
         if not np.any(r):
             return 0.0
-        return float(np.sqrt(abs(np.vdot(r, self._gram(free_only)[1].solve(r)))))
+        return float(np.sqrt(abs(np.vdot(r, self.h1_gram_solve(r, free_only)))))
 
 
 @dataclass

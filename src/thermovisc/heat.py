@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .grid import SPD_LU, NodalField
 from .materials import det
 from .mech import SolverConfig
-from .newton import minimize
+from .newton import FrozenFactor, minimize
 
 
 @dataclass
@@ -106,6 +106,8 @@ class HeatResult:
     iterations: int
     residual_norm: float
     residual_vector: np.ndarray
+    factorizations: int = 0       # sparse LUs made during the solve
+    pcg_iterations: int = 0       # CG iterations against the kept LU
 
 
 def heat_functional(inc: HeatIncrement, theta: NodalField):
@@ -138,12 +140,14 @@ def heat_hessian(inc: HeatIncrement, theta: NodalField):
     return inc.A + g.assemble_hessian(1, c0=c0)
 
 
-def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatResult:
+def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
+               frozen: FrozenFactor | None = None) -> HeatResult:
     """Damped Newton from theta_prev; audits and clamps tiny undershoots.
 
     The globalization (shift ladder, Armijo backtracking, noise-floor probe
-    against J0) is :func:`thermovisc.newton.minimize`, over all dofs with
-    the scalar (H^1)* norm; the thermal field has no Dirichlet part.
+    against J0, CG against the factorization ``frozen`` keeps between
+    solves) is :func:`thermovisc.newton.minimize`, over all dofs with the
+    scalar (H^1)* norm; the thermal field has no Dirichlet part.
     ``residual_norm`` is always the dual norm of the returned
     ``residual_vector``, the gradient at the final Newton iterate (before
     any clamp of a nodal undershoot).  ``theta_new_qp`` and
@@ -152,6 +156,8 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
     """
     cfg = config or SolverConfig()
     g, m = inc.grid, inc.model
+    frozen = frozen or FrozenFactor()
+    work0 = frozen.factorizations, frozen.pcg_iterations
 
     res = minimize(
         inc.theta_prev.copy(),
@@ -159,7 +165,7 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
         gradient=lambda th, _: heat_gradient(inc, th),
         hessian=lambda th, _: heat_hessian(inc, th),
         dual_norm=lambda r: g.dual_norm(r, free_only=False), rtol=cfg.tol_heat, cfg=cfg,
-        factor=lambda A: splu(A, **SPD_LU),
+        factor=frozen.bind(lambda A: splu(A, **SPD_LU)),
         label="thermal")
     theta = res.x
 
@@ -175,7 +181,9 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None) -> HeatRe
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
                       theta_new_grad_qp=gth_qp, min_theta=min_theta, clamp_magnitude=clamp,
                       functional_value=res.value, iterations=res.iterations,
-                      residual_norm=res.residual_norm, residual_vector=res.residual)
+                      residual_norm=res.residual_norm, residual_vector=res.residual,
+                      factorizations=frozen.factorizations - work0[0],
+                      pcg_iterations=frozen.pcg_iterations - work0[1])
 
 
 def robin_flux(inc: HeatIncrement, theta: NodalField):

@@ -12,8 +12,9 @@ energy (stored + hyperstress + thermal coupling at the frozen previous
 temperature).  Infeasible states (det grad y <= 0 anywhere) carry the
 value +inf.  The solver is the damped Newton method of ``newton.py``
 (Levenberg shift ladder, Armijo backtracking, noise-floor probe against
-J0) with a determinant floor as its admissibility gate, so every accepted
-iterate descends and stays locally invertible.
+J0, CG against a frozen factorization) with a determinant floor as its
+admissibility gate, so every accepted iterate descends and stays locally
+invertible.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, NodalField, zero_dirichlet_rows
 from .materials import rate_of_cauchy_green
-from .newton import StepRejectedError, minimize  # noqa: F401  (re-exported)
+from .newton import FrozenFactor, StepRejectedError, minimize  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -41,8 +42,8 @@ class SolverConfig:
     armijo: float = 1e-4
     det_floor: float = 0.1       # accepted min det >= det_floor * current
     max_step_halvings: int = 4
-    korn_every: int = 1          # 0 disables the per-step Korn eigensolve
-    hk_every: int = 1            # 0 disables the per-step determinant bound
+    korn_every: int = 1          # Korn eigensolve every n-th step; 0 disables it
+    hk_every: int = 1            # determinant bound every n-th step; 0 disables it
     checkpoint_every: int = 0
     time_quad_pts: int = 4       # Gauss points for per-step load averaging
 
@@ -90,6 +91,8 @@ class MechResult:
     residual_vector: np.ndarray   # assembled gradient at the accepted state
     kinematics: object
     iterate_min_dets: list = field(default_factory=list)  # every accepted iterate
+    factorizations: int = 0       # sparse LUs made during the solve
+    pcg_iterations: int = 0       # CG iterations against the kept LU
 
 
 def incremental_functional(inc: MechIncrement, y: NodalField, kin=None):
@@ -139,10 +142,15 @@ def incremental_hessian(inc: MechIncrement, kin, free=None):
                                      hyper_scal=scal, hyper_rank1=rank1, free=free)
 
 
-def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechResult:
+def solve_mech(inc: MechIncrement, config: SolverConfig | None = None,
+               frozen: FrozenFactor | None = None) -> MechResult:
     """:func:`newton.minimize` from y_prev on the free dofs, gated so that
-    min det grad y stays above ``det_floor`` times the current iterate's."""
+    min det grad y stays above ``det_floor`` times the current iterate's.
+    ``frozen`` carries the kept factorization between solves; without one
+    the solve starts empty."""
     cfg = config or SolverConfig()
+    frozen = frozen or FrozenFactor()
+    work0 = frozen.factorizations, frozen.pcg_iterations
     grid, d = inc.grid, inc.grid.d
     free = np.repeat(grid.free_sdofs, d)
     iterate_dets = []
@@ -152,7 +160,7 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechRe
         gradient=lambda y, kin: incremental_gradient(inc, y, kin)[0],
         hessian=lambda y, kin: incremental_hessian(inc, kin, free),
         dual_norm=grid.dual_norm,
-        rtol=cfg.tol_mech, cfg=cfg, factor=lambda A: splu(A, **SPD_LU),
+        rtol=cfg.tol_mech, cfg=cfg, factor=frozen.bind(lambda A: splu(A, **SPD_LU)),
         free=free,
         admissible=lambda kin_c, kin: kin_c.detF.min() > cfg.det_floor * kin.detF.min(),
         on_accept=lambda kin: iterate_dets.append(kin.min_detF),
@@ -162,7 +170,9 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None) -> MechRe
                       descent_gap=res.initial_value - res.value,
                       iterations=res.iterations, min_detF=kin.min_detF,
                       residual_norm=res.residual_norm, residual_vector=res.residual,
-                      kinematics=kin, iterate_min_dets=iterate_dets)
+                      kinematics=kin, iterate_min_dets=iterate_dets,
+                      factorizations=frozen.factorizations - work0[0],
+                      pcg_iterations=frozen.pcg_iterations - work0[1])
 
 
 def main_mechanical_energy(grid, model, kin):

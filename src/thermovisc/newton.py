@@ -1,8 +1,8 @@
 """Damped Newton minimization shared by the mechanical and thermal steps.
 
 Newton with Hessian modification (Nocedal & Wright, *Numerical
-Optimization*, Sec. 3.4).  Each iteration factorizes the Hessian on the
-free dofs with a Levenberg shift ``s * mean|diag H|``, s = 0 first, then
+Optimization*, Sec. 3.4).  Each iteration solves with the Hessian on the
+free dofs plus a Levenberg shift ``s * mean|diag H|``, s = 0 first, then
 1e-8 growing x100 per rung (12 rungs), until a finite descent step passes
 Armijo backtracking (t = 1, 1/2, ...) and the problem's admissibility
 gate.  Once the predicted decrease of the unshifted step is below the
@@ -10,14 +10,30 @@ roundoff of J, a line search cannot add anything: the raw step is probed
 once and kept only if J stays at or below J0, its value at the start of
 the solve (so overall descent stays exact), and the dual residual at
 least halves; either way the solve ends there, possibly above its target.
+
+Factor once, iterate many (inexact Newton, Nocedal & Wright Sec. 7.1):
+a :class:`FrozenFactor` keeps one factorization across the Newton solves
+of a run.  The first matrix it sees is factorized through the caller's
+``factor``; every later one is solved by conjugate gradients
+preconditioned with the kept LU, to a relative residual of ``CG_RTOL``.
+When CG passes ``CG_MAX_ITER`` iterations or meets a nonpositive
+curvature ``p.Ap`` or ``r.z``, the current matrix is factorized, again
+through ``factor``, solved directly and kept.  A breakdown of that
+factorization raises ``RuntimeError`` as a direct solve would, so the
+shift ladder, the Armijo search and the noise-floor probe do not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+
+
+CG_RTOL = 1e-12      # relative residual of a CG solve against the kept LU
+CG_MAX_ITER = 25     # CG iterations before the current matrix is factorized
 
 
 class StepRejectedError(RuntimeError):
@@ -35,6 +51,60 @@ class NewtonResult:
     iterations: int
 
 
+class FrozenFactor:
+    """One factorization kept across Newton solves; later matrices are
+    solved by CG preconditioned with it (module docstring).
+
+    ``bind(factor)`` is the ``factor`` argument of :func:`minimize`.
+    ``factorizations`` and ``pcg_iterations`` count the work done so far.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.pcg_iterations = 0
+
+    def bind(self, factor):
+        def solver(A):
+            if self.lu is None:
+                return self._refactor(A, factor)
+            return SimpleNamespace(solve=lambda b: self._cg(A, b, factor))
+        return solver
+
+    def _refactor(self, A, factor):
+        self.lu = factor(A)
+        self.factorizations += 1
+        return self.lu
+
+    def _cg(self, A, b, factor):
+        """A^{-1} b by CG preconditioned with the kept LU, or directly
+        through a new factorization of A when CG stalls."""
+        precond = self.lu.solve
+        x = np.zeros_like(b)
+        r = b.copy()
+        bound = CG_RTOL * np.linalg.norm(b)
+        z = precond(r)
+        rz = float(r @ z)
+        p = z
+        for _ in range(CG_MAX_ITER):
+            if not rz > 0.0:
+                break
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if not pAp > 0.0:
+                break
+            self.pcg_iterations += 1
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if np.linalg.norm(r) <= bound:
+                return x
+            z = precond(r)
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        return self._refactor(A, factor).solve(b)
+
+
 def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
              free=slice(None), admissible=None, on_accept=None, label="Newton"):
     """Damped Newton from ``x`` until the dual residual meets its target.
@@ -43,9 +113,11 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
     ``free`` entries are the unknowns.  ``functional(x) -> (J, aux)``, J =
     +inf when infeasible; ``gradient(x, aux)`` is zero on fixed dofs;
     ``hessian(x, aux)`` is restricted to the free dofs; ``dual_norm(r)``
-    measures the target ``max(rtol * |r0|, cfg.atol_residual)``; ``factor``
-    is a sparse LU.  ``admissible(aux_cand, aux)`` gates candidates against
-    the current iterate; ``on_accept(aux)`` sees the start and every
+    measures the target ``max(rtol * |r0|, cfg.atol_residual)``;
+    ``factor(A).solve(b)`` solves with a free-dof matrix (a sparse LU, or
+    :meth:`FrozenFactor.bind` of one) and raises ``RuntimeError`` on
+    breakdown.  ``admissible(aux_cand, aux)`` gates candidates against the
+    current iterate; ``on_accept(aux)`` sees the start and every
     accepted iterate.  Raises :class:`StepRejectedError` when every rung's
     line search fails or ``max_newton`` iterations miss the target.
     """

@@ -27,6 +27,7 @@ from .grid import NodalField, StructuredGrid, apply_dirichlet_identity
 from .heat import HeatIncrement, solve_heat
 from .materials import MaterialModel
 from .mech import MechIncrement, SolverConfig, StepRejectedError, solve_mech
+from .newton import FrozenFactor
 
 
 @dataclass
@@ -255,6 +256,16 @@ def step_theta_b(scenario, eps, t0, t1, npts=4):
     return out
 
 
+@dataclass
+class _SolverState:
+    """What a run keeps between solves: the frozen factorizations of the
+    mechanical and thermal Newton steps and the last Korn eigenvector."""
+
+    mech: FrozenFactor = field(default_factory=FrozenFactor)
+    heat: FrozenFactor = field(default_factory=FrozenFactor)
+    korn: diag.KornState = field(default_factory=diag.KornState)
+
+
 def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
     """A state of the run; its energies are evaluated here, once."""
     snap = Snapshot(k=k, t=t, y=y, theta=theta, w_qp=w_qp, F=kin.F, G=kin.G,
@@ -279,7 +290,11 @@ def _start_snapshot(traj, k, t, y, theta, w_qp=None):
 def run(scenario: Scenario, tau: float, eps: float,
         config: SolverConfig | None = None, checkpoint_dir: str | None = None,
         resume: bool = False) -> Trajectory:
-    """Run the staggered scheme over [0, T] with constant step tau."""
+    """Run the staggered scheme over [0, T] with constant step tau.
+
+    The run keeps one factorization per Newton solve (mech and heat) and
+    the last Korn eigenvector, and starts them afresh at each checkpoint
+    write, so a resumed run repeats the uninterrupted one bit for bit."""
     cfg = config or SolverConfig()
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -302,38 +317,40 @@ def run(scenario: Scenario, tau: float, eps: float,
             th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
         traj.snapshots.append(_start_snapshot(traj, 0, 0.0, y0, th0))
 
+    solvers = _SolverState()
     for k in range(start_k + 1, n_steps + 1):
         t0, t1 = (k - 1) * tau, k * tau
         snap_prev = traj.snapshots[-1]
-        snap, d = _advance(traj, snap_prev, t0, t1, depth=0)
+        snap, d = _advance(traj, snap_prev, t0, t1, 0, solvers)
         snap.k, snap.t = k, t1
-        # eigenvalue certificates, once per macro step on its end state
-        if cfg.hk_every:
+        # eigenvalue certificates on the end state of every n-th macro step
+        if cfg.hk_every and k % cfg.hk_every == 0:
             d = replace(d, hk_bound=diag.hk_determinant_bound(grid, traj.model, snap)["bound"])
-        if cfg.korn_every:
-            d = replace(d, korn_const=diag.korn_constant(grid, snap.F))
+        if cfg.korn_every and k % cfg.korn_every == 0:
+            d = replace(d, korn_const=diag.korn_constant(grid, snap.F, solvers.korn))
         traj.snapshots.append(snap)
         traj.step_diags.append(d)
         if checkpoint_dir and cfg.checkpoint_every and k % cfg.checkpoint_every == 0:
             save_checkpoint(traj, checkpoint_dir)
+            solvers = _SolverState()
     return traj
 
 
-def _advance(traj, snap_prev, t0, t1, depth):
+def _advance(traj, snap_prev, t0, t1, depth, solvers):
     """One step of size t1-t0, halving locally on rejection."""
     cfg = traj.config
     try:
-        return _single_step(traj, snap_prev, t0, t1)
+        return _single_step(traj, snap_prev, t0, t1, solvers)
     except StepRejectedError:
         if depth >= cfg.max_step_halvings:
             raise
         tm = 0.5 * (t0 + t1)
-        snap_mid, d1 = _advance(traj, snap_prev, t0, tm, depth + 1)
-        snap_end, d2 = _advance(traj, snap_mid, tm, t1, depth + 1)
+        snap_mid, d1 = _advance(traj, snap_prev, t0, tm, depth + 1, solvers)
+        snap_end, d2 = _advance(traj, snap_mid, tm, t1, depth + 1, solvers)
         return snap_end, diag.merge_step_diagnostics(d1, d2)
 
 
-def _single_step(traj, snap_prev, t0, t1):
+def _single_step(traj, snap_prev, t0, t1, solvers):
     scenario, cfg = traj.scenario, traj.config
     grid, model = traj.grid, traj.model
     tau_step = t1 - t0
@@ -345,7 +362,7 @@ def _single_step(traj, snap_prev, t0, t1):
         tau=tau_step, eps=traj.eps, load_vector=load,
         include_coupling=not scenario.isothermal,
         F_prev=snap_prev.F, min_det_prev=snap_prev.min_detF)
-    mech_res = solve_mech(mech_inc, cfg)
+    mech_res = solve_mech(mech_inc, cfg, solvers.mech)
 
     if scenario.isothermal:
         heat_inc = heat_res = None
@@ -357,7 +374,7 @@ def _single_step(traj, snap_prev, t0, t1):
             theta_prev=snap_prev.theta, w_prev_qp=snap_prev.w_qp,
             tau=tau_step, eps=traj.eps, theta_b=theta_b,
             F_prev=snap_prev.F, F_new=mech_res.kinematics.F)
-        heat_res = solve_heat(heat_inc, cfg)
+        heat_res = solve_heat(heat_inc, cfg, solvers.heat)
         theta, theta_qp, w_qp = heat_res.theta_new, heat_res.theta_new_qp, heat_res.w_new_qp
     snap = _make_snapshot(traj, -1, t1, mech_res.y_new, theta, mech_res.kinematics,
                           theta_qp, w_qp)
@@ -366,7 +383,9 @@ def _single_step(traj, snap_prev, t0, t1):
         "t": t1, "descent_gap": mech_res.descent_gap,
         "iterations": mech_res.iterations, "min_detF": mech_res.min_detF,
         "iterate_min_det": min(mech_res.iterate_min_dets),
-        "residual_norm": mech_res.residual_norm})
+        "residual_norm": mech_res.residual_norm,
+        "factorizations": mech_res.factorizations,
+        "pcg_iterations": mech_res.pcg_iterations})
 
     d = diag.compute_step_diagnostics(snap_prev, snap, mech_inc, mech_res, heat_inc, heat_res)
     return snap, d

@@ -11,11 +11,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import thermovisc
 import thermovisc.diagnostics as diagnostics
 from thermovisc.diagnostics import (
     THETA_FLOOR,
+    KornState,
     StepDiagnostics,
     TestBank,
     apriori_monitor,
@@ -29,8 +31,14 @@ from thermovisc.diagnostics import (
     total_energy_check,
     weak_residuals,
 )
-from thermovisc.grid import Kinematics, NodalField, StructuredGrid, apply_dirichlet_identity
-from thermovisc.materials import MaterialModel, random_rotation
+from thermovisc.grid import (
+    SPD_LU,
+    Kinematics,
+    NodalField,
+    StructuredGrid,
+    apply_dirichlet_identity,
+)
+from thermovisc.materials import MaterialModel, random_feasible_gradient, random_rotation
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, run
@@ -224,15 +232,18 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         heat_iterations=heat_iters, entropy_excluded=excluded)
 
 
-def with_eigen_certificates(row, traj, k):
-    """Row of macro step k with hk_bound and korn_const of its end state."""
+def with_eigen_certificates(row, traj, k, korn_state):
+    """Row of macro step k with hk_bound and korn_const of its end state;
+    one ``korn_state`` is threaded through the macro steps in order, as
+    ``scheme.run`` does."""
     cfg, snap = traj.config, traj.snapshots[k]
     kin = Kinematics(F=snap.F, G=snap.G, detF=snap.detF)
     return dataclasses.replace(
         row,
         hk_bound=(hk_determinant_bound(traj.grid, traj.model, kin)["bound"]
                   if cfg.hk_every else float("nan")),
-        korn_const=korn_constant(traj.grid, snap.F) if cfg.korn_every else float("nan"))
+        korn_const=(korn_constant(traj.grid, snap.F, korn_state)
+                    if cfg.korn_every else float("nan")))
 
 
 def run_recording_steps(monkeypatch, scenario, tau, eps, config, heat_rejects_first=False):
@@ -245,11 +256,11 @@ def run_recording_steps(monkeypatch, scenario, tau, eps, config, heat_rejects_fi
         steps.append((args, compute(*args)))
         return steps[-1][1]
 
-    def rejecting(inc, cfg):   # a thermal failure of the first attempt forces a halving
+    def rejecting(inc, cfg, frozen):   # a thermal failure of the first attempt forces a halving
         if not rejecting.failed:
             rejecting.failed = True
             raise StepRejectedError("injected thermal failure")
-        return solve_heat(inc, cfg)
+        return solve_heat(inc, cfg, frozen)
 
     rejecting.failed = False
     monkeypatch.setattr(diagnostics, "compute_step_diagnostics", recorded)
@@ -289,8 +300,9 @@ def test_step_diagnostics_match_recomputation_from_snapshots(case, monkeypatch):
         assert len(steps) == 2 and len(traj.step_diags) == 1
         refs = [merge_step_diagnostics(*refs)]
     assert len(refs) == len(traj.step_diags) > 0
+    korn_state = KornState()
     for k, (got, ref) in enumerate(zip(traj.step_diags, refs), start=1):
-        assert_rows_match(got, with_eigen_certificates(ref, traj, k))
+        assert_rows_match(got, with_eigen_certificates(ref, traj, k, korn_state))
 
 
 def test_step_diagnostics_reuse_the_step(monkeypatch):
@@ -444,6 +456,55 @@ def test_korn_rejects_nonpositive_det():
     grid = grid66()
     with pytest.raises(ValueError):
         korn_constant(grid, const_F(grid, np.diag([1.0, -1.0])))
+
+
+def drifting_gradients(grid, rng, count=4, drift=0.1, spread=0.1):
+    """Per-cell feasible gradients, each a small step from the one before."""
+    d = grid.d
+    F = np.stack([random_feasible_gradient(rng, d, spread) for _ in range(grid.n_cells)])
+    out = []
+    for _ in range(count):
+        R = np.stack([random_feasible_gradient(rng, d, spread) for _ in range(grid.n_cells)])
+        F = (1.0 - drift) * F + drift * R
+        assert np.linalg.det(F).min() > 0.0
+        F_qp = np.broadcast_to(F[:, None], (grid.n_cells, grid.nq, d, d))
+        out.append(np.ascontiguousarray(F_qp))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_warm_started_korn_matches_a_fresh_solve(d, monkeypatch):
+    grid = (StructuredGrid((6, 6), (1.0, 1.0), dirichlet_faces=("y0",)) if d == 2 else
+            StructuredGrid((3, 2, 2), (1.0, 0.7, 1.3), dirichlet_faces=("x0",)))
+    monkeypatch.setattr(diagnostics, "splu", None)   # LOBPCG converges: no fallback
+    state = KornState()
+    for F in drifting_gradients(grid, np.random.default_rng(60 + d)):
+        warm = korn_constant(grid, F, state)
+        fresh = korn_constant(grid, F)
+        assert fresh > 0.0
+        assert abs(warm - fresh) <= 1e-12 * fresh
+
+
+def test_korn_fallback_factorizes_with_the_spd_setting(monkeypatch):
+    # LOBPCG forced to miss its tolerance: inverse iteration against an LU
+    # of the Korn form, made by diagnostics.splu in the SPD setting
+    grid = grid66()
+    (F,) = drifting_gradients(grid, np.random.default_rng(70), count=1)
+    ref = korn_constant(grid, F)
+    made = []
+
+    def recorder(A, **kwargs):
+        made.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "splu", recorder)
+    assert korn_constant(grid, F) == ref and not made     # LOBPCG converges
+    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 1)
+    state = KornState()
+    value = korn_constant(grid, F, state)
+    assert made == [SPD_LU]
+    assert abs(value - ref) <= 1e-12 * ref
+    assert state.x is not None
 
 
 # ---------------------------------------------------------------------------

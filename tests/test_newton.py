@@ -1,15 +1,16 @@
 """The shared damped-Newton driver on small closed-form problems (no grid),
-and the factorization setting every solve uses."""
+the frozen factorization it solves against, and the factorization setting
+every solve uses."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from thermovisc import diagnostics, grid, heat, mech
+from thermovisc import diagnostics, grid, heat, mech, newton
 from thermovisc.grid import SPD_LU, StructuredGrid
 from thermovisc.mech import SolverConfig
-from thermovisc.newton import StepRejectedError, minimize
+from thermovisc.newton import FrozenFactor, StepRejectedError, minimize
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run
 
@@ -113,6 +114,8 @@ def test_singular_hessian_moves_up_one_rung():
 
 
 def test_every_factorization_uses_the_spd_setting(monkeypatch):
+    # the Korn certificate factorizes only on its fallback path, covered by
+    # test_diagnostics.test_korn_fallback_factorizes_with_the_spd_setting
     calls = {}
     for module in (mech, heat, diagnostics, grid):
         def recorder(A, _name=module.__name__, **kwargs):
@@ -124,8 +127,82 @@ def test_every_factorization_uses_the_spd_setting(monkeypatch):
     g = StructuredGrid((4, 4), (1.0, 1.0), dirichlet_faces=("y0",))
     traj = run(shear_pulse(grid=g, T=0.04, amplitude=0.15, t_pulse=0.5), tau=0.02, eps=0.01)
     assert traj.step_diags[-1].mech_iterations > 0
-    assert sorted(calls) == sorted(m.__name__ for m in (mech, heat, diagnostics, grid))
+    assert sorted(calls) == sorted(m.__name__ for m in (mech, heat, grid))
     assert all(kwargs == SPD_LU for made in calls.values() for kwargs in made)
+    # one factorization per Newton solve and run, the rest is CG against it
+    assert len(calls[mech.__name__]) == len(calls[heat.__name__]) == 1
+    assert [rec["factorizations"] for rec in traj.mech_log] == [1, 0]
+    assert traj.mech_log[1]["pcg_iterations"] > 0
+
+
+def perturbed_spd_sequence(rng, n=40, count=6, size=0.05):
+    """SPD sparse matrices that drift slowly, like the Hessians of a run."""
+    M = sp.random(n, n, density=0.15, random_state=rng) + sp.identity(n)
+    base = (M @ M.T + n * sp.identity(n)).tocsc()
+    out = []
+    for _ in range(count):
+        D = sp.random(n, n, density=0.1, random_state=rng)
+        out.append((base + size * base.diagonal().mean() * (D @ D.T)).tocsc())
+    return out
+
+
+def test_frozen_factor_cg_matches_a_fresh_lu():
+    rng = np.random.default_rng(7)
+    frozen = FrozenFactor()
+    factor = frozen.bind(lambda A: splu(A, **SPD_LU))
+    for A in perturbed_spd_sequence(rng):
+        b = rng.standard_normal(A.shape[0])
+        x = factor(A).solve(b)
+        ref = splu(A, **SPD_LU).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert frozen.factorizations == 1        # the first matrix only
+    assert frozen.pcg_iterations > 0
+
+
+def test_frozen_factor_refactorizes_when_cg_passes_the_cap(monkeypatch):
+    rng = np.random.default_rng(8)
+    A0, A1 = perturbed_spd_sequence(rng, count=2, size=5.0)
+    made = []
+
+    def lu(A):
+        made.append(A)
+        return splu(A, **SPD_LU)
+
+    frozen = FrozenFactor()
+    factor = frozen.bind(lu)
+    factor(A0)
+    monkeypatch.setattr(newton, "CG_MAX_ITER", 1)
+    b = rng.standard_normal(A1.shape[0])
+    x = factor(A1).solve(b)
+    assert len(made) == 2 and made[1] is A1 and frozen.factorizations == 2
+    assert frozen.pcg_iterations == 1
+    assert np.array_equal(x, splu(A1, **SPD_LU).solve(b))   # a direct solve
+    frozen.pcg_iterations = 0
+    factor(A1).solve(b)                        # the kept LU is now A1's
+    assert frozen.pcg_iterations == 1 and frozen.factorizations == 2
+
+
+def test_frozen_factor_refactorizes_on_the_indefinite_double_well():
+    # a run that starts convex (x = 2, J'' = 11) and then meets the
+    # indefinite double well: CG against the convex LU sees negative
+    # curvature, and the indefinite matrix is factorized, as a direct
+    # solve would, before the shift ladder takes over
+    frozen = FrozenFactor()
+    shifts = []
+    h0 = 3.0 * np.array([0.1, 0.2]) ** 2 - 1.0
+
+    def factor(A):
+        shifts.append(float(A.diagonal()[0] - h0[0]))
+        return splu(A, **SPD_LU)
+
+    minimize(Vec([2.0, 2.0]), **DOUBLE_WELL, rtol=1e-10, cfg=SolverConfig(),
+             factor=frozen.bind(factor))
+    assert frozen.factorizations == 1
+    res = minimize(Vec([0.1, 0.2]), **DOUBLE_WELL, rtol=1e-10, cfg=SolverConfig(),
+                   factor=frozen.bind(factor))
+    assert frozen.factorizations >= 2 and shifts[1] == 0.0   # the unshifted indefinite matrix
+    assert res.value < res.initial_value
+    assert np.allclose(np.abs(res.x.values), 1.0, atol=1e-12)
 
 
 def test_gate_rejecting_every_candidate_raises():

@@ -8,6 +8,7 @@ import pytest
 from thermovisc.diagnostics import (
     TestBank,
     entropy_production,
+    korn_constant,
     mechanical_energy_check,
     run_certificates,
     state_energies,
@@ -167,11 +168,11 @@ def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
     solve_heat = scheme.solve_heat
     calls = []
 
-    def heat_rejects_first(inc, cfg):
+    def heat_rejects_first(inc, cfg, frozen):
         calls.append(inc.tau)
         if len(calls) == 1:
             raise StepRejectedError("injected thermal failure")
-        return solve_heat(inc, cfg)
+        return solve_heat(inc, cfg, frozen)
 
     monkeypatch.setattr(scheme, "solve_heat", heat_rejects_first)
     sc = shear_pulse(grid=grid66(), T=0.05, amplitude=0.1, t_pulse=0.08)
@@ -187,6 +188,16 @@ def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
     assert (d.M_prev, d.E_prev) == (M0, E0)
     assert abs(sum(d.ledger_items().values())) <= 1e-12 * max(1.0, abs(d.E))
     assert abs(d.energy_gap_total) <= 1e-12 * max(1.0, abs(d.E))
+
+
+def test_korn_and_hk_every_are_periods():
+    sc = shear_pulse(grid=grid66(), T=0.2, amplitude=0.1, t_pulse=0.15)
+    traj = run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=2, hk_every=3))
+    assert [np.isfinite(d.korn_const) for d in traj.step_diags] == [False, True, False, True]
+    assert [np.isfinite(d.hk_bound) for d in traj.step_diags] == [False, False, True, False]
+    # step 4 starts LOBPCG from step 2's eigenvector and gets the fresh value
+    fresh = korn_constant(traj.grid, traj.snapshots[4].F)
+    assert abs(traj.step_diags[3].korn_const - fresh) <= 1e-12 * fresh
 
 
 @pytest.fixture(scope="module")
