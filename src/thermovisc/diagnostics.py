@@ -19,7 +19,7 @@ from scipy.sparse.linalg import lobpcg, splu
 
 from .grid import SPD_LU, tensor_derivatives
 from .heat import robin_flux
-from .materials import det, viscous_form
+from .materials import _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
@@ -143,7 +143,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
         gth = heat_res.theta_new_grad_qp
-        cond = np.einsum("cqa,cqab,cqb->cq", gth, heat_inc.K_prev, gth)
+        cond = _matmul(_matmul(gth[..., None, :], heat_inc.K_prev), gth[..., None])[..., 0, 0]
         mask = snap_new.theta_qp > THETA_FLOOR
         dens = np.where(mask, xi / np.maximum(snap_new.theta_qp, THETA_FLOOR)
                         + cond / np.maximum(snap_new.theta_qp, THETA_FLOOR) ** 2, 0.0)
@@ -333,11 +333,14 @@ def korn_constant(grid, F_qp, state=None):
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil
     (A(F), kron(G, I_d)), preconditioned by the grid's cached scalar Gram
     factorization applied to the field's d components, from the
-    eigenvector kept in ``state`` (a :class:`KornState`) or from ones.  If
-    it misses ``KORN_TOL`` within ``KORN_MAX_ITER`` iterations, inverse
-    iteration against an LU of A(F) from ones gives the value instead.
-    The result is the Rayleigh quotient of the eigenvector, which ``state``
-    keeps for the next call.
+    eigenvector kept in ``state`` (a :class:`KornState`) or from ones.  A
+    kept eigenvector that already meets LOBPCG's stopping test
+    |A x - rho B x| <= ``KORN_TOL`` is taken as it is, so an unchanged form
+    gives the same value bit for bit.  If LOBPCG misses ``KORN_TOL`` within
+    ``KORN_MAX_ITER`` iterations, inverse iteration against an LU of A(F),
+    from LOBPCG's last iterate to the same test, gives the vector instead.
+    The result is the Rayleigh quotient of the B-normalized eigenvector,
+    which ``state`` keeps for the next call.
     """
     d = grid.d
     if np.min(det(F_qp)) <= 0:
@@ -356,35 +359,41 @@ def korn_constant(grid, F_qp, state=None):
         return grid.h1_gram_solve(X.reshape(G.shape[0], -1)).reshape(X.shape)
 
     state = state or KornState()
-    x0 = state.x if state.x is not None else np.ones(A.shape[0])
-    with warnings.catch_warnings():   # a miss is handled below
-        warnings.simplefilter("ignore", UserWarning)
-        _, X, res_norms = lobpcg(A, x0[:, None], B=gram, M=gram_solve, tol=KORN_TOL,
-                                 maxiter=KORN_MAX_ITER, largest=False,
-                                 retResidualNormsHistory=True)
-    x = X[:, 0] if res_norms[-1] <= KORN_TOL else _korn_inverse_iteration(A, gram)
-    state.x = x / np.sqrt(x @ gram(x))
-    return float(state.x @ (A @ state.x))
+    x = state.x
+    if x is None:
+        x = np.ones(A.shape[0])
+        x /= np.sqrt(x @ gram(x))
+    if _korn_residual(A, gram, x) > KORN_TOL:
+        with warnings.catch_warnings():   # a miss is handled below
+            warnings.simplefilter("ignore", UserWarning)
+            _, X, res_norms = lobpcg(A, x[:, None], B=gram, M=gram_solve, tol=KORN_TOL,
+                                     maxiter=KORN_MAX_ITER, largest=False,
+                                     retResidualNormsHistory=True)
+        x = X[:, 0] if res_norms[-1] <= KORN_TOL else _korn_inverse_iteration(A, gram, X[:, 0])
+        x = x / np.sqrt(x @ gram(x))
+    state.x = x
+    return float(x @ (A @ x))
 
 
-def _korn_inverse_iteration(A, gram, tol=1e-12, max_iter=500):
+def _korn_residual(A, gram, x):
+    """LOBPCG's stopping measure |A x - rho B x|, rho = x.A x, at x.B x = 1."""
+    Ax = A @ x
+    return np.linalg.norm(Ax - float(x @ Ax) * gram(x))
+
+
+def _korn_inverse_iteration(A, gram, x, max_iter=500):
     """Eigenvector of the smallest eigenvalue of (A, B), B x = gram(x), by
-    inverse iteration from ones to a relative Rayleigh-quotient change of
-    ``tol``, against an LU of A."""
+    inverse iteration from x against an LU of A, until the B-normalized
+    iterate meets LOBPCG's stopping test (:func:`_korn_residual`)."""
     lu = splu(A, **SPD_LU)
-    x = np.ones(A.shape[0])
-    x /= np.sqrt(x @ gram(x))
-    rho_prev = np.inf
     for _ in range(max_iter):
         x = lu.solve(gram(x))
         bn = np.sqrt(x @ gram(x))
         if bn == 0.0 or not np.isfinite(bn):
             raise RuntimeError("Korn inverse iteration broke down")
         x /= bn
-        rho = float(x @ (A @ x))
-        if abs(rho - rho_prev) <= tol * max(rho, 1e-300):
+        if _korn_residual(A, gram, x) <= KORN_TOL:
             break
-        rho_prev = rho
     return x
 
 
@@ -576,8 +585,8 @@ def weak_residuals(traj, bank: TestBank):
                 continue
 
             w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
-            flux = np.einsum("cqab,cqb->cqa", model.pullback_conductivity(F, th_qp),
-                             (1 - lam) * gth[k - 1] + lam * gth[k])
+            gth_t = (1 - lam) * gth[k - 1] + lam * gth[k]
+            flux = _matmul(model.pullback_conductivity(F, th_qp), gth_t[..., None])[..., 0]
             xi = np.sum(visc * rate, axis=(-2, -1))   # the viscous power nu |Cdot|^2
             src = xi / (1.0 + eps * xi) + np.sum(cpl * rate, axis=(-2, -1))
             robin = 0.0

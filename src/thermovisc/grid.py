@@ -30,11 +30,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dtrtri
 
 from .materials import det
 
-# SuperLU settings of every SPD factorization: minimum degree on A^T + A,
+# SuperLU settings of every sparse LU: minimum degree on A^T + A,
 # diagonal pivots (no row interchanges unless a pivot is exactly zero)
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
           "options": {"SymmetricMode": True}}
@@ -102,6 +103,49 @@ def tensor_derivatives(vals, der1, der2):
             hess[..., b, c] = (times_others(der2[b], (b,)) if c == b
                                else times_others(der1[b] * der1[c], (b, c)))
     return value, grad, hess
+
+
+GRAM_TILE = 32   # tile size of band_cholesky
+
+
+def band_cholesky(A):
+    """Lower Cholesky factor L of a sparse banded SPD matrix, in LAPACK
+    lower band storage cb[k, j] = L[j + k, j] (the input of
+    :func:`scipy.linalg.cho_solve_banded`).
+
+    Right-looking by square tiles of side ``GRAM_TILE``: the Cholesky
+    factor and its inverse of each diagonal tile, the tiles below it times
+    that inverse, and the trailing update by products of single tiles.
+    Each LAPACK or BLAS call works on one tile, which keeps it on the
+    calling thread.  LAPACK's band Cholesky (dpbtrf) instead makes hundreds
+    of small multithreaded BLAS calls, each of which waits for the BLAS
+    threads: on the 16x16 Gram it took 2 ms on an idle 2-core host and
+    30-600 ms when the other core was busy, where this takes about 10 ms.
+    """
+    C = sp.tril(A).tocoo()
+    n, nb = A.shape[0], GRAM_TILE
+    b = int(np.max(C.row - C.col))
+    w, T = -(-b // nb), -(-n // nb)                # tile half-bandwidth, tile count
+    tiles = np.zeros((T, w + 1, nb, nb))           # tiles[I, I - J] = block (I, J)
+    tiles[C.row // nb, C.row // nb - C.col // nb, C.row % nb, C.col % nb] = C.data
+    pad = np.arange(n, T * nb)
+    tiles[pad // nb, 0, pad % nb, pad % nb] = 1.0
+    for K in range(T):
+        L = tiles[K, 0] = np.linalg.cholesky(tiles[K, 0])
+        m = min(w, T - 1 - K)
+        if m == 0:
+            continue
+        below = (np.arange(K + 1, K + 1 + m), np.arange(1, m + 1))   # blocks (K + i, K)
+        P = tiles[below] = tiles[below] @ dtrtri(L, lower=1)[0].T
+        for i in range(m):
+            # block (K+1+i, K+1+j) -= P_i P_j^T for j <= i
+            tiles[K + 1 + i, i - np.arange(i + 1)] -= P[i] @ np.swapaxes(P[:i + 1], 1, 2)
+    j = np.arange(n)
+    rows = j + np.arange(b + 1)[:, None]
+    inside = rows < n
+    rows = np.where(inside, rows, j)
+    cb = tiles[rows // nb, rows // nb - j // nb, rows % nb, j % nb]
+    return np.where(inside, cb, 0.0)
 
 
 FACE_NAMES = {2: ("x0", "x1", "y0", "y1"),
@@ -566,13 +610,22 @@ class StructuredGrid:
     # -- norms and cached Gram factorizations ----------------------------------
 
     def _gram(self, free_only):
-        """(G, lu): the scalar H^1 Gram (mass + stiffness) on the free dofs
-        or all dofs and its factorization, built once per mask and kept."""
+        """(G, cb): the scalar H^1 Gram (mass + stiffness) on the free dofs
+        or all dofs and its banded Cholesky factor, built once per mask and
+        kept.
+
+        The node-by-node dof numbering keeps G banded, and a Cholesky factor
+        stays inside the band: ``cb`` is :func:`band_cholesky` of G.  It
+        holds fewer entries than a SuperLU factor of G, in numpy arrays.
+        SuperLU reserves its C workspace from a fill estimate instead, about
+        26 MB for the 16x16 Gram, and that reservation made the peak memory
+        of a process vary by tens of MB from one run to the next.
+        """
         if free_only not in self._gram_cache:
             c4 = np.broadcast_to(np.eye(self.d), (self.n_cells, self.nq, self.d, self.d))
             G = self.assemble_hessian(1, c4=c4, c0=np.ones((self.n_cells, self.nq)),
                                       free=self.free_sdofs if free_only else None)
-            self._gram_cache[free_only] = (G, splu(G, **SPD_LU))
+            self._gram_cache[free_only] = (G, band_cholesky(G))
         return self._gram_cache[free_only]
 
     def h1_gram(self, free_only=False):
@@ -583,7 +636,7 @@ class StructuredGrid:
     def h1_gram_solve(self, rhs, free_only=True):
         """G^{-1} R for R of shape (n,) or (n, ncomp) on the free dofs or all
         dofs, through the cached factorization: ncomp right-hand sides."""
-        return self._gram(free_only)[1].solve(rhs)
+        return cho_solve_banded((self._gram(free_only)[1], True), rhs, check_finite=False)
 
     def dual_norm(self, residual, free_only=True):
         """Discrete (H^1)* norm sqrt(R : G^{-1} R) of a nodal dual vector R,

@@ -10,6 +10,12 @@ second derivative the incremental solvers need.
 All functions are pure and accept batched inputs: a deformation gradient
 argument may have shape (d, d) or (..., d, d) and results broadcast
 accordingly.  All quantities are nondimensional.
+
+Products of (..., d, d) stacks, such as F^T F at every quadrature point,
+are formed entry by entry (:func:`_matmul`): a few whole-array multiplies
+and adds over the stack.  numpy's batched ``@`` pays a fixed cost for each
+small matrix of the stack, which for 2x2 matrices is several times the
+arithmetic itself.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import xlogy
 
 # below this value theta*log(theta) is evaluated by its continuous extension 0
 THETA_TINY = 1e-300
@@ -78,16 +83,33 @@ def _check_theta(theta):
     return theta
 
 
+def _matmul(A, B):
+    """A @ B for stacks of small matrices, shapes (..., m, n) and (..., n, p),
+    as out[..., i, j] = sum_k A[..., i, k] * B[..., k, j] over whole arrays.
+    Either operand may be a view (a transpose) or a plain matrix broadcast
+    against the other's stack."""
+    n = A.shape[-1]
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]))
+    for i in range(out.shape[-2]):
+        for j in range(out.shape[-1]):
+            acc = A[..., i, 0] * B[..., 0, j]
+            for k in range(1, n):
+                acc += A[..., i, k] * B[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
 def rate_of_cauchy_green(F, Fdot):
     """C-rate Fdot^T F + F^T Fdot for given gradient and gradient rate."""
-    return np.swapaxes(Fdot, -1, -2) @ F + np.swapaxes(F, -1, -2) @ Fdot
+    S = _matmul(np.swapaxes(Fdot, -1, -2), F)
+    return S + np.swapaxes(S, -1, -2)
 
 
 def viscous_form(F):
     """2 (delta (x) F F^T + F (x) F), indexed [..., i, a, j, b]: the form of
     G -> |F^T G + G^T F|^2, i.e. the viscous rate Hessian divided by nu."""
     F = np.asarray(F, dtype=float)
-    FFt = F @ np.swapaxes(F, -1, -2)
+    FFt = _matmul(F, np.swapaxes(F, -1, -2))
     t1 = np.einsum("ab,...ij->...iajb", np.eye(F.shape[-1]), FFt)
     t2 = np.einsum("...ib,...ja->...iajb", F, F)
     return 2.0 * (t1 + t2)
@@ -162,7 +184,7 @@ class MaterialModel:
                 np.where(inside, b2, zero))
 
     def _strain_dev(self, F):
-        return np.swapaxes(F, -1, -2) @ F - np.eye(self.d)
+        return _matmul(np.swapaxes(F, -1, -2), F) - np.eye(self.d)
 
     def phi1(self, F):
         F = np.asarray(F, dtype=float)
@@ -177,7 +199,7 @@ class MaterialModel:
         r2 = self.phi1_radius**2
         u = np.sum(E * E, axis=(-2, -1)) / r2
         _, b1, _ = self._bump(u)
-        return self.phi1_amp * b1[..., None, None] * (4.0 / r2) * (F @ E)
+        return self.phi1_amp * b1[..., None, None] * (4.0 / r2) * _matmul(F, E)
 
     def phi1_hess(self, F):
         """d^2 phi1 / dF^2 with index order (..., i, a, j, b)."""
@@ -186,9 +208,9 @@ class MaterialModel:
         r2 = self.phi1_radius**2
         u = np.sum(E * E, axis=(-2, -1)) / r2
         _, b1, b2 = self._bump(u)
-        FE = F @ E
+        FE = _matmul(F, E)
         eye = np.eye(self.d)
-        FFt = F @ np.swapaxes(F, -1, -2)
+        FFt = _matmul(F, np.swapaxes(F, -1, -2))
         outer = np.einsum("...ia,...jb->...iajb", FE, FE)
         inner = (np.einsum("ij,...ab->...iajb", eye, E)
                  + np.einsum("...ib,...ja->...iajb", F, F)
@@ -240,7 +262,8 @@ class MaterialModel:
     def coupling_energy(self, F, theta):
         theta = _check_theta(theta)
         _check_detF(np.asarray(F, dtype=float))
-        tlog = np.where(theta > THETA_TINY, theta - xlogy(theta, theta), 0.0)
+        tlog = np.where(theta > THETA_TINY,
+                        theta - theta * np.log(np.maximum(theta, THETA_TINY)), 0.0)
         return (1.0 - self.a(theta)) * self.phi1(F) + self.c * tlog
 
     def coupling_stress(self, F, theta):
@@ -359,7 +382,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         _check_detF(F)
         Cdot = rate_of_cauchy_green(F, np.asarray(Fdot, dtype=float))
-        return 2.0 * self.nu * (F @ Cdot)
+        return 2.0 * self.nu * _matmul(F, Cdot)
 
     def viscous_hessian(self, F):
         """Constant-in-rate Hessian of the viscous potential in Fdot."""
@@ -392,7 +415,7 @@ class MaterialModel:
         J = _check_detF(F)
         Fi = inv(F)
         K = self.conductivity(theta)
-        return J[..., None, None] * (Fi @ K @ np.swapaxes(Fi, -1, -2))
+        return J[..., None, None] * _matmul(_matmul(Fi, K), np.swapaxes(Fi, -1, -2))
 
     def isothermal(self):
         """Copy with the thermal coupling switched off."""

@@ -507,6 +507,35 @@ def test_korn_fallback_factorizes_with_the_spd_setting(monkeypatch):
     assert state.x is not None
 
 
+def test_korn_fallback_meets_the_lobpcg_tolerance(monkeypatch):
+    # a clustered spectrum: LOBPCG from ones needs well over its cap here, and
+    # inverse iteration stopped on the Rayleigh-quotient change alone ends
+    # about 1e-11 relative above the eigenvalue
+    grid = StructuredGrid((3, 3, 3), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
+    F1, F2 = drifting_gradients(grid, np.random.default_rng(80), count=2)
+    monkeypatch.setattr(diagnostics, "splu", None)   # converged LOBPCG values only
+    state = KornState()
+    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 1000)
+    korn_constant(grid, F1, state)
+    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 100)
+    ref = korn_constant(grid, F2, state)
+    monkeypatch.setattr(diagnostics, "splu", splu)
+    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 2)
+    fallback = korn_constant(grid, F2)
+    assert abs(fallback - ref) <= 1e-12 * ref
+
+
+def test_korn_constant_of_a_steady_run_is_constant():
+    # the load-free 16x16 steady state is bit-identical from step to step, so
+    # its Korn value must be too, though each call warm-starts from the last
+    grid = StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
+    traj = run(steady(grid=grid, T=0.1), tau=0.01, eps=0.01,
+               config=SolverConfig(korn_every=1, hk_every=0))
+    korn = [d.korn_const for d in traj.step_diags]
+    assert len(korn) == 10 and korn[0] > 0.0
+    assert all(k == korn[0] for k in korn)
+
+
 # ---------------------------------------------------------------------------
 # monitors and weak residuals
 

@@ -1,19 +1,33 @@
 """Constitutive-level tests: finite-difference oracles, frame indifference,
-enthalpy laws and the dissipation identity."""
+enthalpy laws, the dissipation identity and the stacked small-matrix
+products against numpy's batched ``@``."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+import thermovisc
+from thermovisc.grid import StructuredGrid
 from thermovisc.materials import (
     DomainError,
+    THETA_TINY,
     MaterialModel,
     NonphysicalStateError,
+    _matmul,
     det,
     inv,
     random_feasible_gradient,
     random_rotation,
     rate_of_cauchy_green,
+    viscous_form,
 )
+from thermovisc.mech import SolverConfig
+from thermovisc.presets import shear_pulse, steady
+from thermovisc.scheme import run
 
 MODEL = MaterialModel()
 
@@ -479,3 +493,106 @@ def test_closed_form_det_and_inverse_match_linalg(d):
     assert np.max(rel) < 1e-13
     assert det(F[0, 0]) == pytest.approx(float(ref_det[0, 0]), rel=1e-13)   # single matrix
     assert np.array_equal(det(np.eye(d)), 1.0) and np.array_equal(inv(np.eye(d)), np.eye(d))
+
+
+# ---------------------------------------------------------------------------
+# stacked small-matrix products
+
+
+def perturbed_gradients(rng, d, cells=8, nq=16, spread=0.3, noise=0.05):
+    """A quadrature stack: one feasible gradient per cell, perturbed per point."""
+    F = np.stack([random_feasible_gradient(rng, d, spread) for _ in range(cells)])
+    F = F[:, None] + noise * rng.standard_normal((cells, nq, d, d))
+    assert np.linalg.det(F).min() > 0.0
+    return F
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_product_matches_matmul(d):
+    rng = np.random.default_rng(80 + d)
+    A, B = rng.standard_normal((2, 12, 9, d, d))
+    M = rng.standard_normal((d, d))
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)   # non-contiguous views
+    v = rng.standard_normal((12, 9, d))
+    for X, Y in ((A, B), (At, B), (A, Bt), (At, Bt), (M, B), (At, M), (M, M),
+                 (v[..., None, :], A), (A, v[..., None])):
+        got, ref = _matmul(X, Y), np.matmul(X, Y)
+        assert got.shape == ref.shape
+        # rounding of a length-d dot product is relative to sum_k |x_ik| |y_kj|
+        assert np.all(np.abs(got - ref) <= 1e-15 * (np.abs(X) @ np.abs(Y)))
+
+
+def reference_kernels(m, F, Fd, theta):
+    """The rewritten kernels as numpy's batched @ and einsum form them."""
+    eye = np.eye(m.d)
+    Ft = np.swapaxes(F, -1, -2)
+    E = Ft @ F - eye
+    r2 = m.phi1_radius**2
+    _, b1, b2 = m._bump(np.sum(E * E, axis=(-2, -1)) / r2)
+    FE, FFt = F @ E, F @ Ft
+    FxF = np.einsum("...ib,...ja->...iajb", F, F)
+    eFFt = np.einsum("ab,...ij->...iajb", eye, FFt)
+    inner = np.einsum("ij,...ab->...iajb", eye, E) + FxF + eFFt
+    outer = np.einsum("...ia,...jb->...iajb", FE, FE)
+    Cdot = np.swapaxes(Fd, -1, -2) @ F + Ft @ Fd
+    Fi = inv(F)
+    return {
+        "rate_of_cauchy_green": Cdot,
+        "viscous_form": 2.0 * (eFFt + FxF),
+        "_strain_dev": E,
+        "phi1_grad": m.phi1_amp * b1[..., None, None] * (4.0 / r2) * FE,
+        "phi1_hess": m.phi1_amp * (b2[..., None, None, None, None] * (4.0 / r2) ** 2 * outer
+                                   + b1[..., None, None, None, None] * (4.0 / r2) * inner),
+        "viscous_stress": 2.0 * m.nu * (F @ Cdot),
+        "pullback_conductivity": det(F)[..., None, None] * (
+            Fi @ m.conductivity(theta) @ np.swapaxes(Fi, -1, -2)),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_kernels_match_batched_matmul(d):
+    # stress-free identity in 3D needs c2 * q = 12
+    m = MODEL if d == 2 else MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)
+    rng = np.random.default_rng(90 + d)
+    F = perturbed_gradients(rng, d)
+    Fd = rng.standard_normal(F.shape)
+    theta = rng.uniform(0.0, 2.0, F.shape[:-2])
+    got = {
+        "rate_of_cauchy_green": rate_of_cauchy_green(F, Fd),
+        "viscous_form": viscous_form(F),
+        "_strain_dev": m._strain_dev(F),
+        "phi1_grad": m.phi1_grad(F),
+        "phi1_hess": m.phi1_hess(F),
+        "viscous_stress": m.viscous_stress(F, Fd, theta),
+        "pullback_conductivity": m.pullback_conductivity(F, theta),
+    }
+    for name, ref in reference_kernels(m, F, Fd, theta).items():
+        assert np.max(np.abs(ref)) > 0.0, name
+        assert rel_err(got[name], ref) <= 1e-14, name
+    # both products of the rate are formed by one, so the rate is exactly symmetric
+    assert np.array_equal(got["rate_of_cauchy_green"],
+                          np.swapaxes(got["rate_of_cauchy_green"], -1, -2))
+
+
+@pytest.mark.parametrize("build", [shear_pulse, steady], ids=["shear2d", "steady2d"])
+def test_coupling_energy_matches_xlogy_on_the_benchmark_states(build):
+    # theta log theta by np.log is not bit-equal to scipy.special.xlogy
+    grid = StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
+    kwargs = {"amplitude": 0.15, "t_pulse": 0.5} if build is shear_pulse else {}
+    traj = run(build(grid=grid, T=0.1, **kwargs), tau=0.02, eps=0.01,
+               config=SolverConfig(korn_every=0, hk_every=0))
+    for snap in traj.snapshots:
+        theta = np.maximum(snap.theta_qp, 0.0)
+        ref = ((1.0 - MODEL.a(theta)) * MODEL.phi1(snap.F)
+               + MODEL.c * np.where(theta > THETA_TINY, theta - xlogy(theta, theta), 0.0))
+        got = MODEL.coupling_energy(snap.F, theta)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_import_leaves_scipy_special_out():
+    code = "import sys\nimport thermovisc\nprint('scipy.special' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(thermovisc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

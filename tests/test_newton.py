@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from thermovisc import diagnostics, grid, heat, mech, newton
+from thermovisc import diagnostics, heat, mech, newton
 from thermovisc.grid import SPD_LU, StructuredGrid
 from thermovisc.mech import SolverConfig
 from thermovisc.newton import FrozenFactor, StepRejectedError, minimize
@@ -116,8 +116,9 @@ def test_singular_hessian_moves_up_one_rung():
 def test_every_factorization_uses_the_spd_setting(monkeypatch):
     # the Korn certificate factorizes only on its fallback path, covered by
     # test_diagnostics.test_korn_fallback_factorizes_with_the_spd_setting
+    # and the grid's Gram is a banded Cholesky, not an LU
     calls = {}
-    for module in (mech, heat, diagnostics, grid):
+    for module in (mech, heat, diagnostics):
         def recorder(A, _name=module.__name__, **kwargs):
             calls.setdefault(_name, []).append(kwargs)
             lu = splu(A, **kwargs)
@@ -127,7 +128,7 @@ def test_every_factorization_uses_the_spd_setting(monkeypatch):
     g = StructuredGrid((4, 4), (1.0, 1.0), dirichlet_faces=("y0",))
     traj = run(shear_pulse(grid=g, T=0.04, amplitude=0.15, t_pulse=0.5), tau=0.02, eps=0.01)
     assert traj.step_diags[-1].mech_iterations > 0
-    assert sorted(calls) == sorted(m.__name__ for m in (mech, heat, grid))
+    assert sorted(calls) == sorted(m.__name__ for m in (mech, heat))
     assert all(kwargs == SPD_LU for made in calls.values() for kwargs in made)
     # one factorization per Newton solve and run, the rest is CG against it
     assert len(calls[mech.__name__]) == len(calls[heat.__name__]) == 1
