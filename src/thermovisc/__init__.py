@@ -14,7 +14,6 @@ from .mech import (
     MechResult,
     SolverConfig,
     StepRejectedError,
-    estimate_lambda,
     solve_mech,
 )
 from .scheme import Scenario, Trajectory, interpolants, refinement_study, run
@@ -35,7 +34,6 @@ __all__ = [
     "StepRejectedError",
     "StructuredGrid",
     "Trajectory",
-    "estimate_lambda",
     "interpolants",
     "refinement_study",
     "run",

@@ -263,13 +263,8 @@ def parse_config(text: str) -> RunConfig:
     if eps < 0:
         errors.append(f"[time] eps must be nonnegative (got {eps:g})")
 
-    sol_kwargs = {}
-    for key in ("tol_mech", "tol_heat", "tol_pos", "max_newton", "max_backtracks",
-                "det_floor", "max_step_halvings", "korn_every", "hk_every",
-                "checkpoint_every"):
-        if ("solver", key) in values:
-            sol_kwargs[key] = values[("solver", key)]
-    solver = SolverConfig(**sol_kwargs)
+    solver = SolverConfig(**{f.name: values[("solver", f.name)] for f in dc_fields(SolverConfig)
+                             if ("solver", f.name) in values})
     for key in ("tol_mech", "tol_heat", "tol_pos"):
         if getattr(solver, key) <= 0:
             errors.append(f"[solver] {key} must be positive")

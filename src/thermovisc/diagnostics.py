@@ -1,6 +1,6 @@
 """Run-time certificates: energy ledgers, entropy production, the
 determinant lower bound on energy sublevels, the generalized Korn
-constant, a-priori monitors and weak-form residual audits.
+constant and weak-form residual audits.
 
 Every quantity here is computed from trajectory data alone; the solvers
 never see these numbers, so a passing certificate is independent
@@ -25,6 +25,8 @@ from .mech import main_mechanical_energy, semiconvexity_gap
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
 KORN_TOL = 1e-8       # LOBPCG residual |A x - lambda B x| at x.B x = 1
 KORN_MAX_ITER = 100   # LOBPCG iterations before the LU fallback
+LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
+W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
 
 
 @dataclass
@@ -277,7 +279,7 @@ def holder_constant(grid, values_qp, exponent):
     return max_quot
 
 
-def hk_determinant_bound(grid, model, kin, energy_bound=None):
+def hk_determinant_bound(grid, model, kin):
     """Quantitative lower bound for det grad y on an energy sublevel.
 
     Follows the Hoelder-continuity argument for second-gradient energies:
@@ -305,14 +307,9 @@ def hk_determinant_bound(grid, model, kin, energy_bound=None):
     bound = min(c3 ** (1.0 / q) / C1,
                 (c3 / C1**q) ** (lam / (lam * q - d)))
     measured = float(np.min(kin.detF))
-    out = {"bound": float(bound), "measured_min_det": measured,
-           "ratio": float(bound / measured), "holder_constant": C2,
-           "C1": C1, "c3": c3, "lambda": lam}
-    if energy_bound is not None:
-        M = main_mechanical_energy(grid, model, kin)[0]
-        out["energy"] = M
-        out["energy_bound_ok"] = bool(M <= energy_bound + 1e-12)
-    return out
+    return {"bound": float(bound), "measured_min_det": measured,
+            "ratio": float(bound / measured), "holder_constant": C2,
+            "C1": C1, "c3": c3, "lambda": lam}
 
 
 # ---------------------------------------------------------------------------
@@ -398,41 +395,6 @@ def _korn_inverse_iteration(A, gram, x, max_iter=500):
 
 
 # ---------------------------------------------------------------------------
-# a-priori monitors
-
-
-def apriori_monitor(traj):
-    """Per-step discrete norms of the standard a-priori families."""
-    grid, model = traj.grid, traj.model
-    p = model.p
-    out = {"t": [], "y_w2p": [], "rate_grad_l2": [], "min_det": [],
-           "theta_l2": [], "theta_h1": [], "w_rate_dual": []}
-    for k, snap in enumerate(traj.snapshots):
-        yv = grid.eval_values(snap.y)
-        w2p = (grid.assemble_scalar(np.sum(yv**2, axis=-1) ** (p / 2.0))
-               + grid.assemble_scalar(np.sum(snap.F**2, axis=(-2, -1)) ** (p / 2.0))
-               + grid.assemble_scalar(np.sum(snap.G**2, axis=(-3, -2, -1)) ** (p / 2.0)))
-        out["y_w2p"].append(w2p ** (1.0 / p))
-        th, gth = grid.eval_scalar(snap.theta)
-        out["theta_l2"].append(np.sqrt(grid.assemble_scalar(th**2)))
-        out["theta_h1"].append(np.sqrt(grid.assemble_scalar(th**2 + np.sum(gth**2, axis=-1))))
-        out["min_det"].append(float(snap.detF.min()))
-        out["t"].append(snap.t)
-        if k == 0:
-            out["rate_grad_l2"].append(0.0)
-            out["w_rate_dual"].append(0.0)
-            continue
-        prev = traj.snapshots[k - 1]
-        tau = snap.t - prev.t
-        rate = (snap.F - prev.F) / tau
-        out["rate_grad_l2"].append(np.sqrt(grid.assemble_scalar(np.sum(rate**2, axis=(-2, -1)))))
-        dw = (snap.w_qp - prev.w_qp) / tau
-        b = grid.assemble_gradient(1, source=dw)
-        out["w_rate_dual"].append(grid.dual_norm(b, free_only=False))
-    return {k: np.asarray(v) for k, v in out.items()}
-
-
-# ---------------------------------------------------------------------------
 # weak-form residual audit
 
 
@@ -468,6 +430,9 @@ class TestBank:
             L = grid.lengths[p.axis]
             clamp[p.axis] = clamp[p.axis] * Polynomial([0.0, 1.0] if p.side == 0 else [L, -1.0])
             clamp_scale /= L
+        # each polynomial with its first two derivatives, formed once
+        clamp = [(P, P.deriv(1), P.deriv(2)) for P in clamp]
+        plain = [(one, one.deriv(1), one.deriv(2))] * d
 
         def draw(polys, trig, scale):
             modes = []
@@ -480,7 +445,7 @@ class TestBank:
         mech, therm, times = [], [], []
         for _ in range(n_elements):
             mech.append([draw(clamp, "sin", clamp_scale) for _c in range(d)])
-            therm.append(draw([one] * d, "cos", 1.0))
+            therm.append(draw(plain, "cos", 1.0))
             times.append([rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 2.0)])
         self.om_z, self.ph_z, self.om_v = np.array(times).reshape(-1, 3).T
 
@@ -495,8 +460,12 @@ class TestBank:
 
         self.Z, self.gradZ, self.hessZ = vector(grid.qcoords)
         self.V, self.gradV, _ = scalar(grid.qcoords)
-        self.Zface = {name: vector(p.qcoords)[0] for name, p in grid.faces.items()}
-        self.Vface = {name: scalar(p.qcoords)[0] for name, p in grid.faces.items()}
+        # the face traces need values only
+        self.Zface = {name: np.stack([np.stack([_separable_value(p.qcoords, *c) for c in comps],
+                                               axis=-1) for comps in mech])
+                      for name, p in grid.faces.items()}
+        self.Vface = {name: np.stack([_separable_value(p.qcoords, *v) for v in therm])
+                      for name, p in grid.faces.items()}
 
     def s(self, t):
         return np.cos(self.om_z * np.pi * t / self.T + self.ph_z)
@@ -512,17 +481,24 @@ class TestBank:
 
 def _separable(X, amp, modes):
     """Value, gradient and Hessian of amp * prod_k P_k(x_k) trig(a_k x_k + ph_k)
-    at points X (..., d), for modes (P_k, a_k, ph_k, "sin" | "cos")."""
+    at points X (..., d), for modes ((P_k, P_k', P_k''), a_k, ph_k, "sin" | "cos")."""
     factors = []
-    for k, (P, a, ph, trig) in enumerate(modes):
+    for k, ((P, P1, P2), a, ph, trig) in enumerate(modes):
         x = X[..., k]
         s, c = np.sin(a * x + ph), np.cos(a * x + ph)
         g0, g1 = (s, a * c) if trig == "sin" else (c, -a * s)
         g2 = -a * a * g0
-        p0, p1, p2 = P(x), P.deriv(1)(x), P.deriv(2)(x)
+        p0, p1, p2 = P(x), P1(x), P2(x)
         factors.append((p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2))
     value, grad, hess = tensor_derivatives(*zip(*factors))
     return amp * value, amp * grad, amp * hess
+
+
+def _separable_value(X, amp, modes):
+    """The value of :func:`_separable` alone, by the same operations."""
+    trig = {"sin": np.sin, "cos": np.cos}
+    return amp * np.prod([P(X[..., k]) * trig[f](a * X[..., k] + ph)
+                          for k, ((P, _, _), a, ph, f) in enumerate(modes)], axis=0)
 
 
 def _time_nodes(t0, t1, npts=5):
@@ -608,15 +584,15 @@ def weak_residuals(traj, bank: TestBank):
 # run-level certificate summary
 
 
-def run_certificates(traj, tol_pos=1e-10, ledger_rtol=1e-8, w_tol=1e-12):
+def run_certificates(traj, tol_pos=1e-10):
     """Evaluate the per-run certificates and return a JSON-able summary.
 
     A run passes only if every accepted mechanical solve descended, the
     temperature never undershot below -tol_pos, every state stayed locally
     invertible with the certified determinant bound below the measured
     minimum, entropy production stayed nonnegative, the itemized energy
-    ledger closed to ledger_rtol, and the stored enthalpy matched the
-    constitutive relation pointwise.  A trajectory resumed from a
+    ledger closed to ``LEDGER_RTOL``, and the stored enthalpy matched the
+    constitutive relation pointwise to ``W_TOL``.  A trajectory resumed from a
     checkpoint holds only the steps after its restart; the summary then
     reports ``partial`` with the restart step as ``first_step``.
     """
@@ -653,14 +629,14 @@ def run_certificates(traj, tol_pos=1e-10, ledger_rtol=1e-8, w_tol=1e-12):
     for d in diags:
         scale = max(abs(d.E), abs(d.ext_power), d.dissipation_step, 1.0)
         worst_gap = max(worst_gap, abs(d.energy_gap_total) / scale)
-    add("energy_ledger_closes", worst_gap <= ledger_rtol, worst_gap, ledger_rtol)
+    add("energy_ledger_closes", worst_gap <= LEDGER_RTOL, worst_gap, LEDGER_RTOL)
 
     if not iso:
         worst_w = 0.0
         for snap in traj.snapshots:
             w_check = traj.model.enthalpy(snap.F, np.maximum(snap.theta_qp, 0.0))
             worst_w = max(worst_w, float(np.max(np.abs(snap.w_qp - w_check))))
-        add("enthalpy_consistency", worst_w <= w_tol, worst_w, w_tol)
+        add("enthalpy_consistency", worst_w <= W_TOL, worst_w, W_TOL)
 
     korn_vals = [d.korn_const for d in diags if np.isfinite(d.korn_const)]
     if korn_vals:

@@ -40,6 +40,8 @@ from .materials import det
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
           "options": {"SymmetricMode": True}}
 
+QUAD_PTS = 4   # Gauss points per axis in cells and on faces (module docstring)
+
 
 def _hermite_1d(side, m, t, h, order):
     """Value/derivative of the 1D Hermite basis on [0,1] scaled to width h.
@@ -177,7 +179,7 @@ class FacePatch:
 class StructuredGrid:
     """Tensor-product reference mesh with C^1 Hermite dofs."""
 
-    def __init__(self, extents, lengths, dirichlet_faces=("x0",), quad_pts=4):
+    def __init__(self, extents, lengths, dirichlet_faces=("x0",)):
         extents = tuple(int(n) for n in extents)
         lengths = tuple(float(L) for L in lengths)
         if len(extents) != len(lengths) or len(extents) not in (2, 3):
@@ -210,9 +212,9 @@ class StructuredGrid:
         self.nloc = 4**d               # scalar basis functions per cell
 
         self._build_nodes()
-        self._build_quadrature(quad_pts)
+        self._build_quadrature()
         self._build_cell_dofs()
-        self._build_faces(quad_pts)
+        self._build_faces()
         self._build_dirichlet_mask()
         self._pattern_cache = {}
         self._operator_cache = {}
@@ -237,14 +239,14 @@ class StructuredGrid:
         coords = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
         self.node_coords = coords
 
-    def _build_quadrature(self, npts):
-        g, w = np.polynomial.legendre.leggauss(npts)
+    def _build_quadrature(self):
+        g, w = np.polynomial.legendre.leggauss(QUAD_PTS)
         t = 0.5 * (g + 1.0)
         w = 0.5 * w
         self.quad_pts_1d = t
         self.quad_wts_1d = w
         d = self.d
-        pts = list(itertools.product(*([range(npts)] * d)))
+        pts = list(itertools.product(*([range(QUAD_PTS)] * d)))
         self.nq = len(pts)
         tq = np.array([[t[p[k]] for k in range(d)] for p in pts])        # (nq, d)
         wq = np.array([np.prod([w[p[k]] for k in range(d)]) for p in pts])
@@ -293,7 +295,7 @@ class StructuredGrid:
                     a += 1
         self.cells_sdofs = cells
 
-    def _build_faces(self, npts):
+    def _build_faces(self):
         d = self.d
         t, w = self.quad_pts_1d, self.quad_wts_1d
         self.faces = {}
@@ -304,7 +306,7 @@ class StructuredGrid:
             o_list = list(itertools.product(*([(0, 1)] * (d - 1))))
             m_list = list(itertools.product(*([(0, 1)] * (d - 1))))
             nlocf = len(o_list) * len(m_list)
-            qf = list(itertools.product(*([range(npts)] * (d - 1))))
+            qf = list(itertools.product(*([range(QUAD_PTS)] * (d - 1))))
             nqf = len(qf)
             tqf = np.array([[t[p[j]] for j in range(d - 1)] for p in qf]).reshape(nqf, d - 1)
             wqf = np.array([np.prod([w[p[j]] for j in range(d - 1)]) for p in qf])
@@ -397,36 +399,20 @@ class StructuredGrid:
             vals[(1 << k)::nd, k] = 1.0
         return NodalField(self, vals)
 
-    def interpolate(self, fn, ncomp=1, dfn=None, fd_step=1e-5):
+    def interpolate(self, fn, dfn, ncomp=1):
         """Hermite interpolant of a callable fn(X) -> (n,) or (n, ncomp).
 
-        dfn(X, m) must return the mixed partial for multi-index m (tuple of
-        0/1 per axis); without it the nodal derivative dofs come from
-        central differences of fn, which is only good to ~sqrt(eps).
+        dfn(X, m) returns the mixed partial for multi-index m (tuple of 0/1
+        per axis, not all zero), which the derivative dofs take exactly.
         """
         X = self.node_coords
         nd = self.ndof_node
         shape = (self.n_sdofs,) if ncomp == 1 else (self.n_sdofs, ncomp)
         vals = np.zeros(shape)
-
-        def eval_m(m):
-            if sum(m) == 0:
-                return np.asarray(fn(X), dtype=float)
-            if dfn is not None:
-                return np.asarray(dfn(X, m), dtype=float)
-            axes = [k for k in range(self.d) for _ in range(m[k]) if m[k]]
-            out = np.zeros(X.shape[:1] + ((ncomp,) if ncomp > 1 else ()))
-            # nested central differences over the active axes
-            for signs in itertools.product(*([(1, -1)] * len(axes))):
-                Xp = X.copy()
-                for sgn, k in zip(signs, axes):
-                    Xp[:, k] += sgn * fd_step
-                out = out + np.prod(signs) * np.asarray(fn(Xp), dtype=float)
-            return out / (2.0 * fd_step) ** len(axes)
-
-        for m_code in range(nd):
+        vals[0::nd] = np.asarray(fn(X), dtype=float)
+        for m_code in range(1, nd):
             m = tuple((m_code >> k) & 1 for k in range(self.d))
-            vals[m_code::nd] = eval_m(m)
+            vals[m_code::nd] = np.asarray(dfn(X, m), dtype=float)
         return NodalField(self, vals)
 
     # -- evaluation -------------------------------------------------------------
@@ -671,21 +657,8 @@ class NodalField:
         self.grid = grid
         self.values = values
 
-    @property
-    def ncomp(self):
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def copy(self):
         return NodalField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        return NodalField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return NodalField(self.grid, self.values - other.values)
-
-    def scaled(self, a):
-        return NodalField(self.grid, a * self.values)
 
 
 def apply_dirichlet_identity(grid, y):

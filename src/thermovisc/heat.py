@@ -48,23 +48,17 @@ class HeatIncrement:
 
     grid: object
     model: object
-    y_prev: NodalField
-    y_new: NodalField
     theta_prev: NodalField
     w_prev_qp: np.ndarray            # (ncells, nq)
     tau: float
     eps: float
     theta_b: dict                    # face -> (n_face_cells, nqf), already averaged
+    F_prev: np.ndarray = field(repr=False)   # deformation gradients at the
+    F_new: np.ndarray = field(repr=False)    # quadrature points, before and after
     source_override: np.ndarray | None = None   # replaces the capped dissipation
-    F_prev: np.ndarray = field(default=None, repr=False)
-    F_new: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         g, m = self.grid, self.model
-        if self.F_prev is None:
-            self.F_prev = g.eval_kinematics(self.y_prev).F
-        if self.F_new is None:
-            self.F_new = g.eval_kinematics(self.y_new).F
         if det(self.F_prev).min() <= 0 or det(self.F_new).min() <= 0:
             raise ValueError("deformation states must be locally invertible")
         self.theta_prev_qp, _ = g.eval_scalar(self.theta_prev)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, NodalField, zero_dirichlet_rows
-from .materials import rate_of_cauchy_green
+from .materials import det, rate_of_cauchy_green
 from .newton import FrozenFactor, StepRejectedError, minimize  # noqa: F401  (re-exported)
 
 
@@ -36,16 +36,13 @@ class SolverConfig:
     tol_mech: float = 1e-8       # relative dual-norm tolerance, mech step
     tol_heat: float = 1e-9       # relative dual-norm tolerance, heat step
     tol_pos: float = 1e-10       # permitted temperature undershoot
-    atol_residual: float = 1e-13  # absolute dual-norm floor (steady states)
     max_newton: int = 50
     max_backtracks: int = 40
-    armijo: float = 1e-4
     det_floor: float = 0.1       # accepted min det >= det_floor * current
     max_step_halvings: int = 4
     korn_every: int = 1          # Korn eigensolve every n-th step; 0 disables it
     hk_every: int = 1            # determinant bound every n-th step; 0 disables it
     checkpoint_every: int = 0
-    time_quad_pts: int = 4       # Gauss points for per-step load averaging
 
 
 @dataclass
@@ -59,20 +56,15 @@ class MechIncrement:
     tau: float
     eps: float
     load_vector: np.ndarray        # (n_sdofs, d), dual pairing <loads, .>
+    F_prev: np.ndarray = field(repr=False)   # grad y_prev at the quadrature points
     include_coupling: bool = True
-    F_prev: np.ndarray = field(default=None, repr=False)
-    min_det_prev: float = field(default=None)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.F_prev is None:
-            kin = self.grid.eval_kinematics(self.y_prev)
-            self.F_prev = kin.F
-            self.min_det_prev = kin.min_detF
-        if self.min_det_prev <= 0:
+        if det(self.F_prev).min() <= 0:
             raise ValueError("previous state must satisfy min det grad y > 0")
         # the viscous+regularization Hessian block is constant over the step
         self._visc_c4 = (self.model.viscous_hessian(self.F_prev) / self.tau
@@ -186,26 +178,6 @@ def mech_energy_gradient(grid, model, kin):
     """Assembled derivative of the main mechanical energy (no BC rows zeroed)."""
     return grid.assemble_gradient(grid.d, stress=model.elastic_stress(kin.F),
                                   hyperstress=model.hyperstress(kin.G))
-
-
-def estimate_lambda(grid, model, y1: NodalField, y2: NodalField):
-    """Smallest Lambda >= 0 closing the semiconvexity gap for this pair.
-
-    M(y2) >= M(y1) + DM(y1)[y2-y1] - Lambda * ||grad y2 - grad y1||^2.
-    """
-    kin1 = grid.eval_kinematics(y1)
-    kin2 = grid.eval_kinematics(y2)
-    if kin1.detF.min() <= 0 or kin2.detF.min() <= 0:
-        raise ValueError("both states must be locally invertible")
-    M1 = main_mechanical_energy(grid, model, kin1)[0]
-    M2 = main_mechanical_energy(grid, model, kin2)[0]
-    dv = y2.values - y1.values
-    lin = float(np.sum(mech_energy_gradient(grid, model, kin1) * dv))
-    gradsq = grid.assemble_scalar(np.sum((kin2.F - kin1.F) ** 2, axis=(-2, -1)))
-    gap = M2 - M1 - lin
-    if gradsq <= 0.0:
-        return 0.0
-    return max(0.0, -gap / gradsq)
 
 
 def semiconvexity_gap(grid, model, y_new: NodalField, y_prev: NodalField,

@@ -32,6 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 
+ATOL_RESIDUAL = 1e-13  # absolute dual-norm floor of the target (steady states)
+ARMIJO = 1e-4          # sufficient decrease of the backtracking line search
 CG_RTOL = 1e-12      # relative residual of a CG solve against the kept LU
 CG_MAX_ITER = 25     # CG iterations before the current matrix is factorized
 
@@ -113,7 +115,7 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
     ``free`` entries are the unknowns.  ``functional(x) -> (J, aux)``, J =
     +inf when infeasible; ``gradient(x, aux)`` is zero on fixed dofs;
     ``hessian(x, aux)`` is restricted to the free dofs; ``dual_norm(r)``
-    measures the target ``max(rtol * |r0|, cfg.atol_residual)``;
+    measures the target ``max(rtol * |r0|, ATOL_RESIDUAL)``;
     ``factor(A).solve(b)`` solves with a free-dof matrix (a sparse LU, or
     :meth:`FrozenFactor.bind` of one) and raises ``RuntimeError`` on
     breakdown.  ``admissible(aux_cand, aux)`` gates candidates against the
@@ -130,7 +132,7 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
     r = gradient(x, aux)
     rnorm0 = dual_norm(r)
     rnorm = rnorm0
-    target = max(rtol * rnorm0, cfg.atol_residual)
+    target = max(rtol * rnorm0, ATOL_RESIDUAL)
 
     iters = 0
     at_floor = False
@@ -169,7 +171,7 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
                     cand = x.copy()
                     cand.values.reshape(-1)[free] += t * p
                     Jc, aux_c = functional(cand)
-                    if (Jc <= J + cfg.armijo * t * slope
+                    if (Jc <= J + ARMIJO * t * slope
                             and np.isfinite(Jc)
                             and (admissible is None or admissible(aux_c, aux))):
                         x, J, aux = cand, Jc, aux_c

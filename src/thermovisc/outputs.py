@@ -113,7 +113,7 @@ def read_field_dump(path):
     return meta, arrays
 
 
-def emit_outputs(traj, outdir, config_text=None, config_hash="", extra_report=None):
+def emit_outputs(traj, outdir, config_text=None, config_hash=""):
     """Write timeseries, per-snapshot field dumps and the certificate report.
 
     Returns the report dict (also written as report.json)."""
@@ -131,8 +131,6 @@ def emit_outputs(traj, outdir, config_text=None, config_hash="", extra_report=No
         with open(os.path.join(outdir, "config.ini"), "w", encoding="utf-8") as fh:
             fh.write(config_text)
     report = run_certificates(traj, tol_pos=traj.config.tol_pos)
-    if extra_report:
-        report.update(extra_report)
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

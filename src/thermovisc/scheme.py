@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,8 @@ from .heat import HeatIncrement, solve_heat
 from .materials import MaterialModel
 from .mech import MechIncrement, SolverConfig, StepRejectedError, solve_mech
 from .newton import FrozenFactor
+
+TIME_QUAD_PTS = 4   # Gauss points in time for the per-step load and boundary averages
 
 
 @dataclass
@@ -108,10 +111,6 @@ class Snapshot:
     theta_qp: np.ndarray
     energies: tuple = None   # (M, H, Phi_cpl, W, E), set once by _make_snapshot
 
-    @property
-    def min_detF(self):
-        return float(self.detF.min())
-
 
 @dataclass
 class Trajectory:
@@ -140,9 +139,6 @@ class Trajectory:
     def n_steps(self):
         """Number of the last step, counted from t = 0 also after a resume."""
         return self.snapshots[-1].k
-
-    def times(self):
-        return np.array([s.t for s in self.snapshots])
 
     def require_start_at_zero(self, what):
         """Reject a resumed trajectory: its snapshots begin at the restart
@@ -212,8 +208,8 @@ def transform_nodal_scalar(grid, field, derivs):
     return NodalField(grid, new)
 
 
-def _time_average(fn, t0, t1, npts):
-    g, w = np.polynomial.legendre.leggauss(npts)
+def _time_average(fn, t0, t1):
+    g, w = np.polynomial.legendre.leggauss(TIME_QUAD_PTS)
     ts = 0.5 * (t1 - t0) * g + 0.5 * (t0 + t1)
     ws = 0.5 * w  # averaging weights sum to 1
     out = None
@@ -223,20 +219,20 @@ def _time_average(fn, t0, t1, npts):
     return out
 
 
-def step_load_vector(scenario, t0, t1, npts=4):
+def step_load_vector(scenario, t0, t1):
     """Time-averaged dual load vector <l_k, .> over one step."""
     grid = scenario.grid
     L = np.zeros((grid.n_sdofs, grid.d))
     if scenario.bulk_force is not None:
         g_avg = _time_average(lambda t: np.asarray(
-            scenario.bulk_force(t, grid.qcoords), dtype=float), t0, t1, npts)
+            scenario.bulk_force(t, grid.qcoords), dtype=float), t0, t1)
         L += grid.assemble_gradient(grid.d, source=g_avg)
     if scenario.traction is not None:
         coef = {}
         for name in grid.neumann_faces:
             p = grid.faces[name]
             f_avg = _time_average(lambda t: np.asarray(
-                scenario.traction(t, name, p.qcoords), dtype=float), t0, t1, npts)
+                scenario.traction(t, name, p.qcoords), dtype=float), t0, t1)
             if f_avg is not None and np.any(f_avg):
                 coef[name] = f_avg
         if coef:
@@ -244,7 +240,7 @@ def step_load_vector(scenario, t0, t1, npts=4):
     return L
 
 
-def step_theta_b(scenario, eps, t0, t1, npts=4):
+def step_theta_b(scenario, eps, t0, t1):
     """Per-face regularized, time-averaged boundary temperature."""
     grid = scenario.grid
     out = {}
@@ -252,7 +248,7 @@ def step_theta_b(scenario, eps, t0, t1, npts=4):
         def reg(t):
             tb = scenario._theta_b_raw(t, name, p.qcoords)
             return tb / (1.0 + eps * tb)
-        out[name] = _time_average(reg, t0, t1, npts)
+        out[name] = _time_average(reg, t0, t1)
     return out
 
 
@@ -354,24 +350,22 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
     scenario, cfg = traj.scenario, traj.config
     grid, model = traj.grid, traj.model
     tau_step = t1 - t0
-    load = step_load_vector(scenario, t0, t1, cfg.time_quad_pts)
+    load = step_load_vector(scenario, t0, t1)
 
     mech_inc = MechIncrement(
         grid=grid, model=model, y_prev=snap_prev.y,
         theta_prev_qp=np.maximum(snap_prev.theta_qp, 0.0),
-        tau=tau_step, eps=traj.eps, load_vector=load,
-        include_coupling=not scenario.isothermal,
-        F_prev=snap_prev.F, min_det_prev=snap_prev.min_detF)
+        tau=tau_step, eps=traj.eps, load_vector=load, F_prev=snap_prev.F,
+        include_coupling=not scenario.isothermal)
     mech_res = solve_mech(mech_inc, cfg, solvers.mech)
 
     if scenario.isothermal:
         heat_inc = heat_res = None
         theta, theta_qp, w_qp = snap_prev.theta, snap_prev.theta_qp, np.zeros_like(snap_prev.w_qp)
     else:
-        theta_b = step_theta_b(scenario, traj.eps, t0, t1, cfg.time_quad_pts)
+        theta_b = step_theta_b(scenario, traj.eps, t0, t1)
         heat_inc = HeatIncrement(
-            grid=grid, model=model, y_prev=snap_prev.y, y_new=mech_res.y_new,
-            theta_prev=snap_prev.theta, w_prev_qp=snap_prev.w_qp,
+            grid=grid, model=model, theta_prev=snap_prev.theta, w_prev_qp=snap_prev.w_qp,
             tau=tau_step, eps=traj.eps, theta_b=theta_b,
             F_prev=snap_prev.F, F_new=mech_res.kinematics.F)
         heat_res = solve_heat(heat_inc, cfg, solvers.heat)
@@ -556,7 +550,10 @@ def save_checkpoint(traj: Trajectory, directory):
 def load_checkpoint(traj: Trajectory, directory):
     """Resume from the newest checkpoint whose config hash matches.
 
-    A resumed trajectory holds snapshots from the restart point onward;
+    Checkpoints written under another configuration (another hash) are
+    skipped; when the directory holds some but none matches, a
+    ``UserWarning`` says so and the run starts from step 0.  A resumed
+    trajectory holds snapshots from the restart point onward;
     diagnostics of the skipped steps are not reconstructed.  Per-step
     checks index it by absolute step (see ``Trajectory.step``), the run
     certificates mark it partial, and the interpolants and weak residuals,
@@ -579,4 +576,8 @@ def load_checkpoint(traj: Trajectory, directory):
         traj.snapshots = [_start_snapshot(traj, int(meta["step"]), float(meta["t"]),
                                           y, theta, w_qp=w)]
         return int(meta["step"])
+    if files:
+        warnings.warn(f"no checkpoint in {directory} matches this run's configuration "
+                      f"(hash {h}); skipped {len(files)} file(s), starting from step 0",
+                      UserWarning, stacklevel=3)
     return None

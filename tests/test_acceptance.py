@@ -138,16 +138,16 @@ def test_criterion_01_gradient_consistency():
                                          hyperstress=MODEL.hyperstress(kin.G))
     theta_qp = np.ones((grid.n_cells, grid.nq))
     load = 0.05 * rng.standard_normal((grid.n_sdofs, 2))
+    F_id = grid.eval_kinematics(grid.identity_field()).F
     inc = MechIncrement(grid=grid, model=MODEL, y_prev=grid.identity_field(),
                         theta_prev_qp=theta_qp, tau=0.05, eps=0.01,
-                        load_vector=load)
+                        load_vector=load, F_prev=F_id)
     r_mech, _ = incremental_gradient(inc, y)
-    y_new = y.copy()
     w_prev = MODEL.enthalpy(kin.F, theta_qp)
-    hinc = HeatIncrement(grid=grid, model=MODEL, y_prev=grid.identity_field(),
-                         y_new=y_new, theta_prev=grid.constant_field(1.0),
+    hinc = HeatIncrement(grid=grid, model=MODEL, theta_prev=grid.constant_field(1.0),
                          w_prev_qp=w_prev, tau=0.05, eps=0.01,
-                         theta_b=uniform_theta_b(grid, 0.8))
+                         theta_b=uniform_theta_b(grid, 0.8),
+                         F_prev=F_id, F_new=kin.F)
     th_field = NodalField(grid, grid.constant_field(1.0).values
                           + 0.1 * rng.standard_normal(grid.n_sdofs))
     r_heat = heat_gradient(hinc, th_field)

@@ -1,14 +1,18 @@
 """Config parsing/validation, output formats and the CLI front door."""
 
+import dataclasses
 import json
 import os
+from configparser import ConfigParser
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermovisc.cli import main as cli_main
-from thermovisc.config import ConfigError, parse_config
+from thermovisc.config import _SCHEMA, ConfigError, parse_config
 from thermovisc.grid import StructuredGrid
+from thermovisc.mech import SolverConfig
 from thermovisc.outputs import (
     TIMESERIES_COLUMNS,
     emit_outputs,
@@ -93,6 +97,19 @@ def test_output_seed_is_unknown_key():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + "\n[output]\nseed = 1234\n")
     assert "unknown key 'seed' in [output]" in str(exc.value)
+
+
+def test_config_surface_matches_solver_config_and_readme():
+    # every SolverConfig field is an INI key (isothermal belongs to the scenario)
+    solver_keys = set(_SCHEMA["solver"]) - {"isothermal"}
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == solver_keys
+    # the README's config block lists exactly the keys the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cp = ConfigParser(inline_comment_prefixes=(";",))
+    cp.optionxform = str
+    cp.read_string(block)
+    assert {s: set(cp[s]) for s in cp.sections()} == {s: set(k) for s, k in _SCHEMA.items()}
 
 
 def test_roundtrip_serialize_parse():

@@ -1,6 +1,6 @@
 """Certificate tests: energy balance checks, entropy production, the
-determinant lower bound, the Korn eigensolve, a-priori monitors and the
-weak-form residual audit."""
+determinant lower bound, the Korn eigensolve and the weak-form residual
+audit."""
 
 import copy
 import dataclasses
@@ -20,7 +20,6 @@ from thermovisc.diagnostics import (
     KornState,
     StepDiagnostics,
     TestBank,
-    apriori_monitor,
     entropy_production,
     hk_determinant_bound,
     holder_constant,
@@ -537,24 +536,7 @@ def test_korn_constant_of_a_steady_run_is_constant():
 
 
 # ---------------------------------------------------------------------------
-# monitors and weak residuals
-
-
-def test_apriori_monitor_steady_rates_zero():
-    sc = steady(grid=grid66(), T=0.2)
-    traj = run(sc, tau=0.05, eps=0.01)
-    mon = apriori_monitor(traj)
-    assert np.all(mon["rate_grad_l2"] == 0.0)
-    assert np.all(mon["w_rate_dual"] == 0.0)
-    assert np.all(np.isfinite(mon["y_w2p"]))
-    hk = np.array([d.hk_bound for d in traj.step_diags])
-    assert np.all(mon["min_det"][1:] >= hk)
-
-
-def test_apriori_monitor_finite_on_loaded_run(pulse_traj):
-    mon = apriori_monitor(pulse_traj)
-    for key, series in mon.items():
-        assert np.all(np.isfinite(series)), key
+# weak residuals
 
 
 def test_weak_residuals_steady_tiny():

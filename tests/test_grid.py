@@ -563,13 +563,14 @@ def heat_increment(g, theta_b, kappa=1.0, y_new=None, theta_prev=None):
     """A thermal increment on g with Robin data theta_b (scalar or dict)."""
     model = heat_model(g.d, kappa)
     y_prev = g.identity_field()
+    F_prev = g.eval_kinematics(y_prev).F
     th_prev = theta_prev or g.constant_field(1.0)
     th_qp, _ = g.eval_scalar(th_prev)
-    w_prev = model.enthalpy(g.eval_kinematics(y_prev).F, np.maximum(th_qp, 0.0))
+    w_prev = model.enthalpy(F_prev, np.maximum(th_qp, 0.0))
     tb = uniform_theta_b(g, theta_b) if np.isscalar(theta_b) else theta_b
-    return HeatIncrement(grid=g, model=model, y_prev=y_prev, y_new=y_new or y_prev,
-                         theta_prev=th_prev, w_prev_qp=w_prev, tau=0.05, eps=0.01,
-                         theta_b=tb)
+    return HeatIncrement(grid=g, model=model, theta_prev=th_prev, w_prev_qp=w_prev,
+                         tau=0.05, eps=0.01, theta_b=tb, F_prev=F_prev,
+                         F_new=g.eval_kinematics(y_new or y_prev).F)
 
 
 def robin_form(inc, theta):

@@ -1,6 +1,6 @@
 """Mechanical-step tests: stationarity of the stress-free state, gradient
 consistency of the incremental functional, descent and determinant
-safeguards, and the semiconvexity estimator."""
+safeguards, and the semiconvexity-gap identity."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from thermovisc.mech import (
     MechResult,
     SolverConfig,
     StepRejectedError,
-    estimate_lambda,
     incremental_functional,
     incremental_gradient,
     main_mechanical_energy,
@@ -30,8 +29,9 @@ def make_inc(grid, model=MODEL, tau=0.05, eps=0.01, theta=1.0, load=None,
     if load is None:
         load = np.zeros((grid.n_sdofs, grid.d))
     return MechIncrement(grid=grid, model=model, y_prev=y_prev,
-                         theta_prev_qp=theta_qp, tau=tau, eps=eps,
-                         load_vector=load, include_coupling=include_coupling)
+                         theta_prev_qp=theta_qp, tau=tau, eps=eps, load_vector=load,
+                         F_prev=grid.eval_kinematics(y_prev).F,
+                         include_coupling=include_coupling)
 
 
 def feasible_perturbation(grid, rng, scale=0.01):
@@ -139,41 +139,6 @@ def test_solver_never_returns_nonpositive_det():
         pass  # rejection is an allowed outcome; det <= 0 is not
 
 
-def test_estimate_lambda_zero_for_same_state_and_convex_model():
-    g = StructuredGrid((3, 3), (1.0, 1.0))
-    rng = np.random.default_rng(3)
-    y1 = feasible_perturbation(g, rng, scale=0.02)
-    assert estimate_lambda(g, MODEL, y1, y1) == 0.0
-    # pure hyperstress model: stored energy convex, Lambda = 0 for all pairs
-    convex = MaterialModel(c1=0.0, c2=1e-12, phi1_amp=0.0)
-    for _ in range(10):
-        ya = feasible_perturbation(g, rng, scale=0.05)
-        yb = feasible_perturbation(g, rng, scale=0.05)
-        assert estimate_lambda(g, convex, ya, yb) <= 1e-8
-
-
-def test_estimate_lambda_bounded_by_segment_curvature():
-    g = StructuredGrid((3, 3), (1.0, 1.0))
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        y1 = feasible_perturbation(g, rng, scale=0.03)
-        y2 = feasible_perturbation(g, rng, scale=0.03)
-        lam = estimate_lambda(g, MODEL, y1, y2)
-        # dense sampling of the most negative Hessian eigenvalue along the
-        # segment bounds the admissible Lambda
-        worst = 0.0
-        for s in np.linspace(0.0, 1.0, 21):
-            y = NodalField(g, (1 - s) * y1.values + s * y2.values)
-            kin = g.eval_kinematics(y)
-            H4 = (MODEL.elastic_hessian(kin.F)
-                  + MODEL.coupling_hessian(kin.F, 1.0))
-            n = kin.F.shape[0] * kin.F.shape[1]
-            Hm = H4.reshape(n, 4, 4)
-            ev = np.linalg.eigvalsh(0.5 * (Hm + np.swapaxes(Hm, -1, -2)))
-            worst = max(worst, float(max(0.0, -ev.min())))
-        assert lam <= 0.5 * worst + 1e-9
-
-
 def test_semiconvexity_gap_exact_identity():
     # the gap definition must reproduce DM[dy] - dM exactly
     g = StructuredGrid((3, 3), (1.0, 1.0))
@@ -184,10 +149,15 @@ def test_semiconvexity_gap_exact_identity():
     M1, _ = main_mechanical_energy(g, MODEL, kin1)
     M2, _ = main_mechanical_energy(g, MODEL, kin2)
     gap = semiconvexity_gap(g, MODEL, y2, y1, kin2, M2, M1)
-    lam = estimate_lambda(g, MODEL, y2, y1)
-    gradsq = g.assemble_scalar(np.sum((kin2.F - kin1.F) ** 2, axis=(-2, -1)))
-    # gap >= -Lambda ||dF||^2 by construction of the estimator
-    assert gap >= -lam * gradsq - 1e-12
+    # DM(y2) assembled here from the stress and hyperstress, M from the densities
+    DM = g.assemble_gradient(2, stress=MODEL.elastic_stress(kin2.F),
+                             hyperstress=MODEL.hyperstress(kin2.G))
+
+    def M(kin):
+        return g.assemble_scalar(MODEL.elastic_energy(kin.F) + MODEL.hyperstress_energy(kin.G))
+
+    expect = float(np.sum(DM * (y2.values - y1.values))) - (M(kin2) - M(kin1))
+    assert gap == pytest.approx(expect, rel=1e-12, abs=0.0)
     assert isinstance(M1, float) and isinstance(M2, float)
 
 
