@@ -42,6 +42,9 @@ _SCHEMA = {
                "tau_list": "float_list", "eps_list": "float_list"},
 }
 
+_FORMAT = {"float": lambda v: f"{v:.17g}", "int": str, "bool": lambda v: str(v).lower(),
+           "str": str}   # serialized form of one value of each kind
+
 _DEFAULTS = {
     "grid": {"extents": [16, 16], "lengths": [1.0, 1.0], "dirichlet": ["y0"]},
     "loads": {"scenario": "steady", "amplitude": 0.15, "t_pulse": 0.5,
@@ -126,52 +129,18 @@ class RunConfig:
         return sc
 
     def serialize(self) -> str:
-        m = self.material
-        lines = [
-            "[grid]",
-            "extents = " + " ".join(str(v) for v in self.extents),
-            "lengths = " + " ".join(f"{v:.17g}" for v in self.lengths),
-            "dirichlet = " + " ".join(self.dirichlet),
-            "",
-            "[material]",
-        ]
-        for name in ("c1", "c2", "s", "q", "p", "h_coef", "nu", "c", "alpha",
-                     "phi1_amp", "phi1_radius", "k_bar", "kappa"):
-            lines.append(f"{name} = {getattr(m, name):.17g}")
-        lines += [
-            "",
-            "[loads]",
-            f"scenario = {self.scenario}",
-            f"amplitude = {self.amplitude:.17g}",
-            f"t_pulse = {self.t_pulse:.17g}",
-            f"theta_b = {self.theta_b:.17g}",
-            f"theta0 = {self.theta0:.17g}",
-            "",
-            "[time]",
-            f"T = {self.T:.17g}",
-            f"tau = {self.tau:.17g}",
-            f"eps = {self.eps:.17g}",
-            "",
-            "[solver]",
-            f"tol_mech = {self.solver.tol_mech:.17g}",
-            f"tol_heat = {self.solver.tol_heat:.17g}",
-            f"tol_pos = {self.solver.tol_pos:.17g}",
-            f"max_newton = {self.solver.max_newton}",
-            f"max_backtracks = {self.solver.max_backtracks}",
-            f"det_floor = {self.solver.det_floor:.17g}",
-            f"max_step_halvings = {self.solver.max_step_halvings}",
-            f"isothermal = {str(self.isothermal).lower()}",
-            f"korn_every = {self.solver.korn_every}",
-            f"hk_every = {self.solver.hk_every}",
-            f"checkpoint_every = {self.solver.checkpoint_every}",
-            "",
-            "[output]",
-            f"directory = {self.directory}",
-            f"diagnostics = {self.diagnostics}",
-            "tau_list = " + " ".join(f"{v:.17g}" for v in self.tau_list),
-            "eps_list = " + " ".join(f"{v:.17g}" for v in self.eps_list),
-            "",
-        ]
+        """The config as an INI document, every key in ``_SCHEMA`` order."""
+        owners = {"material": self.material, "solver": self.solver}
+        lines = []
+        for section, keys in _SCHEMA.items():
+            lines.append(f"[{section}]")
+            for key, kind in keys.items():
+                # isothermal is an INI key of [solver] but belongs to the scenario
+                value = getattr(self if key == "isothermal" else owners.get(section, self), key)
+                fmt = _FORMAT[kind.removesuffix("_list")]
+                text = " ".join(map(fmt, value)) if kind.endswith("_list") else fmt(value)
+                lines.append(f"{key} = {text}")
+            lines.append("")
         return "\n".join(lines)
 
 
@@ -249,6 +218,9 @@ def parse_config(text: str) -> RunConfig:
         close = difflib.get_close_matches(scenario, PRESETS, n=1)
         hint = f" (nearest: {close[0]})" if close else ""
         errors.append(f"[loads] unknown scenario '{scenario}'{hint}")
+    if scenario == "isothermal_creep" and values.get(("solver", "isothermal")) is False:
+        errors.append("[solver] isothermal = false contradicts scenario 'isothermal_creep', "
+                      "which is isothermal")
     for key in ("theta_b", "theta0"):
         if get("loads", key) < 0:
             errors.append(f"[loads] {key} must be nonnegative")

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +43,8 @@ SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
           "options": {"SymmetricMode": True}}
 
 QUAD_PTS = 4   # Gauss points per axis in cells and on faces (module docstring)
+LATTICE_KAPPA = {2: 40, 3: 6}   # det_lower_bounds: rounding of a lattice table entry, in u
+MARGIN_SLACK = 2.0**-20         # det_lower_bounds: relative slack of its rounding margin
 
 
 def _hermite_1d(side, m, t, h, order):
@@ -105,6 +109,29 @@ def tensor_derivatives(vals, der1, der2):
             hess[..., b, c] = (times_others(der2[b], (b,)) if c == b
                                else times_others(der1[b] * der1[c], (b, c)))
     return value, grad, hess
+
+
+def bernstein_inverse(n):
+    """Inverse of V[i, j] = B_j^n(i/n), which maps the values of a degree-n
+    polynomial at n + 1 equispaced points of [0, 1] to its Bernstein
+    coefficients: eliminated in rationals (V is totally positive, so no
+    pivot vanishes), each entry rounded once."""
+    size = n + 1
+    rows = [[Fraction(comb(n, j) * i**j * (n - i)**(n - j), n**n) for j in range(size)]
+            + [Fraction(int(i == r)) for r in range(size)] for i in range(size)]
+    for c in range(size):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        rows = [row if r == c else [a - row[c] * b for a, b in zip(row, rows[c])]
+                for r, row in enumerate(rows)]
+    return np.array([[float(v) for v in row[size:]] for row in rows])
+
+
+def _permanent_slope(A, M):
+    """sum_ij A_ij perm(minor_ij(M)) for (..., d, d) stacks: the slope of
+    the permanent at M along A (d perm(M) when A = M)."""
+    d = A.shape[-1]
+    return sum(A[..., i, s[i]] * np.prod([M[..., k, s[k]] for k in range(d) if k != i], axis=0)
+               for s in itertools.permutations(range(d)) for i in range(d))
 
 
 GRAM_TILE = 32   # tile size of band_cholesky
@@ -243,13 +270,11 @@ class StructuredGrid:
         g, w = np.polynomial.legendre.leggauss(QUAD_PTS)
         t = 0.5 * (g + 1.0)
         w = 0.5 * w
-        self.quad_pts_1d = t
-        self.quad_wts_1d = w
+        self.quad_pts_1d, self.quad_wts_1d = t, w
         d = self.d
-        pts = list(itertools.product(*([range(QUAD_PTS)] * d)))
-        self.nq = len(pts)
-        tq = np.array([[t[p[k]] for k in range(d)] for p in pts])        # (nq, d)
-        wq = np.array([np.prod([w[p[k]] for k in range(d)]) for p in pts])
+        tq = np.array(list(itertools.product(t, repeat=d)))             # (nq, d)
+        wq = np.prod(list(itertools.product(w, repeat=d)), axis=1)
+        self.nq = len(tq)
         cellvol = float(np.prod(self.h))
         self.qweights = wq * cellvol
 
@@ -260,14 +285,7 @@ class StructuredGrid:
         m_list = [tuple((code >> k) & 1 for k in range(d)) for code in range(2**d)]
         self._local_o = o_list
         self._local_m = m_list
-        B0 = np.zeros((self.nloc, self.nq))
-        B1 = np.zeros((self.nloc, self.nq, d))
-        B2 = np.zeros((self.nloc, self.nq, d, d))
-        for a, (o, m) in enumerate((o, m) for o in o_list for m in m_list):
-            B0[a], B1[a], B2[a] = tensor_derivatives(
-                *[[_hermite_1d(o[k], m[k], tq[:, k], self.h[k], order) for k in range(d)]
-                  for order in range(3)])
-        self.B0, self.B1, self.B2 = B0, B1, B2
+        self.B0, self.B1, self.B2 = self._basis_tables(tq)
 
         # physical quadrature coordinates per cell
         cells_idx = list(itertools.product(*[range(n) for n in self.extents]))
@@ -276,6 +294,20 @@ class StructuredGrid:
         origins = np.array([[c[k] * self.h[k] for k in range(self.d)] for c in cells_idx])
         self._cells_idx = cells_idx
         self.qcoords = origins[:, None, :] + tq[None, :, :] * np.array(self.h)[None, None, :]
+
+    def _basis_tables(self, tq):
+        """(B0, B1, B2): value, gradient and Hessian of every local basis
+        function at the reference points tq (npts, d) of a cell, shapes
+        (nloc, npts), (nloc, npts, d) and (nloc, npts, d, d)."""
+        d, npts = self.d, tq.shape[0]
+        B0 = np.zeros((self.nloc, npts))
+        B1 = np.zeros((self.nloc, npts, d))
+        B2 = np.zeros((self.nloc, npts, d, d))
+        for a, (o, m) in enumerate((o, m) for o in self._local_o for m in self._local_m):
+            B0[a], B1[a], B2[a] = tensor_derivatives(
+                *[[_hermite_1d(o[k], m[k], tq[:, k], self.h[k], order) for k in range(d)]
+                  for order in range(3)])
+        return B0, B1, B2
 
     def _cell_id(self, idx):
         cid = 0
@@ -457,6 +489,63 @@ class StructuredGrid:
     def eval_values(self, field):
         """Field values at every quadrature point, (ncells, nq[, ncomp])."""
         return self._at_quadrature(field.values, 0)
+
+    @cached_property
+    def _det_lattice(self):
+        """(T, Vi) of :meth:`det_lower_bounds`: T[(p, j), a] = d_j B_a at point
+        p of the (n+1)^d equispaced lattice of a cell (last axis fastest),
+        n = 3d - 1, and Vi = bernstein_inverse(n)."""
+        n = 3 * self.d - 1
+        t = np.arange(n + 1) / n
+        B1 = self._basis_tables(np.array(list(itertools.product(t, repeat=self.d))))[1]
+        return np.moveaxis(B1, 0, -1).reshape(-1, self.nloc), bernstein_inverse(n)
+
+    def det_lower_bounds(self, y):
+        """Lower bound of det grad y over each closed cell, (n_cells,).
+
+        On a cell the entries of F = grad y have degree at most 3 per axis,
+        and each term of det F differentiates every axis once, so det F has
+        degree n = 3d - 1 per axis.  Vi along each axis maps its values on
+        the lattice to its tensor Bernstein coefficients, whose convex hull
+        holds det F, so the least one bounds det F on the whole closed cell
+        (the validity test of curved high-order elements; Johnen, Remacle &
+        Geuzaine, J. Comput. Phys. 233, 2013).
+
+        Rounding margin (u = eps/2; error bounds of Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3).  Shifting a cell's value
+        dofs by its first leaves F unchanged and moves each dof by at most
+        u of itself, and the entries of T lie within LATTICE_KAPPA[d] u of
+        their exact values, so each computed entry of F, a sum of nloc
+        products, is off by at most e_F A, with e_F = (nloc + kappa + 1) u
+        and A = |loc| |T|^T.  By the mean value theorem det is then off by
+        at most e_F sum_ij A_ij perm(minor_ij(|F| + e_F A)), and its closed
+        form adds (2d - 1) u perm|F|.  Vi is correctly rounded, so its d
+        passes add d (n + 2) u (|Vi| along each axis) |det F|.  The margin
+        is |Vi| along each axis applied to these value errors, times
+        1 + MARGIN_SLACK for the higher orders in u and its own rounding;
+        each cell's least difference is then rounded down by one ulp.
+        """
+        T, Vi = self._det_lattice
+        d, nc, n1 = self.d, self.n_cells, Vi.shape[0]
+        loc = self.local_values(y.values)                 # (nc, nloc, d), a copy
+        loc[:, ::self.ndof_node] = loc[:, ::self.ndof_node] - loc[:, :1]
+        loc = np.swapaxes(loc, 1, 2).reshape(nc * d, self.nloc)
+        # F[c, p, i, j] = d y_i / d x_j at lattice point p of cell c; A bounds its error
+        F = np.moveaxis((loc @ T.T).reshape(nc, d, -1, d), 1, 2)
+        A = np.moveaxis((np.abs(loc) @ np.abs(T).T).reshape(nc, d, -1, d), 1, 2)
+        u = np.finfo(float).eps / 2
+        e_F, absF = (self.nloc + LATTICE_KAPPA[d] + 1) * u, np.abs(F)
+        coef = det(F)
+        err = (e_F * _permanent_slope(A, absF + e_F * A)
+               + (2 * d - 1) * u / d * _permanent_slope(absF, absF)   # perm|F|
+               + d * (n1 + 1) * u * np.abs(coef))
+        lat = (nc,) + (n1,) * d
+        coef, err, absVi = coef.reshape(lat), err.reshape(lat), np.abs(Vi)
+        for k in range(1, d + 1):
+            coef = np.moveaxis(np.tensordot(Vi, coef, axes=(1, k)), 0, k)
+            err = np.moveaxis(np.tensordot(absVi, err, axes=(1, k)), 0, k)
+        low = (coef - (1.0 + MARGIN_SLACK) * err).reshape(nc, -1).min(axis=1)
+        return np.nextafter(low, -np.inf)
 
     def eval_face_scalar(self, face, field):
         return field.values[self.faces[face].sdofs] @ self.faces[face].B0

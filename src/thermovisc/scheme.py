@@ -319,9 +319,9 @@ def run(scenario: Scenario, tau: float, eps: float,
         snap_prev = traj.snapshots[-1]
         snap, d = _advance(traj, snap_prev, t0, t1, 0, solvers)
         snap.k, snap.t = k, t1
-        # eigenvalue certificates on the end state of every n-th macro step
+        # determinant and Korn certificates on the end state of every n-th macro step
         if cfg.hk_every and k % cfg.hk_every == 0:
-            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, traj.model, snap)["bound"])
+            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, snap.y))
         if cfg.korn_every and k % cfg.korn_every == 0:
             d = replace(d, korn_const=diag.korn_constant(grid, snap.F, solvers.korn))
         traj.snapshots.append(snap)

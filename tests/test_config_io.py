@@ -122,6 +122,69 @@ def test_roundtrip_serialize_parse():
     assert cfg2.solver == cfg.solver
 
 
+NON_DEFAULT = MINIMAL.replace("extents = 6 6", "extents = 5 4\nlengths = 1.25 0.75\n"
+                               "dirichlet = x0 y0").replace("T = 0.2", "T = 0.6").replace(
+    "tau = 0.05", "tau = 0.1").replace("eps = 0.01", "eps = 0.001") + """
+[material]
+c1 = 1.5
+q = 6
+kappa = 0.3
+
+[loads]
+scenario = shear_pulse
+amplitude = 0.1
+t_pulse = 0.3
+
+[solver]
+tol_mech = 1e-9
+max_newton = 30
+isothermal = true
+korn_every = 2
+hk_every = 3
+checkpoint_every = 4
+
+[output]
+directory = runs/a
+tau_list = 0.1 0.05
+eps_list = 0.01
+"""
+
+# serialize() of NON_DEFAULT as written when the key list was spelled out by hand
+NON_DEFAULT_SERIALIZED = (
+    "[grid]\nextents = 5 4\nlengths = 1.25 0.75\ndirichlet = x0 y0\n\n"
+    "[material]\nc1 = 1.5\nc2 = 1.6000000000000001\ns = 4\nq = 6\np = 4\nh_coef = 0.01\n"
+    "nu = 1\nc = 1\nalpha = 1\nphi1_amp = 1\nphi1_radius = 2\nk_bar = 1\n"
+    "kappa = 0.29999999999999999\n\n"
+    "[loads]\nscenario = shear_pulse\namplitude = 0.10000000000000001\n"
+    "t_pulse = 0.29999999999999999\ntheta_b = 1\ntheta0 = 1\n\n"
+    "[time]\nT = 0.59999999999999998\ntau = 0.10000000000000001\neps = 0.001\n\n"
+    "[solver]\ntol_mech = 1.0000000000000001e-09\ntol_heat = 1.0000000000000001e-09\n"
+    "tol_pos = 1e-10\nmax_newton = 30\nmax_backtracks = 40\ndet_floor = 0.10000000000000001\n"
+    "max_step_halvings = 4\nisothermal = true\nkorn_every = 2\nhk_every = 3\n"
+    "checkpoint_every = 4\n\n"
+    "[output]\ndirectory = runs/a\ndiagnostics = full\n"
+    "tau_list = 0.10000000000000001 0.050000000000000003\neps_list = 0.01\n")
+
+
+def test_serialize_pins_a_non_default_config():
+    cfg = parse_config(NON_DEFAULT)
+    assert cfg.serialize() == NON_DEFAULT_SERIALIZED
+    assert parse_config(NON_DEFAULT_SERIALIZED).serialize() == NON_DEFAULT_SERIALIZED
+
+
+def test_isothermal_false_contradicts_isothermal_scenario():
+    text = MINIMAL + "\n[loads]\nscenario = isothermal_creep\n\n[solver]\nisothermal = false\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == ["[solver] isothermal = false contradicts scenario "
+                                "'isothermal_creep', which is isothermal"]
+    for extra in ("", "\n[solver]\nisothermal = true\n"):
+        cfg = parse_config(MINIMAL + "\n[loads]\nscenario = isothermal_creep\n" + extra)
+        assert cfg.isothermal and cfg.build_scenario().isothermal
+    cfg = parse_config(MINIMAL + "\n[loads]\nscenario = shear_pulse\n\n[solver]\nisothermal = false\n")
+    assert not cfg.isothermal and not cfg.build_scenario().isothermal
+
+
 def test_light_diagnostics_disables_eigensolves():
     cfg = parse_config(MINIMAL + "\n[output]\ndiagnostics = light\n")
     assert cfg.solver.korn_every == 0 and cfg.solver.hk_every == 0

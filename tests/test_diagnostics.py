@@ -5,6 +5,7 @@ audit."""
 import copy
 import dataclasses
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from thermovisc.diagnostics import (
     TestBank,
     entropy_production,
     hk_determinant_bound,
-    holder_constant,
     korn_constant,
     mechanical_energy_check,
     merge_step_diagnostics,
@@ -32,12 +32,11 @@ from thermovisc.diagnostics import (
 )
 from thermovisc.grid import (
     SPD_LU,
-    Kinematics,
     NodalField,
     StructuredGrid,
     apply_dirichlet_identity,
 )
-from thermovisc.materials import MaterialModel, random_feasible_gradient, random_rotation
+from thermovisc.materials import MaterialModel, det, random_feasible_gradient, random_rotation
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, run
@@ -236,11 +235,9 @@ def with_eigen_certificates(row, traj, k, korn_state):
     one ``korn_state`` is threaded through the macro steps in order, as
     ``scheme.run`` does."""
     cfg, snap = traj.config, traj.snapshots[k]
-    kin = Kinematics(F=snap.F, G=snap.G, detF=snap.detF)
     return dataclasses.replace(
         row,
-        hk_bound=(hk_determinant_bound(traj.grid, traj.model, kin)["bound"]
-                  if cfg.hk_every else float("nan")),
+        hk_bound=hk_determinant_bound(traj.grid, snap.y) if cfg.hk_every else float("nan"),
         korn_const=(korn_constant(traj.grid, snap.F, korn_state)
                     if cfg.korn_every else float("nan")))
 
@@ -369,59 +366,58 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
 # determinant bound
 
 
-def test_hk_bound_affine_state():
+def dense_cell_minima(grid, y, m):
+    """Least det grad y over an m^d equispaced sample of each closed cell."""
+    t = np.linspace(0.0, 1.0, m)
+    B1 = grid._basis_tables(np.array(list(itertools.product(t, repeat=grid.d))))[1]
+    return det(np.einsum("cai,apj->cpij", grid.local_values(y.values), B1)).min(axis=1)
+
+
+def test_hk_bound_fails_on_fold_between_gauss_points(pulse_traj):
+    # 4x4 identity with d y_1 / d x_1 = -0.2 at the interior node (2, 2):
+    # det F is -0.2 there and positive at every Gauss point
+    grid = StructuredGrid((4, 4), (1.0, 1.0), dirichlet_faces=("y0",))
+    y = grid.identity_field()
+    y.values[grid._node_id((2, 2)) * grid.ndof_node + 1, 0] = -0.2
+    assert grid.eval_kinematics(y).detF.min() > 0.0
+    bound = hk_determinant_bound(grid, y)
+    assert bound <= dense_cell_minima(grid, y, 41).min() <= -0.2 + 1e-12
+    bad = copy.copy(pulse_traj)
+    bad.step_diags = list(pulse_traj.step_diags)
+    bad.step_diags[-1] = dataclasses.replace(bad.step_diags[-1], hk_bound=bound)
+    assert run_certificates(pulse_traj)["all_passed"]
+    report = run_certificates(bad)
+    check = next(c for c in report["checks"] if c["name"] == "hk_bound_positive")
+    assert not check["passed"] and check["value"] == bound
+    assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("extents", [(6, 6), (3, 3, 3)], ids=["2d", "3d"])
+def test_hk_bound_below_dense_sample_and_gauss_minimum(extents):
+    d = len(extents)
+    grid = StructuredGrid(extents, (1.0,) * d, dirichlet_faces=("y0",))
+    rng = np.random.default_rng(7)
+    for spread in (0.01, 0.02, 0.05):
+        y = grid.identity_field()
+        y.values += spread * rng.standard_normal(y.values.shape)
+        apply_dirichlet_identity(grid, y)
+        bounds = grid.det_lower_bounds(y)
+        assert np.all(bounds <= dense_cell_minima(grid, y, 31 if d == 2 else 11))
+        assert np.all(bounds <= grid.eval_kinematics(y).detF.min(axis=1))
+        assert hk_determinant_bound(grid, y) == bounds.min()
+
+
+def test_hk_bound_identity_and_affine_states():
+    for extents, tol in (((6, 6), 1e-10), ((2, 2, 2), 1e-5)):
+        grid = StructuredGrid(extents, (1.0,) * len(extents), dirichlet_faces=("y0",))
+        assert 1.0 - tol <= hk_determinant_bound(grid, grid.identity_field()) <= 1.0
     grid = grid66()
-    model = MaterialModel()
     A = np.array([[1.1, 0.1], [0.0, 0.9]])
     y = grid.interpolate(lambda X: X @ A.T, ncomp=2,
                          dfn=lambda X, m: np.tile(A[:, m.index(1)], (X.shape[0], 1))
                          if sum(m) == 1 else np.zeros((X.shape[0], 2)))
-    kin = grid.eval_kinematics(y)
-    out = hk_determinant_bound(grid, model, kin)
     detA = np.linalg.det(A)
-    assert out["measured_min_det"] == pytest.approx(detA, rel=1e-12)
-    assert 0.0 < out["bound"] <= detA
-
-
-def test_hk_bound_identity_in_unit_interval():
-    grid = grid66()
-    out = hk_determinant_bound(grid, MaterialModel(), grid.eval_kinematics(grid.identity_field()))
-    assert 0.0 < out["bound"] <= 1.0
-
-
-def test_hk_bound_random_states_below_min_det():
-    grid = grid66()
-    model = MaterialModel()
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        y = grid.identity_field()
-        y.values += 0.02 * rng.standard_normal(y.values.shape)
-        apply_dirichlet_identity(grid, y)
-        kin = grid.eval_kinematics(y)
-        out = hk_determinant_bound(grid, model, kin)
-        assert out["bound"] <= out["measured_min_det"]
-        assert out["ratio"] <= 1.0
-
-
-def test_hk_bound_rejects_threshold_exponent():
-    grid = grid66()
-    model = MaterialModel(c2=2.0, q=4.0)   # lambda*q = d exactly
-    kin = grid.eval_kinematics(grid.identity_field())
-    with pytest.raises(ValueError, match="violated"):
-        hk_determinant_bound(grid, model, kin)
-
-
-def test_holder_constant_linear_field():
-    grid = StructuredGrid((4, 4), (1.0, 1.0))
-    X = grid.qcoords
-    vals = 2.0 * X[..., 0]                  # Lipschitz with slope 2
-    c_half = holder_constant(grid, vals, exponent=0.5)
-    # difference quotient of a linear field under a C^0.5 modulus peaks at
-    # the largest admissible pair distance (2 cells)
-    assert c_half == pytest.approx(2.0 * np.sqrt(0.5), rel=0.2)
-    c_one = holder_constant(grid, vals, exponent=1.0)
-    assert c_one == pytest.approx(2.0, rel=1e-10)
-    assert holder_constant(grid, np.ones_like(vals), 0.5) == 0.0
+    assert detA - 1e-10 <= hk_determinant_bound(grid, y) <= detA
 
 
 # ---------------------------------------------------------------------------
@@ -794,5 +790,5 @@ def test_run_certificates_pass_on_pulse(pulse_traj):
     assert report["all_passed"], report
     names = {c["name"] for c in report["checks"]}
     assert {"mech_descent_violations", "min_theta", "min_detF_positive",
-            "hk_bound_below_min_det", "entropy_production_nonnegative",
+            "hk_bound_positive", "entropy_production_nonnegative",
             "energy_ledger_closes", "enthalpy_consistency"} <= names

@@ -3,6 +3,10 @@ gradient/energy adjoint-consistency oracle, Dirichlet trace handling and
 the Robin boundary term, whose boundary mass and load are checked against
 face-by-face traces."""
 
+import itertools
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,11 +16,13 @@ from scipy.sparse.linalg import splu
 import thermovisc.grid as grid_module
 from thermovisc.diagnostics import korn_constant
 from thermovisc.grid import (
+    LATTICE_KAPPA,
     SPD_LU,
     NodalField,
     StructuredGrid,
     apply_dirichlet_identity,
     band_cholesky,
+    bernstein_inverse,
     zero_dirichlet_rows,
 )
 from thermovisc.heat import (
@@ -486,6 +492,54 @@ def test_band_cholesky_matches_lapack(shape, free_only):
     assert np.max(np.abs(cb - ref)) <= 1e-14 * np.max(np.abs(ref))
     with pytest.raises(np.linalg.LinAlgError):
         band_cholesky(-G)
+
+
+# ---------------------------------------------------------------------------
+# determinant lattice
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_bernstein_inverse_maps_values_to_coefficients(n):
+    t = np.arange(n + 1) / n
+    V = np.array([[comb(n, j) * t[i] ** j * (1 - t[i]) ** (n - j) for j in range(n + 1)]
+                  for i in range(n + 1)])
+    assert np.max(np.abs(bernstein_inverse(n) @ V - np.eye(n + 1))) <= 1e-13
+
+
+HERMITE = {(0, 0): (1, 0, -3, 2), (0, 1): (0, 1, -2, 1), (1, 0): (0, 0, 3, -2),
+           (1, 1): (0, 0, -1, 1)}   # (side, m): power coefficients on [0, 1]
+
+
+@pytest.mark.parametrize("extents, lengths, sample",
+                         [((5, 7), (1.3, 0.7), None), ((2, 3, 2), (1.0, 0.3, 2.1), 3000)],
+                         ids=["2d", "3d"])
+def test_det_lattice_tables_within_kappa(extents, lengths, sample):
+    # the rounding margin of det_lower_bounds rests on every lattice table
+    # entry lying within LATTICE_KAPPA[d] u of its exact value at the exact
+    # point i/n: checked in rationals, on all entries in 2D and on a seeded
+    # sample in 3D (all of them take about 6 s)
+    g = StructuredGrid(extents, lengths, dirichlet_faces=("x0",))
+    d, n = g.d, 3 * g.d - 1
+    T = g._det_lattice[0]
+    hs = [Fraction(h) for h in g.h]
+
+    def factor(side, m, k, i, order):
+        c = HERMITE[side, m]
+        if order:
+            c = [j * c[j] for j in range(1, 4)]
+        return sum(cj * Fraction(i, n) ** j for j, cj in enumerate(c)) * hs[k] ** (m - order)
+
+    pts = list(itertools.product(range(n + 1), repeat=d))
+    basis = [(o, m) for o in g._local_o for m in g._local_m]
+    entries = list(itertools.product(range(len(basis)), range(len(pts)), range(d)))
+    if sample:
+        rng = np.random.default_rng(11)
+        entries = [entries[e] for e in rng.choice(len(entries), sample, replace=False)]
+    u = Fraction(np.finfo(float).eps) / 2
+    for a, p, j in entries:
+        (o, m), idx = basis[a], pts[p]
+        exact = np.prod([factor(o[k], m[k], k, idx[k], int(k == j)) for k in range(d)])
+        assert abs(Fraction(T[p * d + j, a]) - exact) <= LATTICE_KAPPA[d] * u * abs(exact)
 
 
 # ---------------------------------------------------------------------------

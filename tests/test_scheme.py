@@ -353,6 +353,19 @@ def test_3d_steady_end_to_end():
         assert d.korn_const > 0.0
 
 
+def test_run_at_the_admissibility_threshold_is_certified():
+    # q = pd/(p-d) exactly, which validate_constants accepts: the run
+    # completes with every certificate, the determinant bound included
+    model = MaterialModel(c2=2.0, q=4.0)   # c2 * q = 8: stress-free identity
+    grid = StructuredGrid((4, 4), (1.0, 1.0), dirichlet_faces=("y0",))
+    traj = run(steady(grid=grid, model=model, T=0.1), tau=0.05, eps=0.01,
+               config=SolverConfig())
+    assert len(traj.step_diags) == 2
+    for d in traj.step_diags:
+        assert 0.0 < d.hk_bound <= d.min_detF
+    assert run_certificates(traj)["all_passed"]
+
+
 def test_refinement_smoke_tau_cauchy_decreases():
     sc = shear_pulse(grid=grid66(), T=0.2, amplitude=0.15, t_pulse=0.15)
     report = refinement_study(sc, tau_list=[0.1, 0.05, 0.025], eps_list=[0.01])
