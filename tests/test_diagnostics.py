@@ -407,10 +407,13 @@ def test_hk_bound_below_dense_sample_and_gauss_minimum(extents):
         assert hk_determinant_bound(grid, y) == bounds.min()
 
 
-def test_hk_bound_identity_and_affine_states():
+def test_hk_bound_identity_in_unit_interval():
     for extents, tol in (((6, 6), 1e-10), ((2, 2, 2), 1e-5)):
         grid = StructuredGrid(extents, (1.0,) * len(extents), dirichlet_faces=("y0",))
         assert 1.0 - tol <= hk_determinant_bound(grid, grid.identity_field()) <= 1.0
+
+
+def test_hk_bound_affine_state():
     grid = grid66()
     A = np.array([[1.1, 0.1], [0.0, 0.9]])
     y = grid.interpolate(lambda X: X @ A.T, ncomp=2,
