@@ -4,7 +4,9 @@
     thermovisc refine   <config> [--tau-list X ...] [--eps-list X ...] [--out DIR]
     thermovisc validate <config>
 
-Exit code 0 only if parsing succeeds and all enabled certificates pass.
+Exit code 0 only if parsing succeeds and all enabled certificates pass;
+1 when the config or a command-line override breaks a rule (each printed
+as ``error: ...``), 2 when a certificate fails.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from .config import ConfigError, parse_config
 from .outputs import _fmt, emit_outputs
-from .scheme import refinement_study, run, run_hash
+from .scheme import refinement_errors, refinement_study, run, run_hash, time_errors
 
 
 def _load(path):
@@ -36,19 +38,26 @@ def cmd_validate(args):
     return 0
 
 
+def _errors(errors):
+    """Print every violation to stderr; the exit code 1 when there are any."""
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 def cmd_simulate(args):
     try:
         cfg = parse_config(_load(args.config))
     except ConfigError as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _errors(exc.errors)
     if args.tau is not None:
         cfg.tau = args.tau
     if args.eps is not None:
         cfg.eps = args.eps
     if args.isothermal:
         cfg.isothermal = True
+    if _errors(time_errors(cfg.T, cfg.tau, cfg.eps)):
+        return 1
     outdir = args.out or cfg.directory
 
     scenario = cfg.build_scenario()
@@ -69,11 +78,11 @@ def cmd_refine(args):
     try:
         cfg = parse_config(_load(args.config))
     except ConfigError as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _errors(exc.errors)
     tau_list = args.tau_list or cfg.tau_list or [cfg.tau]
     eps_list = args.eps_list or cfg.eps_list or [cfg.eps]
+    if _errors(refinement_errors(cfg.T, tau_list, eps_list)):
+        return 1
     outdir = args.out or cfg.directory
     os.makedirs(outdir, exist_ok=True)
 

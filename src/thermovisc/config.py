@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import difflib
 from configparser import ConfigParser
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
-from .grid import FACE_NAMES, StructuredGrid
+from .grid import StructuredGrid, grid_errors
 from .materials import MaterialModel
 from .mech import SolverConfig
 from .presets import DEFAULT_REFINEMENT, PRESETS
+from .scheme import refinement_errors, time_errors
 
 
 class ConfigError(ValueError):
@@ -174,44 +175,17 @@ def parse_config(text: str) -> RunConfig:
             return values[(section, key)]
         return _DEFAULTS.get(section, {}).get(key, default)
 
-    mat_kwargs = {}
-    d = len(get("grid", "extents"))
-    for key in _SCHEMA["material"]:
-        if ("material", key) in values:
-            mat_kwargs[key] = values[("material", key)]
-    material = None
-    try:
-        material = MaterialModel(d=d, **mat_kwargs)
-    except ValueError as exc:
-        errors.extend(str(exc).split("; "))
-        probe = MaterialModel.__new__(MaterialModel)
-        object.__setattr__(probe, "d", d)
-        for f in dc_fields(MaterialModel):
-            if f.name != "d":
-                object.__setattr__(probe, f.name, mat_kwargs.get(f.name, f.default))
-        # keep going with the probe so later checks still run
-        material = probe
-
     extents = get("grid", "extents")
     lengths = get("grid", "lengths")
     dirichlet = get("grid", "dirichlet")
-    if len(extents) not in (2, 3):
-        errors.append(f"[grid] extents must have 2 or 3 entries (got {len(extents)})")
-    elif len(lengths) != len(extents):
-        errors.append("[grid] lengths must match extents in length")
-    else:
-        if any(n < 2 for n in extents):
-            errors.append("[grid] extents must be at least 2 cells per axis")
-        if any(L <= 0 for L in lengths):
-            errors.append("[grid] lengths must be positive")
-        valid = FACE_NAMES[len(extents)]
-        for f in dirichlet:
-            if f not in valid:
-                close = difflib.get_close_matches(f, valid, n=1)
-                hint = f" (nearest: {close[0]})" if close else ""
-                errors.append(f"[grid] unknown face '{f}'{hint}")
-        if not dirichlet:
-            errors.append("[grid] the fixed boundary part must be nonempty")
+    errors.extend(f"[grid] {e}" for e in grid_errors(extents, lengths, dirichlet))
+
+    mat_kwargs = {key: values[("material", key)] for key in _SCHEMA["material"]
+                  if ("material", key) in values}
+    try:
+        material = MaterialModel(d=len(extents), **mat_kwargs)
+    except ValueError as exc:
+        errors.extend(f"[material] {e}" for e in str(exc).split("; "))
 
     scenario = get("loads", "scenario")
     if scenario not in PRESETS:
@@ -226,39 +200,28 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"[loads] {key} must be nonnegative")
 
     T, tau, eps = get("time", "T"), get("time", "tau"), get("time", "eps")
-    if T <= 0:
-        errors.append(f"[time] T must be positive (got {T:g})")
-    if tau <= 0:
-        errors.append(f"[time] tau must be positive (got {tau:g})")
-    elif T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
-        errors.append(f"[time] T/tau must be an integer (T={T:g}, tau={tau:g})")
-    if eps < 0:
-        errors.append(f"[time] eps must be nonnegative (got {eps:g})")
+    errors.extend(f"[time] {e}" for e in time_errors(T, tau, eps))
+    tau_list, eps_list = get("output", "tau_list"), get("output", "eps_list")
+    if tau_list or eps_list:
+        errors.extend(f"[output] {e}" for e in refinement_errors(T, tau_list or [tau],
+                                                                 eps_list or [eps])
+                      if f"[time] {e}" not in errors)
 
-    solver = SolverConfig(**{f.name: values[("solver", f.name)] for f in dc_fields(SolverConfig)
-                             if ("solver", f.name) in values})
-    for key in ("tol_mech", "tol_heat", "tol_pos"):
-        if getattr(solver, key) <= 0:
-            errors.append(f"[solver] {key} must be positive")
-    for key, least in (("max_newton", 1), ("max_backtracks", 1), ("max_step_halvings", 0),
-                       ("korn_every", 0), ("hk_every", 0), ("checkpoint_every", 0)):
-        if getattr(solver, key) < least:
-            errors.append(f"[solver] {key} must be at least {least} (got {getattr(solver, key)})")
-    if not 0 < solver.det_floor < 1:
-        errors.append(f"[solver] det_floor must lie in (0, 1) (got {solver.det_floor:g})")
+    try:
+        solver = SolverConfig(**{f.name: values[("solver", f.name)]
+                                 for f in dc_fields(SolverConfig) if ("solver", f.name) in values})
+    except ValueError as exc:
+        errors.extend(f"[solver] {e}" for e in str(exc).split("; "))
 
     diagnostics = get("output", "diagnostics")
     if diagnostics not in ("full", "light"):
         errors.append(f"[output] diagnostics must be 'full' or 'light' (got '{diagnostics}')")
-    if diagnostics == "light":
-        solver.korn_every = 0
-        solver.hk_every = 0
 
     if errors:
         raise ConfigError(errors)
 
-    tau_list = get("output", "tau_list")
-    eps_list = get("output", "eps_list")
+    if diagnostics == "light":
+        solver = replace(solver, korn_every=0, hk_every=0)
     if scenario in DEFAULT_REFINEMENT:
         tau_list = tau_list or DEFAULT_REFINEMENT[scenario]["tau_list"]
         eps_list = eps_list or DEFAULT_REFINEMENT[scenario]["eps_list"]

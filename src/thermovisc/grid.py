@@ -11,6 +11,16 @@ Quadrature is tensor Gauss with 4 points per axis (exact through degree
 7 per axis, i.e. beyond twice the basis degree); boundary faces carry
 the induced trace rule.
 
+Numbering.  Cells and nodes are numbered with axis 0 fastest, cell
+(i0, i1, i2) as i0 + n0*(i1 + n1*i2).  A dof code packs one bit per axis,
+bit k on axis k.  Scalar dof n * 2^d + code(m) is the mixed partial d^m
+at node n; local dof a = code(o) * 2^d + code(m) of a cell is that dof of
+the node at the cell's index plus o.  Quadrature points run with the
+last axis fastest.  A face is its layer of cells; its trace dofs are the
+local dofs with o = side and m = 0 along the normal, ordered with the
+first tangential axis slowest and the node offset before the dof type.
+The Dirichlet dofs are the trace dofs of the fixed faces.
+
 Evaluation and assembly are GEMMs with per-cell operators D_k that map
 the local dofs to the field, gradient or Hessian at every quadrature
 point (after Cuvelier, Japhet & Scarella, BIT Numer. Math. 2016).
@@ -24,6 +34,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import difflib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,6 +197,43 @@ def _face_axis_side(name):
     return axis, int(name[1])
 
 
+def grid_errors(extents, lengths, dirichlet) -> list[str]:
+    """All violated rules of a grid's arguments, as human-readable strings."""
+    if len(extents) not in (2, 3):
+        return [f"extents must have 2 or 3 entries (got {len(extents)})"]
+    if len(lengths) != len(extents):
+        return [f"lengths must have as many entries as extents (got {len(lengths)}, "
+                f"need {len(extents)})"]
+    errs = []
+    if any(n < 2 for n in extents):
+        errs.append(f"extents must be at least 2 cells per axis (got {list(extents)})")
+    if any(L <= 0 for L in lengths):
+        errs.append(f"lengths must be positive (got {list(lengths)})")
+    valid = FACE_NAMES[len(extents)]
+    for f in dirichlet:
+        if f not in valid:
+            close = difflib.get_close_matches(f, valid, n=1)
+            hint = f" (nearest: {close[0]})" if close else ""
+            errs.append(f"unknown face {f!r}{hint}; valid: {' '.join(valid)}")
+    if not dirichlet:
+        errs.append("the fixed boundary part must be nonempty")
+    return errs
+
+
+def _gauss_rule(k):
+    """Points (npts, k), last axis fastest, and weights of the tensor Gauss
+    rule on [0, 1]^k."""
+    g, w = np.polynomial.legendre.leggauss(QUAD_PTS)
+    t, w = 0.5 * (g + 1.0), 0.5 * w
+    return (np.array(list(itertools.product(t, repeat=k))).reshape(-1, k),
+            np.prod(list(itertools.product(w, repeat=k)), axis=1))
+
+
+def _index_map(shape):
+    """(d, prod(shape)) index of every cell or node, axis 0 fastest."""
+    return np.indices(shape).reshape(len(shape), -1, order="F")
+
+
 @dataclass
 class FacePatch:
     """Boundary quadrature data for one face of the box."""
@@ -209,27 +257,18 @@ class StructuredGrid:
     def __init__(self, extents, lengths, dirichlet_faces=("x0",)):
         extents = tuple(int(n) for n in extents)
         lengths = tuple(float(L) for L in lengths)
-        if len(extents) != len(lengths) or len(extents) not in (2, 3):
-            raise ValueError("extents/lengths must both have length 2 or 3")
-        if any(n < 2 for n in extents):
-            raise ValueError("need at least 2 cells per axis")
-        if any(L <= 0 for L in lengths):
-            raise ValueError("side lengths must be positive")
-        d = len(extents)
-        valid = FACE_NAMES[d]
         dirichlet_faces = tuple(dirichlet_faces)
-        for f in dirichlet_faces:
-            if f not in valid:
-                raise ValueError(f"unknown face {f!r}; valid: {valid}")
-        if not dirichlet_faces:
-            raise ValueError("the mechanically fixed part of the boundary must be nonempty")
+        errs = grid_errors(extents, lengths, dirichlet_faces)
+        if errs:
+            raise ValueError("; ".join(errs))
+        d = len(extents)
 
         self.d = d
         self.extents = extents
         self.lengths = lengths
         self.h = tuple(L / n for L, n in zip(lengths, extents))
         self.dirichlet_faces = dirichlet_faces
-        self.neumann_faces = tuple(f for f in valid if f not in dirichlet_faces)
+        self.neumann_faces = tuple(f for f in FACE_NAMES[d] if f not in dirichlet_faces)
 
         self.nodes_per_axis = tuple(n + 1 for n in extents)
         self.n_nodes = int(np.prod(self.nodes_per_axis))
@@ -237,12 +276,22 @@ class StructuredGrid:
         self.ndof_node = 2**d          # mixed-partial dof types per node
         self.n_sdofs = self.n_nodes * self.ndof_node
         self.nloc = 4**d               # scalar basis functions per cell
+        # the bits of each dof code: node offsets o and dof types m (module docstring)
+        self._local_o = self._local_m = [tuple((code >> k) & 1 for k in range(d))
+                                         for code in range(2**d)]
+        self._cell_index = _index_map(extents)
 
-        self._build_nodes()
+        self.node_coords = np.stack([np.linspace(0.0, L, n + 1)[i] for L, n, i in
+                                     zip(lengths, extents, _index_map(self.nodes_per_axis))],
+                                    axis=1)
         self._build_quadrature()
         self._build_cell_dofs()
         self._build_faces()
-        self._build_dirichlet_mask()
+        mask = np.zeros(self.n_sdofs, dtype=bool)
+        for name in dirichlet_faces:   # the trace dofs of the fixed faces
+            mask[self.faces[name].sdofs] = True
+        self.dirichlet_sdofs = mask
+        self.free_sdofs = ~mask
         self._pattern_cache = {}
         self._operator_cache = {}
         self._gram_cache = {}
@@ -250,50 +299,17 @@ class StructuredGrid:
 
     # -- construction -------------------------------------------------------
 
-    def _axis_coords(self):
-        return [np.linspace(0.0, L, n + 1) for L, n in zip(self.lengths, self.extents)]
-
     def _node_id(self, idx):
-        nid = 0
-        for k in reversed(range(self.d)):
-            nid = nid * self.nodes_per_axis[k] + idx[k]
-        return nid
-
-    def _build_nodes(self):
-        axes = self._axis_coords()
-        grids = np.meshgrid(*axes, indexing="ij")
-        # x fastest: node_id = ix + nx*(iy + ny*iz)
-        coords = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-        self.node_coords = coords
+        """Node id of the node index idx, (d, ...) array-like."""
+        return np.ravel_multi_index(tuple(idx), self.nodes_per_axis, order="F")
 
     def _build_quadrature(self):
-        g, w = np.polynomial.legendre.leggauss(QUAD_PTS)
-        t = 0.5 * (g + 1.0)
-        w = 0.5 * w
-        self.quad_pts_1d, self.quad_wts_1d = t, w
-        d = self.d
-        tq = np.array(list(itertools.product(t, repeat=d)))             # (nq, d)
-        wq = np.prod(list(itertools.product(w, repeat=d)), axis=1)
+        tq, wq = _gauss_rule(self.d)
         self.nq = len(tq)
-        cellvol = float(np.prod(self.h))
-        self.qweights = wq * cellvol
-
-        # local basis enumeration: a = o_code * 2^d + m_code, with the bit
-        # encoding code = sum_k bit_k << k (axis 0 in the low bit) shared by
-        # the global per-node dof layout
-        o_list = [tuple((code >> k) & 1 for k in range(d)) for code in range(2**d)]
-        m_list = [tuple((code >> k) & 1 for k in range(d)) for code in range(2**d)]
-        self._local_o = o_list
-        self._local_m = m_list
+        self.qweights = wq * float(np.prod(self.h))
         self.B0, self.B1, self.B2 = self._basis_tables(tq)
-
-        # physical quadrature coordinates per cell
-        cells_idx = list(itertools.product(*[range(n) for n in self.extents]))
-        # cell_id = cx + nx*(cy + ny*cz): order='F' on the product above
-        cells_idx = sorted(cells_idx, key=lambda c: self._cell_id(c))
-        origins = np.array([[c[k] * self.h[k] for k in range(self.d)] for c in cells_idx])
-        self._cells_idx = cells_idx
-        self.qcoords = origins[:, None, :] + tq[None, :, :] * np.array(self.h)[None, None, :]
+        h = np.array(self.h)
+        self.qcoords = (self._cell_index.T * h)[:, None, :] + tq[None, :, :] * h
 
     def _basis_tables(self, tq):
         """(B0, B1, B2): value, gradient and Hessian of every local basis
@@ -309,100 +325,33 @@ class StructuredGrid:
                   for order in range(3)])
         return B0, B1, B2
 
-    def _cell_id(self, idx):
-        cid = 0
-        for k in reversed(range(self.d)):
-            cid = cid * self.extents[k] + idx[k]
-        return cid
-
     def _build_cell_dofs(self):
+        nodes = self._node_id(self._cell_index[:, :, None]
+                              + np.array(self._local_o).T[:, None, :])   # (n_cells, 2^d)
         nd = self.ndof_node
-        cells = np.zeros((self.n_cells, self.nloc), dtype=np.int64)
-        for ci, cidx in enumerate(self._cells_idx):
-            a = 0
-            for o in self._local_o:
-                nid = self._node_id(tuple(cidx[k] + o[k] for k in range(self.d)))
-                for m_code in range(nd):
-                    cells[ci, a] = nid * nd + m_code
-                    a += 1
-        self.cells_sdofs = cells
+        self.cells_sdofs = (nodes[:, :, None] * nd + np.arange(nd)).reshape(self.n_cells, -1)
 
     def _build_faces(self):
-        d = self.d
-        t, w = self.quad_pts_1d, self.quad_wts_1d
+        """One FacePatch per face, numbered as the module docstring says."""
+        d, nd, h = self.d, self.ndof_node, np.array(self.h)
+        tqf, wqf = _gauss_rule(d - 1)
+        axis_side = [_face_axis_side(name) for name in FACE_NAMES[d]]
+        # one basis-table call for the points of all faces, the normal coordinate at side
+        pts = [np.insert(tqf, axis, side, axis=1) for axis, side in axis_side]
+        B0 = self._basis_tables(np.concatenate(pts))[0].reshape(self.nloc, len(pts), -1)
+        bits = np.array(self._local_o)
+        o, m = bits[np.arange(self.nloc) // nd], bits[np.arange(self.nloc) % nd]
         self.faces = {}
-        for name in FACE_NAMES[d]:
-            axis, side = _face_axis_side(name)
+        for f, (name, (axis, side)) in enumerate(zip(FACE_NAMES[d], axis_side)):
             tang = [k for k in range(d) if k != axis]
-            # tangential local enumeration
-            o_list = list(itertools.product(*([(0, 1)] * (d - 1))))
-            m_list = list(itertools.product(*([(0, 1)] * (d - 1))))
-            nlocf = len(o_list) * len(m_list)
-            qf = list(itertools.product(*([range(QUAD_PTS)] * (d - 1))))
-            nqf = len(qf)
-            tqf = np.array([[t[p[j]] for j in range(d - 1)] for p in qf]).reshape(nqf, d - 1)
-            wqf = np.array([np.prod([w[p[j]] for j in range(d - 1)]) for p in qf])
-            wqf = wqf * float(np.prod([self.h[k] for k in tang]))
-            Bf0 = np.zeros((nlocf, nqf))
-            af = 0
-            loc_pairs = []
-            for o in o_list:
-                for m in m_list:
-                    vals = np.ones(nqf)
-                    for j, k in enumerate(tang):
-                        vals = vals * _hermite_1d(o[j], m[j], tqf[:, j], self.h[k], 0)
-                    Bf0[af] = vals
-                    loc_pairs.append((o, m))
-                    af += 1
-            # face cells: boundary layer of cells on this side
-            ranges = [range(self.extents[k]) if k != axis
-                      else [0 if side == 0 else self.extents[axis] - 1]
-                      for k in range(d)]
-            fcells = sorted(itertools.product(*ranges), key=lambda c: self._cell_id(c))
-            sdofs = np.zeros((len(fcells), nlocf), dtype=np.int64)
-            qcoords = np.zeros((len(fcells), nqf, d))
-            nd = self.ndof_node
-            for fi, cidx in enumerate(fcells):
-                for af, (o, m) in enumerate(loc_pairs):
-                    idx = list(cidx)
-                    m_full = [0] * d
-                    for j, k in enumerate(tang):
-                        idx[k] += o[j]
-                        m_full[k] = m[j]
-                    idx[axis] += side
-                    m_code = sum(m_full[k] << k for k in range(d))
-                    sdofs[fi, af] = self._node_id(tuple(idx)) * nd + m_code
-                for qi in range(nqf):
-                    x = np.zeros(d)
-                    for j, k in enumerate(tang):
-                        x[k] = (cidx[k] + tqf[qi, j]) * self.h[k]
-                    x[axis] = side * self.lengths[axis]
-                    qcoords[fi, qi] = x
-            self.faces[name] = FacePatch(name, axis, side, sdofs, Bf0, wqf, qcoords)
-
-    def _build_dirichlet_mask(self):
-        mask = np.zeros(self.n_sdofs, dtype=bool)
-        nd = self.ndof_node
-        axes = self._axis_coords()
-        for name in self.dirichlet_faces:
-            axis, side = _face_axis_side(name)
-            bound = 0 if side == 0 else self.extents[axis]
-            for nid in range(self.n_nodes):
-                idx = self._node_index(nid)
-                if idx[axis] != bound:
-                    continue
-                for m_code in range(nd):
-                    if not (m_code >> axis) & 1:   # no normal derivative -> trace dof
-                        mask[nid * nd + m_code] = True
-        self.dirichlet_sdofs = mask
-        self.free_sdofs = ~mask
-
-    def _node_index(self, nid):
-        idx = []
-        for k in range(self.d):
-            idx.append(nid % self.nodes_per_axis[k])
-            nid //= self.nodes_per_axis[k]
-        return tuple(idx)
+            trace = np.flatnonzero((o[:, axis] == side) & (m[:, axis] == 0))
+            keys = [m[trace, k] for k in reversed(tang)] + [o[trace, k] for k in reversed(tang)]
+            trace = trace[np.lexsort(keys)]   # np.lexsort: the last key varies slowest
+            cells = np.flatnonzero(self._cell_index[axis] == side * (self.extents[axis] - 1))
+            qcoords = (self._cell_index[:, cells].T[:, None, :] + pts[f]) * h
+            qcoords[..., axis] = side * self.lengths[axis]
+            self.faces[name] = FacePatch(name, axis, side, self.cells_sdofs[np.ix_(cells, trace)],
+                                         B0[trace, f], wqf * float(np.prod(h[tang])), qcoords)
 
     @property
     def domain_volume(self):
@@ -443,8 +392,7 @@ class StructuredGrid:
         vals = np.zeros(shape)
         vals[0::nd] = np.asarray(fn(X), dtype=float)
         for m_code in range(1, nd):
-            m = tuple((m_code >> k) & 1 for k in range(self.d))
-            vals[m_code::nd] = np.asarray(dfn(X, m), dtype=float)
+            vals[m_code::nd] = np.asarray(dfn(X, self._local_m[m_code]), dtype=float)
         return NodalField(self, vals)
 
     # -- evaluation -------------------------------------------------------------

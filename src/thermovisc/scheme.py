@@ -283,6 +283,28 @@ def _start_snapshot(traj, k, t, y, theta, w_qp=None):
     return _make_snapshot(traj, k, t, y, theta, kin, th_qp, w_qp)
 
 
+def time_errors(T, tau, eps) -> list[str]:
+    """All violated rules of a run's time parameters, as human-readable strings."""
+    errs = [] if T > 0 else [f"T must be positive (got {T:g})"]
+    if not tau > 0:
+        errs.append(f"tau must be positive (got {tau:g})")
+    elif T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
+        errs.append(f"T/tau must be an integer (T={T:g}, tau={tau:g})")
+    if not eps >= 0:
+        errs.append(f"eps must be nonnegative (got {eps:g})")
+    return errs
+
+
+def refinement_errors(T, tau_list, eps_list) -> list[str]:
+    """All violated rules of a (tau, eps) refinement study: both lists
+    sorted decreasing, and the time rules of every run, each once."""
+    errs = [f"{name} must be sorted decreasing (got {' '.join(f'{v:g}' for v in values)})"
+            for name, values in (("tau_list", tau_list), ("eps_list", eps_list))
+            if list(values) != sorted(values, reverse=True)]
+    errs += [e for tau in tau_list for eps in eps_list for e in time_errors(T, tau, eps)]
+    return list(dict.fromkeys(errs))
+
+
 def run(scenario: Scenario, tau: float, eps: float,
         config: SolverConfig | None = None, checkpoint_dir: str | None = None,
         resume: bool = False) -> Trajectory:
@@ -292,13 +314,10 @@ def run(scenario: Scenario, tau: float, eps: float,
     the last Korn eigenvector, and starts them afresh at each checkpoint
     write, so a resumed run repeats the uninterrupted one bit for bit."""
     cfg = config or SolverConfig()
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    errs = time_errors(scenario.T, tau, eps)
+    if errs:
+        raise ValueError("; ".join(errs))
     n_steps = round(scenario.T / tau)
-    if abs(n_steps * tau - scenario.T) > 1e-9 * scenario.T:
-        raise ValueError(f"T/tau must be an integer (T={scenario.T}, tau={tau})")
 
     grid = scenario.grid
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
@@ -480,14 +499,14 @@ def refinement_study(scenario: Scenario, tau_list, eps_list,
                      config: SolverConfig | None = None):
     """Run the (tau, eps) product and report Cauchy trends.
 
-    tau_list and eps_list must be sorted decreasing.  For each eps the
+    tau_list and eps_list must be sorted decreasing (refinement_errors
+    lists every violated rule before any run starts).  For each eps the
     report holds distances between successive tau-refinements; every run
     also reports its regularization contributions.
     """
-    if list(tau_list) != sorted(tau_list, reverse=True):
-        raise ValueError("tau_list must be sorted decreasing")
-    if list(eps_list) != sorted(eps_list, reverse=True):
-        raise ValueError("eps_list must be sorted decreasing")
+    errs = refinement_errors(scenario.T, tau_list, eps_list)
+    if errs:
+        raise ValueError("; ".join(errs))
     cfg = config or SolverConfig(korn_every=0, hk_every=0)
     report = {"runs": [], "cauchy": {}}
     trajs = {}

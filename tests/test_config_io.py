@@ -85,6 +85,53 @@ def test_negative_solver_counts_reported_together():
     assert (ok.solver.max_newton, ok.solver.max_step_halvings) == (1, 0)
 
 
+def test_solver_config_rejects_what_parse_config_rejects():
+    # korn_every = -1 made run compute Korn at every step (k % -1 == 0) and
+    # max_step_halvings = -1 never halve a rejected step
+    with pytest.raises(ValueError) as exc:
+        SolverConfig(korn_every=-1, max_step_halvings=-1, det_floor=2.0, tol_mech=-1.0)
+    errs = str(exc.value).split("; ")
+    assert len(errs) == 4
+    for start in ("tol_mech must be positive", "korn_every must be at least 0",
+                  "max_step_halvings must be at least 0", "det_floor must lie in (0, 1)"):
+        assert any(e.startswith(start) for e in errs), start
+
+
+def test_output_lists_checked_like_the_time_section():
+    for lists, expect in (("tau_list = 0.025 0.05",
+                           ["[output] tau_list must be sorted decreasing"]),
+                          ("tau_list = 0.1 0.03", ["[output] T/tau must be an integer"]),
+                          ("eps_list = 0.01 -0.1", ["[output] eps must be nonnegative"]),
+                          ("eps_list = 0.001 0.01\ntau_list = 0 0.05",
+                           ["[output] tau_list must be sorted decreasing",
+                            "[output] eps_list must be sorted decreasing",
+                            "[output] tau must be positive"])):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[output]\n{lists}\n")
+        assert len(exc.value.errors) == len(expect), exc.value.errors
+        for e, start in zip(exc.value.errors, expect):
+            assert e.startswith(start), (e, start)
+    # a [time] violation is reported once, not again for the lists
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace("T = 0.2", "T = -1") + "\n[output]\ntau_list = 0.1 0.05\n")
+    assert exc.value.errors == ["[time] T must be positive (got -1)"]
+    ok = parse_config(MINIMAL + "\n[output]\ntau_list = 0.1 0.05\neps_list = 0.1 0.01\n")
+    assert (ok.tau_list, ok.eps_list) == ([0.1, 0.05], [0.1, 0.01])
+
+
+def test_grid_rules_come_from_the_grid():
+    bad = MINIMAL.replace("extents = 6 6", "extents = 1 6\ndirichlet = y00 x0\nlengths = 1 0")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert [e.split(" (")[0].split(";")[0] for e in exc.value.errors] == [
+        "[grid] extents must be at least 2 cells per axis", "[grid] lengths must be positive",
+        "[grid] unknown face 'y00'"]
+    assert "(nearest: y0)" in exc.value.errors[2]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace("extents = 6 6", "extents = 6 6\ndirichlet ="))
+    assert exc.value.errors == ["[grid] the fixed boundary part must be nonempty"]
+
+
 def test_unknown_key_suggests_nearest():
     bad = MINIMAL + "\n[loads]\namplituda = 0.1\n"
     with pytest.raises(ConfigError) as exc:
@@ -319,3 +366,32 @@ def test_cli_refine_writes_cauchy_table(tmp_path):
     assert table[0] == "eps,tau_coarse,tau_fine,dy_grad_l2,dtheta_l2"
     assert len(table) == 2
     assert (tmp_path / "ref" / "refine_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--tau", "0.03"], "error: T/tau must be an integer (T=0.2, tau=0.03)"),
+    (["simulate", "--tau", "0"], "error: tau must be positive (got 0)"),
+    (["simulate", "--eps", "-1"], "error: eps must be nonnegative (got -1)"),
+    (["refine", "--tau-list", "0.025", "0.05"], "error: tau_list must be sorted decreasing"),
+    (["refine", "--tau-list", "0.1", "0.03"], "error: T/tau must be an integer"),
+    (["refine", "--eps-list", "-0.1"], "error: eps must be nonnegative"),
+], ids=["simulate-tau-not-dividing-T", "simulate-tau-zero", "simulate-eps-negative",
+        "refine-tau-list-unsorted", "refine-tau-not-dividing-T", "refine-eps-negative"])
+def test_cli_overrides_checked_before_running(tmp_path, capsys, argv, message):
+    path = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert cli_main(argv[:1] + [path] + argv[1:] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_cli_validate_rejects_unsorted_tau_list(tmp_path, capsys):
+    path = write_cfg(tmp_path, MINIMAL + "\n[output]\ntau_list = 0.025 0.05\n")
+    assert cli_main(["validate", path]) == 1
+    assert "[output] tau_list must be sorted decreasing" in capsys.readouterr().out
+    # refine with a default list that does not divide T stops before any run
+    path = write_cfg(tmp_path, MINIMAL.replace("T = 0.2", "T = 0.15")
+                     + "\n[loads]\nscenario = refine_tau\n")
+    assert cli_main(["refine", path, "--out", str(tmp_path / "r")]) == 1
+    assert "error: T/tau must be an integer (T=0.15, tau=0.1)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

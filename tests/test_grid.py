@@ -583,6 +583,91 @@ def test_normal_derivative_dofs_stay_free():
 
 
 # ---------------------------------------------------------------------------
+# index map: cells, faces and clamped dofs checked by their rules
+
+
+INDEX_GRIDS = {"3d": ((3, 5, 4), (0.3, 1.1, 2.0), ("y0", "z0")),
+               "2d": ((5, 7), (1.3, 0.7), ("x0",))}
+
+
+@pytest.fixture(scope="module", params=list(INDEX_GRIDS))
+def index_grid(request):
+    extents, lengths, fixed = INDEX_GRIDS[request.param]
+    return StructuredGrid(extents, lengths, dirichlet_faces=fixed)
+
+
+def face_trace_dofs(g, name):
+    """Value and tangential dofs of the nodes on a face, as a set."""
+    axis, side = {"x": 0, "y": 1, "z": 2}[name[0]], int(name[1])
+    on_face = np.flatnonzero(g.node_coords[:, axis] == side * g.lengths[axis])
+    return {int(n) * g.ndof_node + code for n in on_face for code in range(g.ndof_node)
+            if not (code >> axis) & 1}
+
+
+def test_cell_dofs_are_the_dofs_of_the_cell_corners(index_grid):
+    g = index_grid
+    d, nd, h = g.d, g.ndof_node, np.array(g.h)
+    node, m_code = np.divmod(g.cells_sdofs, nd)
+    origin = g.node_coords[node[:, 0]]
+    # the cells tile the box: distinct origins, quadrature points inside
+    assert len({tuple(x) for x in np.round(origin / h).astype(int)}) == g.n_cells
+    assert np.all(g.qcoords > origin[:, None] - 1e-15)
+    assert np.all(g.qcoords < origin[:, None] + h + 1e-15)
+    for a in range(g.nloc):
+        o_code, m = divmod(a, nd)
+        o = np.array([(o_code >> k) & 1 for k in range(d)])
+        assert np.all(m_code[:, a] == m)
+        assert np.allclose(g.node_coords[node[:, a]], origin + o * h, rtol=0, atol=1e-14)
+
+
+def test_face_points_lie_on_the_face(index_grid):
+    g = index_grid
+    h = np.array(g.h)
+    for name, p in g.faces.items():
+        x = p.qcoords
+        assert np.all(x[..., p.axis] == p.side * g.lengths[p.axis])
+        assert np.all((x > 0) | (np.arange(g.d) == p.axis))
+        assert np.all((x < g.lengths) | (np.arange(g.d) == p.axis))
+        assert x.shape[0] == g.n_cells // g.extents[p.axis]
+        assert np.isclose(p.measure, g.domain_volume / g.lengths[p.axis], rtol=1e-14)
+        # each face cell's points lie within one cell width of its trace nodes
+        nodes = g.node_coords[p.sdofs // g.ndof_node]
+        assert np.all(np.abs(x[:, :, None] - nodes[:, None]) <= h + 1e-14)
+
+
+def test_face_dofs_are_the_trace_dofs_of_its_nodes(index_grid):
+    g = index_grid
+    for name, p in g.faces.items():
+        assert set(p.sdofs.ravel().tolist()) == face_trace_dofs(g, name), name
+        assert p.sdofs.shape[1] == 4 ** (g.d - 1)
+        assert all(len(set(row)) == p.sdofs.shape[1] for row in p.sdofs.tolist())
+
+
+def test_face_trace_of_an_interpolated_polynomial(index_grid):
+    g = index_grid
+    rng = np.random.default_rng(14)
+    # two tensor products of cubics: degree 3 per axis, interpolated exactly
+    coef = rng.standard_normal((2, g.d, 4))
+    P = np.polynomial.polynomial
+
+    def partial(X, m):
+        return sum(np.prod([P.polyval(X[:, k], P.polyder(c[k], m[k])) for k in range(g.d)],
+                           axis=0) for c in coef)
+
+    f = g.interpolate(lambda X: partial(X, (0,) * g.d), partial)
+    for name, p in g.faces.items():
+        exact = partial(p.qcoords.reshape(-1, g.d), (0,) * g.d).reshape(p.qcoords.shape[:2])
+        assert np.allclose(g.eval_face_scalar(name, f), exact, rtol=0, atol=1e-12), name
+
+
+def test_clamped_dofs_are_the_trace_dofs_of_the_fixed_faces(index_grid):
+    g = index_grid
+    expect = set().union(*(face_trace_dofs(g, name) for name in g.dirichlet_faces))
+    assert set(np.flatnonzero(g.dirichlet_sdofs).tolist()) == expect
+    assert np.array_equal(g.free_sdofs, ~g.dirichlet_sdofs)
+
+
+# ---------------------------------------------------------------------------
 # Robin boundary term
 
 
