@@ -5,8 +5,9 @@
     thermovisc validate <config>
 
 Exit code 0 only if parsing succeeds and all enabled certificates pass;
-1 when the config or a command-line override breaks a rule (each printed
-as ``error: ...``), 2 when a certificate fails.
+1 when the config or a command-line override breaks a rule or the preset
+refuses the grid (each printed as ``error: ...``), 2 when a certificate
+fails.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def cmd_validate(args):
         for e in exc.errors:
             print(f"  - {e}")
         return 1
+    if _scenario(cfg) is None:
+        return 1
     print(f"{args.config}: valid ({cfg.scenario}, tau={cfg.tau:g}, eps={cfg.eps:g})")
     return 0
 
@@ -43,6 +46,14 @@ def _errors(errors):
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return 1 if errors else 0
+
+
+def _scenario(cfg):
+    """The config's scenario, or None after printing why its preset refused it."""
+    try:
+        return cfg.build_scenario()
+    except ValueError as exc:
+        _errors(str(exc).split("; "))
 
 
 def cmd_simulate(args):
@@ -56,11 +67,10 @@ def cmd_simulate(args):
         cfg.eps = args.eps
     if args.isothermal:
         cfg.isothermal = True
-    if _errors(time_errors(cfg.T, cfg.tau, cfg.eps)):
+    scenario = _scenario(cfg)
+    if scenario is None or _errors(time_errors(scenario.T, cfg.tau, cfg.eps)):
         return 1
     outdir = args.out or cfg.directory
-
-    scenario = cfg.build_scenario()
     h = run_hash(scenario, cfg.tau, cfg.eps, cfg.solver)
     traj = run(scenario, cfg.tau, cfg.eps, cfg.solver,
                checkpoint_dir=os.path.join(outdir, "checkpoints")
@@ -81,12 +91,11 @@ def cmd_refine(args):
         return _errors(exc.errors)
     tau_list = args.tau_list or cfg.tau_list or [cfg.tau]
     eps_list = args.eps_list or cfg.eps_list or [cfg.eps]
-    if _errors(refinement_errors(cfg.T, tau_list, eps_list)):
+    scenario = _scenario(cfg)
+    if scenario is None or _errors(refinement_errors(scenario.T, tau_list, eps_list)):
         return 1
     outdir = args.out or cfg.directory
     os.makedirs(outdir, exist_ok=True)
-
-    scenario = cfg.build_scenario()
     report = refinement_study(scenario, tau_list, eps_list, cfg.solver)
     trajs = report.pop("trajectories")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from .grid import StructuredGrid, grid_errors
 from .materials import MaterialModel
 from .mech import SolverConfig
-from .presets import DEFAULT_REFINEMENT, PRESETS
+from .presets import DEFAULT_REFINEMENT, PRESETS, parameters
 from .scheme import refinement_errors, time_errors
 
 
@@ -43,40 +43,32 @@ _SCHEMA = {
                "tau_list": "float_list", "eps_list": "float_list"},
 }
 
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+_PARSE = {"float": float, "int": int, "bool": lambda v: _BOOLS[v.strip().lower()],
+          "str": str.strip}   # parsed form of one value of each kind
 _FORMAT = {"float": lambda v: f"{v:.17g}", "int": str, "bool": lambda v: str(v).lower(),
            "str": str}   # serialized form of one value of each kind
 
+_PRESET_KEYS = {*_SCHEMA["loads"], "T"} - {"scenario"}   # keys a preset may take
+
 _DEFAULTS = {
     "grid": {"extents": [16, 16], "lengths": [1.0, 1.0], "dirichlet": ["y0"]},
-    "loads": {"scenario": "steady", "amplitude": 0.15, "t_pulse": 0.5,
-              "theta_b": 1.0, "theta0": 1.0},
-    "time": {"T": 1.0, "tau": 0.05, "eps": 0.01},
-    "output": {"directory": "out", "diagnostics": "full",
-               "tau_list": [], "eps_list": []},
+    "time": {"tau": 0.05, "eps": 0.01},
+    "output": {"directory": "out", "diagnostics": "full"},
 }
 
 
+def _hint(name, choices, fmt):
+    close = difflib.get_close_matches(name, choices, n=1)
+    return fmt.format(close[0]) if close else ""
+
+
 def _parse_value(kind, raw, where, errors):
+    parse = _PARSE[kind.removesuffix("_list")]
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        if kind == "int_list":
-            return [int(v) for v in raw.split()]
-        if kind == "float_list":
-            return [float(v) for v in raw.split()]
-        if kind == "str_list":
-            return raw.split()
-        return raw.strip()
-    except ValueError:
+        return [parse(v) for v in raw.split()] if kind.endswith("_list") else parse(raw)
+    except (KeyError, ValueError):
         errors.append(f"{where}: cannot parse {raw!r} as {kind}")
         return None
 
@@ -90,11 +82,7 @@ class RunConfig:
     dirichlet: list
     material: MaterialModel
     scenario: str
-    amplitude: float
-    t_pulse: float
-    theta_b: float
-    theta0: float
-    T: float
+    preset_args: dict   # the preset parameters the file sets ([loads] keys, [time] T)
     tau: float
     eps: float
     solver: SolverConfig
@@ -109,35 +97,28 @@ class RunConfig:
                               dirichlet_faces=tuple(self.dirichlet))
 
     def build_scenario(self):
-        grid = self.build_grid()
-        maker = PRESETS[self.scenario]
-        kwargs = {"grid": grid, "T": self.T}
-        if self.scenario in ("shear_pulse", "press_pulse", "refine_tau", "refine_eps"):
-            kwargs.update(model=self.material, amplitude=self.amplitude,
-                          t_pulse=self.t_pulse, theta0=self.theta0,
-                          theta_b=self.theta_b)
-        elif self.scenario == "insulated_pulse":
-            kwargs.update(amplitude=self.amplitude, t_pulse=self.t_pulse,
-                          theta0=self.theta0, kappa=self.material.kappa)
-        elif self.scenario == "isothermal_creep":
-            kwargs.update(model=self.material, amplitude=self.amplitude,
-                          theta0=self.theta0)
-        else:
-            kwargs.update(model=self.material, theta0=self.theta0)
-        sc = maker(**kwargs)
-        if self.isothermal and not sc.isothermal:
-            sc.isothermal = True
+        sc = PRESETS[self.scenario](grid=self.build_grid(), model=self.material,
+                                    **self.preset_args)
+        sc.isothermal = sc.isothermal or self.isothermal
         return sc
 
     def serialize(self) -> str:
-        """The config as an INI document, every key in ``_SCHEMA`` order."""
+        """The config as an INI document, every key in ``_SCHEMA`` order.  The
+        scenario's parameters are written as its preset recorded them; a
+        preset key the scenario does not take and a material key its preset
+        fixes are left out."""
+        params = self.build_scenario().params
         owners = {"material": self.material, "solver": self.solver}
         lines = []
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
             for key, kind in keys.items():
+                fixed = section == "material" and key in params
+                if fixed or key in _PRESET_KEYS and key not in params:
+                    continue
                 # isothermal is an INI key of [solver] but belongs to the scenario
-                value = getattr(self if key == "isothermal" else owners.get(section, self), key)
+                owner = self if key == "isothermal" else owners.get(section, self)
+                value = params[key] if key in params else getattr(owner, key)
                 fmt = _FORMAT[kind.removesuffix("_list")]
                 text = " ".join(map(fmt, value)) if kind.endswith("_list") else fmt(value)
                 lines.append(f"{key} = {text}")
@@ -156,52 +137,54 @@ def parse_config(text: str) -> RunConfig:
 
     for section in cp.sections():
         if section not in _SCHEMA:
-            close = difflib.get_close_matches(section, _SCHEMA, n=1)
-            hint = f" (did you mean [{close[0]}]?)" if close else ""
-            errors.append(f"unknown section [{section}]{hint}")
+            errors.append(f"unknown section [{section}]"
+                          + _hint(section, _SCHEMA, " (did you mean [{}]?)"))
             continue
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
-                close = difflib.get_close_matches(key, _SCHEMA[section], n=1)
-                hint = f" (nearest valid key: {close[0]})" if close else ""
-                errors.append(f"unknown key '{key}' in [{section}]{hint}")
+                errors.append(f"unknown key '{key}' in [{section}]"
+                              + _hint(key, _SCHEMA[section], " (nearest valid key: {})"))
                 continue
             v = _parse_value(_SCHEMA[section][key], raw, f"[{section}] {key}", errors)
             if v is not None:
                 values[(section, key)] = v
 
     def get(section, key, default=None):
-        if (section, key) in values:
-            return values[(section, key)]
-        return _DEFAULTS.get(section, {}).get(key, default)
+        return values.get((section, key), _DEFAULTS.get(section, {}).get(key, default))
 
     extents = get("grid", "extents")
     lengths = get("grid", "lengths")
     dirichlet = get("grid", "dirichlet")
     errors.extend(f"[grid] {e}" for e in grid_errors(extents, lengths, dirichlet))
 
-    mat_kwargs = {key: values[("material", key)] for key in _SCHEMA["material"]
-                  if ("material", key) in values}
+    mat_kwargs = {key: v for (section, key), v in values.items() if section == "material"}
     try:
         material = MaterialModel(d=len(extents), **mat_kwargs)
     except ValueError as exc:
         errors.extend(f"[material] {e}" for e in str(exc).split("; "))
 
-    scenario = get("loads", "scenario")
+    scenario = get("loads", "scenario", "steady")
+    takes = parameters(scenario) if scenario in PRESETS else {}
     if scenario not in PRESETS:
-        close = difflib.get_close_matches(scenario, PRESETS, n=1)
-        hint = f" (nearest: {close[0]})" if close else ""
-        errors.append(f"[loads] unknown scenario '{scenario}'{hint}")
+        errors.append(f"[loads] unknown scenario '{scenario}'"
+                      + _hint(scenario, PRESETS, " (nearest: {})"))
+    preset_args = {key: v for (section, key), v in values.items() if key in _PRESET_KEYS}
+    named = f"scenario '{scenario}' (its parameters: {', '.join(takes)})"
+    errors.extend(f"[{'time' if key == 'T' else 'loads'}] {key} is not a parameter of {named}"
+                  for key in preset_args if takes and key not in takes)
+    errors.extend(f"[material] {key} is fixed by {named}" for key in mat_kwargs if key in takes)
     if scenario == "isothermal_creep" and values.get(("solver", "isothermal")) is False:
         errors.append("[solver] isothermal = false contradicts scenario 'isothermal_creep', "
                       "which is isothermal")
-    for key in ("theta_b", "theta0"):
-        if get("loads", key) < 0:
-            errors.append(f"[loads] {key} must be nonnegative")
+    errors.extend(f"[loads] {key} must be nonnegative" for key in ("theta_b", "theta0")
+                  if preset_args.get(key, 0.0) < 0)
 
-    T, tau, eps = get("time", "T"), get("time", "tau"), get("time", "eps")
+    # an unknown scenario has no default T (None), so only a set T is checked
+    T, tau, eps = preset_args.get("T", takes.get("T")), get("time", "tau"), get("time", "eps")
+    refinement = DEFAULT_REFINEMENT.get(scenario, {})
+    tau_list = get("output", "tau_list") or refinement.get("tau_list", [])
+    eps_list = get("output", "eps_list") or refinement.get("eps_list", [])
     errors.extend(f"[time] {e}" for e in time_errors(T, tau, eps))
-    tau_list, eps_list = get("output", "tau_list"), get("output", "eps_list")
     if tau_list or eps_list:
         errors.extend(f"[output] {e}" for e in refinement_errors(T, tau_list or [tau],
                                                                  eps_list or [eps])
@@ -216,21 +199,21 @@ def parse_config(text: str) -> RunConfig:
     diagnostics = get("output", "diagnostics")
     if diagnostics not in ("full", "light"):
         errors.append(f"[output] diagnostics must be 'full' or 'light' (got '{diagnostics}')")
+    periods = [f"{key} = {values[('solver', key)]}" for key in ("korn_every", "hk_every")
+               if values.get(("solver", key))]
+    if diagnostics == "light" and periods:
+        errors.append(f"[output] diagnostics = light contradicts [solver] {', '.join(periods)}: "
+                      "light turns these certificates off")
 
     if errors:
         raise ConfigError(errors)
 
     if diagnostics == "light":
         solver = replace(solver, korn_every=0, hk_every=0)
-    if scenario in DEFAULT_REFINEMENT:
-        tau_list = tau_list or DEFAULT_REFINEMENT[scenario]["tau_list"]
-        eps_list = eps_list or DEFAULT_REFINEMENT[scenario]["eps_list"]
 
     return RunConfig(
         extents=extents, lengths=lengths, dirichlet=dirichlet, material=material,
-        scenario=scenario, amplitude=get("loads", "amplitude"),
-        t_pulse=get("loads", "t_pulse"), theta_b=get("loads", "theta_b"),
-        theta0=get("loads", "theta0"), T=T, tau=tau, eps=eps, solver=solver,
+        scenario=scenario, preset_args=preset_args, tau=tau, eps=eps, solver=solver,
         isothermal=bool(get("solver", "isothermal", scenario == "isothermal_creep")),
         directory=get("output", "directory"), diagnostics=diagnostics,
         tau_list=tau_list, eps_list=eps_list)

@@ -398,10 +398,10 @@ class TestBank:
         self.Z, self.gradZ, self.hessZ = vector(grid.qcoords)
         self.V, self.gradV, _ = scalar(grid.qcoords)
         # the face traces need values only
-        self.Zface = {name: np.stack([np.stack([_separable_value(p.qcoords, *c) for c in comps],
+        self.Zface = {name: np.stack([np.stack([_separable(p.qcoords, *c)[0] for c in comps],
                                                axis=-1) for comps in mech])
                       for name, p in grid.faces.items()}
-        self.Vface = {name: np.stack([_separable_value(p.qcoords, *v) for v in therm])
+        self.Vface = {name: np.stack([_separable(p.qcoords, *v)[0] for v in therm])
                       for name, p in grid.faces.items()}
 
     def s(self, t):
@@ -429,13 +429,6 @@ def _separable(X, amp, modes):
         factors.append((p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2))
     value, grad, hess = tensor_derivatives(*zip(*factors))
     return amp * value, amp * grad, amp * hess
-
-
-def _separable_value(X, amp, modes):
-    """The value of :func:`_separable` alone, by the same operations."""
-    trig = {"sin": np.sin, "cos": np.cos}
-    return amp * np.prod([P(X[..., k]) * trig[f](a * X[..., k] + ph)
-                          for k, ((P, _, _), a, ph, f) in enumerate(modes)], axis=0)
 
 
 def _time_nodes(t0, t1, npts=5):

@@ -1,13 +1,18 @@
 """Named scenario presets.
 
-steady           load-free equilibrium audit (identity map, uniform data)
-shear_pulse      smooth shear traction pulse on the top face, then hold
-isothermal_creep constant-temperature creep under a small dead traction
-insulated_pulse  shear pulse with a near-zero heat-transfer coefficient,
-                 for the entropy-monotonicity audit
+A preset's keyword signature is the one statement of its scenario's
+parameters and their defaults; a run config passes it exactly the
+``[loads]`` keys and ``[time] T`` the file sets.  The built scenario
+records its effective parameters in ``Scenario.params``.  A loading
+preset puts its traction on the face opposite the clamped one (y1 when
+y0 is clamped, x1 otherwise) and refuses a grid that clamps that face.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,121 +20,123 @@ from .grid import StructuredGrid
 from .materials import MaterialModel
 from .scheme import Scenario
 
-
-def _pulse(t, t_pulse):
-    return np.sin(np.pi * t / t_pulse) ** 2 if 0.0 < t < t_pulse else 0.0
-
-
-def make_grid(extents=(16, 16), lengths=(1.0, 1.0), dirichlet=("y0",)):
-    return StructuredGrid(extents, lengths, dirichlet_faces=dirichlet)
+PRESETS = {}
+_DOMAIN = ("grid", "model")   # preset arguments that are not scenario parameters
 
 
+def parameters(name):
+    """The parameters of preset ``name`` apart from grid and model, with their
+    defaults (``theta_b = None`` stands for theta0)."""
+    return {key: p.default for key, p in inspect.signature(PRESETS[name]).parameters.items()
+            if key not in _DOMAIN}
+
+
+def _preset(build):
+    """Register ``build``, which gets a grid and a model always.  Its
+    scenarios record the call's parameters with defaults filled in, as the
+    scenario holds them where it does (so theta_b = None records the
+    theta0 it resolves to)."""
+    signature = inspect.signature(build)
+
+    @functools.wraps(build)
+    def preset(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        kw = bound.arguments
+        kw["grid"] = kw["grid"] or StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
+        kw["model"] = kw["model"] or MaterialModel(d=kw["grid"].d)
+        sc = build(**kw)
+        sc.params = {key: getattr(sc, key, value) for key, value in kw.items()
+                     if key not in _DOMAIN}
+        return sc
+
+    PRESETS[build.__name__] = preset
+    return preset
+
+
+def _face_traction(grid, size, press=False):
+    """Traction f(t, face, X) of magnitude size(t) on the loaded face, along
+    the face or, with ``press``, against its outward normal."""
+    loaded = "y1" if "y0" in grid.dirichlet_faces else "x1"
+    if loaded in grid.dirichlet_faces:
+        raise ValueError(f"the loaded face {loaded} is clamped "
+                         f"(dirichlet = {' '.join(grid.dirichlet_faces)})")
+    axis = int((loaded[0] == "y") == press)   # on y1: shear along x, press along y
+    sign = -1.0 if press else 1.0
+
+    def traction(t, face, X):
+        f = np.zeros(X.shape[:2] + (grid.d,))
+        if face == loaded:
+            f[..., axis] = sign * size(t)
+        return f
+
+    return traction
+
+
+def _pulse_scenario(name, grid, model, T, amplitude, t_pulse, theta0, theta_b, press=False):
+    def size(t):
+        return amplitude * (np.sin(np.pi * t / t_pulse) ** 2 if 0.0 < t < t_pulse else 0.0)
+
+    return Scenario(name=name, grid=grid, model=model, T=T,
+                    traction=_face_traction(grid, size, press),
+                    theta_b=theta_b if theta_b is not None else theta0, theta0=theta0)
+
+
+@_preset
 def steady(grid=None, model=None, T=1.0, theta0=1.0):
-    grid = grid or make_grid()
-    model = model or MaterialModel(d=grid.d)
-    return Scenario(name="steady", grid=grid, model=model, T=T,
-                    theta_b=theta0, theta0=theta0)
+    """Load-free equilibrium audit: identity map, uniform temperature data."""
+    return Scenario(name="steady", grid=grid, model=model, T=T, theta_b=theta0, theta0=theta0)
 
 
+@_preset
 def shear_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
                 theta0=1.0, theta_b=None):
-    """Tangential traction on the face opposite the clamped one."""
-    grid = grid or make_grid()
-    model = model or MaterialModel(d=grid.d)
-    top = "y1" if "y0" in grid.dirichlet_faces else "x1"
-    shear_dir = 0 if top[0] == "y" else 1
-
-    def traction(t, face, X):
-        f = np.zeros(X.shape[:2] + (grid.d,))
-        if face == top:
-            f[..., shear_dir] = amplitude * _pulse(t, t_pulse)
-        return f
-
-    return Scenario(name="shear_pulse", grid=grid, model=model, T=T,
-                    traction=traction, theta_b=theta_b if theta_b is not None else theta0,
-                    theta0=theta0)
+    """Tangential traction amplitude * sin^2(pi t / t_pulse) on the loaded
+    face up to t_pulse, then none."""
+    return _pulse_scenario("shear_pulse", grid, model, T, amplitude, t_pulse, theta0, theta_b)
 
 
+@_preset
 def press_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
                 theta0=1.0, theta_b=None):
-    """Normal traction pulse on the face opposite the clamped one.
-
-    The induced rates are strain dominated (little rigid spin), which makes
-    it the right scenario for isolating the linear-viscosity contribution
-    against the frame-indifferent dissipation in eps-refinement studies.
-    """
-    grid = grid or make_grid()
-    model = model or MaterialModel(d=grid.d)
-    top = "y1" if "y0" in grid.dirichlet_faces else "x1"
-    normal_dir = 1 if top[0] == "y" else 0
-
-    def traction(t, face, X):
-        f = np.zeros(X.shape[:2] + (grid.d,))
-        if face == top:
-            f[..., normal_dir] = -amplitude * _pulse(t, t_pulse)
-        return f
-
-    return Scenario(name="press_pulse", grid=grid, model=model, T=T,
-                    traction=traction,
-                    theta_b=theta_b if theta_b is not None else theta0,
-                    theta0=theta0)
+    """The shear pulse pressing on the loaded face.  Its rates are strain
+    dominated (little rigid spin), which isolates the linear-viscosity
+    contribution from the frame-indifferent dissipation in eps studies."""
+    return _pulse_scenario("press_pulse", grid, model, T, amplitude, t_pulse, theta0, theta_b,
+                           press=True)
 
 
-def insulated_pulse(grid=None, T=1.0, amplitude=0.15, t_pulse=0.5, theta0=1.0,
+@_preset
+def insulated_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5, theta0=1.0,
                     kappa=1e-6):
-    grid = grid or make_grid()
-    model = MaterialModel(d=grid.d, kappa=kappa)
-    sc = shear_pulse(grid=grid, model=model, T=T, amplitude=amplitude,
-                     t_pulse=t_pulse, theta0=theta0)
-    sc.name = "insulated_pulse"
-    return sc
+    """Shear pulse with the model's heat-transfer coefficient replaced by a
+    near-zero kappa, for the entropy-monotonicity audit."""
+    return _pulse_scenario("insulated_pulse", grid, replace(model, kappa=kappa), T, amplitude,
+                           t_pulse, theta0, None)
 
 
+@_preset
 def isothermal_creep(grid=None, model=None, T=1.0, amplitude=0.05, theta0=1.0):
     """Constant small dead traction at fixed temperature (eps = 0 intended)."""
-    grid = grid or make_grid()
-    model = model or MaterialModel(d=grid.d)
-    top = "y1" if "y0" in grid.dirichlet_faces else "x1"
-    shear_dir = 0 if top[0] == "y" else 1
-
-    def traction(t, face, X):
-        f = np.zeros(X.shape[:2] + (grid.d,))
-        if face == top:
-            f[..., shear_dir] = amplitude
-        return f
-
     return Scenario(name="isothermal_creep", grid=grid, model=model, T=T,
-                    traction=traction, theta0=theta0, theta_b=theta0,
-                    isothermal=True)
+                    traction=_face_traction(grid, lambda t: amplitude),
+                    theta0=theta0, theta_b=theta0, isothermal=True)
 
 
-def refine_tau(T=0.4, t_pulse=0.25, **kwargs):
+@_preset
+def refine_tau(grid=None, model=None, T=0.4, amplitude=0.15, t_pulse=0.25,
+               theta0=1.0, theta_b=None):
     """Shear pulse sized for tau-halving studies (see DEFAULT_REFINEMENT)."""
-    sc = shear_pulse(T=T, t_pulse=t_pulse, **kwargs)
-    sc.name = "refine_tau"
-    return sc
+    return _pulse_scenario("refine_tau", grid, model, T, amplitude, t_pulse, theta0, theta_b)
 
 
-def refine_eps(T=0.4, t_pulse=0.25, **kwargs):
-    """Normal-load pulse sized for eps-refinement studies.
+@_preset
+def refine_eps(grid=None, model=None, T=0.4, amplitude=0.15, t_pulse=0.25,
+               theta0=1.0, theta_b=None):
+    """Pressing pulse sized for eps-refinement studies (see press_pulse)."""
+    return _pulse_scenario("refine_eps", grid, model, T, amplitude, t_pulse, theta0, theta_b,
+                           press=True)
 
-    Strain-dominated rates keep the linear-viscosity contribution cleanly
-    separated from the frame-indifferent dissipation.
-    """
-    sc = press_pulse(T=T, t_pulse=t_pulse, **kwargs)
-    sc.name = "refine_eps"
-    return sc
-
-
-PRESETS = {
-    "steady": steady,
-    "shear_pulse": shear_pulse,
-    "press_pulse": press_pulse,
-    "insulated_pulse": insulated_pulse,
-    "isothermal_creep": isothermal_creep,
-    "refine_tau": refine_tau,
-    "refine_eps": refine_eps,
-}
 
 # list defaults used when a refine_* scenario is selected without explicit lists
 DEFAULT_REFINEMENT = {

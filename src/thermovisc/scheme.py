@@ -47,6 +47,7 @@ class Scenario:
     theta0: object = 1.0             # scalar or NodalField
     y0: NodalField = None            # defaults to the identity map
     isothermal: bool = False
+    params: dict = field(default_factory=dict)   # a preset's effective parameters
 
     def __post_init__(self):
         errs = self.validate()
@@ -284,11 +285,12 @@ def _start_snapshot(traj, k, t, y, theta, w_qp=None):
 
 
 def time_errors(T, tau, eps) -> list[str]:
-    """All violated rules of a run's time parameters, as human-readable strings."""
-    errs = [] if T > 0 else [f"T must be positive (got {T:g})"]
+    """All violated rules of a run's time parameters, as human-readable
+    strings; T = None (not known) skips the rules on T."""
+    errs = [] if T is None or T > 0 else [f"T must be positive (got {T:g})"]
     if not tau > 0:
         errs.append(f"tau must be positive (got {tau:g})")
-    elif T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
+    elif T is not None and T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
         errs.append(f"T/tau must be an integer (T={T:g}, tau={tau:g})")
     if not eps >= 0:
         errs.append(f"eps must be nonnegative (got {eps:g})")
@@ -534,7 +536,10 @@ def refinement_study(scenario: Scenario, tau_list, eps_list,
 
 
 def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
-    """Stable hash of everything that determines a trajectory."""
+    """Stable hash of everything that determines a trajectory.
+
+    The loads enter through the preset record ``scenario.params``; the
+    callables and initial fields of a hand-built scenario are not hashed."""
     payload = {
         "name": scenario.name,
         "extents": scenario.grid.extents,
@@ -545,6 +550,7 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
         "tau": tau,
         "eps": eps,
         "isothermal": scenario.isothermal,
+        "params": scenario.params,
         "solver": asdict(config),
     }
     blob = json.dumps(payload, sort_keys=True).encode()

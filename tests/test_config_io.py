@@ -20,7 +20,7 @@ from thermovisc.outputs import (
     read_timeseries,
     write_field_dump,
 )
-from thermovisc.presets import shear_pulse
+from thermovisc.presets import PRESETS, parameters, shear_pulse
 from thermovisc.scheme import run
 
 MINIMAL = """
@@ -139,6 +139,15 @@ def test_unknown_key_suggests_nearest():
     assert "nearest valid key: amplitude" in str(exc.value)
 
 
+def test_unknown_scenario_still_checks_tau_and_eps():
+    # an unknown scenario states no default T, and the rules that need none still run
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[loads]\nscenario = shear\n\n[time]\ntau = -1\neps = -1\n")
+    assert exc.value.errors == ["[loads] unknown scenario 'shear' (nearest: shear_pulse)",
+                                "[time] tau must be positive (got -1)",
+                                "[time] eps must be nonnegative (got -1)"]
+
+
 def test_output_seed_is_unknown_key():
     # nothing reads a seed: the weak-residual bank is seeded by its caller
     with pytest.raises(ConfigError) as exc:
@@ -157,6 +166,14 @@ def test_config_surface_matches_solver_config_and_readme():
     cp.optionxform = str
     cp.read_string(block)
     assert {s: set(cp[s]) for s in cp.sections()} == {s: set(k) for s, k in _SCHEMA.items()}
+    # the README's scenario table states each preset's signature
+    lines = ("| scenario |" + readme.split("| scenario |", 1)[1]).split("\n\n", 1)[0]
+    rows = [[c.strip(" `") for c in line.strip("|").split("|")] for line in lines.splitlines()]
+    table = {row[0]: {k: v for k, v in zip(rows[0][1:], row[1:]) if v != "–"} for row in rows[2:]}
+    assert set(table) == set(PRESETS)
+    for name, cells in table.items():
+        expect = {k: "theta0" if v is None else v for k, v in parameters(name).items()}
+        assert {k: v if v == "theta0" else float(v) for k, v in cells.items()} == expect, name
 
 
 def test_roundtrip_serialize_parse():
@@ -164,7 +181,8 @@ def test_roundtrip_serialize_parse():
     text = cfg.serialize()
     cfg2 = parse_config(text)
     assert cfg2.serialize() == text
-    assert cfg2.amplitude == cfg.amplitude
+    assert cfg2.build_scenario().params == cfg.build_scenario().params
+    assert cfg2.preset_args["amplitude"] == 0.125
     assert cfg2.material == cfg.material
     assert cfg2.solver == cfg.solver
 
@@ -237,6 +255,18 @@ def test_light_diagnostics_disables_eigensolves():
     assert cfg.solver.korn_every == 0 and cfg.solver.hk_every == 0
 
 
+def test_light_diagnostics_refuses_explicit_periods():
+    light = MINIMAL + "\n[output]\ndiagnostics = light\n\n[solver]\n"
+    for periods, named in (("korn_every = 2\n", "korn_every = 2"),
+                           ("korn_every = 2\nhk_every = 3\n", "korn_every = 2, hk_every = 3")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(light + periods)
+        assert exc.value.errors == [f"[output] diagnostics = light contradicts [solver] {named}: "
+                                    "light turns these certificates off"]
+    cfg = parse_config(light + "korn_every = 0\nhk_every = 0\n")
+    assert cfg.solver.korn_every == 0 and cfg.solver.hk_every == 0
+
+
 def test_refine_presets_carry_default_lists():
     cfg = parse_config(MINIMAL + "\n[loads]\nscenario = refine_tau\n")
     assert cfg.tau_list == [0.1, 0.05, 0.025, 0.0125]
@@ -246,6 +276,74 @@ def test_refine_presets_carry_default_lists():
     cfg2 = parse_config(MINIMAL + "\n[loads]\nscenario = refine_eps\n")
     assert cfg2.eps_list == [0.1, 0.01, 0.001]
     assert cfg2.build_scenario().name == "refine_eps"
+
+
+# a value for each preset key, none of them a default; T = 0.6 suits every preselected list
+PRESET_VALUES = {"amplitude": 0.0625, "t_pulse": 0.125, "theta_b": 0.75, "theta0": 1.25, "T": 0.6}
+SMALL = "[grid]\nextents = 4 4\n\n[time]\ntau = 0.05\n"
+
+
+def preset_config(scenario, **keys):
+    loads = "".join(f"{k} = {v}\n" for k, v in keys.items() if k != "T")
+    time = "".join(f"T = {v}\n" for k, v in keys.items() if k == "T")
+    return SMALL + time + f"\n[loads]\nscenario = {scenario}\n" + loads
+
+
+def unset_params(scenario):
+    """The preset's defaults as the built scenario records them."""
+    defaults = parameters(scenario)
+    return {k: defaults["theta0"] if v is None else v for k, v in defaults.items()}
+
+
+@pytest.mark.parametrize("key", list(PRESET_VALUES))
+@pytest.mark.parametrize("scenario", list(PRESETS))
+def test_set_preset_key_reaches_the_preset_or_is_refused(scenario, key):
+    takes = parameters(scenario)
+    text = preset_config(scenario, **{key: PRESET_VALUES[key]})
+    if key in takes:
+        expect = {**unset_params(scenario), key: PRESET_VALUES[key]}
+        if key == "theta0" and "theta_b" in takes:
+            expect["theta_b"] = PRESET_VALUES["theta0"]   # theta_b defaults to theta0
+        assert parse_config(text).build_scenario().params == expect
+    else:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        section = "time" if key == "T" else "loads"
+        assert exc.value.errors == [f"[{section}] {key} is not a parameter of scenario "
+                                    f"'{scenario}' (its parameters: {', '.join(takes)})"]
+
+
+@pytest.mark.parametrize("scenario", list(PRESETS))
+def test_unset_preset_keys_take_the_preset_defaults(scenario):
+    cfg = parse_config(preset_config(scenario))
+    assert cfg.preset_args == {}
+    assert cfg.build_scenario().params == unset_params(scenario)
+    assert parse_config(cfg.serialize()).build_scenario().params == unset_params(scenario)
+
+
+def test_config_runs_the_scenario_its_preset_defines():
+    # insulated_pulse keeps the [material] keys and applies its own kappa
+    insulated = preset_config("insulated_pulse") + "\n[material]\n"
+    sc = parse_config(insulated + "nu = 2.0\n").build_scenario()
+    assert (sc.model.nu, sc.model.kappa) == (2.0, 1e-6)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(insulated + "kappa = 0.5\n")
+    assert exc.value.errors == ["[material] kappa is fixed by scenario 'insulated_pulse' (its "
+                                "parameters: T, amplitude, t_pulse, theta0, kappa)"]
+    # the refinement presets run over the time they are sized for
+    for name in ("refine_tau", "refine_eps"):
+        sc = parse_config(preset_config(name)).build_scenario()
+        face = sc.grid.faces["y1"]
+        peak = np.abs(sc.traction(0.125, "y1", face.qcoords)).max()
+        assert (sc.T, peak) == (0.4, 0.15), name   # the pulse peaks at t_pulse / 2 = 0.125
+    # isothermal_creep pulls with its own amplitude
+    sc = parse_config(preset_config("isothermal_creep")).build_scenario()
+    assert sc.traction(0.5, "y1", sc.grid.faces["y1"].qcoords)[..., 0].max() == 0.05
+    # steady takes no load
+    with pytest.raises(ConfigError) as exc:
+        parse_config(preset_config("steady", theta_b=0.5, amplitude=0.1, t_pulse=0.2))
+    assert [e.split(" is ")[0] for e in exc.value.errors] == [
+        "[loads] theta_b", "[loads] amplitude", "[loads] t_pulse"]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +490,45 @@ def test_cli_validate_rejects_unsorted_tau_list(tmp_path, capsys):
     # refine with a default list that does not divide T stops before any run
     path = write_cfg(tmp_path, MINIMAL.replace("T = 0.2", "T = 0.15")
                      + "\n[loads]\nscenario = refine_tau\n")
+    rule = "[output] T/tau must be an integer (T=0.15, tau=0.1)"
+    assert cli_main(["validate", path]) == 1
+    assert f"  - {rule}" in capsys.readouterr().out
     assert cli_main(["refine", path, "--out", str(tmp_path / "r")]) == 1
-    assert "error: T/tau must be an integer (T=0.15, tau=0.1)" in capsys.readouterr().err
+    assert f"error: {rule}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("dirichlet", ["x1", "x0 x1", "y0 y1"])
+def test_cli_refuses_a_clamped_loaded_face(tmp_path, capsys, dirichlet):
+    # the traction would sit on a clamped face and the pulse would load nothing
+    face = "y1" if "y0" in dirichlet else "x1"
+    grid = f"extents = 4 4\ndirichlet = {dirichlet}"
+    path = write_cfg(tmp_path, MINIMAL.replace("extents = 6 6", grid)
+                     + "\n[loads]\nscenario = shear_pulse\n")
+    message = f"error: the loaded face {face} is clamped (dirichlet = {dirichlet})\n"
+    assert cli_main(["validate", path]) == 1
+    assert capsys.readouterr().err == message
+    out = tmp_path / "out"
+    assert cli_main(["simulate", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", sorted(set(PRESETS) - {"steady"}))
+def test_loading_presets_refuse_a_clamped_loaded_face(scenario):
+    grid = StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=("x0", "x1"))
+    with pytest.raises(ValueError, match="the loaded face x1 is clamped"):
+        PRESETS[scenario](grid=grid)
+
+
+@pytest.mark.parametrize("scenario", list(PRESETS))
+def test_cli_validates_and_simulates_each_scenario(tmp_path, capsys, scenario):
+    text = ("[grid]\nextents = 4 4\n\n[time]\nT = 0.2\ntau = 0.1\n\n"
+            f"[loads]\nscenario = {scenario}\n\n[solver]\nkorn_every = 0\nhk_every = 0\n")
+    path = write_cfg(tmp_path, text)
+    assert cli_main(["validate", path]) == 0
+    out = tmp_path / "out"
+    assert cli_main(["simulate", path, "--out", str(out)]) == 0, capsys.readouterr().out
+    written = parse_config((out / "config.ini").read_text())
+    assert written.build_scenario().params == parse_config(text).build_scenario().params
+    assert json.loads((out / "report.json").read_text())["scenario"] == scenario

@@ -29,6 +29,7 @@ from thermovisc.scheme import (
     interpolants,
     refinement_study,
     run,
+    run_hash,
     save_checkpoint,
     step_load_vector,
     step_theta_b,
@@ -249,6 +250,25 @@ def test_resume_warns_when_no_checkpoint_matches(restarted_pulse, tmp_path):
         resumed = run(full.scenario, tau=full.tau, eps=full.eps, config=other,
                       checkpoint_dir=str(tmp_path), resume=True)
     assert str(tmp_path) in str(caught[0].message)
+    assert (resumed.first_step, resumed.n_steps) == (0, 4)
+
+
+@pytest.mark.parametrize("change", [{"amplitude": 0.4}, {"t_pulse": 0.1}, {"theta0": 1.5},
+                                    {"theta_b": 0.5}], ids=lambda c: next(iter(c)))
+def test_run_hash_covers_the_loads(restarted_pulse, tmp_path, change):
+    # a checkpoint of the same grid, model and times under other loads is not resumed
+    full, _ = restarted_pulse
+    loads = dict(T=0.2, amplitude=0.1, t_pulse=0.15, theta0=1.0, theta_b=1.0)
+    other = shear_pulse(grid=full.grid, **{**loads, **change})
+    assert run_hash(other, full.tau, full.eps, full.config) != run_hash(
+        full.scenario, full.tau, full.eps, full.config)
+    assert (full.scenario.params, other.params) == (loads, {**loads, **change})
+    head = Trajectory(scenario=full.scenario, tau=full.tau, eps=full.eps,
+                      config=full.config, snapshots=full.snapshots[:5])
+    save_checkpoint(head, str(tmp_path))
+    with pytest.warns(UserWarning, match="skipped 1 file"):
+        resumed = run(other, tau=full.tau, eps=full.eps, config=full.config,
+                      checkpoint_dir=str(tmp_path), resume=True)
     assert (resumed.first_step, resumed.n_steps) == (0, 4)
 
 
