@@ -7,7 +7,8 @@
 Exit code 0 only if parsing succeeds and all enabled certificates pass;
 1 when the config or a command-line override breaks a rule or the preset
 refuses the grid (each printed as ``error: ...``), 2 when a certificate
-fails.
+fails, 3 when a step is still rejected after every halving (printed as one
+``error: ...`` line with the interval and the reason).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 
 from .config import ConfigError, parse_config
+from .mech import StepRejectedError
 from .outputs import _fmt, emit_outputs
 from .scheme import refinement_errors, refinement_study, run, run_hash, time_errors
 
@@ -48,6 +50,12 @@ def _errors(errors):
     return 1 if errors else 0
 
 
+def _rejected(exc):
+    """Print a step rejection that survived every halving; exit code 3."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 3
+
+
 def _scenario(cfg):
     """The config's scenario, or None after printing why its preset refused it."""
     try:
@@ -72,9 +80,12 @@ def cmd_simulate(args):
         return 1
     outdir = args.out or cfg.directory
     h = run_hash(scenario, cfg.tau, cfg.eps, cfg.solver)
-    traj = run(scenario, cfg.tau, cfg.eps, cfg.solver,
-               checkpoint_dir=os.path.join(outdir, "checkpoints")
-               if cfg.solver.checkpoint_every else None)
+    try:
+        traj = run(scenario, cfg.tau, cfg.eps, cfg.solver,
+                   checkpoint_dir=os.path.join(outdir, "checkpoints")
+                   if cfg.solver.checkpoint_every else None)
+    except StepRejectedError as exc:
+        return _rejected(exc)
     report = emit_outputs(traj, outdir, config_text=cfg.serialize(), config_hash=h)
     status = "PASS" if report["all_passed"] else "FAIL"
     for c in report["checks"]:
@@ -96,7 +107,10 @@ def cmd_refine(args):
         return 1
     outdir = args.out or cfg.directory
     os.makedirs(outdir, exist_ok=True)
-    report = refinement_study(scenario, tau_list, eps_list, cfg.solver)
+    try:
+        report = refinement_study(scenario, tau_list, eps_list, cfg.solver)
+    except StepRejectedError as exc:
+        return _rejected(exc)
     trajs = report.pop("trajectories")
 
     all_ok = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from .grid import StructuredGrid, grid_errors
 from .materials import MaterialModel
 from .mech import SolverConfig
-from .presets import DEFAULT_REFINEMENT, PRESETS, parameters
+from .presets import DEFAULT_REFINEMENT, PRESETS, isothermal, parameters
 from .scheme import refinement_errors, time_errors
 
 
@@ -173,8 +173,9 @@ def parse_config(text: str) -> RunConfig:
     errors.extend(f"[{'time' if key == 'T' else 'loads'}] {key} is not a parameter of {named}"
                   for key in preset_args if takes and key not in takes)
     errors.extend(f"[material] {key} is fixed by {named}" for key in mat_kwargs if key in takes)
-    if scenario == "isothermal_creep" and values.get(("solver", "isothermal")) is False:
-        errors.append("[solver] isothermal = false contradicts scenario 'isothermal_creep', "
+    iso_preset = scenario in PRESETS and isothermal(scenario)
+    if iso_preset and values.get(("solver", "isothermal")) is False:
+        errors.append(f"[solver] isothermal = false contradicts scenario '{scenario}', "
                       "which is isothermal")
     errors.extend(f"[loads] {key} must be nonnegative" for key in ("theta_b", "theta0")
                   if preset_args.get(key, 0.0) < 0)
@@ -214,6 +215,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         extents=extents, lengths=lengths, dirichlet=dirichlet, material=material,
         scenario=scenario, preset_args=preset_args, tau=tau, eps=eps, solver=solver,
-        isothermal=bool(get("solver", "isothermal", scenario == "isothermal_creep")),
+        isothermal=bool(get("solver", "isothermal", iso_preset)),
         directory=get("output", "directory"), diagnostics=diagnostics,
         tau_list=tau_list, eps_list=eps_list)

@@ -18,12 +18,13 @@ from scipy.sparse.linalg import lobpcg, splu
 
 from .grid import SPD_LU, tensor_derivatives
 from .heat import robin_flux
-from .materials import _matmul, det, viscous_form
+from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
 KORN_TOL = 1e-8       # LOBPCG residual |A x - lambda B x| at x.B x = 1
 KORN_MAX_ITER = 100   # LOBPCG iterations before the LU fallback
+KORN_SLACK = 0.1      # korn_certificate solves again once the bound loses this share
 LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
 W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
 
@@ -65,6 +66,7 @@ class StepDiagnostics:
     mech_iterations: int
     heat_iterations: int
     entropy_excluded: int
+    korn_lower: float = float("nan")   # certified lower bound of the Korn constant
 
     def ledger_items(self):
         """The itemized total-energy identity; sums to energy_gap_total."""
@@ -100,9 +102,9 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
                              heat_inc, heat_res):
     """Certificates of one accepted step, from what the step computed: both
     snapshots with their energies, and the increment and result of each
-    solve (heat_inc and heat_res are None when isothermal).  hk_bound and
-    korn_const are left NaN; ``scheme.run`` fills them in once per macro
-    step."""
+    solve (heat_inc and heat_res are None when isothermal).  hk_bound,
+    korn_const and korn_lower are left NaN; ``scheme.run`` fills them in
+    once per macro step."""
     grid, model = mech_inc.grid, mech_inc.model
     tau, eps = mech_inc.tau, mech_inc.eps
     dF = snap_new.F - snap_prev.F
@@ -118,7 +120,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
 
     dvals = snap_new.y.values - snap_prev.y.values
     ext_power = float(np.sum(mech_inc.load_vector * dvals))
-    gradsq_step = grid.assemble_scalar(np.sum(dF**2, axis=(-2, -1)))
+    gradsq_step = grid.assemble_scalar(_ddot(dF, dF))
     defect_eps = (eps / tau) * gradsq_step
 
     M_prev, _, _, _, E_prev = snap_prev.energies
@@ -135,10 +137,8 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         ledger_reg = dissipation_step  # all dissipated power leaves the ledger
     else:
         th_new = np.maximum(snap_new.theta_qp, 0.0)
-        pcpl_old = grid.assemble_scalar(
-            np.sum(model.coupling_stress(snap_new.F, th_prev) * dF, axis=(-2, -1)))
-        pcpl_new = grid.assemble_scalar(
-            np.sum(model.coupling_stress(snap_new.F, th_new) * dF, axis=(-2, -1)))
+        pcpl_old = grid.assemble_scalar(_ddot(model.coupling_stress(snap_new.F, th_prev), dF))
+        pcpl_new = grid.assemble_scalar(_ddot(model.coupling_stress(snap_new.F, th_new), dF))
         boundary_heat = tau * robin_flux(heat_inc, snap_new.theta)
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
@@ -241,12 +241,27 @@ def entropy_production(traj, k):
 # determinant lower bound
 
 
-def hk_determinant_bound(grid, y):
+@dataclass
+class DetBoundState:
+    """The last deformation a run bounded (its nodal values) and its bound."""
+
+    y: np.ndarray | None = None
+    bound: float = float("nan")
+
+
+def hk_determinant_bound(grid, y, state=None):
     """Least lower bound of det grad y over all closed cells, at or below
     the Gauss-point minimum (:meth:`StructuredGrid.det_lower_bounds`).  The
     name and the ``hk_bound`` column recall the Healey-Kroemer positivity
-    of det grad y on energy sublevels (ESAIM COCV 15, 2009)."""
-    return float(grid.det_lower_bounds(y).min())
+    of det grad y on energy sublevels (ESAIM COCV 15, 2009).  With a
+    ``state`` (a :class:`DetBoundState`), a y equal bit for bit to the last
+    one bounded, as on a load-free step, takes the kept bound."""
+    if state is not None and state.y is not None and np.array_equal(state.y, y.values):
+        return state.bound
+    bound = float(grid.det_lower_bounds(y).min())
+    if state is not None:
+        state.y, state.bound = y.values, bound
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +270,37 @@ def hk_determinant_bound(grid, y):
 
 @dataclass
 class KornState:
-    """The last Korn eigenvector of a run: the start of the next solve."""
+    """What a run keeps of its last Korn solve: the eigenvector, the start of
+    the next solve, and the reference of the bound between solves
+    (:func:`korn_certificate`)."""
 
     x: np.ndarray | None = None
+    F_ref: np.ndarray | None = None        # F of the last solve, at the quadrature points
+    F_ref_norm: np.ndarray | None = None   # |F_ref|_F at each quadrature point
+    lower_ref: float = float("nan")        # theta - rho of the last solve
+
+
+def korn_certificate(grid, F_qp, state):
+    """(korn_const, korn_lower): a certified lower bound of the Korn constant
+    at F, from the reference solve kept in ``state`` (a :class:`KornState`)
+    while the bound has lost at most ``KORN_SLACK`` of the reference's, else
+    from a new :func:`korn_constant` solve, which becomes the reference.
+    korn_const is the solved eigenvalue, or NaN when the bound certifies
+    without a solve.
+
+    With S_F = F^T grad v + grad v^T F and Delta = F - F_ref at each point,
+    |S_F|^2 = |S_ref|^2 + 2 S_ref : S_Delta + |S_Delta|^2
+            >= |S_ref|^2 - 8 |F_ref| |Delta| |grad v|^2,
+    and the H^1 form on the same Gauss rule bounds sum_q w_q |grad v_q|^2.
+    So lambda(F) >= lambda(F_ref) - mu with mu = 8 max_q |F_ref,q| |Delta_q|,
+    and lambda(F_ref) >= lower_ref (see :func:`korn_constant`).
+    """
+    if state.F_ref is not None:
+        mu = 8.0 * float(np.max(state.F_ref_norm * _frob(F_qp - state.F_ref)))
+        if mu <= KORN_SLACK * state.lower_ref:
+            return float("nan"), state.lower_ref - mu
+    value = korn_constant(grid, F_qp, state)
+    return value, state.lower_ref
 
 
 def korn_constant(grid, F_qp, state=None):
@@ -273,8 +316,11 @@ def korn_constant(grid, F_qp, state=None):
     gives the same value bit for bit.  If LOBPCG misses ``KORN_TOL`` within
     ``KORN_MAX_ITER`` iterations, inverse iteration against an LU of A(F),
     from LOBPCG's last iterate to the same test, gives the vector instead.
-    The result is the Rayleigh quotient of the B-normalized eigenvector,
-    which ``state`` keeps for the next call.
+    The result is the Rayleigh quotient theta of the B-normalized
+    eigenvector x, which ``state`` keeps for the next call, together with F
+    and the lower bound theta - rho, rho = |A x - theta B x|_{B^-1}: an
+    eigenvalue of the pencil lies within rho of theta.  That it is the
+    smallest one rests on the solve (the warm start and LOBPCG's descent).
     """
     d = grid.d
     if np.min(det(F_qp)) <= 0:
@@ -305,8 +351,13 @@ def korn_constant(grid, F_qp, state=None):
                                      retResidualNormsHistory=True)
         x = X[:, 0] if res_norms[-1] <= KORN_TOL else _korn_inverse_iteration(A, gram, X[:, 0])
         x = x / np.sqrt(x @ gram(x))
-    state.x = x
-    return float(x @ (A @ x))
+    Ax = A @ x
+    theta = float(x @ Ax)
+    r = Ax - theta * gram(x)
+    rho = float(np.sqrt(r @ gram_solve(r)))
+    state.x, state.F_ref, state.F_ref_norm = x, F_qp, _frob(F_qp)
+    state.lower_ref = theta - rho
+    return theta
 
 
 def _korn_residual(A, gram, x):
@@ -386,23 +437,26 @@ class TestBank:
             times.append([rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 2.0)])
         self.om_z, self.ph_z, self.om_v = np.array(times).reshape(-1, 3).T
 
-        def vector(X):   # value, gradient, Hessian; component axis before the derivative axes
-            parts = [[_separable(X, *c) for c in comps] for comps in mech]
-            return [np.stack([np.stack([pc[j] for pc in pe], axis=-1 - j) for pe in parts])
-                    for j in range(3)]
+        # the cell points and the points of every face, evaluated in one call
+        # per mode and split back into (elements, cells or faces, points) tables
+        blocks = [grid.qcoords] + [p.qcoords for p in grid.faces.values()]
+        X = np.concatenate([b.reshape(-1, d) for b in blocks])
+        ends = np.cumsum([b.shape[0] * b.shape[1] for b in blocks])[:-1]
 
-        def scalar(X):
-            parts = [_separable(X, *v) for v in therm]
-            return [np.stack([pe[j] for pe in parts]) for j in range(3)]
+        def split(table):   # contiguous, so weak_residuals reshapes them without a copy
+            return [np.ascontiguousarray(t).reshape((len(t),) + b.shape[:2] + t.shape[2:])
+                    for t, b in zip(np.split(table, ends, axis=1), blocks)]
 
-        self.Z, self.gradZ, self.hessZ = vector(grid.qcoords)
-        self.V, self.gradV, _ = scalar(grid.qcoords)
-        # the face traces need values only
-        self.Zface = {name: np.stack([np.stack([_separable(p.qcoords, *c)[0] for c in comps],
-                                               axis=-1) for comps in mech])
-                      for name, p in grid.faces.items()}
-        self.Vface = {name: np.stack([_separable(p.qcoords, *v)[0] for v in therm])
-                      for name, p in grid.faces.items()}
+        # value, gradient, Hessian; component axis before the derivative axes
+        mech_parts = [[_separable(X, *c) for c in comps] for comps in mech]
+        therm_parts = [_separable(X, *v) for v in therm]
+        Z = [split(np.stack([np.stack([pc[j] for pc in pe], axis=-1 - j) for pe in mech_parts]))
+             for j in range(3)]
+        V = [split(np.stack([pe[j] for pe in therm_parts])) for j in range(2)]
+        (self.Z, *Zface), (self.gradZ, *_), (self.hessZ, *_) = Z
+        (self.V, *Vface), (self.gradV, *_) = V
+        self.Zface = dict(zip(grid.faces, Zface))
+        self.Vface = dict(zip(grid.faces, Vface))
 
     def s(self, t):
         return np.cos(self.om_z * np.pi * t / self.T + self.ph_z)
@@ -493,8 +547,8 @@ def weak_residuals(traj, bank: TestBank):
             w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
             gth_t = (1 - lam) * gth[k - 1] + lam * gth[k]
             flux = _matmul(model.pullback_conductivity(F, th_qp), gth_t[..., None])[..., 0]
-            xi = np.sum(visc * rate, axis=(-2, -1))   # the viscous power nu |Cdot|^2
-            src = xi / (1.0 + eps * xi) + np.sum(cpl * rate, axis=(-2, -1))
+            xi = _ddot(visc, rate)   # the viscous power nu |Cdot|^2
+            src = xi / (1.0 + eps * xi) + _ddot(cpl, rate)
             robin = 0.0
             for name, p in grid.faces.items():
                 tb = scenario._theta_b_raw(t, name, p.qcoords)
@@ -566,6 +620,9 @@ def run_certificates(traj, tol_pos=1e-10):
     korn_vals = [d.korn_const for d in diags if np.isfinite(d.korn_const)]
     if korn_vals:
         add("korn_constant_positive", min(korn_vals) > 0.0, min(korn_vals), 0.0)
+    korn_lower = [d.korn_lower for d in diags if np.isfinite(d.korn_lower)]
+    if korn_lower:
+        add("korn_lower_positive", min(korn_lower) > 0.0, min(korn_lower), 0.0)
 
     return {
         "n_steps": traj.n_steps,
@@ -577,6 +634,7 @@ def run_certificates(traj, tol_pos=1e-10):
         "isothermal": iso,
         "max_mech_residual": max((d.mech_residual for d in diags), default=0.0),
         "max_heat_residual": max((d.heat_residual for d in diags), default=0.0),
+        "korn_solves": len(korn_vals),
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

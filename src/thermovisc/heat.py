@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, NodalField
-from .materials import det
+from .materials import _ddot, det
 from .mech import SolverConfig
 from .newton import FrozenFactor, minimize
 
@@ -76,7 +76,7 @@ class HeatIncrement:
             self.xi_reg_qp = self.xi_qp / (1.0 + self.eps * self.xi_qp)
         # implicit coupling enters through phi1'(F_new) : dF
         self.phi1_new = m.phi1(self.F_new)
-        self.cpl_qp = np.sum(m.phi1_grad(self.F_new) * dF, axis=(-2, -1))
+        self.cpl_qp = _ddot(m.phi1_grad(self.F_new), dF)
         # conduction and Robin terms: the fixed form (1/2) u.A u - l.u + c in
         # u = theta - theta_ref (module docstring)
         t_ref = float(next(iter(self.theta_b.values())).flat[0])

@@ -66,7 +66,7 @@ def inv(F):
 
 
 def _frob(F):
-    return np.sqrt(np.sum(F * F, axis=(-2, -1)))
+    return np.sqrt(_ddot(F, F))
 
 
 def _check_detF(F):
@@ -97,6 +97,20 @@ def _matmul(A, B):
                 acc += A[..., i, k] * B[..., k, j]
             out[..., i, j] = acc
     return out
+
+
+def _ddot(A, B):
+    """A : B for stacks of small matrices, the sum of the entrywise products
+    over the last two axes, accumulated entry by entry in row-major order
+    like :func:`_matmul` (for 2x2 stacks the same sum, bit for bit, as
+    ``np.sum(A * B, axis=(-2, -1))``)."""
+    m, n = A.shape[-2:]
+    acc = A[..., 0, 0] * B[..., 0, 0]
+    for i in range(m):
+        for j in range(n):
+            if i or j:
+                acc += A[..., i, j] * B[..., i, j]
+    return acc
 
 
 def rate_of_cauchy_green(F, Fdot):
@@ -189,7 +203,7 @@ class MaterialModel:
     def phi1(self, F):
         F = np.asarray(F, dtype=float)
         E = self._strain_dev(F)
-        u = np.sum(E * E, axis=(-2, -1)) / self.phi1_radius**2
+        u = _ddot(E, E) / self.phi1_radius**2
         b, _, _ = self._bump(u)
         return self.phi1_amp * b
 
@@ -197,7 +211,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         E = self._strain_dev(F)
         r2 = self.phi1_radius**2
-        u = np.sum(E * E, axis=(-2, -1)) / r2
+        u = _ddot(E, E) / r2
         _, b1, _ = self._bump(u)
         return self.phi1_amp * b1[..., None, None] * (4.0 / r2) * _matmul(F, E)
 
@@ -206,7 +220,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         E = self._strain_dev(F)
         r2 = self.phi1_radius**2
-        u = np.sum(E * E, axis=(-2, -1)) / r2
+        u = _ddot(E, E) / r2
         _, b1, b2 = self._bump(u)
         FE = _matmul(F, E)
         eye = np.eye(self.d)
@@ -375,7 +389,7 @@ class MaterialModel:
         for M, name in ((C, "C"), (Cdot, "Cdot")):
             if not np.allclose(M, np.swapaxes(M, -1, -2), atol=1e-12 * (1 + np.max(np.abs(M)))):
                 raise ValueError(f"{name} must be symmetric")
-        return 0.5 * self.nu * np.sum(Cdot * Cdot, axis=(-2, -1))
+        return 0.5 * self.nu * _ddot(Cdot, Cdot)
 
     def viscous_stress(self, F, Fdot, theta):
         """2 F D Cdot, the rate-linear stress conjugate to Fdot."""
@@ -393,7 +407,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         _check_detF(F)
         Cdot = rate_of_cauchy_green(F, np.asarray(Fdot, dtype=float))
-        return self.nu * np.sum(Cdot * Cdot, axis=(-2, -1))
+        return self.nu * _ddot(Cdot, Cdot)
 
     def regularized_rate(self, F, Fdot, theta, eps):
         """Capped rate xi / (1 + eps xi), bounded by 1/eps for eps > 0."""

@@ -20,12 +20,13 @@ invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, NodalField, zero_dirichlet_rows
-from .materials import det, rate_of_cauchy_green
+from .materials import _ddot, det, rate_of_cauchy_green
 from .newton import FrozenFactor, StepRejectedError, minimize  # noqa: F401  (re-exported)
 
 
@@ -84,10 +85,14 @@ class MechIncrement:
             raise ValueError("eps must be nonnegative")
         if det(self.F_prev).min() <= 0:
             raise ValueError("previous state must satisfy min det grad y > 0")
-        # the viscous+regularization Hessian block is constant over the step
-        self._visc_c4 = (self.model.viscous_hessian(self.F_prev) / self.tau
-                         + (self.eps / self.tau)
-                         * np.einsum("ij,ab->iajb", np.eye(self.grid.d), np.eye(self.grid.d)))
+
+    @cached_property
+    def _visc_c4(self):
+        """The viscous+regularization Hessian block, constant over the step;
+        built at the first Hessian, so a step that needs none builds none."""
+        return (self.model.viscous_hessian(self.F_prev) / self.tau
+                + (self.eps / self.tau)
+                * np.einsum("ij,ab->iajb", np.eye(self.grid.d), np.eye(self.grid.d)))
 
 
 @dataclass
@@ -114,9 +119,9 @@ def incremental_functional(inc: MechIncrement, y: NodalField, kin=None):
     m = inc.model
     dF = kin.F - inc.F_prev
     Cdot_full = rate_of_cauchy_green(inc.F_prev, dF)
-    dens = (0.5 * m.nu / inc.tau) * np.sum(Cdot_full**2, axis=(-2, -1))
+    dens = (0.5 * m.nu / inc.tau) * _ddot(Cdot_full, Cdot_full)
     if inc.eps > 0:
-        dens = dens + (0.5 * inc.eps / inc.tau) * np.sum(dF**2, axis=(-2, -1))
+        dens = dens + (0.5 * inc.eps / inc.tau) * _ddot(dF, dF)
     dens = dens + m.elastic_energy(kin.F) + m.hyperstress_energy(kin.G)
     if inc.include_coupling:
         dens = dens + m.coupling_energy(kin.F, inc.theta_prev_qp)

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-TIMESERIES_VERSION = 1
+TIMESERIES_VERSION = 2
 FIELDS_MAGIC = "THERMOVISC-FIELDS"
 FIELDS_VERSION = 1
 
@@ -24,7 +24,7 @@ TIMESERIES_COLUMNS = [
     "step", "t", "M", "H", "Phi_cpl", "W", "E", "xi_step", "xi_reg_step",
     "ext_power", "boundary_heat", "entropy_prod", "min_detF", "hk_bound",
     "korn_const", "mech_residual", "heat_residual", "energy_gap_total",
-    "min_theta",
+    "min_theta", "korn_lower",
 ]
 
 _COLUMN_SOURCES = {
@@ -35,6 +35,7 @@ _COLUMN_SOURCES = {
     "hk_bound": "hk_bound", "korn_const": "korn_const",
     "mech_residual": "mech_residual", "heat_residual": "heat_residual",
     "energy_gap_total": "energy_gap_total", "min_theta": "min_theta",
+    "korn_lower": "korn_lower",
 }
 
 

@@ -256,11 +256,13 @@ def step_theta_b(scenario, eps, t0, t1):
 @dataclass
 class _SolverState:
     """What a run keeps between solves: the frozen factorizations of the
-    mechanical and thermal Newton steps and the last Korn eigenvector."""
+    mechanical and thermal Newton steps, the last Korn solve and the last
+    determinant bound."""
 
     mech: FrozenFactor = field(default_factory=FrozenFactor)
     heat: FrozenFactor = field(default_factory=FrozenFactor)
     korn: diag.KornState = field(default_factory=diag.KornState)
+    hk: diag.DetBoundState = field(default_factory=diag.DetBoundState)
 
 
 def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
@@ -313,8 +315,10 @@ def run(scenario: Scenario, tau: float, eps: float,
     """Run the staggered scheme over [0, T] with constant step tau.
 
     The run keeps one factorization per Newton solve (mech and heat) and
-    the last Korn eigenvector, and starts them afresh at each checkpoint
-    write, so a resumed run repeats the uninterrupted one bit for bit."""
+    the last Korn solve, and starts them afresh at each checkpoint write, so
+    a resumed run repeats the uninterrupted one bit for bit.  A step still
+    rejected after ``max_step_halvings`` halvings raises
+    :class:`StepRejectedError`, naming the interval that failed."""
     cfg = config or SolverConfig()
     errs = time_errors(scenario.T, tau, eps)
     if errs:
@@ -342,9 +346,10 @@ def run(scenario: Scenario, tau: float, eps: float,
         snap.k, snap.t = k, t1
         # determinant and Korn certificates on the end state of every n-th macro step
         if cfg.hk_every and k % cfg.hk_every == 0:
-            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, snap.y))
+            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, snap.y, solvers.hk))
         if cfg.korn_every and k % cfg.korn_every == 0:
-            d = replace(d, korn_const=diag.korn_constant(grid, snap.F, solvers.korn))
+            korn_const, korn_lower = diag.korn_certificate(grid, snap.F, solvers.korn)
+            d = replace(d, korn_const=korn_const, korn_lower=korn_lower)
         traj.snapshots.append(snap)
         traj.step_diags.append(d)
         if checkpoint_dir and cfg.checkpoint_every and k % cfg.checkpoint_every == 0:
@@ -358,9 +363,10 @@ def _advance(traj, snap_prev, t0, t1, depth, solvers):
     cfg = traj.config
     try:
         return _single_step(traj, snap_prev, t0, t1, solvers)
-    except StepRejectedError:
+    except StepRejectedError as exc:
         if depth >= cfg.max_step_halvings:
-            raise
+            raise StepRejectedError(f"step from t = {t0:.6g} to t = {t1:.6g} rejected after "
+                                    f"{depth} halving(s): {exc}") from exc
         tm = 0.5 * (t0 + t1)
         snap_mid, d1 = _advance(traj, snap_prev, t0, tm, depth + 1, solvers)
         snap_end, d2 = _advance(traj, snap_mid, tm, t1, depth + 1, solvers)

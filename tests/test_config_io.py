@@ -12,7 +12,7 @@ import pytest
 from thermovisc.cli import main as cli_main
 from thermovisc.config import _SCHEMA, ConfigError, parse_config
 from thermovisc.grid import StructuredGrid
-from thermovisc.mech import SolverConfig
+from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.outputs import (
     TIMESERIES_COLUMNS,
     emit_outputs,
@@ -369,6 +369,23 @@ def test_timeseries_schema_and_roundtrip(tmp_path, small_traj):
     assert report["all_passed"]
 
 
+def test_timeseries_v2_appends_korn_lower(tmp_path, small_traj):
+    # the 19 columns of version 1 keep their names and order
+    assert TIMESERIES_COLUMNS == [
+        "step", "t", "M", "H", "Phi_cpl", "W", "E", "xi_step", "xi_reg_step",
+        "ext_power", "boundary_heat", "entropy_prod", "min_detF", "hk_bound",
+        "korn_const", "mech_residual", "heat_residual", "energy_gap_total",
+        "min_theta", "korn_lower"]
+    report = emit_outputs(small_traj, str(tmp_path))
+    text = (tmp_path / "timeseries.csv").read_text()
+    assert text.startswith("# thermovisc-timeseries v2\n")
+    lower = read_timeseries(tmp_path / "timeseries.csv")["korn_lower"]
+    assert list(lower) == [d.korn_lower for d in small_traj.step_diags]
+    assert report["korn_solves"] == sum(np.isfinite(d.korn_const) for d in small_traj.step_diags)
+    check = next(c for c in report["checks"] if c["name"] == "korn_lower_positive")
+    assert check["passed"] and check["value"] == min(lower)
+
+
 def test_field_dump_roundtrip(tmp_path, small_traj):
     snap = small_traj.snapshots[-1]
     path = str(tmp_path / "f.bin")
@@ -451,6 +468,25 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     min_theta = next(c for c in report["checks"] if c["name"] == "min_theta")
     assert min_theta["threshold"] == -1e-7   # [solver] tol_pos, not the default
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "refine"])
+def test_cli_reports_a_rejected_step_in_one_line(tmp_path, capsys, monkeypatch, command):
+    # a mechanical failure at every attempt survives every halving: one
+    # error line with the interval and the reason, exit code 3, no traceback
+    import thermovisc.scheme as scheme
+
+    def failing(inc, cfg, frozen):
+        raise StepRejectedError("injected mechanical failure")
+
+    monkeypatch.setattr(scheme, "solve_mech", failing)
+    path = write_cfg(tmp_path, MINIMAL + "\n[solver]\nmax_step_halvings = 1\n")
+    assert cli_main([command, path, "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: step from t = 0 to t = 0.025 rejected after 1 halving(s): "
+        "injected mechanical failure"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_refine_writes_cauchy_table(tmp_path):

@@ -18,11 +18,13 @@ import thermovisc
 import thermovisc.diagnostics as diagnostics
 from thermovisc.diagnostics import (
     THETA_FLOOR,
+    DetBoundState,
     KornState,
     StepDiagnostics,
     TestBank,
     entropy_production,
     hk_determinant_bound,
+    korn_certificate,
     korn_constant,
     mechanical_energy_check,
     merge_step_diagnostics,
@@ -144,8 +146,8 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
     the semiconvexity defect from the summed energy density of both states,
     and the dissipation rate and pulled-back conductivity at the previous
     state.  Only the step data (tau, eps, loads, boundary temperature) and
-    the solver results are read from the step.  hk_bound and korn_const
-    are NaN, as ``scheme.run`` fills them in (see
+    the solver results are read from the step.  hk_bound, korn_const and
+    korn_lower are NaN, as ``scheme.run`` fills them in (see
     ``with_eigen_certificates``)."""
     grid, model = mech_inc.grid, mech_inc.model
     tau, eps, iso = mech_inc.tau, mech_inc.eps, heat_res is None
@@ -231,15 +233,16 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
 
 
 def with_eigen_certificates(row, traj, k, korn_state):
-    """Row of macro step k with hk_bound and korn_const of its end state;
-    one ``korn_state`` is threaded through the macro steps in order, as
-    ``scheme.run`` does."""
+    """Row of macro step k with hk_bound, korn_const and korn_lower of its end
+    state; one ``korn_state`` is threaded through the macro steps in order,
+    as ``scheme.run`` does."""
     cfg, snap = traj.config, traj.snapshots[k]
+    korn = (korn_certificate(traj.grid, snap.F, korn_state) if cfg.korn_every
+            else (float("nan"), float("nan")))
     return dataclasses.replace(
         row,
         hk_bound=hk_determinant_bound(traj.grid, snap.y) if cfg.hk_every else float("nan"),
-        korn_const=(korn_constant(traj.grid, snap.F, korn_state)
-                    if cfg.korn_every else float("nan")))
+        korn_const=korn[0], korn_lower=korn[1])
 
 
 def run_recording_steps(monkeypatch, scenario, tau, eps, config, heat_rejects_first=False):
@@ -423,6 +426,30 @@ def test_hk_bound_affine_state():
     assert detA - 1e-10 <= hk_determinant_bound(grid, y) <= detA
 
 
+def test_hk_bound_of_an_unchanged_state_is_kept(monkeypatch):
+    # the load-free steady state is bit-identical from step to step, so the
+    # first step's bound serves every step; a moved state is bounded anew
+    calls = []
+    det_lower_bounds = StructuredGrid.det_lower_bounds
+
+    def counted(grid, y):
+        calls.append(y)
+        return det_lower_bounds(grid, y)
+
+    monkeypatch.setattr(StructuredGrid, "det_lower_bounds", counted)
+    traj = run(steady(grid=grid66(), T=0.2), tau=0.05, eps=0.01,
+               config=SolverConfig(korn_every=0))
+    bounds = [d.hk_bound for d in traj.step_diags]
+    assert len(calls) == 1 and bounds == [bounds[0]] * 4
+    assert bounds[0] == hk_determinant_bound(traj.grid, traj.snapshots[-1].y)
+    moved = traj.snapshots[-1].y.copy()
+    moved.values[-1] += 1e-3
+    state = DetBoundState()
+    for y in (traj.snapshots[-1].y, moved, moved):
+        hk_determinant_bound(traj.grid, y, state)
+    assert len(calls) == 4 and state.bound == hk_determinant_bound(traj.grid, moved)
+
+
 # ---------------------------------------------------------------------------
 # Korn constant
 
@@ -525,13 +552,70 @@ def test_korn_fallback_meets_the_lobpcg_tolerance(monkeypatch):
 
 def test_korn_constant_of_a_steady_run_is_constant():
     # the load-free 16x16 steady state is bit-identical from step to step, so
-    # its Korn value must be too, though each call warm-starts from the last
+    # the first step's solve certifies every later one with no solve, and
+    # its lower bound is the same on every step
     grid = StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
     traj = run(steady(grid=grid, T=0.1), tau=0.01, eps=0.01,
                config=SolverConfig(korn_every=1, hk_every=0))
     korn = [d.korn_const for d in traj.step_diags]
+    lower = [d.korn_lower for d in traj.step_diags]
     assert len(korn) == 10 and korn[0] > 0.0
-    assert all(k == korn[0] for k in korn)
+    assert np.isnan(korn[1:]).all()
+    assert 0.0 < lower[0] <= korn[0] and all(v == lower[0] for v in lower)
+    assert run_certificates(traj)["korn_solves"] == 1
+
+
+# Reference Korn constants of each end state of the 16x16 shear pulse below
+# and of the one-step 4x4x4 shear pulse, from korn_constant started from ones
+PARENT_KORN = {2: [0.27033609576139594, 0.2703360900520648, 0.2703360339239295,
+                   0.27033578074222264, 0.27033502997708936],
+               3: [0.25656682314199136]}
+
+
+def shear_run(d):
+    """A short shear pulse with the Korn certificate on every step: 16x16 and
+    five steps, or 4x4x4 and one step."""
+    if d == 2:
+        grid = StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
+        sc, tau = shear_pulse(grid=grid, T=0.1, amplitude=0.15, t_pulse=0.5), 0.02
+    else:
+        grid = StructuredGrid((4, 4, 4), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
+        model = MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)
+        sc = shear_pulse(grid=grid, model=model, T=0.05, amplitude=0.15, t_pulse=0.5)
+        tau = 0.05
+    return run(sc, tau=tau, eps=0.01, config=SolverConfig(korn_every=1, hk_every=0))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_korn_lower_bounds_the_constant_of_perturbed_states(d, monkeypatch):
+    traj = shear_run(d)
+    grid = traj.grid
+    diags = traj.step_diags
+    assert np.isfinite(diags[0].korn_const)   # a run's first certificate solves
+    for dg, ref in zip(diags, PARENT_KORN[d], strict=True):
+        assert dg.korn_lower <= ref
+        if np.isfinite(dg.korn_const):
+            assert abs(dg.korn_const - ref) <= 1e-12 * ref
+
+    # the bound from a reference solve, at states drifting from the reference;
+    # a slack of 1 keeps it in use wherever it is positive
+    monkeypatch.setattr(diagnostics, "KORN_SLACK", 1.0)
+    rng = np.random.default_rng(90 + d)
+    shape = (grid.n_cells, grid.nq)
+    random_ref = const_F(grid, random_feasible_gradient(rng, d))
+    for F_ref in (traj.snapshots[-1].F, random_ref):
+        state = KornState()
+        korn_certificate(grid, F_ref, state)
+        bounded = 0
+        for drift in (1e-3, 3e-3, 3e-2):
+            R = np.stack([random_feasible_gradient(rng, d) for _ in range(np.prod(shape))])
+            F = (1.0 - drift) * F_ref + drift * R.reshape(shape + (d, d))
+            korn, lower = korn_certificate(grid, F, copy.copy(state))
+            # a solve of its own, started from the reference eigenvector
+            fresh = korn_constant(grid, F, KornState(x=state.x))
+            assert lower <= fresh, (drift, lower, fresh)
+            bounded += bool(np.isnan(korn))
+        assert bounded >= 2
 
 
 # ---------------------------------------------------------------------------
