@@ -61,8 +61,6 @@ class StepDiagnostics:
     defect_coupling: float
     solver_term: float
     pcpl_old: float
-    pcpl_new: float
-    gradsq_step: float
     mech_iterations: int
     heat_iterations: int
     entropy_excluded: int
@@ -120,8 +118,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
 
     dvals = snap_new.y.values - snap_prev.y.values
     ext_power = float(np.sum(mech_inc.load_vector * dvals))
-    gradsq_step = grid.assemble_scalar(_ddot(dF, dF))
-    defect_eps = (eps / tau) * gradsq_step
+    defect_eps = (eps / tau) * grid.assemble_scalar(_ddot(dF, dF))
 
     M_prev, _, _, _, E_prev = snap_prev.energies
     M, H_val, Phi_cpl, W_total, E = snap_new.energies
@@ -130,7 +127,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
 
     mech_term = float(np.sum(mech_res.residual_vector * dvals))
     if heat_inc is None:
-        pcpl_old = pcpl_new = boundary_heat = heat_term = entropy_prod = 0.0
+        pcpl_old = defect_coupling = boundary_heat = heat_term = entropy_prod = 0.0
         entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
         clamp = heat_resid = 0.0
         heat_iters = excluded = 0
@@ -138,7 +135,8 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
     else:
         th_new = np.maximum(snap_new.theta_qp, 0.0)
         pcpl_old = grid.assemble_scalar(_ddot(model.coupling_stress(snap_new.F, th_prev), dF))
-        pcpl_new = grid.assemble_scalar(_ddot(model.coupling_stress(snap_new.F, th_new), dF))
+        defect_coupling = pcpl_old - grid.assemble_scalar(
+            _ddot(model.coupling_stress(snap_new.F, th_new), dF))
         boundary_heat = tau * robin_flux(heat_inc, snap_new.theta)
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
@@ -157,7 +155,6 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         heat_iters = heat_res.iterations
         ledger_reg = dissipation_step - reg_step
 
-    defect_coupling = pcpl_old - pcpl_new
     solver_term = mech_term + heat_term
     gap_total = ((E - E_prev) - ext_power + boundary_heat + ledger_reg
                  + defect_eps + defect_semiconvex + defect_coupling - solver_term)
@@ -173,8 +170,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
-        solver_term=solver_term, pcpl_old=pcpl_old, pcpl_new=pcpl_new,
-        gradsq_step=gradsq_step, mech_iterations=mech_res.iterations,
+        solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
         heat_iterations=heat_iters, entropy_excluded=excluded)
 
 
@@ -183,8 +179,8 @@ def merge_step_diagnostics(d1: StepDiagnostics, d2: StepDiagnostics):
     add = ("dissipation_step", "reg_dissipation_step", "ext_power",
            "boundary_heat", "entropy_prod", "defect_reg", "defect_eps",
            "defect_semiconvex", "defect_coupling", "solver_term",
-           "energy_gap_total", "pcpl_old", "pcpl_new", "gradsq_step",
-           "mech_iterations", "heat_iterations", "entropy_excluded")
+           "energy_gap_total", "pcpl_old", "mech_iterations", "heat_iterations",
+           "entropy_excluded")
     out = {f.name: getattr(d2, f.name) for f in dc_fields(StepDiagnostics)}
     for name in add:
         out[name] = getattr(d1, name) + getattr(d2, name)
@@ -231,10 +227,6 @@ def total_energy_check(traj, k):
         1.0, abs(d.E)), "ledger items must reproduce the stored gap"
     return {"gap": d.energy_gap_total, "items": items,
             "scale": max(abs(d.E), abs(d.ext_power), d.dissipation_step, 1e-30)}
-
-
-def entropy_production(traj, k):
-    return traj.step(k)[2].entropy_prod
 
 
 # ---------------------------------------------------------------------------

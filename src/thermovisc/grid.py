@@ -246,10 +246,6 @@ class FacePatch:
     weights: np.ndarray    # (nqf,) includes tangential cell measure
     qcoords: np.ndarray    # (n_face_cells, nqf, d) physical coordinates
 
-    @property
-    def measure(self):
-        return self.sdofs.shape[0] * float(np.sum(self.weights))
-
 
 class StructuredGrid:
     """Tensor-product reference mesh with C^1 Hermite dofs."""
@@ -353,19 +349,7 @@ class StructuredGrid:
             self.faces[name] = FacePatch(name, axis, side, self.cells_sdofs[np.ix_(cells, trace)],
                                          B0[trace, f], wqf * float(np.prod(h[tang])), qcoords)
 
-    @property
-    def domain_volume(self):
-        return float(np.prod(self.lengths))
-
-    @property
-    def boundary_measure(self):
-        return float(sum(p.measure for p in self.faces.values()))
-
     # -- fields ---------------------------------------------------------------
-
-    def zeros(self, ncomp=1):
-        shape = (self.n_sdofs,) if ncomp == 1 else (self.n_sdofs, ncomp)
-        return NodalField(self, np.zeros(shape))
 
     def constant_field(self, value):
         vals = np.zeros(self.n_sdofs)

@@ -55,7 +55,6 @@ class HeatIncrement:
     theta_b: dict                    # face -> (n_face_cells, nqf), already averaged
     F_prev: np.ndarray = field(repr=False)   # deformation gradients at the
     F_new: np.ndarray = field(repr=False)    # quadrature points, before and after
-    source_override: np.ndarray | None = None   # replaces the capped dissipation
 
     def __post_init__(self):
         g, m = self.grid, self.model
@@ -68,12 +67,8 @@ class HeatIncrement:
         # explicit data: conductivity and capped dissipation at the old state
         th_old = np.maximum(self.theta_prev_qp, 0.0)
         self.K_prev = m.pullback_conductivity(self.F_prev, th_old)
-        if self.source_override is not None:
-            self.xi_reg_qp = np.asarray(self.source_override, dtype=float)
-            self.xi_qp = self.xi_reg_qp.copy()
-        else:
-            self.xi_qp = m.dissipation_rate(self.F_prev, dF, th_old)
-            self.xi_reg_qp = self.xi_qp / (1.0 + self.eps * self.xi_qp)
+        self.xi_qp = m.dissipation_rate(self.F_prev, dF, th_old)
+        self.xi_reg_qp = self.xi_qp / (1.0 + self.eps * self.xi_qp)
         # implicit coupling enters through phi1'(F_new) : dF
         self.phi1_new = m.phi1(self.F_new)
         self.cpl_qp = _ddot(m.phi1_grad(self.F_new), dF)
@@ -96,7 +91,6 @@ class HeatResult:
     theta_new_grad_qp: np.ndarray
     min_theta: float
     clamp_magnitude: float
-    functional_value: float
     iterations: int
     residual_norm: float
     residual_vector: np.ndarray
@@ -174,7 +168,7 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
     w_new = m.enthalpy_ext(inc.phi1_new, th_qp)
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
                       theta_new_grad_qp=gth_qp, min_theta=min_theta, clamp_magnitude=clamp,
-                      functional_value=res.value, iterations=res.iterations,
+                      iterations=res.iterations,
                       residual_norm=res.residual_norm, residual_vector=res.residual,
                       factorizations=frozen.factorizations - work0[0],
                       pcg_iterations=frozen.pcg_iterations - work0[1])
@@ -187,9 +181,3 @@ def robin_flux(inc: HeatIncrement, theta: NodalField):
     u = theta.values - inc.theta_ref.values
     robin = inc.model.kappa * (g.assemble_face_hessian() @ u) - inc.robin_load
     return float(g.constant_field(1.0).values @ robin)
-
-
-def uniform_theta_b(grid, value):
-    """Constant boundary datum in the per-face layout the increment expects."""
-    return {name: np.full((p.sdofs.shape[0], p.weights.size), float(value))
-            for name, p in grid.faces.items()}

@@ -20,7 +20,7 @@ arithmetic itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,12 +318,6 @@ class MaterialModel:
         _, h1, _ = self._h_family(theta)
         return self.c * theta + self.phi1(F) * h1
 
-    def heat_capacity(self, F, theta):
-        """Slope of the enthalpy in theta; bounded in [c, c + O(alpha)]."""
-        theta = _check_theta(theta)
-        _, _, h2 = self._h_family(theta)
-        return self.c + self.phi1(F) * h2
-
     # extensions below theta = 0 by the quadratic Taylor model at 0; these are
     # what the unconstrained thermal minimization evaluates.
 
@@ -338,6 +332,7 @@ class MaterialModel:
         return self.c * theta + np.where(theta > 0.0, phi1v * h1, 0.0)
 
     def heat_capacity_ext(self, phi1v, theta):
+        """Slope of enthalpy_ext in theta; c at and below theta = 0."""
         tp = np.maximum(theta, 0.0)
         _, _, h2 = self._h_family(tp)
         return self.c + np.where(theta > 0.0, phi1v * h2, 0.0)
@@ -409,13 +404,6 @@ class MaterialModel:
         Cdot = rate_of_cauchy_green(F, np.asarray(Fdot, dtype=float))
         return self.nu * _ddot(Cdot, Cdot)
 
-    def regularized_rate(self, F, Fdot, theta, eps):
-        """Capped rate xi / (1 + eps xi), bounded by 1/eps for eps > 0."""
-        if eps < 0.0:
-            raise ValueError("eps must be nonnegative")
-        xi = self.dissipation_rate(F, Fdot, theta)
-        return xi / (1.0 + eps * xi)
-
     # -- heat conduction ------------------------------------------------------
 
     def conductivity(self, theta):
@@ -430,10 +418,6 @@ class MaterialModel:
         Fi = inv(F)
         K = self.conductivity(theta)
         return J[..., None, None] * _matmul(_matmul(Fi, K), np.swapaxes(Fi, -1, -2))
-
-    def isothermal(self):
-        """Copy with the thermal coupling switched off."""
-        return replace(self, phi1_amp=0.0)
 
 
 def validate_constants(m) -> list[str]:
@@ -471,21 +455,3 @@ def validate_constants(m) -> list[str]:
     if not m.kappa > 0:
         errs.append(f"kappa > 0 violated (got kappa = {m.kappa})")
     return errs
-
-
-def random_rotation(rng, d):
-    """Haar-ish random rotation from the QR sign-fixed factor."""
-    A = rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def random_feasible_gradient(rng, d, spread=0.3, det_floor=0.2):
-    """Random F near the identity with det F above the given floor."""
-    while True:
-        F = np.eye(d) + spread * rng.standard_normal((d, d))
-        if np.linalg.det(F) > det_floor:
-            return F

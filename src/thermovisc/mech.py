@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .grid import SPD_LU, NodalField, zero_dirichlet_rows
-from .materials import _ddot, det, rate_of_cauchy_green
+from .materials import _ddot, det
 from .newton import FrozenFactor, StepRejectedError, minimize  # noqa: F401  (re-exported)
 
 
@@ -98,7 +98,6 @@ class MechIncrement:
 @dataclass
 class MechResult:
     y_new: NodalField
-    functional_value: float
     descent_gap: float
     iterations: int
     min_detF: float
@@ -118,8 +117,7 @@ def incremental_functional(inc: MechIncrement, y: NodalField, kin=None):
         return np.inf, kin
     m = inc.model
     dF = kin.F - inc.F_prev
-    Cdot_full = rate_of_cauchy_green(inc.F_prev, dF)
-    dens = (0.5 * m.nu / inc.tau) * _ddot(Cdot_full, Cdot_full)
+    dens = (0.5 / inc.tau) * m.dissipation_rate(inc.F_prev, dF, inc.theta_prev_qp)
     if inc.eps > 0:
         dens = dens + (0.5 * inc.eps / inc.tau) * _ddot(dF, dF)
     dens = dens + m.elastic_energy(kin.F) + m.hyperstress_energy(kin.G)
@@ -181,8 +179,7 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None,
         on_accept=lambda kin: iterate_dets.append(kin.min_detF),
         label="mechanical")
     kin = res.aux
-    return MechResult(y_new=res.x, functional_value=res.value,
-                      descent_gap=res.initial_value - res.value,
+    return MechResult(y_new=res.x, descent_gap=res.initial_value - res.value,
                       iterations=res.iterations, min_detF=kin.min_detF,
                       residual_norm=res.residual_norm, residual_vector=res.residual,
                       kinematics=kin, iterate_min_dets=iterate_dets,

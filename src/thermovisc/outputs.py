@@ -20,19 +20,14 @@ TIMESERIES_VERSION = 2
 FIELDS_MAGIC = "THERMOVISC-FIELDS"
 FIELDS_VERSION = 1
 
-TIMESERIES_COLUMNS = [
-    "step", "t", "M", "H", "Phi_cpl", "W", "E", "xi_step", "xi_reg_step",
-    "ext_power", "boundary_heat", "entropy_prod", "min_detF", "hk_bound",
-    "korn_const", "mech_residual", "heat_residual", "energy_gap_total",
-    "min_theta", "korn_lower",
-]
-
-_COLUMN_SOURCES = {
-    "t": "t", "M": "M", "H": "H_val", "Phi_cpl": "Phi_cpl", "W": "W_total",
-    "E": "E", "xi_step": "dissipation_step", "xi_reg_step": "reg_dissipation_step",
-    "ext_power": "ext_power", "boundary_heat": "boundary_heat",
-    "entropy_prod": "entropy_prod", "min_detF": "min_detF",
-    "hk_bound": "hk_bound", "korn_const": "korn_const",
+# column -> StepDiagnostics field, in the frozen column order; "step" is
+# the row's step number
+TIMESERIES_COLUMNS = {
+    "step": None, "t": "t", "M": "M", "H": "H_val", "Phi_cpl": "Phi_cpl",
+    "W": "W_total", "E": "E", "xi_step": "dissipation_step",
+    "xi_reg_step": "reg_dissipation_step", "ext_power": "ext_power",
+    "boundary_heat": "boundary_heat", "entropy_prod": "entropy_prod",
+    "min_detF": "min_detF", "hk_bound": "hk_bound", "korn_const": "korn_const",
     "mech_residual": "mech_residual", "heat_residual": "heat_residual",
     "energy_gap_total": "energy_gap_total", "min_theta": "min_theta",
     "korn_lower": "korn_lower",
@@ -47,9 +42,8 @@ def write_timeseries(path, traj):
     lines = [f"# thermovisc-timeseries v{TIMESERIES_VERSION}",
              ",".join(TIMESERIES_COLUMNS)]
     for k, d in enumerate(traj.step_diags, start=traj.first_step + 1):
-        row = [str(k)]
-        row += [_fmt(getattr(d, _COLUMN_SOURCES[c])) for c in TIMESERIES_COLUMNS[1:]]
-        lines.append(",".join(row))
+        lines.append(",".join(str(k) if f is None else _fmt(getattr(d, f))
+                              for f in TIMESERIES_COLUMNS.values()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -85,6 +79,13 @@ def write_field_dump(path, step, t, grid, arrays, config_hash=""):
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for blob in blobs:
             fh.write(blob)
+
+
+def write_snapshot(path, snap, grid, config_hash=""):
+    """Field dump of one snapshot: y, theta, w and det F."""
+    write_field_dump(path, step=snap.k, t=snap.t, grid=grid, config_hash=config_hash,
+                     arrays={"y": snap.y.values.ravel(), "theta": snap.theta.values,
+                             "w": snap.w_qp.ravel(), "detF": snap.detF.ravel()})
 
 
 def read_field_dump(path):
@@ -123,11 +124,8 @@ def emit_outputs(traj, outdir, config_text=None, config_hash=""):
     os.makedirs(outdir, exist_ok=True)
     write_timeseries(os.path.join(outdir, "timeseries.csv"), traj)
     for snap in traj.snapshots:
-        write_field_dump(
-            os.path.join(outdir, f"fields_{snap.k:06d}.bin"),
-            step=snap.k, t=snap.t, grid=traj.grid, config_hash=config_hash,
-            arrays={"y": snap.y.values.ravel(), "theta": snap.theta.values,
-                    "w": snap.w_qp.ravel(), "detF": snap.detF.ravel()})
+        write_snapshot(os.path.join(outdir, f"fields_{snap.k:06d}.bin"), snap, traj.grid,
+                       config_hash)
     if config_text is not None:
         with open(os.path.join(outdir, "config.ini"), "w", encoding="utf-8") as fh:
             fh.write(config_text)

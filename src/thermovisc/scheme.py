@@ -564,17 +564,11 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
 
 
 def save_checkpoint(traj: Trajectory, directory):
-    from .outputs import write_field_dump
+    from .outputs import write_snapshot
     os.makedirs(directory, exist_ok=True)
     snap = traj.snapshots[-1]
-    h = run_hash(traj.scenario, traj.tau, traj.eps, traj.config)
     path = os.path.join(directory, f"checkpoint_{snap.k:06d}.bin")
-    write_field_dump(path, step=snap.k, t=snap.t, grid=traj.grid,
-                     config_hash=h,
-                     arrays={"y": snap.y.values.ravel(),
-                             "theta": snap.theta.values,
-                             "w": snap.w_qp.ravel(),
-                             "detF": snap.detF.ravel()})
+    write_snapshot(path, snap, traj.grid, run_hash(traj.scenario, traj.tau, traj.eps, traj.config))
     return path
 
 

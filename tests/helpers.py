@@ -1,0 +1,27 @@
+"""Random inputs and boundary data shared by the tests."""
+
+import numpy as np
+
+
+def random_rotation(rng, d):
+    """Haar-ish random rotation from the QR sign-fixed factor."""
+    A = rng.standard_normal((d, d))
+    Q, R = np.linalg.qr(A)
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def random_feasible_gradient(rng, d, spread=0.3, det_floor=0.2):
+    """Random F near the identity with det F above the given floor."""
+    while True:
+        F = np.eye(d) + spread * rng.standard_normal((d, d))
+        if np.linalg.det(F) > det_floor:
+            return F
+
+
+def uniform_theta_b(grid, value):
+    """Constant boundary datum in the per-face layout HeatIncrement expects."""
+    return {name: np.full((p.sdofs.shape[0], p.weights.size), float(value))
+            for name, p in grid.faces.items()}

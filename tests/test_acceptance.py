@@ -18,16 +18,13 @@ from thermovisc.diagnostics import (
     weak_residuals,
 )
 from thermovisc.grid import NodalField, StructuredGrid, apply_dirichlet_identity
-from thermovisc.heat import HeatIncrement, heat_functional, heat_gradient, uniform_theta_b
-from thermovisc.materials import (
-    MaterialModel,
-    random_feasible_gradient,
-    random_rotation,
-    rate_of_cauchy_green,
-)
+from thermovisc.heat import HeatIncrement, heat_functional, heat_gradient
+from thermovisc.materials import MaterialModel, rate_of_cauchy_green
 from thermovisc.mech import MechIncrement, SolverConfig, incremental_functional, incremental_gradient
 from thermovisc.presets import insulated_pulse, isothermal_creep, press_pulse, shear_pulse, steady
 from thermovisc.scheme import refinement_study, run
+
+from helpers import random_feasible_gradient, random_rotation, uniform_theta_b
 
 MODEL = MaterialModel()
 _LINES = []
@@ -268,7 +265,8 @@ def test_criterion_06_enthalpy_laws(matrix):
     Fs[dets <= 0.2] = np.eye(2)
     ths = rng.uniform(1e-6, 10.0, size=n)
     th2 = rng.uniform(0.0, 10.0, size=n)
-    cv = np.concatenate([MODEL.heat_capacity(Fs, ths), MODEL.heat_capacity(Fs, th2)])
+    phi1v = MODEL.phi1(Fs)
+    cv = np.concatenate([MODEL.heat_capacity_ext(phi1v, ths), MODEL.heat_capacity_ext(phi1v, th2)])
     eps_hat, K = float(cv.min()), float(cv.max())
     bounds_ok = 0.0 < eps_hat <= K < np.inf
     w1 = MODEL.enthalpy(Fs, ths)

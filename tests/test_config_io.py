@@ -360,7 +360,7 @@ def small_traj():
 def test_timeseries_schema_and_roundtrip(tmp_path, small_traj):
     report = emit_outputs(small_traj, str(tmp_path))
     data = read_timeseries(tmp_path / "timeseries.csv")
-    assert list(data) == TIMESERIES_COLUMNS
+    assert list(data) == list(TIMESERIES_COLUMNS)
     assert len(data["t"]) == small_traj.n_steps
     # 17 significant digits: values round-trip exactly
     for k, d in enumerate(small_traj.step_diags):
@@ -371,7 +371,7 @@ def test_timeseries_schema_and_roundtrip(tmp_path, small_traj):
 
 def test_timeseries_v2_appends_korn_lower(tmp_path, small_traj):
     # the 19 columns of version 1 keep their names and order
-    assert TIMESERIES_COLUMNS == [
+    assert list(TIMESERIES_COLUMNS) == [
         "step", "t", "M", "H", "Phi_cpl", "W", "E", "xi_step", "xi_reg_step",
         "ext_power", "boundary_heat", "entropy_prod", "min_detF", "hk_bound",
         "korn_const", "mech_residual", "heat_residual", "energy_gap_total",

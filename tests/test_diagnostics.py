@@ -22,7 +22,6 @@ from thermovisc.diagnostics import (
     KornState,
     StepDiagnostics,
     TestBank,
-    entropy_production,
     hk_determinant_bound,
     korn_certificate,
     korn_constant,
@@ -38,10 +37,12 @@ from thermovisc.grid import (
     StructuredGrid,
     apply_dirichlet_identity,
 )
-from thermovisc.materials import MaterialModel, det, random_feasible_gradient, random_rotation
+from thermovisc.materials import MaterialModel, det
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, run
+
+from helpers import random_feasible_gradient, random_rotation
 
 
 def grid66():
@@ -73,7 +74,7 @@ def test_steady_balances_vanish():
         ledger = total_energy_check(traj, k)
         assert abs(ledger["gap"]) <= 1e-12
         assert all(abs(v) <= 1e-12 for v in ledger["items"].values())
-        assert entropy_production(traj, k) <= 1e-30   # exact zero up to roundoff
+        assert traj.step(k)[2].entropy_prod <= 1e-30   # exact zero up to roundoff
 
 
 def test_mech_energy_check_within_slack(pulse_traj):
@@ -107,7 +108,7 @@ def test_total_energy_ledger_itemization(pulse_traj):
 
 def test_entropy_production_nonnegative(pulse_traj):
     for k in range(1, pulse_traj.n_steps + 1):
-        assert entropy_production(pulse_traj, k) >= 0.0
+        assert pulse_traj.step(k)[2].entropy_prod >= 0.0
 
 
 def test_insulated_entropy_nondecreasing():
@@ -179,8 +180,7 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
     defect_semiconvex = (float(np.sum(DM * dvals))
                          - (main_energy(snap_new) - main_energy(snap_prev)))
     ext_power = float(np.sum(mech_inc.load_vector * dvals))
-    gradsq_step = grid.assemble_scalar(np.sum(dF**2, axis=(-2, -1)))
-    defect_eps = (eps / tau) * gradsq_step
+    defect_eps = (eps / tau) * grid.assemble_scalar(np.sum(dF**2, axis=(-2, -1)))
     mech_term = float(np.sum(mech_res.residual_vector * dvals))
     if iso:
         pcpl_old = pcpl_new = boundary_heat = heat_term = entropy_prod = 0.0
@@ -227,8 +227,7 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
-        solver_term=solver_term, pcpl_old=pcpl_old, pcpl_new=pcpl_new,
-        gradsq_step=gradsq_step, mech_iterations=mech_res.iterations,
+        solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
         heat_iterations=heat_iters, entropy_excluded=excluded)
 
 
@@ -692,7 +691,8 @@ def loop_weak_residuals(traj, bank):
             if not scenario.isothermal:
                 Kt = model.pullback_conductivity(F, th_qp)
                 flux = np.einsum("cqab,cqb->cqa", Kt, gth)
-                xi_reg = model.regularized_rate(F, rate, th_qp, eps)
+                xi = model.dissipation_rate(F, rate, th_qp)
+                xi_reg = xi / (1.0 + eps * xi)
                 src = xi_reg + np.sum(model.coupling_stress(F, th_qp) * rate, axis=(-2, -1))
 
             for e in range(ne):

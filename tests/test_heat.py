@@ -12,11 +12,12 @@ from thermovisc.heat import (
     heat_gradient,
     robin_flux,
     solve_heat,
-    uniform_theta_b,
 )
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig
 from thermovisc.newton import ATOL_RESIDUAL
+
+from helpers import uniform_theta_b
 
 MODEL = MaterialModel()
 
@@ -42,9 +43,12 @@ def make_inc(grid, model=MODEL, tau=0.05, eps=0.01, theta_prev=1.0, theta_b=None
     w_prev = model.enthalpy(F_prev, np.maximum(th_qp, 0.0))
     tb = uniform_theta_b(grid, theta_b if theta_b is not None else
                          (theta_prev if np.isscalar(theta_prev) else 1.0))
-    return HeatIncrement(grid=grid, model=model, theta_prev=th_prev, w_prev_qp=w_prev,
-                         tau=tau, eps=eps, theta_b=tb, F_prev=F_prev,
-                         F_new=grid.eval_kinematics(y_new).F, source_override=source)
+    inc = HeatIncrement(grid=grid, model=model, theta_prev=th_prev, w_prev_qp=w_prev,
+                        tau=tau, eps=eps, theta_b=tb, F_prev=F_prev,
+                        F_new=grid.eval_kinematics(y_new).F)
+    if source is not None:   # a given heat source in place of the capped dissipation
+        inc.xi_qp = inc.xi_reg_qp = np.asarray(source, dtype=float)
+    return inc
 
 
 def test_steady_uniform_state_is_fixed_point():
@@ -119,7 +123,7 @@ def test_pure_heating_enthalpy_balance():
     assert_reported_residual_consistent(res)
     dW = g.assemble_scalar(res.w_new_qp - inc.w_prev_qp)
     outflow = robin_flux(inc, res.theta_new)
-    expect = tau * (hsrc * g.domain_volume - outflow)
+    expect = tau * (hsrc * np.prod(g.lengths) - outflow)
     assert abs(dW - expect) < 1e-9 * max(1.0, abs(expect))
     # heating with nonnegative data keeps theta nonnegative
     assert res.min_theta >= -1e-10

@@ -11,7 +11,8 @@ import pytest
 from scipy.special import xlogy
 
 import thermovisc
-from thermovisc.grid import StructuredGrid
+from thermovisc.grid import NodalField, StructuredGrid
+from thermovisc.heat import HeatIncrement
 from thermovisc.materials import (
     DomainError,
     THETA_TINY,
@@ -20,14 +21,14 @@ from thermovisc.materials import (
     _matmul,
     det,
     inv,
-    random_feasible_gradient,
-    random_rotation,
     rate_of_cauchy_green,
     viscous_form,
 )
 from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse, steady
 from thermovisc.scheme import run
+
+from helpers import random_feasible_gradient, random_rotation, uniform_theta_b
 
 MODEL = MaterialModel()
 
@@ -233,16 +234,17 @@ def test_enthalpy_consistent_with_legendre_form():
 
 
 def test_heat_capacity_limits_and_fd():
+    # the thermal step's heat capacity, the theta-slope of the enthalpy
     rng = np.random.default_rng(14)
     F = random_feasible_gradient(rng, 2)
-    assert MODEL.heat_capacity(F, 0.0) == pytest.approx(MODEL.c, abs=1e-14)
+    assert MODEL.heat_capacity_ext(MODEL.phi1(F), 0.0) == pytest.approx(MODEL.c, abs=1e-14)
     m0 = MaterialModel(phi1_amp=0.0)
-    assert m0.heat_capacity(F, 2.3) == pytest.approx(m0.c, abs=1e-14)
+    assert m0.heat_capacity_ext(m0.phi1(F), 2.3) == pytest.approx(m0.c, abs=1e-14)
     for _ in range(100):
         F = random_feasible_gradient(rng, 2)
         th = rng.uniform(0.05, 3.0)
         g = fd_scalar(lambda t: MODEL.enthalpy(F, t), th)
-        assert rel_err(MODEL.heat_capacity(F, th), g) < 1e-6
+        assert rel_err(MODEL.heat_capacity_ext(MODEL.phi1(F), th), g) < 1e-6
 
 
 def test_enthalpy_two_sided_bounds():
@@ -281,7 +283,7 @@ def test_thermal_potentials_derivative_relations():
         h = 1e-4
         Wp, W0, Wm = (MODEL.w_total_ext(phi1v, t) for t in (th + h, th, th - h))
         d2W = (Wp - 2 * W0 + Wm) / h**2
-        assert rel_err(MODEL.heat_capacity(F, th), d2W) < 1e-5
+        assert rel_err(MODEL.heat_capacity_ext(phi1v, th), d2W) < 1e-5
 
 
 def test_extended_thermal_family_is_c2_at_zero():
@@ -416,20 +418,34 @@ def test_dissipation_identity_three_ways():
 
 
 def test_regularized_rate_caps():
-    F = np.eye(2)
-    Fd = np.diag([1.0, 0.0])
-    xi = MODEL.dissipation_rate(F, Fd, 1.0)
-    assert xi == pytest.approx(4.0)
-    assert MODEL.regularized_rate(F, Fd, 1.0, 0.5) == pytest.approx(4.0 / 3.0)
-    assert MODEL.regularized_rate(F, Fd, 1.0, 0.0) == pytest.approx(xi)
+    # the capped source xi / (1 + eps xi) of the thermal step
+    g = StructuredGrid((2, 2), (1.0, 1.0))
+    tau = 0.5
+
+    def source(y_prev, y_new, eps):
+        F_prev = g.eval_kinematics(y_prev).F
+        inc = HeatIncrement(grid=g, model=MODEL, theta_prev=g.constant_field(0.1),
+                            w_prev_qp=np.zeros((g.n_cells, g.nq)), tau=tau, eps=eps,
+                            theta_b=uniform_theta_b(g, 0.1), F_prev=F_prev,
+                            F_new=g.eval_kinematics(y_new).F)
+        assert np.allclose(inc.xi_qp, MODEL.dissipation_rate(
+            F_prev, (inc.F_new - F_prev) / tau, 0.1), rtol=1e-14, atol=0.0)
+        return inc.xi_qp, inc.xi_reg_qp
+
+    # F_prev = I and the rate diag(1, 0): xi = nu |Cdot|^2 = 4
+    ident = g.identity_field()
+    stretch = NodalField(g, ident.values * [1.0 + tau, 1.0])
+    xi, xir = source(ident, stretch, 0.5)
+    assert np.allclose(xi, 4.0, rtol=1e-12) and np.allclose(xir, 4.0 / 3.0, rtol=1e-12)
+    xi, xir = source(ident, stretch, 0.0)
+    assert np.array_equal(xir, xi)
     rng = np.random.default_rng(25)
-    for _ in range(50):
-        Fr = random_feasible_gradient(rng, 2)
-        Fd = rng.standard_normal((2, 2)) * 3
+    for _ in range(20):   # affine maps x -> A x: uniform F_prev and rate
+        y_prev, y_new = (NodalField(g, ident.values @ random_feasible_gradient(rng, 2).T)
+                         for _ in range(2))
         eps = rng.uniform(1e-3, 1.0)
-        xir = MODEL.regularized_rate(Fr, Fd, 0.1, eps)
-        xif = MODEL.dissipation_rate(Fr, Fd, 0.1)
-        assert 0.0 <= xir <= min(xif, 1.0 / eps) + 1e-12
+        xi, xir = source(y_prev, y_new, eps)
+        assert np.all(0.0 <= xir) and np.all(xir <= np.minimum(xi, 1.0 / eps) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +492,6 @@ def test_constant_validation():
         MaterialModel(d=3, p=2.5, q=40.0)
     with pytest.raises(ValueError, match="nu > 0"):
         MaterialModel(nu=0.0)
-    m = MODEL.isothermal()
-    assert m.phi1_amp == 0.0 and m.nu == MODEL.nu
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -14,12 +14,16 @@ from thermovisc.mech import (
     StepRejectedError,
     incremental_functional,
     incremental_gradient,
+    incremental_hessian,
     main_mechanical_energy,
     semiconvexity_gap,
     solve_mech,
 )
 
+from helpers import random_rotation
+
 MODEL = MaterialModel()
+MODEL3 = MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)   # c2 q = 12: stress-free identity in 3D
 
 
 def make_inc(grid, model=MODEL, tau=0.05, eps=0.01, theta=1.0, load=None,
@@ -117,7 +121,9 @@ def test_solve_small_dead_load_descends():
     assert res.min_detF > 0.0
     # descent certificate restated through the functional
     J_prev, _ = incremental_functional(inc, inc.y_prev)
-    assert res.functional_value <= J_prev
+    J_new, _ = incremental_functional(inc, res.y_new)
+    assert J_new <= J_prev
+    assert res.descent_gap == J_prev - J_new
 
 
 def test_solver_never_returns_nonpositive_det():
@@ -168,3 +174,94 @@ def test_result_dataclass_contract():
     assert isinstance(res, MechResult)
     assert res.descent_gap >= 0.0
     assert res.residual_vector.shape == (g.n_sdofs, 2)
+
+
+class DoubledViscosity(MaterialModel):
+    """A viscosity law behind the three methods the solver calls: twice the
+    default potential, as a tensor modulus 2 nu I would give."""
+
+    def dissipation_rate(self, F, Fdot, theta):
+        return 2.0 * super().dissipation_rate(F, Fdot, theta)
+
+    def viscous_stress(self, F, Fdot, theta):
+        return 2.0 * super().viscous_stress(F, Fdot, theta)
+
+    def viscous_hessian(self, F):
+        return 2.0 * super().viscous_hessian(F)
+
+
+def test_viscosity_override_reaches_the_step_functional():
+    # the step functional takes its viscous term from the model, so it stays
+    # the potential of the assembled gradient and matches nu = 2
+    g = StructuredGrid((4, 4), (1.0, 1.0))
+    rng = np.random.default_rng(7)
+    load = 0.05 * rng.standard_normal((g.n_sdofs, 2))
+    inc = make_inc(g, model=DoubledViscosity(), load=load)
+    y = feasible_perturbation(g, rng, scale=0.02)
+    r, _ = incremental_gradient(inc, y)
+    h = 1e-6
+    for _ in range(10):
+        dv = rng.standard_normal(y.values.shape)
+        dv[g.dirichlet_sdofs] = 0.0
+        dv /= np.linalg.norm(dv)
+        Jp, _ = incremental_functional(inc, NodalField(g, y.values + h * dv))
+        Jm, _ = incremental_functional(inc, NodalField(g, y.values - h * dv))
+        fd = (Jp - Jm) / (2 * h)
+        assert abs(np.sum(r * dv) - fd) < 1e-6 * max(1.0, abs(fd))
+    J, _ = incremental_functional(inc, y)
+    J_nu2, _ = incremental_functional(make_inc(g, model=MaterialModel(nu=2.0), load=load), y)
+    assert J == pytest.approx(J_nu2, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# frame indifference of the discrete step
+
+
+def rotated_increment(d, Q=None, load_scale=0.05, eps=0.01):
+    """A deformed increment in d dimensions, and with Q also the same
+    increment with y_prev, y and the load rotated by Q: (inc, y)."""
+    g = StructuredGrid((4, 4) if d == 2 else (2, 2, 2), (1.0,) * d)
+    rng = np.random.default_rng(30 + d)
+    y_prev = feasible_perturbation(g, rng, scale=0.02)
+    y = feasible_perturbation(g, rng, scale=0.02)
+    load = load_scale * rng.standard_normal((g.n_sdofs, d))
+    if Q is not None:
+        y_prev, y = NodalField(g, y_prev.values @ Q.T), NodalField(g, y.values @ Q.T)
+        load = load @ Q.T
+    model = MODEL if d == 2 else MODEL3
+    return make_inc(g, model=model, y_prev=y_prev, load=load, eps=eps), y
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_step_is_invariant_under_a_fixed_rotation(d):
+    Q = random_rotation(np.random.default_rng(40 + d), d)
+    inc, y = rotated_increment(d)
+    inc_q, y_q = rotated_increment(d, Q)
+    J, kin = incremental_functional(inc, y)
+    J_q, kin_q = incremental_functional(inc_q, y_q)
+    assert J_q == pytest.approx(J, rel=1e-13)
+    r, _ = incremental_gradient(inc, y)
+    r_q, _ = incremental_gradient(inc_q, y_q)
+    assert np.max(np.abs(r_q - r @ Q.T)) <= 1e-12 * np.max(np.abs(r))
+    # dofs are numbered with the component fastest: the rotation acts as kron(I, Q)
+    P = np.kron(np.eye(inc.grid.n_sdofs), Q)
+    H = incremental_hessian(inc, kin).toarray()
+    H_q = incremental_hessian(inc_q, kin_q).toarray()
+    assert np.max(np.abs(H_q - P @ H @ P.T)) <= 1e-12 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rigid_increment_defect_is_fourth_order_in_the_angle(d):
+    # y = Q_phi y_prev changes only the viscous term, through the C-rate
+    # linearized at y_prev: nu |F^T (Q + Q^T - 2I) F|^2 / (2 tau) = O(phi^4)
+    inc, _ = rotated_increment(d, load_scale=0.0, eps=0.0)
+    J0, _ = incremental_functional(inc, inc.y_prev)
+    defects = []
+    for phi in (0.1, 0.01, 0.001):
+        Q = np.eye(d)
+        Q[:2, :2] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+        J, _ = incremental_functional(inc, NodalField(inc.grid, inc.y_prev.values @ Q.T))
+        defects.append(J - J0)
+    assert min(defects) > 0.0
+    slopes = np.diff(np.log10(defects)) / np.diff(np.log10([0.1, 0.01, 0.001]))
+    assert np.all(np.abs(slopes - 4.0) < 0.05), slopes
