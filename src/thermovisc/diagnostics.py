@@ -9,21 +9,20 @@ evidence that a run did what the analysis says it must.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.sparse.linalg import lobpcg, splu
+from scipy.sparse.linalg import lobpcg, splu  # splu: no caller; perfbench wraps diagnostics.splu
 
-from .grid import SPD_LU, tensor_derivatives
+from .grid import tensor_derivatives
 from .heat import robin_flux
 from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
 KORN_TOL = 1e-8       # LOBPCG residual |A x - lambda B x| at x.B x = 1
-KORN_MAX_ITER = 100   # LOBPCG iterations before the LU fallback
+KORN_MAX_ITER = 1000  # LOBPCG iterations; a miss warns (see korn_constant)
 KORN_SLACK = 0.1      # korn_certificate solves again once the bound loses this share
 LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
 W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
@@ -302,17 +301,17 @@ def korn_constant(grid, F_qp, state=None):
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil
     (A(F), kron(G, I_d)), preconditioned by the grid's cached scalar Gram
     factorization applied to the field's d components, from the
-    eigenvector kept in ``state`` (a :class:`KornState`) or from ones.  A
-    kept eigenvector that already meets LOBPCG's stopping test
-    |A x - rho B x| <= ``KORN_TOL`` is taken as it is, so an unchanged form
-    gives the same value bit for bit.  If LOBPCG misses ``KORN_TOL`` within
-    ``KORN_MAX_ITER`` iterations, inverse iteration against an LU of A(F),
-    from LOBPCG's last iterate to the same test, gives the vector instead.
-    The result is the Rayleigh quotient theta of the B-normalized
-    eigenvector x, which ``state`` keeps for the next call, together with F
-    and the lower bound theta - rho, rho = |A x - theta B x|_{B^-1}: an
-    eigenvalue of the pencil lies within rho of theta.  That it is the
-    smallest one rests on the solve (the warm start and LOBPCG's descent).
+    eigenvector kept in ``state`` (a :class:`KornState`) or from ones, until
+    |A x - rho B x| <= ``KORN_TOL`` at x.B x = 1.  The result is the
+    Rayleigh quotient theta of the B-normalized iterate x, which ``state``
+    keeps for the next call, together with F and the lower bound
+    theta - rho, rho = |A x - theta B x|_{B^-1}: an eigenvalue of the pencil
+    lies within rho of theta.  That it is the smallest one rests on the
+    solve (the warm start and LOBPCG's descent).  If LOBPCG misses
+    ``KORN_TOL`` within ``KORN_MAX_ITER`` iterations it raises its own
+    ``UserWarning`` and returns its iterate of least residual; theta - rho
+    then bounds the eigenvalue nearest that iterate, which need not be the
+    smallest.
     """
     d = grid.d
     if np.min(det(F_qp)) <= 0:
@@ -335,14 +334,10 @@ def korn_constant(grid, F_qp, state=None):
     if x is None:
         x = np.ones(A.shape[0])
         x /= np.sqrt(x @ gram(x))
-    if _korn_residual(A, gram, x) > KORN_TOL:
-        with warnings.catch_warnings():   # a miss is handled below
-            warnings.simplefilter("ignore", UserWarning)
-            _, X, res_norms = lobpcg(A, x[:, None], B=gram, M=gram_solve, tol=KORN_TOL,
-                                     maxiter=KORN_MAX_ITER, largest=False,
-                                     retResidualNormsHistory=True)
-        x = X[:, 0] if res_norms[-1] <= KORN_TOL else _korn_inverse_iteration(A, gram, X[:, 0])
-        x = x / np.sqrt(x @ gram(x))
+    _, X = lobpcg(A, x[:, None], B=gram, M=gram_solve, tol=KORN_TOL, maxiter=KORN_MAX_ITER,
+                  largest=False)
+    x = X[:, 0]
+    x = x / np.sqrt(x @ gram(x))
     Ax = A @ x
     theta = float(x @ Ax)
     r = Ax - theta * gram(x)
@@ -350,28 +345,6 @@ def korn_constant(grid, F_qp, state=None):
     state.x, state.F_ref, state.F_ref_norm = x, F_qp, _frob(F_qp)
     state.lower_ref = theta - rho
     return theta
-
-
-def _korn_residual(A, gram, x):
-    """LOBPCG's stopping measure |A x - rho B x|, rho = x.A x, at x.B x = 1."""
-    Ax = A @ x
-    return np.linalg.norm(Ax - float(x @ Ax) * gram(x))
-
-
-def _korn_inverse_iteration(A, gram, x, max_iter=500):
-    """Eigenvector of the smallest eigenvalue of (A, B), B x = gram(x), by
-    inverse iteration from x against an LU of A, until the B-normalized
-    iterate meets LOBPCG's stopping test (:func:`_korn_residual`)."""
-    lu = splu(A, **SPD_LU)
-    for _ in range(max_iter):
-        x = lu.solve(gram(x))
-        bn = np.sqrt(x @ gram(x))
-        if bn == 0.0 or not np.isfinite(bn):
-            raise RuntimeError("Korn inverse iteration broke down")
-        x /= bn
-        if _korn_residual(A, gram, x) <= KORN_TOL:
-            break
-    return x
 
 
 # ---------------------------------------------------------------------------

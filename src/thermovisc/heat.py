@@ -60,7 +60,7 @@ class HeatIncrement:
         g, m = self.grid, self.model
         if det(self.F_prev).min() <= 0 or det(self.F_new).min() <= 0:
             raise ValueError("deformation states must be locally invertible")
-        self.theta_prev_qp, _ = g.eval_scalar(self.theta_prev)
+        self.theta_prev_qp = g.eval_values(self.theta_prev)
         if self.theta_prev_qp.min() < -1e-9:
             raise ValueError("previous temperature must be nonnegative")
         dF = (self.F_new - self.F_prev) / self.tau

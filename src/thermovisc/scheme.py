@@ -79,7 +79,7 @@ class Scenario:
                     break
         if not errs:
             # free energy of the initial state must be finite
-            th_qp, _ = self.grid.eval_scalar(th0)
+            th_qp = self.grid.eval_values(th0)
             dens = (self.model.elastic_energy(kin.F)
                     + self.model.hyperstress_energy(kin.G)
                     + self.model.coupling_energy(kin.F, np.maximum(th_qp, 0.0)))
@@ -277,7 +277,7 @@ def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
 def _start_snapshot(traj, k, t, y, theta, w_qp=None):
     """Snapshot of a start state: step 0, or the step a run resumes at."""
     kin = traj.grid.eval_kinematics(y)
-    th_qp, _ = traj.grid.eval_scalar(theta)
+    th_qp = traj.grid.eval_values(theta)
     if w_qp is None:
         if traj.scenario.isothermal:
             w_qp = np.zeros_like(th_qp)
@@ -472,7 +472,7 @@ def trajectory_distance(traj_a: Trajectory, traj_b: Trajectory):
     def fields(traj, t):
         s = interpolants(traj, t).affine
         kin = grid.eval_kinematics(NodalField(grid, s.y_values))
-        th, _ = grid.eval_scalar(NodalField(grid, s.theta_values))
+        th = grid.eval_values(NodalField(grid, s.theta_values))
         return kin.F, th
 
     # both interpolants are affine on each fine interval, so Simpson is exact

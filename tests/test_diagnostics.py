@@ -9,10 +9,11 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+import scipy.linalg
 
 import thermovisc
 import thermovisc.diagnostics as diagnostics
@@ -32,12 +33,11 @@ from thermovisc.diagnostics import (
     weak_residuals,
 )
 from thermovisc.grid import (
-    SPD_LU,
     NodalField,
     StructuredGrid,
     apply_dirichlet_identity,
 )
-from thermovisc.materials import MaterialModel, det
+from thermovisc.materials import MaterialModel, det, viscous_form
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, run
@@ -311,7 +311,6 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
     energies, on_prev, on_new_theta, on_face, current = [], [], [], [], []
     state_energies = diagnostics.state_energies
     compute = diagnostics.compute_step_diagnostics
-    eval_scalar = StructuredGrid.eval_scalar
     eval_face_scalar = StructuredGrid.eval_face_scalar
 
     def counted(grid, model, snap, *args):
@@ -325,11 +324,13 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
         finally:
             current.pop()
 
-    def scalar_spy(self, field):
-        if current and (field is current[-1][1].theta
-                        or np.array_equal(field.values, current[-1][1].theta.values)):
-            on_new_theta.append(field)
-        return eval_scalar(self, field)
+    def scalar_spy(evaluate):
+        def spied(self, field):
+            if current and (field is current[-1][1].theta
+                            or np.array_equal(field.values, current[-1][1].theta.values)):
+                on_new_theta.append(field)
+            return evaluate(self, field)
+        return spied
 
     def face_spy(self, face, field):
         if current:
@@ -352,7 +353,8 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
             monkeypatch.setattr(MaterialModel, name, spy(name, fn))
     monkeypatch.setattr(diagnostics, "state_energies", counted)
     monkeypatch.setattr(diagnostics, "compute_step_diagnostics", watched)
-    monkeypatch.setattr(StructuredGrid, "eval_scalar", scalar_spy)
+    for name in ("eval_scalar", "eval_values"):
+        monkeypatch.setattr(StructuredGrid, name, scalar_spy(getattr(StructuredGrid, name)))
     monkeypatch.setattr(StructuredGrid, "eval_face_scalar", face_spy)
     sc = shear_pulse(grid=grid66(), T=0.15, amplitude=0.2, t_pulse=0.08)
     traj = run(sc, tau=0.05, eps=0.01)
@@ -497,10 +499,9 @@ def drifting_gradients(grid, rng, count=4, drift=0.1, spread=0.1):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_warm_started_korn_matches_a_fresh_solve(d, monkeypatch):
+def test_warm_started_korn_matches_a_fresh_solve(d):
     grid = (StructuredGrid((6, 6), (1.0, 1.0), dirichlet_faces=("y0",)) if d == 2 else
             StructuredGrid((3, 2, 2), (1.0, 0.7, 1.3), dirichlet_faces=("x0",)))
-    monkeypatch.setattr(diagnostics, "splu", None)   # LOBPCG converges: no fallback
     state = KornState()
     for F in drifting_gradients(grid, np.random.default_rng(60 + d)):
         warm = korn_constant(grid, F, state)
@@ -509,44 +510,32 @@ def test_warm_started_korn_matches_a_fresh_solve(d, monkeypatch):
         assert abs(warm - fresh) <= 1e-12 * fresh
 
 
-def test_korn_fallback_factorizes_with_the_spd_setting(monkeypatch):
-    # LOBPCG forced to miss its tolerance: inverse iteration against an LU
-    # of the Korn form, made by diagnostics.splu in the SPD setting
-    grid = grid66()
-    (F,) = drifting_gradients(grid, np.random.default_rng(70), count=1)
-    ref = korn_constant(grid, F)
-    made = []
-
-    def recorder(A, **kwargs):
-        made.append(kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "splu", recorder)
-    assert korn_constant(grid, F) == ref and not made     # LOBPCG converges
-    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 1)
-    state = KornState()
-    value = korn_constant(grid, F, state)
-    assert made == [SPD_LU]
-    assert abs(value - ref) <= 1e-12 * ref
-    assert state.x is not None
-
-
-def test_korn_fallback_meets_the_lobpcg_tolerance(monkeypatch):
-    # a clustered spectrum: LOBPCG from ones needs well over its cap here, and
-    # inverse iteration stopped on the Rayleigh-quotient change alone ends
-    # about 1e-11 relative above the eigenvalue
+def test_korn_converges_on_a_rough_3d_state_without_a_factorization(monkeypatch):
+    # F drawn at every quadrature point: LOBPCG from ones needs over a
+    # hundred iterations here, and the value must match a dense eigensolve
     grid = StructuredGrid((3, 3, 3), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
-    F1, F2 = drifting_gradients(grid, np.random.default_rng(80), count=2)
-    monkeypatch.setattr(diagnostics, "splu", None)   # converged LOBPCG values only
+    rng = np.random.default_rng(0)
+    F = np.stack([random_feasible_gradient(rng, 3) for _ in range(grid.n_cells * grid.nq)])
+    F = F.reshape(grid.n_cells, grid.nq, 3, 3)
+    free = np.repeat(grid.free_sdofs, 3)
+    A = grid.assemble_hessian(3, c4=viscous_form(F), free=free).toarray()
+    B = np.kron(grid.h1_gram(free_only=True).toarray(), np.eye(3))
+    ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("korn_constant factorized the Korn form")
+
+    monkeypatch.setattr(diagnostics, "splu", no_factorization)
     state = KornState()
-    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 1000)
-    korn_constant(grid, F1, state)
-    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 100)
-    ref = korn_constant(grid, F2, state)
-    monkeypatch.setattr(diagnostics, "splu", splu)
-    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 2)
-    fallback = korn_constant(grid, F2)
-    assert abs(fallback - ref) <= 1e-12 * ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = korn_constant(grid, F, state)
+    assert abs(value - ref) <= 1e-12
+    assert state.lower_ref <= ref
+    # a capped solve reports its miss with LOBPCG's own warning
+    monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 30)
+    with pytest.warns(UserWarning):
+        korn_constant(grid, F)
 
 
 def test_korn_constant_of_a_steady_run_is_constant():

@@ -20,6 +20,9 @@ from thermovisc.mech import (
     solve_mech,
 )
 
+from thermovisc.presets import shear_pulse
+from thermovisc.scheme import run, step_load_vector
+
 from helpers import random_rotation
 
 MODEL = MaterialModel()
@@ -265,3 +268,30 @@ def test_rigid_increment_defect_is_fourth_order_in_the_angle(d):
     assert min(defects) > 0.0
     slopes = np.diff(np.log10(defects)) / np.diff(np.log10([0.1, 0.01, 0.001]))
     assert np.all(np.abs(slopes - 4.0) < 0.05), slopes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_solve_mech_commutes_with_a_fixed_rotation(d):
+    # the second step of a shear pulse, solved as it is and with y_prev,
+    # F_prev and the load rotated by Q: the solve returns the rotated state
+    if d == 2:
+        grid, model = StructuredGrid((6, 6), (1.0, 1.0), dirichlet_faces=("y0",)), MODEL
+    else:
+        grid, model = StructuredGrid((3, 3, 3), (1.0,) * 3, dirichlet_faces=("x0",)), MODEL3
+    tau = 0.05
+    sc = shear_pulse(grid=grid, model=model, T=tau, amplitude=0.15, t_pulse=0.5)
+    snap = run(sc, tau=tau, eps=0.01, config=SolverConfig(korn_every=0, hk_every=0)).snapshots[1]
+    load = step_load_vector(sc, tau, 2 * tau)
+    Q = random_rotation(np.random.default_rng(50 + d), d)
+
+    def solve(y_prev, F_prev, load):
+        return solve_mech(MechIncrement(grid=grid, model=model, y_prev=y_prev,
+                                        theta_prev_qp=snap.theta_qp, tau=tau, eps=0.01,
+                                        load_vector=load, F_prev=F_prev))
+
+    res = solve(snap.y, snap.F, load)
+    res_q = solve(NodalField(grid, snap.y.values @ Q.T), np.einsum("ij,...jk->...ik", Q, snap.F),
+                  load @ Q.T)
+    y_new = res.y_new.values
+    assert res.iterations > 0 and res_q.iterations == res.iterations
+    assert np.max(np.abs(res_q.y_new.values - y_new @ Q.T)) <= 1e-10 * np.max(np.abs(y_new))
