@@ -5,8 +5,8 @@
     thermovisc validate <config>
 
 Exit code 0 only if parsing succeeds and all enabled certificates pass;
-1 when the config or a command-line override breaks a rule or the preset
-refuses the grid (each printed as ``error: ...``), 2 when a certificate
+1 when the config (its preset's refusal included) or a command-line
+override breaks a rule (each printed as ``error: ...``), 2 when a certificate
 fails, 3 when a step is still rejected after every halving (printed as one
 ``error: ...`` line with the interval and the reason).
 """
@@ -37,9 +37,7 @@ def cmd_validate(args):
         for e in exc.errors:
             print(f"  - {e}")
         return 1
-    if _scenario(cfg) is None:
-        return 1
-    print(f"{args.config}: valid ({cfg.scenario}, tau={cfg.tau:g}, eps={cfg.eps:g})")
+    print(f"{args.config}: valid ({cfg.scenario.name}, tau={cfg.tau:g}, eps={cfg.eps:g})")
     return 0
 
 
@@ -56,14 +54,6 @@ def _rejected(exc):
     return 3
 
 
-def _scenario(cfg):
-    """The config's scenario, or None after printing why its preset refused it."""
-    try:
-        return cfg.build_scenario()
-    except ValueError as exc:
-        _errors(str(exc).split("; "))
-
-
 def cmd_simulate(args):
     try:
         cfg = parse_config(_load(args.config))
@@ -73,10 +63,10 @@ def cmd_simulate(args):
         cfg.tau = args.tau
     if args.eps is not None:
         cfg.eps = args.eps
+    scenario = cfg.scenario
     if args.isothermal:
-        cfg.isothermal = True
-    scenario = _scenario(cfg)
-    if scenario is None or _errors(time_errors(scenario.T, cfg.tau, cfg.eps)):
+        scenario.isothermal = True
+    if _errors(time_errors(scenario.T, cfg.tau, cfg.eps)):
         return 1
     outdir = args.out or cfg.directory
     h = run_hash(scenario, cfg.tau, cfg.eps, cfg.solver)
@@ -102,8 +92,8 @@ def cmd_refine(args):
         return _errors(exc.errors)
     tau_list = args.tau_list or cfg.tau_list or [cfg.tau]
     eps_list = args.eps_list or cfg.eps_list or [cfg.eps]
-    scenario = _scenario(cfg)
-    if scenario is None or _errors(refinement_errors(scenario.T, tau_list, eps_list)):
+    scenario = cfg.scenario
+    if _errors(refinement_errors(scenario.T, tau_list, eps_list)):
         return 1
     outdir = args.out or cfg.directory
     os.makedirs(outdir, exist_ok=True)

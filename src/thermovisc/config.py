@@ -3,20 +3,22 @@
 The config format is an INI document with sections [grid], [material],
 [loads], [time], [solver], [output].  Parsing validates everything it
 can and reports ALL violations at once, naming unknown keys together
-with the nearest valid one.
+with the nearest valid one.  Once the grid, material and [loads] rules
+pass it builds the run's grid, material and scenario, once, and reports
+the preset's refusal among the other violations.
 """
 
 from __future__ import annotations
 
 import difflib
 from configparser import ConfigParser
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields
 
 from .grid import StructuredGrid, grid_errors
 from .materials import MaterialModel
 from .mech import SolverConfig
-from .presets import DEFAULT_REFINEMENT, PRESETS, isothermal, parameters
-from .scheme import refinement_errors, time_errors
+from .presets import DEFAULT_REFINEMENT, PRESETS, parameters
+from .scheme import Scenario, refinement_errors, time_errors
 
 
 class ConfigError(ValueError):
@@ -39,8 +41,7 @@ _SCHEMA = {
                "max_newton": "int", "max_backtracks": "int", "det_floor": "float",
                "max_step_halvings": "int", "isothermal": "bool",
                "korn_every": "int", "hk_every": "int", "checkpoint_every": "int"},
-    "output": {"directory": "str", "diagnostics": "str",
-               "tau_list": "float_list", "eps_list": "float_list"},
+    "output": {"directory": "str", "tau_list": "float_list", "eps_list": "float_list"},
 }
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
@@ -55,7 +56,7 @@ _PRESET_KEYS = {*_SCHEMA["loads"], "T"} - {"scenario"}   # keys a preset may tak
 _DEFAULTS = {
     "grid": {"extents": [16, 16], "lengths": [1.0, 1.0], "dirichlet": ["y0"]},
     "time": {"tau": 0.05, "eps": 0.01},
-    "output": {"directory": "out", "diagnostics": "full"},
+    "output": {"directory": "out"},
 }
 
 
@@ -75,50 +76,35 @@ def _parse_value(kind, raw, where, errors):
 
 @dataclass
 class RunConfig:
-    """Fully validated run description."""
+    """Fully validated run description: the built scenario and how to run it."""
 
-    extents: list
-    lengths: list
-    dirichlet: list
-    material: MaterialModel
-    scenario: str
-    preset_args: dict   # the preset parameters the file sets ([loads] keys, [time] T)
+    scenario: Scenario
     tau: float
     eps: float
     solver: SolverConfig
-    isothermal: bool
     directory: str
-    diagnostics: str
     tau_list: list = field(default_factory=list)
     eps_list: list = field(default_factory=list)
-
-    def build_grid(self):
-        return StructuredGrid(tuple(self.extents), tuple(self.lengths),
-                              dirichlet_faces=tuple(self.dirichlet))
-
-    def build_scenario(self):
-        sc = PRESETS[self.scenario](grid=self.build_grid(), model=self.material,
-                                    **self.preset_args)
-        sc.isothermal = sc.isothermal or self.isothermal
-        return sc
 
     def serialize(self) -> str:
         """The config as an INI document, every key in ``_SCHEMA`` order.  The
         scenario's parameters are written as its preset recorded them; a
         preset key the scenario does not take and a material key its preset
         fixes are left out."""
-        params = self.build_scenario().params
-        owners = {"material": self.material, "solver": self.solver}
+        sc, grid = self.scenario, self.scenario.grid
+        # isothermal is an INI key of [solver] but belongs to the scenario
+        held = {"extents": grid.extents, "lengths": grid.lengths,
+                "dirichlet": grid.dirichlet_faces, "scenario": sc.name,
+                "isothermal": sc.isothermal, **sc.params}
+        owners = {"material": sc.model, "solver": self.solver}
         lines = []
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
             for key, kind in keys.items():
-                fixed = section == "material" and key in params
-                if fixed or key in _PRESET_KEYS and key not in params:
+                fixed = section == "material" and key in sc.params
+                if fixed or key in _PRESET_KEYS and key not in sc.params:
                     continue
-                # isothermal is an INI key of [solver] but belongs to the scenario
-                owner = self if key == "isothermal" else owners.get(section, self)
-                value = params[key] if key in params else getattr(owner, key)
+                value = held[key] if key in held else getattr(owners.get(section, self), key)
                 fmt = _FORMAT[kind.removesuffix("_list")]
                 text = " ".join(map(fmt, value)) if kind.endswith("_list") else fmt(value)
                 lines.append(f"{key} = {text}")
@@ -163,26 +149,35 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         errors.extend(f"[material] {e}" for e in str(exc).split("; "))
 
-    scenario = get("loads", "scenario", "steady")
-    takes = parameters(scenario) if scenario in PRESETS else {}
-    if scenario not in PRESETS:
-        errors.append(f"[loads] unknown scenario '{scenario}'"
-                      + _hint(scenario, PRESETS, " (nearest: {})"))
+    name = get("loads", "scenario", "steady")
+    takes = parameters(name) if name in PRESETS else {}
+    if name not in PRESETS:
+        errors.append(f"[loads] unknown scenario '{name}'" + _hint(name, PRESETS, " (nearest: {})"))
     preset_args = {key: v for (section, key), v in values.items() if key in _PRESET_KEYS}
-    named = f"scenario '{scenario}' (its parameters: {', '.join(takes)})"
+    named = f"scenario '{name}' (its parameters: {', '.join(takes)})"
     errors.extend(f"[{'time' if key == 'T' else 'loads'}] {key} is not a parameter of {named}"
                   for key in preset_args if takes and key not in takes)
     errors.extend(f"[material] {key} is fixed by {named}" for key in mat_kwargs if key in takes)
-    iso_preset = scenario in PRESETS and isothermal(scenario)
-    if iso_preset and values.get(("solver", "isothermal")) is False:
-        errors.append(f"[solver] isothermal = false contradicts scenario '{scenario}', "
-                      "which is isothermal")
     errors.extend(f"[loads] {key} must be nonnegative" for key in ("theta_b", "theta0")
                   if preset_args.get(key, 0.0) < 0)
 
     # an unknown scenario has no default T (None), so only a set T is checked
     T, tau, eps = preset_args.get("T", takes.get("T")), get("time", "tau"), get("time", "eps")
-    refinement = DEFAULT_REFINEMENT.get(scenario, {})
+    scenario = None
+    if not errors and T > 0:   # a T <= 0 is a [time] violation below
+        grid = StructuredGrid(extents, lengths, dirichlet_faces=dirichlet)
+        try:
+            scenario = PRESETS[name](grid=grid, model=material, **preset_args)
+        except ValueError as exc:   # the preset refuses the grid or its data
+            errors.extend(str(exc).split("; "))
+        else:
+            flag = values.get(("solver", "isothermal"))
+            if scenario.isothermal and flag is False:
+                errors.append(f"[solver] isothermal = false contradicts scenario '{name}', "
+                              "which is isothermal")
+            scenario.isothermal = scenario.isothermal or bool(flag)
+
+    refinement = DEFAULT_REFINEMENT.get(name, {})
     tau_list = get("output", "tau_list") or refinement.get("tau_list", [])
     eps_list = get("output", "eps_list") or refinement.get("eps_list", [])
     errors.extend(f"[time] {e}" for e in time_errors(T, tau, eps))
@@ -197,24 +192,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         errors.extend(f"[solver] {e}" for e in str(exc).split("; "))
 
-    diagnostics = get("output", "diagnostics")
-    if diagnostics not in ("full", "light"):
-        errors.append(f"[output] diagnostics must be 'full' or 'light' (got '{diagnostics}')")
-    periods = [f"{key} = {values[('solver', key)]}" for key in ("korn_every", "hk_every")
-               if values.get(("solver", key))]
-    if diagnostics == "light" and periods:
-        errors.append(f"[output] diagnostics = light contradicts [solver] {', '.join(periods)}: "
-                      "light turns these certificates off")
-
     if errors:
         raise ConfigError(errors)
-
-    if diagnostics == "light":
-        solver = replace(solver, korn_every=0, hk_every=0)
-
-    return RunConfig(
-        extents=extents, lengths=lengths, dirichlet=dirichlet, material=material,
-        scenario=scenario, preset_args=preset_args, tau=tau, eps=eps, solver=solver,
-        isothermal=bool(get("solver", "isothermal", iso_preset)),
-        directory=get("output", "directory"), diagnostics=diagnostics,
-        tau_list=tau_list, eps_list=eps_list)
+    return RunConfig(scenario=scenario, tau=tau, eps=eps, solver=solver,
+                     directory=get("output", "directory"), tau_list=tau_list, eps_list=eps_list)

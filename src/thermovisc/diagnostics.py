@@ -219,11 +219,14 @@ def mechanical_energy_check(traj, k):
 
 
 def total_energy_check(traj, k):
-    """Itemized total-energy ledger of step k; the items sum to the gap."""
+    """Itemized total-energy ledger of step k; raises ValueError unless the
+    items sum to the stored gap."""
     d = traj.step(k)[2]
     items = d.ledger_items()
-    assert abs(sum(items.values()) - d.energy_gap_total) < 1e-10 * max(
-        1.0, abs(d.E)), "ledger items must reproduce the stored gap"
+    total = sum(items.values())
+    if not abs(total - d.energy_gap_total) < 1e-10 * max(1.0, abs(d.E)):
+        raise ValueError(f"step {k}: the ledger items sum to {total!r}, "
+                         f"not to the stored gap {d.energy_gap_total!r}")
     return {"gap": d.energy_gap_total, "items": items,
             "scale": max(abs(d.E), abs(d.ext_power), d.dissipation_step, 1e-30)}
 

@@ -586,17 +586,17 @@ class StructuredGrid:
     # -- boundary -----------------------------------------------------------------
 
     def assemble_face_gradient(self, faces, coeff, ncomp=1):
-        """Dual vector of the boundary pairing integral coeff . z."""
-        shape = (self.n_sdofs,) if ncomp == 1 else (self.n_sdofs, ncomp)
-        out = np.zeros(shape)
+        """Dual vector of the boundary pairing integral coeff . z, scattered
+        by one bincount over the faces in order."""
+        spec = "cq,aq,q->ca" if ncomp == 1 else "cqi,aq,q->cai"
+        gdofs, loc = [], []
         for name in faces:
             p = self.faces[name]
-            if ncomp == 1:
-                loc = np.einsum("cq,aq,q->ca", coeff[name], p.B0, p.weights)
-            else:
-                loc = np.einsum("cqi,aq,q->cai", coeff[name], p.B0, p.weights)
-            np.add.at(out, p.sdofs, loc)
-        return out
+            loc.append(np.einsum(spec, coeff[name], p.B0, p.weights).ravel())
+            gdofs.append((p.sdofs[:, :, None] * ncomp + np.arange(ncomp)).ravel())
+        out = np.bincount(np.concatenate(gdofs), weights=np.concatenate(loc),
+                          minlength=self.n_sdofs * ncomp)
+        return out if ncomp == 1 else out.reshape(self.n_sdofs, ncomp)
 
     def assemble_face_hessian(self):
         """Scalar boundary mass form over all faces (the Robin term), built on

@@ -31,13 +31,6 @@ def parameters(name):
             if key not in _DOMAIN}
 
 
-def isothermal(name):
-    """Whether preset ``name`` builds an isothermal scenario, read from the
-    scenario it builds on a 2x2 grid."""
-    grid = StructuredGrid((2, 2), (1.0, 1.0), dirichlet_faces=("y0",))
-    return PRESETS[name](grid=grid).isothermal
-
-
 def _preset(build):
     """Register ``build``, which gets a grid and a model always.  Its
     scenarios record the call's parameters with defaults filled in, as the

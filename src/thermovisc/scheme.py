@@ -234,7 +234,7 @@ def step_load_vector(scenario, t0, t1):
             p = grid.faces[name]
             f_avg = _time_average(lambda t: np.asarray(
                 scenario.traction(t, name, p.qcoords), dtype=float), t0, t1)
-            if f_avg is not None and np.any(f_avg):
+            if np.any(f_avg):
                 coef[name] = f_avg
         if coef:
             L += grid.assemble_face_gradient(list(coef), coef, ncomp=grid.d)

@@ -36,11 +36,12 @@ eps = 0.01
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.scenario == "steady"
-    assert cfg.extents == [6, 6]
-    assert cfg.lengths == [1.0, 1.0]
-    assert cfg.dirichlet == ["y0"]
-    assert cfg.material.nu == 1.0
+    sc = cfg.scenario
+    assert sc.name == "steady"
+    assert sc.grid.extents == (6, 6)
+    assert sc.grid.lengths == (1.0, 1.0)
+    assert sc.grid.dirichlet_faces == ("y0",)
+    assert sc.model.nu == 1.0
     assert cfg.solver.tol_mech == 1e-8
     assert cfg.directory == "out"
 
@@ -181,9 +182,9 @@ def test_roundtrip_serialize_parse():
     text = cfg.serialize()
     cfg2 = parse_config(text)
     assert cfg2.serialize() == text
-    assert cfg2.build_scenario().params == cfg.build_scenario().params
-    assert cfg2.preset_args["amplitude"] == 0.125
-    assert cfg2.material == cfg.material
+    assert cfg2.scenario.params == cfg.scenario.params
+    assert cfg2.scenario.params["amplitude"] == 0.125
+    assert cfg2.scenario.model == cfg.scenario.model
     assert cfg2.solver == cfg.solver
 
 
@@ -227,7 +228,7 @@ NON_DEFAULT_SERIALIZED = (
     "tol_pos = 1e-10\nmax_newton = 30\nmax_backtracks = 40\ndet_floor = 0.10000000000000001\n"
     "max_step_halvings = 4\nisothermal = true\nkorn_every = 2\nhk_every = 3\n"
     "checkpoint_every = 4\n\n"
-    "[output]\ndirectory = runs/a\ndiagnostics = full\n"
+    "[output]\ndirectory = runs/a\n"
     "tau_list = 0.10000000000000001 0.050000000000000003\neps_list = 0.01\n")
 
 
@@ -245,37 +246,29 @@ def test_isothermal_false_contradicts_isothermal_scenario():
                                 "'isothermal_creep', which is isothermal"]
     for extra in ("", "\n[solver]\nisothermal = true\n"):
         cfg = parse_config(MINIMAL + "\n[loads]\nscenario = isothermal_creep\n" + extra)
-        assert cfg.isothermal and cfg.build_scenario().isothermal
+        assert cfg.scenario.isothermal
     cfg = parse_config(MINIMAL + "\n[loads]\nscenario = shear_pulse\n\n[solver]\nisothermal = false\n")
-    assert not cfg.isothermal and not cfg.build_scenario().isothermal
+    assert not cfg.scenario.isothermal
+    cfg = parse_config(MINIMAL + "\n[loads]\nscenario = shear_pulse\n\n[solver]\nisothermal = true\n")
+    assert cfg.scenario.isothermal
 
 
-def test_light_diagnostics_disables_eigensolves():
-    cfg = parse_config(MINIMAL + "\n[output]\ndiagnostics = light\n")
-    assert cfg.solver.korn_every == 0 and cfg.solver.hk_every == 0
-
-
-def test_light_diagnostics_refuses_explicit_periods():
-    light = MINIMAL + "\n[output]\ndiagnostics = light\n\n[solver]\n"
-    for periods, named in (("korn_every = 2\n", "korn_every = 2"),
-                           ("korn_every = 2\nhk_every = 3\n", "korn_every = 2, hk_every = 3")):
+def test_output_diagnostics_is_unknown_key():
+    # light stood only for korn_every = 0 and hk_every = 0, which say it themselves
+    for value in ("light", "full"):
         with pytest.raises(ConfigError) as exc:
-            parse_config(light + periods)
-        assert exc.value.errors == [f"[output] diagnostics = light contradicts [solver] {named}: "
-                                    "light turns these certificates off"]
-    cfg = parse_config(light + "korn_every = 0\nhk_every = 0\n")
-    assert cfg.solver.korn_every == 0 and cfg.solver.hk_every == 0
+            parse_config(MINIMAL + f"\n[output]\ndiagnostics = {value}\n")
+        assert exc.value.errors == ["unknown key 'diagnostics' in [output]"]
 
 
 def test_refine_presets_carry_default_lists():
     cfg = parse_config(MINIMAL + "\n[loads]\nscenario = refine_tau\n")
     assert cfg.tau_list == [0.1, 0.05, 0.025, 0.0125]
     assert cfg.eps_list == [0.01]
-    sc = cfg.build_scenario()
-    assert sc.name == "refine_tau"
+    assert cfg.scenario.name == "refine_tau"
     cfg2 = parse_config(MINIMAL + "\n[loads]\nscenario = refine_eps\n")
     assert cfg2.eps_list == [0.1, 0.01, 0.001]
-    assert cfg2.build_scenario().name == "refine_eps"
+    assert cfg2.scenario.name == "refine_eps"
 
 
 # a value for each preset key, none of them a default; T = 0.6 suits every preselected list
@@ -304,7 +297,7 @@ def test_set_preset_key_reaches_the_preset_or_is_refused(scenario, key):
         expect = {**unset_params(scenario), key: PRESET_VALUES[key]}
         if key == "theta0" and "theta_b" in takes:
             expect["theta_b"] = PRESET_VALUES["theta0"]   # theta_b defaults to theta0
-        assert parse_config(text).build_scenario().params == expect
+        assert parse_config(text).scenario.params == expect
     else:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
@@ -316,15 +309,14 @@ def test_set_preset_key_reaches_the_preset_or_is_refused(scenario, key):
 @pytest.mark.parametrize("scenario", list(PRESETS))
 def test_unset_preset_keys_take_the_preset_defaults(scenario):
     cfg = parse_config(preset_config(scenario))
-    assert cfg.preset_args == {}
-    assert cfg.build_scenario().params == unset_params(scenario)
-    assert parse_config(cfg.serialize()).build_scenario().params == unset_params(scenario)
+    assert cfg.scenario.params == unset_params(scenario)
+    assert parse_config(cfg.serialize()).scenario.params == unset_params(scenario)
 
 
 def test_config_runs_the_scenario_its_preset_defines():
     # insulated_pulse keeps the [material] keys and applies its own kappa
     insulated = preset_config("insulated_pulse") + "\n[material]\n"
-    sc = parse_config(insulated + "nu = 2.0\n").build_scenario()
+    sc = parse_config(insulated + "nu = 2.0\n").scenario
     assert (sc.model.nu, sc.model.kappa) == (2.0, 1e-6)
     with pytest.raises(ConfigError) as exc:
         parse_config(insulated + "kappa = 0.5\n")
@@ -332,12 +324,12 @@ def test_config_runs_the_scenario_its_preset_defines():
                                 "parameters: T, amplitude, t_pulse, theta0, kappa)"]
     # the refinement presets run over the time they are sized for
     for name in ("refine_tau", "refine_eps"):
-        sc = parse_config(preset_config(name)).build_scenario()
+        sc = parse_config(preset_config(name)).scenario
         face = sc.grid.faces["y1"]
         peak = np.abs(sc.traction(0.125, "y1", face.qcoords)).max()
         assert (sc.T, peak) == (0.4, 0.15), name   # the pulse peaks at t_pulse / 2 = 0.125
     # isothermal_creep pulls with its own amplitude
-    sc = parse_config(preset_config("isothermal_creep")).build_scenario()
+    sc = parse_config(preset_config("isothermal_creep")).scenario
     assert sc.traction(0.5, "y1", sc.grid.faces["y1"].qcoords)[..., 0].max() == 0.05
     # steady takes no load
     with pytest.raises(ConfigError) as exc:
@@ -541,13 +533,64 @@ def test_cli_refuses_a_clamped_loaded_face(tmp_path, capsys, dirichlet):
     grid = f"extents = 4 4\ndirichlet = {dirichlet}"
     path = write_cfg(tmp_path, MINIMAL.replace("extents = 6 6", grid)
                      + "\n[loads]\nscenario = shear_pulse\n")
-    message = f"error: the loaded face {face} is clamped (dirichlet = {dirichlet})\n"
+    message = f"the loaded face {face} is clamped (dirichlet = {dirichlet})"
     assert cli_main(["validate", path]) == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().out == f"{path}: 1 violation(s)\n  - {message}\n"
     out = tmp_path / "out"
     assert cli_main(["simulate", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, violations", [
+    (MINIMAL + "\n[material]\nq = 3\n", ["[material] q >= pd/(p-d) violated"]),
+    (MINIMAL.replace("extents = 6 6", "extents = 4 4\ndirichlet = y0 y1")
+     + "\n[loads]\nscenario = shear_pulse\n", ["the loaded face y1 is clamped"]),
+    (MINIMAL + "\n[loads]\ntheta0 = -1\n", ["[loads] theta0 must be nonnegative"]),
+    (MINIMAL + "\n[loads]\ntheta_b = 0.5\n",
+     ["[loads] theta_b is not a parameter of scenario 'steady'"]),
+    (MINIMAL + "\n[loads]\nscenario = isothermal_creep\n\n[solver]\nisothermal = false\n",
+     ["[solver] isothermal = false contradicts scenario 'isothermal_creep'"]),
+    (MINIMAL.replace("tau = 0.05", "tau = -1") + "\n[loads]\nscenario = shear\n",
+     ["[loads] unknown scenario 'shear'", "[time] tau must be positive"]),
+], ids=["material", "clamped-loaded-face", "theta0-negative", "theta_b-not-taken",
+        "isothermal-contradiction", "unknown-scenario-bad-tau"])
+def test_every_command_refuses_a_bad_config_alike(tmp_path, capsys, text, violations):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, text + f"\n[output]\ndirectory = {out}\n")
+    assert cli_main(["validate", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{path}: {len(violations)} violation(s)"
+    listed = [line.removeprefix("  - ") for line in lines[1:]]
+    assert [e[:len(v)] for e, v in zip(listed, violations)] == violations
+    for command in ("simulate", "refine"):
+        assert cli_main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {e}" for e in listed], command
+        assert captured.out == ""
+    assert not out.exists()
+
+
+def test_each_command_builds_one_grid(tmp_path, capsys, monkeypatch):
+    built = []
+    init = StructuredGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructuredGrid, "__init__", counted)
+    text = ("[grid]\nextents = 4 4\n\n[time]\nT = 0.2\ntau = 0.1\n\n[loads]\n"
+            "scenario = shear_pulse\n\n[solver]\nkorn_every = 0\nhk_every = 0\n")
+    path = write_cfg(tmp_path, text)
+    for argv in (["validate", path], ["simulate", path, "--out", str(tmp_path / "out")]):
+        built.clear()
+        assert cli_main(argv) == 0
+        assert len(built) == 1, argv
+    cfg = parse_config(text)
+    built.clear()
+    cfg.serialize()
+    assert built == []
 
 
 @pytest.mark.parametrize("scenario", sorted(set(PRESETS) - {"steady"}))
@@ -566,5 +609,5 @@ def test_cli_validates_and_simulates_each_scenario(tmp_path, capsys, scenario):
     out = tmp_path / "out"
     assert cli_main(["simulate", path, "--out", str(out)]) == 0, capsys.readouterr().out
     written = parse_config((out / "config.ini").read_text())
-    assert written.build_scenario().params == parse_config(text).build_scenario().params
+    assert written.scenario.params == parse_config(text).scenario.params
     assert json.loads((out / "report.json").read_text())["scenario"] == scenario

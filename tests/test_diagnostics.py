@@ -773,6 +773,15 @@ def test_weak_residuals_trace_each_snapshot_once(pulse_traj, monkeypatch):
     assert len(calls) == len(pulse_traj.snapshots) * len(grid.faces)
 
 
+def run_python(code, *flags):
+    """Run ``code`` in a fresh interpreter that imports this thermovisc."""
+    src = os.path.dirname(os.path.dirname(thermovisc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+
+
 def test_weak_residual_audit_does_not_import_sympy():
     code = ("import sys\n"
             "from thermovisc.diagnostics import TestBank, weak_residuals\n"
@@ -783,11 +792,29 @@ def test_weak_residual_audit_does_not_import_sympy():
             "traj = run(steady(grid=grid, T=0.1), tau=0.05, eps=0.01)\n"
             "weak_residuals(traj, TestBank(grid, T=0.1, n_elements=2, seed=5))\n"
             "print('sympy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(thermovisc.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert run_python(code).stdout.strip() == "False"
+
+
+def test_ledger_check_refuses_a_tampered_row_under_python_O():
+    # python -O strips an assert, which let a row whose items miss its gap pass
+    code = ("import dataclasses\n"
+            "from thermovisc.diagnostics import total_energy_check\n"
+            "from thermovisc.grid import StructuredGrid\n"
+            "from thermovisc.mech import SolverConfig\n"
+            "from thermovisc.presets import shear_pulse\n"
+            "from thermovisc.scheme import run\n"
+            "grid = StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=('y0',))\n"
+            "sc = shear_pulse(grid=grid, T=0.1, amplitude=0.1, t_pulse=0.08)\n"
+            "traj = run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=0, hk_every=0))\n"
+            "total_energy_check(traj, 1)\n"
+            "d = traj.step_diags[0]\n"
+            "traj.step_diags[0] = dataclasses.replace(d, energy_gap_total=d.energy_gap_total + 1e-6)\n"
+            "try:\n"
+            "    total_energy_check(traj, 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = run_python(code, "-O").stdout
+    assert out.startswith("step 1: the ledger items sum to "), out
 
 
 @pytest.mark.parametrize("extents, lengths, faces", [

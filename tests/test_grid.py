@@ -370,6 +370,31 @@ def test_free_dof_hessian_is_the_free_block_of_the_full_one(d, ncomp):
     assert np.array_equal(again.toarray(), Hf.toarray())
 
 
+def face_gradient_add_at(g, faces, coeff, ncomp):
+    """The face scatter as one np.add.at per face, the order of summation
+    that one bincount over the faces in order keeps."""
+    out = np.zeros((g.n_sdofs,) if ncomp == 1 else (g.n_sdofs, ncomp))
+    for name in faces:
+        p = g.faces[name]
+        spec = "cq,aq,q->ca" if ncomp == 1 else "cqi,aq,q->cai"
+        np.add.at(out, p.sdofs, np.einsum(spec, coeff[name], p.B0, p.weights))
+    return out
+
+
+@pytest.mark.parametrize("extents, dirichlet", [
+    ((16, 16), ("y0",)), ((5, 3), ("x0",)), ((4, 4, 4), ("z0",)), ((3, 2, 4), ("x0", "y1")),
+], ids=["16x16", "5x3", "4x4x4", "3x2x4"])
+def test_face_gradient_is_bit_equal_to_a_per_face_scatter(extents, dirichlet):
+    g = StructuredGrid(extents, (1.0,) * len(extents), dirichlet_faces=dirichlet)
+    rng = np.random.default_rng(len(extents) * 100 + sum(extents))
+    for faces in (list(g.faces), list(g.neumann_faces)):
+        for ncomp in (1, g.d):
+            v = (ncomp,) if ncomp > 1 else ()
+            coeff = {n: rng.standard_normal(g.faces[n].qcoords.shape[:2] + v) for n in faces}
+            got = g.assemble_face_gradient(faces, coeff, ncomp=ncomp)
+            assert np.array_equal(got, face_gradient_add_at(g, faces, coeff, ncomp))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("vector", [False, True])
 def test_gradient_and_evaluation_kernels_match_einsum_reference(d, vector):
