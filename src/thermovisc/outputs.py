@@ -41,7 +41,7 @@ def _fmt(x):
 def write_timeseries(path, traj):
     lines = [f"# thermovisc-timeseries v{TIMESERIES_VERSION}",
              ",".join(TIMESERIES_COLUMNS)]
-    for k, d in enumerate(traj.step_diags, start=traj.first_step + 1):
+    for k, d in enumerate(traj.step_diags, start=1):
         lines.append(",".join(str(k) if f is None else _fmt(getattr(d, f))
                               for f in TIMESERIES_COLUMNS.values()))
     with open(path, "w", encoding="utf-8") as fh:

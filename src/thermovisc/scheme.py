@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -132,31 +130,16 @@ class Trajectory:
         return self.scenario.model
 
     @property
-    def first_step(self):
-        """Step number of the first snapshot: 0, or the restart step."""
-        return self.snapshots[0].k
-
-    @property
     def n_steps(self):
-        """Number of the last step, counted from t = 0 also after a resume."""
+        """Number of the last step."""
         return self.snapshots[-1].k
-
-    def require_start_at_zero(self, what):
-        """Reject a resumed trajectory: its snapshots begin at the restart
-        step, so they cannot be indexed by step number from t = 0."""
-        if self.first_step != 0:
-            raise ValueError(f"{what} needs the trajectory from step 0; "
-                             f"this one was resumed at step {self.first_step}")
 
     def step(self, k):
         """(snapshot before, snapshot after, diagnostics) of step k, the step
-        from t_{k-1} to t_k, by absolute step number.  A resumed trajectory
-        holds only the steps after its restart."""
-        k0 = self.first_step
-        if not k0 < k <= self.n_steps:
-            raise ValueError(f"step {k} is not in {k0 + 1}..{self.n_steps}"
-                             + (f"; this trajectory was resumed at step {k0}" if k0 else ""))
-        return self.snapshots[k - k0 - 1], self.snapshots[k - k0], self.step_diags[k - k0 - 1]
+        from t_{k-1} to t_k."""
+        if not 0 < k <= self.n_steps:
+            raise ValueError(f"step {k} is not in 1..{self.n_steps}")
+        return self.snapshots[k - 1], self.snapshots[k], self.step_diags[k - 1]
 
 
 def _damping_derivatives(eps):
@@ -274,16 +257,15 @@ def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
     return snap
 
 
-def _start_snapshot(traj, k, t, y, theta, w_qp=None):
-    """Snapshot of a start state: step 0, or the step a run resumes at."""
+def _start_snapshot(traj, y, theta):
+    """Snapshot of the initial state: step 0 at t = 0."""
     kin = traj.grid.eval_kinematics(y)
     th_qp = traj.grid.eval_values(theta)
-    if w_qp is None:
-        if traj.scenario.isothermal:
-            w_qp = np.zeros_like(th_qp)
-        else:
-            w_qp = traj.model.enthalpy(kin.F, np.maximum(th_qp, 0.0))
-    return _make_snapshot(traj, k, t, y, theta, kin, th_qp, w_qp)
+    if traj.scenario.isothermal:
+        w_qp = np.zeros_like(th_qp)
+    else:
+        w_qp = traj.model.enthalpy(kin.F, np.maximum(th_qp, 0.0))
+    return _make_snapshot(traj, 0, 0.0, y, theta, kin, th_qp, w_qp)
 
 
 def time_errors(T, tau, eps) -> list[str]:
@@ -310,15 +292,13 @@ def refinement_errors(T, tau_list, eps_list) -> list[str]:
 
 
 def run(scenario: Scenario, tau: float, eps: float,
-        config: SolverConfig | None = None, checkpoint_dir: str | None = None,
-        resume: bool = False) -> Trajectory:
+        config: SolverConfig | None = None) -> Trajectory:
     """Run the staggered scheme over [0, T] with constant step tau.
 
     The run keeps one factorization per Newton solve (mech and heat) and
-    the last Korn solve, and starts them afresh at each checkpoint write, so
-    a resumed run repeats the uninterrupted one bit for bit.  A step still
-    rejected after ``max_step_halvings`` halvings raises
-    :class:`StepRejectedError`, naming the interval that failed."""
+    the last Korn solve from step to step.  A step still rejected after
+    ``max_step_halvings`` halvings raises :class:`StepRejectedError`,
+    naming the interval that failed."""
     cfg = config or SolverConfig()
     errs = time_errors(scenario.T, tau, eps)
     if errs:
@@ -328,18 +308,15 @@ def run(scenario: Scenario, tau: float, eps: float,
     grid = scenario.grid
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
 
-    start_k = load_checkpoint(traj, checkpoint_dir) if resume and checkpoint_dir else None
-    if start_k is None:   # no matching checkpoint: start from step 0
-        start_k = 0
-        y0 = (scenario.y0 or grid.identity_field()).copy()
-        apply_dirichlet_identity(grid, y0)
-        th0 = scenario._theta0_field().copy()
-        if eps > 0 and not scenario.isothermal:
-            th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
-        traj.snapshots.append(_start_snapshot(traj, 0, 0.0, y0, th0))
+    y0 = (scenario.y0 or grid.identity_field()).copy()
+    apply_dirichlet_identity(grid, y0)
+    th0 = scenario._theta0_field().copy()
+    if eps > 0 and not scenario.isothermal:
+        th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
+    traj.snapshots.append(_start_snapshot(traj, y0, th0))
 
     solvers = _SolverState()
-    for k in range(start_k + 1, n_steps + 1):
+    for k in range(1, n_steps + 1):
         t0, t1 = (k - 1) * tau, k * tau
         snap_prev = traj.snapshots[-1]
         snap, d = _advance(traj, snap_prev, t0, t1, 0, solvers)
@@ -352,9 +329,6 @@ def run(scenario: Scenario, tau: float, eps: float,
             d = replace(d, korn_const=korn_const, korn_lower=korn_lower)
         traj.snapshots.append(snap)
         traj.step_diags.append(d)
-        if checkpoint_dir and cfg.checkpoint_every and k % cfg.checkpoint_every == 0:
-            save_checkpoint(traj, checkpoint_dir)
-            solvers = _SolverState()
     return traj
 
 
@@ -432,7 +406,6 @@ class Interpolants:
 
 def interpolants(traj: Trajectory, t: float) -> Interpolants:
     """The three interpolant families evaluated at one time."""
-    traj.require_start_at_zero("interpolants")
     T = traj.snapshots[-1].t
     if t < -1e-12 or t > T + 1e-12:
         raise ValueError(f"t={t} outside [0, {T}]")
@@ -538,11 +511,12 @@ def refinement_study(scenario: Scenario, tau_list, eps_list,
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
+# provenance
 
 
 def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
-    """Stable hash of everything that determines a trajectory.
+    """Stable hash of everything that determines a trajectory, stamped as
+    ``config_hash`` into every field dump.
 
     The loads enter through the preset record ``scenario.params``; the
     callables and initial fields of a hand-built scenario are not hashed."""
@@ -561,48 +535,3 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def save_checkpoint(traj: Trajectory, directory):
-    from .outputs import write_snapshot
-    os.makedirs(directory, exist_ok=True)
-    snap = traj.snapshots[-1]
-    path = os.path.join(directory, f"checkpoint_{snap.k:06d}.bin")
-    write_snapshot(path, snap, traj.grid, run_hash(traj.scenario, traj.tau, traj.eps, traj.config))
-    return path
-
-
-def load_checkpoint(traj: Trajectory, directory):
-    """Resume from the newest checkpoint whose config hash matches.
-
-    Checkpoints written under another configuration (another hash) are
-    skipped; when the directory holds some but none matches, a
-    ``UserWarning`` says so and the run starts from step 0.  A resumed
-    trajectory holds snapshots from the restart point onward;
-    diagnostics of the skipped steps are not reconstructed.  Per-step
-    checks index it by absolute step (see ``Trajectory.step``), the run
-    certificates mark it partial, and the interpolants and weak residuals,
-    which need the run from t = 0, raise.
-    """
-    from .outputs import read_field_dump
-    if not os.path.isdir(directory):
-        return None
-    files = sorted(f for f in os.listdir(directory)
-                   if f.startswith("checkpoint_") and f.endswith(".bin"))
-    h = run_hash(traj.scenario, traj.tau, traj.eps, traj.config)
-    for name in reversed(files):
-        meta, arrays = read_field_dump(os.path.join(directory, name))
-        if meta["config_hash"] != h:
-            continue
-        grid = traj.grid
-        y = NodalField(grid, arrays["y"].reshape(grid.n_sdofs, grid.d))
-        theta = NodalField(grid, arrays["theta"])
-        w = arrays["w"].reshape(grid.n_cells, grid.nq)
-        traj.snapshots = [_start_snapshot(traj, int(meta["step"]), float(meta["t"]),
-                                          y, theta, w_qp=w)]
-        return int(meta["step"])
-    if files:
-        warnings.warn(f"no checkpoint in {directory} matches this run's configuration "
-                      f"(hash {h}); skipped {len(files)} file(s), starting from step 0",
-                      UserWarning, stacklevel=3)
-    return None

@@ -70,19 +70,19 @@ def test_all_violations_reported_not_first_failure():
 
 
 def test_negative_solver_counts_reported_together():
-    # korn_every = -1 would run Korn, checkpoint_every = -2 checkpoint every
-    # 2 steps and max_step_halvings = -1 switch halving off, none as documented
+    # korn_every = -1 would run Korn and max_step_halvings = -1 switch
+    # halving off, neither as documented
     bad = MINIMAL + ("\n[solver]\nmax_newton = 0\nmax_backtracks = -3\nkorn_every = -1\n"
-                     "hk_every = -1\ncheckpoint_every = -2\nmax_step_halvings = -1\n")
+                     "hk_every = -1\nmax_step_halvings = -1\n")
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
     errs = exc.value.errors
-    assert len(errs) == 6
+    assert len(errs) == 5
     for key, least in (("max_newton", 1), ("max_backtracks", 1), ("korn_every", 0),
-                       ("hk_every", 0), ("checkpoint_every", 0), ("max_step_halvings", 0)):
+                       ("hk_every", 0), ("max_step_halvings", 0)):
         assert any(e.startswith(f"[solver] {key} must be at least {least}") for e in errs), key
     ok = parse_config(MINIMAL + "\n[solver]\nmax_newton = 1\nmax_backtracks = 1\nkorn_every = 0\n"
-                      "hk_every = 0\ncheckpoint_every = 0\nmax_step_halvings = 0\n")
+                      "hk_every = 0\nmax_step_halvings = 0\n")
     assert (ok.solver.max_newton, ok.solver.max_step_halvings) == (1, 0)
 
 
@@ -207,7 +207,6 @@ max_newton = 30
 isothermal = true
 korn_every = 2
 hk_every = 3
-checkpoint_every = 4
 
 [output]
 directory = runs/a
@@ -226,8 +225,7 @@ NON_DEFAULT_SERIALIZED = (
     "[time]\nT = 0.59999999999999998\ntau = 0.10000000000000001\neps = 0.001\n\n"
     "[solver]\ntol_mech = 1.0000000000000001e-09\ntol_heat = 1.0000000000000001e-09\n"
     "tol_pos = 1e-10\nmax_newton = 30\nmax_backtracks = 40\ndet_floor = 0.10000000000000001\n"
-    "max_step_halvings = 4\nisothermal = true\nkorn_every = 2\nhk_every = 3\n"
-    "checkpoint_every = 4\n\n"
+    "max_step_halvings = 4\nisothermal = true\nkorn_every = 2\nhk_every = 3\n\n"
     "[output]\ndirectory = runs/a\n"
     "tau_list = 0.10000000000000001 0.050000000000000003\neps_list = 0.01\n")
 
@@ -259,6 +257,14 @@ def test_output_diagnostics_is_unknown_key():
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + f"\n[output]\ndiagnostics = {value}\n")
         assert exc.value.errors == ["unknown key 'diagnostics' in [output]"]
+
+
+def test_solver_checkpoint_every_is_unknown_key():
+    # every run starts at t = 0; nothing reads a checkpoint, so none is written
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + "\n[solver]\ncheckpoint_every = 0\n")
+    assert exc.value.errors == ["unknown key 'checkpoint_every' in [solver] "
+                                "(nearest valid key: korn_every)"]
 
 
 def test_refine_presets_carry_default_lists():
@@ -479,6 +485,7 @@ def test_cli_reports_a_rejected_step_in_one_line(tmp_path, capsys, monkeypatch, 
         "error: step from t = 0 to t = 0.025 rejected after 1 halving(s): "
         "injected mechanical failure"]
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_refine_writes_cauchy_table(tmp_path):

@@ -40,7 +40,7 @@ from thermovisc.grid import (
 from thermovisc.materials import MaterialModel, det, viscous_form
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
-from thermovisc.scheme import Scenario, run
+from thermovisc.scheme import Scenario, Trajectory, run
 
 from helpers import random_feasible_gradient, random_rotation
 
@@ -109,6 +109,14 @@ def test_total_energy_ledger_itemization(pulse_traj):
 def test_entropy_production_nonnegative(pulse_traj):
     for k in range(1, pulse_traj.n_steps + 1):
         assert pulse_traj.step(k)[2].entropy_prod >= 0.0
+
+
+def test_steps_outside_the_run_are_refused(pulse_traj):
+    n = pulse_traj.n_steps
+    for check in (mechanical_energy_check, total_energy_check, Trajectory.step):
+        for k in (0, n + 1):
+            with pytest.raises(ValueError, match=rf"^step {k} is not in 1\.\.{n}$"):
+                check(pulse_traj, k)
 
 
 def test_insulated_entropy_nondecreasing():
