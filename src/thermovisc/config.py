@@ -11,6 +11,7 @@ the preset's refusal among the other violations.
 from __future__ import annotations
 
 import difflib
+import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -68,10 +69,13 @@ def _hint(name, choices, fmt):
 def _parse_value(kind, raw, where, errors):
     parse = _PARSE[kind.removesuffix("_list")]
     try:
-        return [parse(v) for v in raw.split()] if kind.endswith("_list") else parse(raw)
+        value = [parse(v) for v in raw.split()] if kind.endswith("_list") else parse(raw)
     except (KeyError, ValueError):
         errors.append(f"{where}: cannot parse {raw!r} as {kind}")
         return None
+    bad = [v for v in raw.split() if kind.startswith("float") and not math.isfinite(float(v))]
+    errors.extend(f"{where}: {v!r} is not a finite number" for v in bad)
+    return None if bad else value
 
 
 @dataclass

@@ -682,13 +682,6 @@ class NodalField:
         return NodalField(self.grid, self.values.copy())
 
 
-def apply_dirichlet_identity(grid, y):
-    """Overwrite constrained dofs with the identity-map trace values."""
-    ident = grid.identity_field()
-    y.values[grid.dirichlet_sdofs] = ident.values[grid.dirichlet_sdofs]
-    return y
-
-
 def zero_dirichlet_rows(grid, residual):
     residual[grid.dirichlet_sdofs] = 0.0
     return residual

@@ -434,19 +434,19 @@ def validate_constants(m) -> list[str]:
         errs.append(f"p > 2 violated (got p = {m.p})")
     if m.p > m.d:
         qmin = m.p * m.d / (m.p - m.d)
-        if m.q < qmin - 1e-12:
+        if not m.q >= qmin - 1e-12:
             errs.append(f"q >= pd/(p-d) violated (needs q >= {qmin:g}, got q = {m.q:g})")
     if not m.nu > 0:
         errs.append(f"nu > 0 violated (got nu = {m.nu})")
     if not m.c > 0:
         errs.append(f"c > 0 violated (got c = {m.c})")
-    if m.c1 < 0 or m.c2 <= 0:
+    if not (m.c1 >= 0 and m.c2 > 0):
         errs.append(f"c1 >= 0 and c2 > 0 required (got c1 = {m.c1}, c2 = {m.c2})")
     if not m.h_coef > 0:
         errs.append(f"h_coef > 0 violated (got h_coef = {m.h_coef})")
     if not m.alpha > 0:
         errs.append(f"alpha > 0 violated (got alpha = {m.alpha})")
-    if m.phi1_amp < 0:
+    if not m.phi1_amp >= 0:
         errs.append(f"phi1_amp >= 0 required (got {m.phi1_amp})")
     if not m.phi1_radius > 0:
         errs.append(f"phi1_radius > 0 violated (got {m.phi1_radius})")

@@ -10,7 +10,7 @@ temperatures stay nonnegative); do not permute it.
 
 The regularization parameter eps caps the dissipation source at 1/eps,
 adds eps * |grad rate|^2 of linear viscosity to the mechanical step and
-damps the boundary/initial temperature data to theta/(1 + eps*theta).
+damps the boundary and start temperatures to theta/(1 + eps*theta).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import diagnostics as diag
-from .grid import NodalField, StructuredGrid, apply_dirichlet_identity
+from .grid import NodalField, StructuredGrid
 from .heat import HeatIncrement, solve_heat
 from .materials import MaterialModel
 from .mech import MechIncrement, SolverConfig, StepRejectedError, solve_mech
@@ -42,8 +42,7 @@ class Scenario:
     bulk_force: object = None        # g(t, X) -> (ncells, nq, d), or None
     traction: object = None          # f(t, face, X) -> (nfc, nqf, d), or None
     theta_b: object = 1.0            # scalar or callable(t, X)
-    theta0: object = 1.0             # scalar or NodalField
-    y0: NodalField = None            # defaults to the identity map
+    theta0: float = 1.0              # uniform start temperature
     isothermal: bool = False
     params: dict = field(default_factory=dict)   # a preset's effective parameters
 
@@ -58,17 +57,8 @@ class Scenario:
             errs.append(f"final time must be positive (got {self.T})")
         if self.grid.d != self.model.d:
             errs.append("grid and material dimensions disagree")
-        y0 = self.y0 if self.y0 is not None else self.grid.identity_field()
-        ident = self.grid.identity_field()
-        mask = self.grid.dirichlet_sdofs
-        if not np.allclose(y0.values[mask], ident.values[mask], atol=1e-12):
-            errs.append("y0 must equal the identity on the fixed boundary part")
-        kin = self.grid.eval_kinematics(y0)
-        if kin.min_detF <= 0:
-            errs.append("y0 must be locally invertible (min det grad y0 > 0)")
-        th0 = self._theta0_field()
-        if th0.values[0::self.grid.ndof_node].min() < 0:
-            errs.append("theta0 must be nonnegative")
+        if not self.theta0 >= 0:
+            errs.append(f"theta0 must be nonnegative (got {self.theta0})")
         for t in np.linspace(0.0, self.T, 5):
             for name, p in self.grid.faces.items():
                 tb = self._theta_b_raw(t, name, p.qcoords)
@@ -76,19 +66,13 @@ class Scenario:
                     errs.append(f"theta_b must be nonnegative (face {name}, t={t:g})")
                     break
         if not errs:
-            # free energy of the initial state must be finite
-            th_qp = self.grid.eval_values(th0)
-            dens = (self.model.elastic_energy(kin.F)
-                    + self.model.hyperstress_energy(kin.G)
-                    + self.model.coupling_energy(kin.F, np.maximum(th_qp, 0.0)))
-            if not np.isfinite(self.grid.assemble_scalar(dens)):
-                errs.append("free energy of (y0, theta0) is not finite")
+            F, G = np.eye(self.model.d), np.zeros((self.model.d,) * 3)   # the start state
+            with np.errstate(over="ignore"):   # an overflow is the violation reported below
+                dens = (self.model.elastic_energy(F) + self.model.hyperstress_energy(G)
+                        + self.model.coupling_energy(F, self.theta0))
+            if not np.isfinite(dens):
+                errs.append("free energy of (identity, theta0) is not finite")
         return errs
-
-    def _theta0_field(self):
-        if isinstance(self.theta0, NodalField):
-            return self.theta0
-        return self.grid.constant_field(float(self.theta0))
 
     def _theta_b_raw(self, t, face, X):
         if callable(self.theta_b):
@@ -140,56 +124,6 @@ class Trajectory:
         if not 0 < k <= self.n_steps:
             raise ValueError(f"step {k} is not in 1..{self.n_steps}")
         return self.snapshots[k - 1], self.snapshots[k], self.step_diags[k - 1]
-
-
-def _damping_derivatives(eps):
-    """First three derivatives of v -> v/(1 + eps v), for the dof chain rule."""
-    def d0(v):
-        return v / (1.0 + eps * v)
-
-    def d1(v):
-        return 1.0 / (1.0 + eps * v) ** 2
-
-    def d2(v):
-        return -2.0 * eps / (1.0 + eps * v) ** 3
-
-    def d3(v):
-        return 6.0 * eps**2 / (1.0 + eps * v) ** 4
-
-    return d0, d1, d2, d3
-
-
-def transform_nodal_scalar(grid, field, derivs):
-    """Exact Hermite dofs of f(theta) from the dofs of theta.
-
-    derivs = (f, f', f'', f'''). Mixed-partial dofs follow the multivariate
-    chain rule over partitions of the active axis set (at most three axes).
-    """
-    f0, f1, f2, f3 = derivs
-    nd = grid.ndof_node
-    old = field.values
-    v = old[0::nd]
-    new = np.zeros_like(old)
-    new[0::nd] = f0(v)
-
-    def dof(code):
-        return old[code::nd]
-
-    for m_code in range(1, nd):
-        axes = [k for k in range(grid.d) if (m_code >> k) & 1]
-        if len(axes) == 1:
-            val = f1(v) * dof(m_code)
-        elif len(axes) == 2:
-            a, b = (1 << axes[0]), (1 << axes[1])
-            val = f2(v) * dof(a) * dof(b) + f1(v) * dof(a | b)
-        else:
-            a, b, c = (1 << axes[0]), (1 << axes[1]), (1 << axes[2])
-            val = (f3(v) * dof(a) * dof(b) * dof(c)
-                   + f2(v) * (dof(a | b) * dof(c) + dof(a | c) * dof(b)
-                              + dof(b | c) * dof(a))
-                   + f1(v) * dof(a | b | c))
-        new[m_code::nd] = val
-    return NodalField(grid, new)
 
 
 def _time_average(fn, t0, t1):
@@ -274,10 +208,14 @@ def time_errors(T, tau, eps) -> list[str]:
     errs = [] if T is None or T > 0 else [f"T must be positive (got {T:g})"]
     if not tau > 0:
         errs.append(f"tau must be positive (got {tau:g})")
+    elif tau == np.inf:
+        errs.append("tau must be finite (got inf)")
     elif T is not None and T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
         errs.append(f"T/tau must be an integer (T={T:g}, tau={tau:g})")
     if not eps >= 0:
         errs.append(f"eps must be nonnegative (got {eps:g})")
+    elif eps == np.inf:
+        errs.append("eps must be finite (got inf)")
     return errs
 
 
@@ -308,12 +246,10 @@ def run(scenario: Scenario, tau: float, eps: float,
     grid = scenario.grid
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
 
-    y0 = (scenario.y0 or grid.identity_field()).copy()
-    apply_dirichlet_identity(grid, y0)
-    th0 = scenario._theta0_field().copy()
-    if eps > 0 and not scenario.isothermal:
-        th0 = transform_nodal_scalar(grid, th0, _damping_derivatives(eps))
-    traj.snapshots.append(_start_snapshot(traj, y0, th0))
+    th0 = scenario.theta0
+    if not scenario.isothermal:   # damped as step_theta_b damps theta_b; exact at eps = 0
+        th0 /= 1.0 + eps * th0
+    traj.snapshots.append(_start_snapshot(traj, grid.identity_field(), grid.constant_field(th0)))
 
     solvers = _SolverState()
     for k in range(1, n_steps + 1):
@@ -519,7 +455,7 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
     ``config_hash`` into every field dump.
 
     The loads enter through the preset record ``scenario.params``; the
-    callables and initial fields of a hand-built scenario are not hashed."""
+    callables of a hand-built scenario are not hashed."""
     payload = {
         "name": scenario.name,
         "extents": scenario.grid.extents,

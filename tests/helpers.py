@@ -25,3 +25,10 @@ def uniform_theta_b(grid, value):
     """Constant boundary datum in the per-face layout HeatIncrement expects."""
     return {name: np.full((p.sdofs.shape[0], p.weights.size), float(value))
             for name, p in grid.faces.items()}
+
+
+def apply_dirichlet_identity(grid, y):
+    """Overwrite constrained dofs with the identity-map trace values."""
+    ident = grid.identity_field()
+    y.values[grid.dirichlet_sdofs] = ident.values[grid.dirichlet_sdofs]
+    return y

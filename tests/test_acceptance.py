@@ -17,14 +17,19 @@ from thermovisc.diagnostics import (
     total_entropy,
     weak_residuals,
 )
-from thermovisc.grid import NodalField, StructuredGrid, apply_dirichlet_identity
+from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.heat import HeatIncrement, heat_functional, heat_gradient
 from thermovisc.materials import MaterialModel, rate_of_cauchy_green
 from thermovisc.mech import MechIncrement, SolverConfig, incremental_functional, incremental_gradient
 from thermovisc.presets import insulated_pulse, isothermal_creep, press_pulse, shear_pulse, steady
 from thermovisc.scheme import refinement_study, run
 
-from helpers import random_feasible_gradient, random_rotation, uniform_theta_b
+from helpers import (
+    apply_dirichlet_identity,
+    random_feasible_gradient,
+    random_rotation,
+    uniform_theta_b,
+)
 
 MODEL = MaterialModel()
 _LINES = []

@@ -149,6 +149,21 @@ def test_unknown_scenario_still_checks_tau_and_eps():
                                 "[time] eps must be nonnegative (got -1)"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("[loads]\nscenario = shear_pulse\ntheta_b = nan",
+     "[loads] theta_b: 'nan' is not a finite number"),
+    ("[loads]\nscenario = shear_pulse\namplitude = inf",
+     "[loads] amplitude: 'inf' is not a finite number"),
+    ("[material]\nc1 = nan", "[material] c1: 'nan' is not a finite number"),
+    ("[material]\nphi1_amp = nan", "[material] phi1_amp: 'nan' is not a finite number"),
+    ("[output]\neps_list = 0.1 -inf", "[output] eps_list: '-inf' is not a finite number"),
+], ids=["theta_b-nan", "amplitude-inf", "c1-nan", "phi1_amp-nan", "eps_list-inf"])
+def test_non_finite_numbers_are_violations(extra, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + f"\n{extra}\n")
+    assert exc.value.errors == [message]
+
+
 def test_output_seed_is_unknown_key():
     # nothing reads a seed: the weak-residual bank is seeded by its caller
     with pytest.raises(ConfigError) as exc:
@@ -505,16 +520,20 @@ def test_cli_refine_writes_cauchy_table(tmp_path):
     (["simulate", "--tau", "0.03"], "error: T/tau must be an integer (T=0.2, tau=0.03)"),
     (["simulate", "--tau", "0"], "error: tau must be positive (got 0)"),
     (["simulate", "--eps", "-1"], "error: eps must be nonnegative (got -1)"),
+    (["simulate", "--tau", "inf"], "error: tau must be finite (got inf)"),
+    (["simulate", "--eps", "inf"], "error: eps must be finite (got inf)"),
     (["refine", "--tau-list", "0.025", "0.05"], "error: tau_list must be sorted decreasing"),
     (["refine", "--tau-list", "0.1", "0.03"], "error: T/tau must be an integer"),
     (["refine", "--eps-list", "-0.1"], "error: eps must be nonnegative"),
 ], ids=["simulate-tau-not-dividing-T", "simulate-tau-zero", "simulate-eps-negative",
-        "refine-tau-list-unsorted", "refine-tau-not-dividing-T", "refine-eps-negative"])
+        "simulate-tau-inf", "simulate-eps-inf", "refine-tau-list-unsorted",
+        "refine-tau-not-dividing-T", "refine-eps-negative"])
 def test_cli_overrides_checked_before_running(tmp_path, capsys, argv, message):
     path = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"
     assert cli_main(argv[:1] + [path] + argv[1:] + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("error:") == 1
     assert not out.exists()
 
 

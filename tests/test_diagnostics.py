@@ -32,17 +32,13 @@ from thermovisc.diagnostics import (
     total_energy_check,
     weak_residuals,
 )
-from thermovisc.grid import (
-    NodalField,
-    StructuredGrid,
-    apply_dirichlet_identity,
-)
+from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.materials import MaterialModel, det, viscous_form
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Scenario, Trajectory, run
 
-from helpers import random_feasible_gradient, random_rotation
+from helpers import apply_dirichlet_identity, random_feasible_gradient, random_rotation
 
 
 def grid66():

@@ -20,7 +20,6 @@ from thermovisc.grid import (
     SPD_LU,
     NodalField,
     StructuredGrid,
-    apply_dirichlet_identity,
     band_cholesky,
     bernstein_inverse,
     zero_dirichlet_rows,
@@ -36,7 +35,7 @@ from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run
 
-from helpers import random_feasible_gradient, uniform_theta_b
+from helpers import apply_dirichlet_identity, random_feasible_gradient, uniform_theta_b
 
 
 def small_grid(n=3, d=2, dirichlet=("x0",)):

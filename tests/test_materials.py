@@ -3,6 +3,7 @@ enthalpy laws, the dissipation identity and the stacked small-matrix
 products against numpy's batched ``@``."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -492,6 +493,14 @@ def test_constant_validation():
         MaterialModel(d=3, p=2.5, q=40.0)
     with pytest.raises(ValueError, match="nu > 0"):
         MaterialModel(nu=0.0)
+
+
+@pytest.mark.parametrize("name, rule", [("c1", "c1 >= 0 and c2 > 0"), ("c2", "c1 >= 0 and c2 > 0"),
+                                        ("q", "q >= pd/(p-d)"), ("phi1_amp", "phi1_amp >= 0")],
+                         ids=["c1", "c2", "q", "phi1_amp"])
+def test_nan_constants_are_refused(name, rule):
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        MaterialModel(**{name: float("nan")})
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -5,7 +5,7 @@ safeguards, and the semiconvexity-gap identity."""
 import numpy as np
 import pytest
 
-from thermovisc.grid import NodalField, StructuredGrid, apply_dirichlet_identity
+from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import (
     MechIncrement,
@@ -23,7 +23,7 @@ from thermovisc.mech import (
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run, step_load_vector
 
-from helpers import random_rotation
+from helpers import apply_dirichlet_identity, random_rotation
 
 MODEL = MaterialModel()
 MODEL3 = MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)   # c2 q = 12: stress-free identity in 3D

@@ -2,6 +2,8 @@
 interpolants, load averaging, rejection policy, the run hash and the
 regularized initial data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,12 @@ from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import (
     Scenario,
-    _damping_derivatives,
     interpolants,
     refinement_study,
     run,
     run_hash,
     step_load_vector,
     step_theta_b,
-    transform_nodal_scalar,
 )
 
 
@@ -40,13 +40,31 @@ def test_steady_trajectory_constant():
 
 
 def test_steady_with_regularized_data_still_constant():
-    # theta_b and theta0 get the same eps-damping, so the equilibrium survives
-    sc = steady(grid=grid66(), T=0.2, theta0=2.0)
-    traj = run(sc, tau=0.1, eps=0.5)
-    assert np.array_equal(traj.snapshots[-1].theta.values,
-                          traj.snapshots[0].theta.values)
-    th = traj.snapshots[0].theta_qp
-    assert np.allclose(th, 2.0 / (1.0 + 0.5 * 2.0), atol=1e-12)
+    # theta_b and theta0 get the same eps-damping, so the equilibrium survives;
+    # the start is the damped uniform value with +0.0 derivative dofs, in 2D and 3D
+    cube = StructuredGrid((2, 2, 2), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
+    for grid, model in ((grid66(), None), (cube, MaterialModel(d=3, q=13.0, c2=12.0 / 13.0))):
+        sc = steady(grid=grid, model=model, T=0.2, theta0=2.0)
+        traj = run(sc, tau=0.1, eps=0.5)
+        assert np.array_equal(traj.snapshots[-1].theta.values,
+                              traj.snapshots[0].theta.values)
+        th = traj.snapshots[0].theta_qp
+        assert np.allclose(th, 2.0 / (1.0 + 0.5 * 2.0), atol=1e-12)
+        dofs = traj.snapshots[0].theta.values.reshape(-1, grid.ndof_node)
+        assert np.all(dofs[:, 0] == 2.0 / (1.0 + 0.5 * 2.0))
+        assert np.all(dofs[:, 1:] == 0.0) and not np.any(np.signbit(dofs[:, 1:]))
+
+
+@pytest.mark.parametrize("grid, model, theta0, message", [
+    (grid66(), MaterialModel(c1=1e308), 1.0, "free energy of (identity, theta0) is not finite"),
+    (grid66(), MaterialModel(), -1.0, "theta0 must be nonnegative"),
+    (grid66(), MaterialModel(), np.nan, "theta0 must be nonnegative"),
+    (StructuredGrid((2, 2, 2), (1.0, 1.0, 1.0), dirichlet_faces=("x0",)), MaterialModel(), 1.0,
+     "grid and material dimensions disagree"),
+], ids=["energy-overflow", "theta0-negative", "theta0-nan", "dimensions"])
+def test_scenario_refuses_a_bad_start_state(grid, model, theta0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario(name="bad", grid=grid, model=model, T=1.0, theta0=theta0)
 
 
 def test_shear_pulse_heats_and_dissipates():
@@ -212,30 +230,6 @@ def test_determinism_bit_identical():
         assert np.array_equal(a.y.values, b.y.values)
         assert np.array_equal(a.theta.values, b.theta.values)
         assert np.array_equal(a.w_qp, b.w_qp)
-
-
-def test_transform_nodal_scalar_chain_rule():
-    grid = grid66()
-
-    def fn(X):
-        return 1.0 + X[:, 0] * X[:, 1]
-
-    def dfn(X, m):
-        x, y = X[:, 0], X[:, 1]
-        return {(1, 0): y, (0, 1): x, (1, 1): np.ones_like(x)}[m]
-
-    th = grid.interpolate(fn, dfn=dfn)
-    eps = 0.3
-    out = transform_nodal_scalar(grid, th, _damping_derivatives(eps))
-    nd = grid.ndof_node
-    v = th.values[0::nd]
-    tx, ty, txy = th.values[1::nd], th.values[2::nd], th.values[3::nd]
-    f1 = 1.0 / (1.0 + eps * v) ** 2
-    f2 = -2.0 * eps / (1.0 + eps * v) ** 3
-    assert np.allclose(out.values[0::nd], v / (1.0 + eps * v), atol=1e-15)
-    assert np.allclose(out.values[1::nd], f1 * tx, atol=1e-15)
-    assert np.allclose(out.values[2::nd], f1 * ty, atol=1e-15)
-    assert np.allclose(out.values[3::nd], f2 * tx * ty + f1 * txy, atol=1e-15)
 
 
 def test_eps_zero_coupled_path_runs():
