@@ -478,7 +478,8 @@ def weak_residuals(traj, bank: TestBank):
         wf = field * weights.reshape((-1,) + (1,) * (field.ndim - 2))
         return table.reshape(len(table), -1) @ wf.ravel()
 
-    if thermal:   # temperature gradient and face traces, once per snapshot
+    if thermal:   # damped boundary temperature; gradient and face traces once per snapshot
+        theta_b = scenario.theta_b / (1.0 + eps * scenario.theta_b)
         gth = [grid.eval_scalar(s.theta)[1] for s in snaps]
         thf = [{name: grid.eval_face_scalar(name, s.theta) for name in grid.faces}
                for s in snaps]
@@ -499,9 +500,6 @@ def weak_residuals(traj, bank: TestBank):
                 cpl = model.coupling_stress(F, th_qp)
                 stress = stress + cpl
             contrib = pair(bank.gradZ, stress) + pair(bank.hessZ, model.hyperstress(G))
-            if scenario.bulk_force is not None:
-                gload = np.asarray(scenario.bulk_force(t, grid.qcoords), dtype=float)
-                contrib -= pair(bank.Z, gload)
             if scenario.traction is not None:
                 for name in grid.neumann_faces:
                     p = grid.faces[name]
@@ -518,9 +516,8 @@ def weak_residuals(traj, bank: TestBank):
             src = xi / (1.0 + eps * xi) + _ddot(cpl, rate)
             robin = 0.0
             for name, p in grid.faces.items():
-                tb = scenario._theta_b_raw(t, name, p.qcoords)
                 thf_t = (1 - lam) * thf[k - 1][name] + lam * thf[k][name]
-                robin = robin + pair(bank.Vface[name], thf_t - tb / (1.0 + eps * tb), p.weights)
+                robin = robin + pair(bank.Vface[name], thf_t - theta_b, p.weights)
             heat_res += wt * (bank.r(t) * (pair(bank.gradV, flux) - pair(bank.V, src)
                                            + model.kappa * robin)
                               - bank.rdot(t) * pair(bank.V, w_qp))

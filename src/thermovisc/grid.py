@@ -585,18 +585,19 @@ class StructuredGrid:
 
     # -- boundary -----------------------------------------------------------------
 
-    def assemble_face_gradient(self, faces, coeff, ncomp=1):
-        """Dual vector of the boundary pairing integral coeff . z, scattered
-        by one bincount over the faces in order."""
-        spec = "cq,aq,q->ca" if ncomp == 1 else "cqi,aq,q->cai"
+    def assemble_face_gradient(self, faces, coeff):
+        """Dual vector (n_sdofs, d) of the boundary pairing integral coeff . z
+        of vector coefficients (n_face_cells, nqf, d), scattered by one
+        bincount over the faces in order."""
+        d = self.d
         gdofs, loc = [], []
         for name in faces:
             p = self.faces[name]
-            loc.append(np.einsum(spec, coeff[name], p.B0, p.weights).ravel())
-            gdofs.append((p.sdofs[:, :, None] * ncomp + np.arange(ncomp)).ravel())
+            loc.append(np.einsum("cqi,aq,q->cai", coeff[name], p.B0, p.weights).ravel())
+            gdofs.append((p.sdofs[:, :, None] * d + np.arange(d)).ravel())
         out = np.bincount(np.concatenate(gdofs), weights=np.concatenate(loc),
-                          minlength=self.n_sdofs * ncomp)
-        return out if ncomp == 1 else out.reshape(self.n_sdofs, ncomp)
+                          minlength=self.n_sdofs * d)
+        return out.reshape(self.n_sdofs, d)
 
     def assemble_face_hessian(self):
         """Scalar boundary mass form over all faces (the Robin term), built on

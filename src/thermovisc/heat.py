@@ -16,17 +16,10 @@ the quadratic Taylor models of its pieces, so the minimization runs
 unconstrained and nonnegativity is audited afterwards.
 
 With K_prev frozen, the conduction and Robin terms are one fixed quadratic
-form per step, written in the deviation u = theta - theta_ref from a
-reference boundary temperature (the first value of theta_b):
-
-    (1/2) u.A u - l.u + c,   l = kappa int_Gamma (theta_b - theta_ref) v dS,
-                             c = int_Gamma (kappa/2) (theta_b - theta_ref)^2 dS,
-
-where A is the conduction stiffness plus kappa times the boundary mass.
-These are exactly the two terms above, constant included (the stiffness
-vanishes on constants, so the shift only moves the Robin term).  For
-uniform boundary data l = 0 and c = 0, so no term of size
-kappa theta_b^2 |Gamma| is formed and cancelled.
+form per step, (1/2) u.A u in u = theta - theta_b, where A is the
+conduction stiffness plus kappa times the boundary mass.  The stiffness
+vanishes on constants, so this is exactly the two terms above, and no term
+of size kappa theta_b^2 |Gamma| is formed and cancelled.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ class HeatIncrement:
     w_prev_qp: np.ndarray            # (ncells, nq)
     tau: float
     eps: float
-    theta_b: dict                    # face -> (n_face_cells, nqf), already averaged
+    theta_b: float                   # boundary temperature, already damped
     F_prev: np.ndarray = field(repr=False)   # deformation gradients at the
     F_new: np.ndarray = field(repr=False)    # quadrature points, before and after
 
@@ -72,15 +65,9 @@ class HeatIncrement:
         # implicit coupling enters through phi1'(F_new) : dF
         self.phi1_new = m.phi1(self.F_new)
         self.cpl_qp = _ddot(m.phi1_grad(self.F_new), dF)
-        # conduction and Robin terms: the fixed form (1/2) u.A u - l.u + c in
-        # u = theta - theta_ref (module docstring)
-        t_ref = float(next(iter(self.theta_b.values())).flat[0])
-        self.theta_ref = g.constant_field(t_ref)
-        dev = {name: tb - t_ref for name, tb in self.theta_b.items()}
+        # conduction and Robin terms: the fixed form (1/2) u.A u in u = theta - theta_b
+        self.theta_b_values = g.constant_field(self.theta_b).values
         self.A = g.assemble_hessian(1, c4=self.K_prev) + m.kappa * g.assemble_face_hessian()
-        self.robin_load = m.kappa * g.assemble_face_gradient(g.faces, dev)
-        self.robin_const = 0.5 * m.kappa * sum(
-            float(np.einsum("cq,q->", d**2, g.faces[name].weights)) for name, d in dev.items())
 
 
 @dataclass
@@ -104,9 +91,8 @@ def heat_functional(inc: HeatIncrement, theta: NodalField):
     W = m.w_total_ext(inc.phi1_new, th)
     mval, _, _ = m.coupling_factor_ext(th)
     dens = (W - inc.w_prev_qp * th) / inc.tau - inc.xi_reg_qp * th - mval * inc.cpl_qp
-    u = theta.values - inc.theta_ref.values
-    return (g.assemble_scalar(dens) + float(u @ (0.5 * (inc.A @ u) - inc.robin_load))
-            + inc.robin_const)
+    u = theta.values - inc.theta_b_values
+    return g.assemble_scalar(dens) + 0.5 * float(u @ (inc.A @ u))
 
 
 def heat_gradient(inc: HeatIncrement, theta: NodalField):
@@ -115,8 +101,8 @@ def heat_gradient(inc: HeatIncrement, theta: NodalField):
     w_th = m.enthalpy_ext(inc.phi1_new, th)
     _, m1, _ = m.coupling_factor_ext(th)
     source = (w_th - inc.w_prev_qp) / inc.tau - inc.xi_reg_qp - m1 * inc.cpl_qp
-    u = theta.values - inc.theta_ref.values
-    return g.assemble_gradient(1, source=source) + inc.A @ u - inc.robin_load
+    u = theta.values - inc.theta_b_values
+    return g.assemble_gradient(1, source=source) + inc.A @ u
 
 
 def heat_hessian(inc: HeatIncrement, theta: NodalField):
@@ -176,8 +162,7 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
 
 def robin_flux(inc: HeatIncrement, theta: NodalField):
     """Boundary heat outflow int_Gamma kappa (theta - theta_b) dS: the Robin
-    gradient kappa M_Gamma u - l paired with the constant field 1."""
+    gradient kappa M_Gamma u paired with the constant field 1."""
     g = inc.grid
-    u = theta.values - inc.theta_ref.values
-    robin = inc.model.kappa * (g.assemble_face_hessian() @ u) - inc.robin_load
+    robin = inc.model.kappa * (g.assemble_face_hessian() @ (theta.values - inc.theta_b_values))
     return float(g.constant_field(1.0).values @ robin)

@@ -78,9 +78,9 @@ class MechIncrement:
     include_coupling: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         if det(self.F_prev).min() <= 0:
             raise ValueError("previous state must satisfy min det grad y > 0")
@@ -142,6 +142,7 @@ def incremental_gradient(inc: MechIncrement, y: NodalField, kin=None):
                                    hyperstress=m.hyperstress(kin.G))
     r = r - inc.load_vector
     return zero_dirichlet_rows(inc.grid, r), kin
+
 
 def incremental_hessian(inc: MechIncrement, kin, free=None):
     """Assembled Hessian of the step functional on the ``free`` dofs."""

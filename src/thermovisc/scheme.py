@@ -28,7 +28,7 @@ from .materials import MaterialModel
 from .mech import MechIncrement, SolverConfig, StepRejectedError, solve_mech
 from .newton import FrozenFactor
 
-TIME_QUAD_PTS = 4   # Gauss points in time for the per-step load and boundary averages
+TIME_QUAD_PTS = 4   # Gauss points in time for the per-step traction average
 
 
 @dataclass
@@ -39,9 +39,8 @@ class Scenario:
     grid: StructuredGrid
     model: MaterialModel
     T: float
-    bulk_force: object = None        # g(t, X) -> (ncells, nq, d), or None
     traction: object = None          # f(t, face, X) -> (nfc, nqf, d), or None
-    theta_b: object = 1.0            # scalar or callable(t, X)
+    theta_b: float = 1.0             # boundary temperature of the Robin exchange
     theta0: float = 1.0              # uniform start temperature
     isothermal: bool = False
     params: dict = field(default_factory=dict)   # a preset's effective parameters
@@ -53,18 +52,14 @@ class Scenario:
 
     def validate(self):
         errs = []
-        if self.T <= 0:
-            errs.append(f"final time must be positive (got {self.T})")
+        if not 0 < self.T < np.inf:
+            errs.append(f"final time must be positive and finite (got {self.T})")
         if self.grid.d != self.model.d:
             errs.append("grid and material dimensions disagree")
         if not self.theta0 >= 0:
             errs.append(f"theta0 must be nonnegative (got {self.theta0})")
-        for t in np.linspace(0.0, self.T, 5):
-            for name, p in self.grid.faces.items():
-                tb = self._theta_b_raw(t, name, p.qcoords)
-                if np.min(tb) < 0:
-                    errs.append(f"theta_b must be nonnegative (face {name}, t={t:g})")
-                    break
+        if not self.theta_b >= 0:
+            errs.append(f"theta_b must be nonnegative (got {self.theta_b})")
         if not errs:
             F, G = np.eye(self.model.d), np.zeros((self.model.d,) * 3)   # the start state
             with np.errstate(over="ignore"):   # an overflow is the violation reported below
@@ -73,12 +68,6 @@ class Scenario:
             if not np.isfinite(dens):
                 errs.append("free energy of (identity, theta0) is not finite")
         return errs
-
-    def _theta_b_raw(self, t, face, X):
-        if callable(self.theta_b):
-            return np.broadcast_to(np.asarray(self.theta_b(t, X), dtype=float),
-                                   X.shape[:2]).copy()
-        return np.full(X.shape[:2], float(self.theta_b))
 
 
 @dataclass
@@ -138,36 +127,25 @@ def _time_average(fn, t0, t1):
 
 
 def step_load_vector(scenario, t0, t1):
-    """Time-averaged dual load vector <l_k, .> over one step."""
+    """Time-averaged dual load vector <l_k, .> over one step: the tractions
+    on the Neumann faces."""
     grid = scenario.grid
-    L = np.zeros((grid.n_sdofs, grid.d))
-    if scenario.bulk_force is not None:
-        g_avg = _time_average(lambda t: np.asarray(
-            scenario.bulk_force(t, grid.qcoords), dtype=float), t0, t1)
-        L += grid.assemble_gradient(grid.d, source=g_avg)
+    coef = {}
     if scenario.traction is not None:
-        coef = {}
         for name in grid.neumann_faces:
             p = grid.faces[name]
             f_avg = _time_average(lambda t: np.asarray(
                 scenario.traction(t, name, p.qcoords), dtype=float), t0, t1)
             if np.any(f_avg):
                 coef[name] = f_avg
-        if coef:
-            L += grid.assemble_face_gradient(list(coef), coef, ncomp=grid.d)
-    return L
+    if not coef:
+        return np.zeros((grid.n_sdofs, grid.d))
+    return grid.assemble_face_gradient(list(coef), coef)
 
 
-def step_theta_b(scenario, eps, t0, t1):
-    """Per-face regularized, time-averaged boundary temperature."""
-    grid = scenario.grid
-    out = {}
-    for name, p in grid.faces.items():
-        def reg(t):
-            tb = scenario._theta_b_raw(t, name, p.qcoords)
-            return tb / (1.0 + eps * tb)
-        out[name] = _time_average(reg, t0, t1)
-    return out
+def step_theta_b(scenario, eps):
+    """The boundary temperature of every step, damped as ``run`` damps theta0."""
+    return scenario.theta_b / (1.0 + eps * scenario.theta_b)
 
 
 @dataclass
@@ -205,12 +183,16 @@ def _start_snapshot(traj, y, theta):
 def time_errors(T, tau, eps) -> list[str]:
     """All violated rules of a run's time parameters, as human-readable
     strings; T = None (not known) skips the rules on T."""
-    errs = [] if T is None or T > 0 else [f"T must be positive (got {T:g})"]
+    errs = []
+    if T is not None and not T > 0:
+        errs.append(f"T must be positive (got {T:g})")
+    elif T == np.inf:
+        errs.append("T must be finite (got inf)")
     if not tau > 0:
         errs.append(f"tau must be positive (got {tau:g})")
     elif tau == np.inf:
         errs.append("tau must be finite (got inf)")
-    elif T is not None and T > 0 and abs(round(T / tau) * tau - T) > 1e-9 * T:
+    elif T is not None and not errs and abs(round(T / tau) * tau - T) > 1e-9 * T:
         errs.append(f"T/tau must be an integer (T={T:g}, tau={tau:g})")
     if not eps >= 0:
         errs.append(f"eps must be nonnegative (got {eps:g})")
@@ -300,10 +282,9 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
         heat_inc = heat_res = None
         theta, theta_qp, w_qp = snap_prev.theta, snap_prev.theta_qp, np.zeros_like(snap_prev.w_qp)
     else:
-        theta_b = step_theta_b(scenario, traj.eps, t0, t1)
         heat_inc = HeatIncrement(
             grid=grid, model=model, theta_prev=snap_prev.theta, w_prev_qp=snap_prev.w_qp,
-            tau=tau_step, eps=traj.eps, theta_b=theta_b,
+            tau=tau_step, eps=traj.eps, theta_b=step_theta_b(scenario, traj.eps),
             F_prev=snap_prev.F, F_new=mech_res.kinematics.F)
         heat_res = solve_heat(heat_inc, cfg, solvers.heat)
         theta, theta_qp, w_qp = heat_res.theta_new, heat_res.theta_new_qp, heat_res.w_new_qp
@@ -455,7 +436,7 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
     ``config_hash`` into every field dump.
 
     The loads enter through the preset record ``scenario.params``; the
-    callables of a hand-built scenario are not hashed."""
+    traction of a hand-built scenario, a callable, is not hashed."""
     payload = {
         "name": scenario.name,
         "extents": scenario.grid.extents,

@@ -1,4 +1,4 @@
-"""Random inputs and boundary data shared by the tests."""
+"""Random inputs and Dirichlet data shared by the tests."""
 
 import numpy as np
 
@@ -19,12 +19,6 @@ def random_feasible_gradient(rng, d, spread=0.3, det_floor=0.2):
         F = np.eye(d) + spread * rng.standard_normal((d, d))
         if np.linalg.det(F) > det_floor:
             return F
-
-
-def uniform_theta_b(grid, value):
-    """Constant boundary datum in the per-face layout HeatIncrement expects."""
-    return {name: np.full((p.sdofs.shape[0], p.weights.size), float(value))
-            for name, p in grid.faces.items()}
 
 
 def apply_dirichlet_identity(grid, y):

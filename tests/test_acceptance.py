@@ -24,12 +24,7 @@ from thermovisc.mech import MechIncrement, SolverConfig, incremental_functional,
 from thermovisc.presets import insulated_pulse, isothermal_creep, press_pulse, shear_pulse, steady
 from thermovisc.scheme import refinement_study, run
 
-from helpers import (
-    apply_dirichlet_identity,
-    random_feasible_gradient,
-    random_rotation,
-    uniform_theta_b,
-)
+from helpers import apply_dirichlet_identity, random_feasible_gradient, random_rotation
 
 MODEL = MaterialModel()
 _LINES = []
@@ -148,7 +143,7 @@ def test_criterion_01_gradient_consistency():
     w_prev = MODEL.enthalpy(kin.F, theta_qp)
     hinc = HeatIncrement(grid=grid, model=MODEL, theta_prev=grid.constant_field(1.0),
                          w_prev_qp=w_prev, tau=0.05, eps=0.01,
-                         theta_b=uniform_theta_b(grid, 0.8),
+                         theta_b=0.8,
                          F_prev=F_id, F_new=kin.F)
     th_field = NodalField(grid, grid.constant_field(1.0).values
                           + 0.1 * rng.standard_normal(grid.n_sdofs))

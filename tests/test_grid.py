@@ -35,7 +35,7 @@ from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run
 
-from helpers import apply_dirichlet_identity, random_feasible_gradient, uniform_theta_b
+from helpers import apply_dirichlet_identity, random_feasible_gradient
 
 
 def small_grid(n=3, d=2, dirichlet=("x0",)):
@@ -369,14 +369,13 @@ def test_free_dof_hessian_is_the_free_block_of_the_full_one(d, ncomp):
     assert np.array_equal(again.toarray(), Hf.toarray())
 
 
-def face_gradient_add_at(g, faces, coeff, ncomp):
+def face_gradient_add_at(g, faces, coeff):
     """The face scatter as one np.add.at per face, the order of summation
     that one bincount over the faces in order keeps."""
-    out = np.zeros((g.n_sdofs,) if ncomp == 1 else (g.n_sdofs, ncomp))
+    out = np.zeros((g.n_sdofs, g.d))
     for name in faces:
         p = g.faces[name]
-        spec = "cq,aq,q->ca" if ncomp == 1 else "cqi,aq,q->cai"
-        np.add.at(out, p.sdofs, np.einsum(spec, coeff[name], p.B0, p.weights))
+        np.add.at(out, p.sdofs, np.einsum("cqi,aq,q->cai", coeff[name], p.B0, p.weights))
     return out
 
 
@@ -387,11 +386,9 @@ def test_face_gradient_is_bit_equal_to_a_per_face_scatter(extents, dirichlet):
     g = StructuredGrid(extents, (1.0,) * len(extents), dirichlet_faces=dirichlet)
     rng = np.random.default_rng(len(extents) * 100 + sum(extents))
     for faces in (list(g.faces), list(g.neumann_faces)):
-        for ncomp in (1, g.d):
-            v = (ncomp,) if ncomp > 1 else ()
-            coeff = {n: rng.standard_normal(g.faces[n].qcoords.shape[:2] + v) for n in faces}
-            got = g.assemble_face_gradient(faces, coeff, ncomp=ncomp)
-            assert np.array_equal(got, face_gradient_add_at(g, faces, coeff, ncomp))
+        coeff = {n: rng.standard_normal(g.faces[n].qcoords.shape) for n in faces}
+        got = g.assemble_face_gradient(faces, coeff)
+        assert np.array_equal(got, face_gradient_add_at(g, faces, coeff))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -707,13 +704,10 @@ def test_clamped_dofs_are_the_trace_dofs_of_the_fixed_faces(index_grid):
 
 def trace_robin(g, theta, theta_b, kappa):
     """Reference Robin energy int (kappa/2)(theta - theta_b)^2 dS and its
-    gradient, traced face by face at the boundary quadrature points.
-
-    theta_b: dict face -> (n_face_cells, nqf) array.
-    """
+    gradient, traced face by face at the boundary quadrature points."""
     energy, grad = 0.0, np.zeros(g.n_sdofs)
     for name, p in g.faces.items():
-        diff = g.eval_face_scalar(name, theta) - theta_b[name]
+        diff = g.eval_face_scalar(name, theta) - theta_b
         energy += 0.5 * kappa * float(np.einsum("cq,q->", diff**2, p.weights))
         np.add.at(grad, p.sdofs, kappa * np.einsum("cq,aq,q->ca", diff, p.B0, p.weights))
     return energy, grad
@@ -722,7 +716,7 @@ def trace_robin(g, theta, theta_b, kappa):
 def trace_flux(g, theta, theta_b, kappa):
     """Reference boundary outflow int kappa (theta - theta_b) dS."""
     return sum(kappa * float(np.einsum("cq,q->", g.eval_face_scalar(name, theta)
-                                       - theta_b[name], p.weights))
+                                       - theta_b, p.weights))
                for name, p in g.faces.items())
 
 
@@ -733,28 +727,25 @@ def heat_model(d, kappa=1.0):
 
 
 def heat_increment(g, theta_b, kappa=1.0, y_new=None, theta_prev=None):
-    """A thermal increment on g with Robin data theta_b (scalar or dict)."""
+    """A thermal increment on g with boundary temperature theta_b."""
     model = heat_model(g.d, kappa)
     y_prev = g.identity_field()
     F_prev = g.eval_kinematics(y_prev).F
     th_prev = theta_prev or g.constant_field(1.0)
     th_qp, _ = g.eval_scalar(th_prev)
     w_prev = model.enthalpy(F_prev, np.maximum(th_qp, 0.0))
-    tb = uniform_theta_b(g, theta_b) if np.isscalar(theta_b) else theta_b
     return HeatIncrement(grid=g, model=model, theta_prev=th_prev, w_prev_qp=w_prev,
-                         tau=0.05, eps=0.01, theta_b=tb, F_prev=F_prev,
+                         tau=0.05, eps=0.01, theta_b=theta_b, F_prev=F_prev,
                          F_new=g.eval_kinematics(y_new or y_prev).F)
 
 
 def robin_form(inc, theta):
     """Robin energy and gradient of an increment, from the boundary mass
-    M_Gamma, the load l and the constant c in the deviation u = theta -
-    theta_ref: u.(kappa/2 M u - l) + c and kappa M u - l."""
+    M_Gamma in the deviation u = theta - theta_b: (kappa/2) u.M u and kappa M u."""
     kappa = inc.model.kappa
-    u = theta.values - inc.theta_ref.values
+    u = theta.values - inc.grid.constant_field(inc.theta_b).values
     M_u = inc.grid.assemble_face_hessian() @ u
-    energy = float(u @ (0.5 * kappa * M_u - inc.robin_load)) + inc.robin_const
-    return energy, kappa * M_u - inc.robin_load
+    return 0.5 * kappa * float(u @ M_u), kappa * M_u
 
 
 def test_robin_matching_temperature_is_zero():
@@ -808,7 +799,7 @@ def test_face_hessian_matches_robin_gradient():
     th = NodalField(g, rng.standard_normal(g.n_sdofs))
     kappa = 0.7
     H = g.assemble_face_hessian() * kappa
-    _, r0 = trace_robin(g, th, uniform_theta_b(g, 0.0), kappa)
+    _, r0 = trace_robin(g, th, 0.0, kappa)
     assert np.allclose(H @ th.values, r0, atol=1e-12)
 
 
@@ -832,13 +823,12 @@ def reference_heat_step(inc, theta):
 @pytest.mark.parametrize("extents,lengths", [((4, 4), (2.0, 1.0)),
                                              ((2, 2, 2), (1.0, 1.5, 0.5))])
 def test_heat_fixed_form_matches_face_traces(extents, lengths):
-    # unequal faces and a boundary datum that varies along them
+    # unequal faces and a boundary temperature unequal to theta
     g = StructuredGrid(extents, lengths)
     rng = np.random.default_rng(48)
     y_new = g.identity_field()
     y_new.values += 0.01 * rng.standard_normal(y_new.values.shape)
-    theta_b = {name: rng.uniform(0.2, 1.5, (p.sdofs.shape[0], p.weights.size))
-               for name, p in g.faces.items()}
+    theta_b = 1.3
     th_prev = NodalField(g, g.constant_field(1.0).values + 0.05 * rng.standard_normal(g.n_sdofs))
     inc = heat_increment(g, theta_b, kappa=0.7, y_new=NodalField(g, y_new.values),
                          theta_prev=th_prev)

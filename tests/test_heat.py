@@ -17,8 +17,6 @@ from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig
 from thermovisc.newton import ATOL_RESIDUAL
 
-from helpers import uniform_theta_b
-
 MODEL = MaterialModel()
 
 
@@ -41,8 +39,7 @@ def make_inc(grid, model=MODEL, tau=0.05, eps=0.01, theta_prev=1.0, theta_b=None
     F_prev = grid.eval_kinematics(y_prev).F
     th_qp, _ = grid.eval_scalar(th_prev)
     w_prev = model.enthalpy(F_prev, np.maximum(th_qp, 0.0))
-    tb = uniform_theta_b(grid, theta_b if theta_b is not None else
-                         (theta_prev if np.isscalar(theta_prev) else 1.0))
+    tb = theta_b if theta_b is not None else (theta_prev if np.isscalar(theta_prev) else 1.0)
     inc = HeatIncrement(grid=grid, model=model, theta_prev=th_prev, w_prev_qp=w_prev,
                         tau=tau, eps=eps, theta_b=tb, F_prev=F_prev,
                         F_new=grid.eval_kinematics(y_new).F)

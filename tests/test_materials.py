@@ -29,7 +29,7 @@ from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse, steady
 from thermovisc.scheme import run
 
-from helpers import random_feasible_gradient, random_rotation, uniform_theta_b
+from helpers import random_feasible_gradient, random_rotation
 
 MODEL = MaterialModel()
 
@@ -427,7 +427,7 @@ def test_regularized_rate_caps():
         F_prev = g.eval_kinematics(y_prev).F
         inc = HeatIncrement(grid=g, model=MODEL, theta_prev=g.constant_field(0.1),
                             w_prev_qp=np.zeros((g.n_cells, g.nq)), tau=tau, eps=eps,
-                            theta_b=uniform_theta_b(g, 0.1), F_prev=F_prev,
+                            theta_b=0.1, F_prev=F_prev,
                             F_new=g.eval_kinematics(y_new).F)
         assert np.allclose(inc.xi_qp, MODEL.dissipation_rate(
             F_prev, (inc.F_new - F_prev) / tau, 0.1), rtol=1e-14, atol=0.0)

@@ -62,6 +62,15 @@ def test_functional_at_y_prev_is_free_energy_minus_load():
     assert J == pytest.approx(expect, rel=1e-14)
 
 
+@pytest.mark.parametrize("tau, eps, message", [
+    (0.0, 0.01, "tau must be positive"), (np.nan, 0.01, "tau must be positive"),
+    (0.05, -1.0, "eps must be nonnegative"), (0.05, np.nan, "eps must be nonnegative")],
+    ids=["tau-zero", "tau-nan", "eps-negative", "eps-nan"])
+def test_increment_refuses_bad_step_constants(tau, eps, message):
+    with pytest.raises(ValueError, match=message):
+        make_inc(StructuredGrid((2, 2), (1.0, 1.0)), tau=tau, eps=eps)
+
+
 def test_functional_infeasible_is_inf():
     g = StructuredGrid((2, 2), (1.0, 1.0))
     inc = make_inc(g)

@@ -20,6 +20,7 @@ from thermovisc.scheme import (
     run_hash,
     step_load_vector,
     step_theta_b,
+    time_errors,
 )
 
 
@@ -55,16 +56,40 @@ def test_steady_with_regularized_data_still_constant():
         assert np.all(dofs[:, 1:] == 0.0) and not np.any(np.signbit(dofs[:, 1:]))
 
 
-@pytest.mark.parametrize("grid, model, theta0, message", [
-    (grid66(), MaterialModel(c1=1e308), 1.0, "free energy of (identity, theta0) is not finite"),
-    (grid66(), MaterialModel(), -1.0, "theta0 must be nonnegative"),
-    (grid66(), MaterialModel(), np.nan, "theta0 must be nonnegative"),
-    (StructuredGrid((2, 2, 2), (1.0, 1.0, 1.0), dirichlet_faces=("x0",)), MaterialModel(), 1.0,
+@pytest.mark.parametrize("theta0, eps", [(1.0, 0.01), (1.25, 0.01), (0.9, 0.0)])
+def test_steady_run_is_exactly_stationary(theta0, eps):
+    # theta_b and theta0 are damped by one expression, so the Robin term
+    # vanishes exactly: no residual, boundary heat or ledger gap is left,
+    # not even one of roundoff size
+    traj = run(steady(grid=grid66(), T=0.3, theta0=theta0), tau=0.1, eps=eps)
+    dofs = traj.snapshots[0].theta.values.reshape(-1, traj.grid.ndof_node)
+    assert np.all(dofs[:, 0] == step_theta_b(traj.scenario, eps))
+    for d in traj.step_diags:
+        assert (d.heat_residual, d.boundary_heat, d.energy_gap_total) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("grid, model, data, message", [
+    (grid66(), MaterialModel(c1=1e308), {}, "free energy of (identity, theta0) is not finite"),
+    (grid66(), MaterialModel(), {"theta0": -1.0}, "theta0 must be nonnegative"),
+    (grid66(), MaterialModel(), {"theta0": np.nan}, "theta0 must be nonnegative"),
+    (StructuredGrid((2, 2, 2), (1.0, 1.0, 1.0), dirichlet_faces=("x0",)), MaterialModel(), {},
      "grid and material dimensions disagree"),
-], ids=["energy-overflow", "theta0-negative", "theta0-nan", "dimensions"])
-def test_scenario_refuses_a_bad_start_state(grid, model, theta0, message):
+    (grid66(), MaterialModel(), {"theta_b": -1.0}, "theta_b must be nonnegative (got -1.0)"),
+    (grid66(), MaterialModel(), {"theta_b": np.nan}, "theta_b must be nonnegative (got nan)"),
+    (grid66(), MaterialModel(), {"T": np.inf}, "final time must be positive and finite (got inf)"),
+    (grid66(), MaterialModel(), {"T": np.nan}, "final time must be positive and finite (got nan)"),
+], ids=["energy-overflow", "theta0-negative", "theta0-nan", "dimensions", "theta_b-negative",
+        "theta_b-nan", "T-inf", "T-nan"])
+def test_scenario_refuses_a_bad_start_state(grid, model, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        Scenario(name="bad", grid=grid, model=model, T=1.0, theta0=theta0)
+        Scenario(name="bad", grid=grid, model=model, **{"T": 1.0, **data})
+
+
+@pytest.mark.parametrize("T, message", [
+    (np.inf, "T must be finite (got inf)"), (np.nan, "T must be positive (got nan)")],
+    ids=["inf", "nan"])
+def test_time_rules_refuse_a_non_finite_final_time(T, message):
+    assert time_errors(T, 0.1, 0.01) == [message]
 
 
 def test_shear_pulse_heats_and_dissipates():
@@ -131,38 +156,29 @@ def test_interpolant_gap_bounded_by_rate_integral():
 
 def test_load_average_exact_for_linear_ramp():
     grid = grid66()
-    model = MaterialModel()
 
-    def g(t, X):
+    def f(t, face, X):
         out = np.zeros(X.shape)
         out[..., 1] = 2.0 * t
         return out
 
-    sc = Scenario(name="ramp", grid=grid, model=model, T=1.0, bulk_force=g)
+    sc = Scenario(name="ramp", grid=grid, model=MaterialModel(), T=1.0, traction=f)
     L = step_load_vector(sc, 0.2, 0.4)
-    ref = g(0.3, grid.qcoords)  # average of a linear ramp = midpoint value
-    L_ref = grid.assemble_gradient(2, source=ref)
-    assert np.allclose(L, L_ref, atol=1e-14)
+    # the average of a linear ramp is its midpoint value, on every Neumann face
+    faces = list(grid.neumann_faces)
+    L_ref = grid.assemble_face_gradient(faces, {n: f(0.3, n, grid.faces[n].qcoords)
+                                                for n in faces})
+    assert np.any(L_ref) and np.allclose(L, L_ref, atol=1e-14)
 
 
-def test_theta_b_averaging_is_regularized():
-    grid = grid66()
+def test_theta_b_is_regularized():
     sc = steady(grid=grid66(), T=1.0, theta0=3.0)
-    tb = step_theta_b(sc, eps=0.5, t0=0.0, t1=0.1)
-    for name in grid.faces:
-        assert np.allclose(tb[name], 3.0 / (1.0 + 0.5 * 3.0), atol=1e-14)
+    assert step_theta_b(sc, eps=0.5) == 3.0 / (1.0 + 0.5 * 3.0)
 
 
 def test_step_rejection_bubbles_up():
-    grid = grid66()
-    model = MaterialModel()
-
-    def g(t, X):
-        out = np.zeros(X.shape)
-        out[..., 1] = -500.0   # crushing load: not solvable at this budget
-        return out
-
-    sc = Scenario(name="crush", grid=grid, model=model, T=0.4, bulk_force=g)
+    # crushing dead traction: not solvable at this budget
+    sc = isothermal_creep(grid=grid66(), T=0.4, amplitude=-500.0)
     cfg = SolverConfig(max_newton=3, max_backtracks=6, max_step_halvings=1,
                        korn_every=0, hk_every=0)
     with pytest.raises(StepRejectedError, match="step from t = 0 to t = 0.1 rejected after 1 "):
