@@ -265,13 +265,12 @@ def hk_determinant_bound(grid, y, state=None):
 @dataclass
 class KornState:
     """What a run keeps of its last Korn solve: the eigenvector, the start of
-    the next solve, and the reference of the bound between solves
-    (:func:`korn_certificate`)."""
+    the next solve, and the reference F_ref and lower_ref of the bound
+    between solves (:func:`korn_certificate`)."""
 
     x: np.ndarray | None = None
-    F_ref: np.ndarray | None = None        # F of the last solve, at the quadrature points
-    F_ref_norm: np.ndarray | None = None   # |F_ref|_F at each quadrature point
-    lower_ref: float = float("nan")        # theta - rho of the last solve
+    F_ref: np.ndarray | None = None    # F of the last solve, at the quadrature points
+    lower_ref: float = float("nan")    # theta - rho of the last solve
 
 
 def korn_certificate(grid, F_qp, state):
@@ -282,17 +281,35 @@ def korn_certificate(grid, F_qp, state):
     korn_const is the solved eigenvalue, or NaN when the bound certifies
     without a solve.
 
-    With S_F = F^T grad v + grad v^T F and Delta = F - F_ref at each point,
-    |S_F|^2 = |S_ref|^2 + 2 S_ref : S_Delta + |S_Delta|^2
-            >= |S_ref|^2 - 8 |F_ref| |Delta| |grad v|^2,
-    and the H^1 form on the same Gauss rule bounds sum_q w_q |grad v_q|^2.
-    So lambda(F) >= lambda(F_ref) - mu with mu = 8 max_q |F_ref,q| |Delta_q|,
-    and lambda(F_ref) >= lower_ref (see :func:`korn_constant`).
+    The Korn constant is frame indifferent: for a rotation R, v -> R v maps
+    the admissible fields onto themselves, keeps the H^1 form and sends
+    S_F(v) = F^T grad v + grad v^T F to S_RF(R v) = S_F(v), so
+    lambda(R F_ref) = lambda(F_ref) >= L = lower_ref (see
+    :func:`korn_constant`).  With Delta = F - R F_ref at each point,
+    |S_Delta| <= 2 |Delta| |grad v|, and the H^1 form on the same Gauss
+    rule bounds sum_q w_q |grad v_q|^2, so by the triangle inequality in
+    the quadrature norm ||S_F|| >= (sqrt(L) - 2 delta) ||v||_H1 with
+    delta = max_q |Delta_q|_F.  While 2 delta < sqrt(L), squaring gives
+        lambda(F) >= (sqrt(L) - 2 delta)^2 = L - 4 delta sqrt(L) + 4 delta^2,
+    written in the second form so that delta = 0 returns L exactly.  R is
+    whichever of the identity and the polar rotation of
+    M = sum_q w_q F_q F_ref,q^T gives the smaller delta; the polar rotation
+    (det fixed to +1) minimizes sum_q w_q |F_q - R F_ref,q|^2, so a rigidly
+    turned state keeps delta at rounding level and certifies with no solve.
     """
-    if state.F_ref is not None:
-        mu = 8.0 * float(np.max(state.F_ref_norm * _frob(F_qp - state.F_ref)))
-        if mu <= KORN_SLACK * state.lower_ref:
-            return float("nan"), state.lower_ref - mu
+    L = state.lower_ref
+    if state.F_ref is not None and L > 0.0:
+        M = np.tensordot(F_qp * grid.qweights[:, None, None], state.F_ref,
+                         axes=([0, 1, 3], [0, 1, 3]))
+        U, _, Vt = np.linalg.svd(M)
+        if np.linalg.det(U @ Vt) < 0.0:
+            U[:, -1] = -U[:, -1]
+        delta = min(float(np.max(_frob(F_qp - R_F))) for R_F in
+                    (state.F_ref, _matmul(U @ Vt, state.F_ref)))
+        root = np.sqrt(L)
+        lower = L - 4.0 * delta * root + 4.0 * delta**2
+        if 2.0 * delta < root and lower >= (1.0 - KORN_SLACK) * L:
+            return float("nan"), float(lower)
     value = korn_constant(grid, F_qp, state)
     return value, state.lower_ref
 
@@ -345,7 +362,7 @@ def korn_constant(grid, F_qp, state=None):
     theta = float(x @ Ax)
     r = Ax - theta * gram(x)
     rho = float(np.sqrt(r @ gram_solve(r)))
-    state.x, state.F_ref, state.F_ref_norm = x, F_qp, _frob(F_qp)
+    state.x, state.F_ref = x, F_qp
     state.lower_ref = theta - rho
     return theta
 

@@ -28,8 +28,10 @@ Element Hessian blocks are batched products (w D)^T C D, or (T w)^T T
 for the rank-one hyperstress part, and one bincount adds them into a
 fixed CSC pattern, built on first use for all dofs or for the free ones,
 so no sparse matrix is converted or sliced per Newton iteration.  The
-operations and their order are fixed, so repeated runs are
-bit-identical.
+pattern follows from the node stencil without a sort: node-by-node
+numbering makes each node's dofs one block, and a column couples to the
+dofs of the nodes at offsets {-1, 0, 1}^d from its own.  The operations
+and their order are fixed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import difflib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import mul
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,10 +142,15 @@ def bernstein_inverse(n):
 
 def _permanent_slope(A, M):
     """sum_ij A_ij perm(minor_ij(M)) for (..., d, d) stacks: the slope of
-    the permanent at M along A (d perm(M) when A = M)."""
+    the permanent at M along A (d perm(M) when A = M).  Entry by entry, as
+    whole-array products and sums over the stack."""
     d = A.shape[-1]
-    return sum(A[..., i, s[i]] * np.prod([M[..., k, s[k]] for k in range(d) if k != i], axis=0)
-               for s in itertools.permutations(range(d)) for i in range(d))
+    total = 0
+    for s in itertools.permutations(range(d)):
+        for i in range(d):
+            minor = reduce(mul, [M[..., k, s[k]] for k in range(d) if k != i])
+            total = total + A[..., i, s[i]] * minor
+    return total
 
 
 GRAM_TILE = 32   # tile size of band_cholesky
@@ -512,25 +520,48 @@ class StructuredGrid:
         C order, adds into data[slots[...]]; entries in a fixed row or
         column go to the spill slot ``len(indices)``.  Built on first use
         per (ncomp, free) and kept.
+
+        Built from the node stencil, with no sort.  The dofs of a node are
+        B = 2^d ncomp consecutive numbers, and the cells couple each dof of
+        node N to every dof of the nodes at offsets {-1, 0, 1}^d from N.
+        So column j at node N holds the free dofs of those neighbours in
+        node order (offsets in lexicographic order, the last axis slowest),
+        each node's in dof order, and an element entry's slot is
+        indptr[j] + (free dofs of the neighbours before the row's node)
+        + (the row's rank among its node's free dofs).
         """
         key = (ncomp, None if free is None else np.asarray(free, dtype=bool).tobytes())
         if key not in self._pattern_cache:
-            n = self.n_sdofs * ncomp
-            keep = np.ones(n, dtype=bool) if free is None else np.asarray(free, dtype=bool)
-            m = int(keep.sum())
-            number = np.where(keep, np.cumsum(keep) - 1, -1)
-            nl = self.nloc * ncomp
-            g = number[(self.cells_sdofs[:, :, None] * ncomp
-                        + np.arange(ncomp)).reshape(self.n_cells, nl)]
-            rows = np.repeat(g, nl, axis=1).ravel()
-            cols = np.tile(g, (1, nl)).ravel()
-            inside = (rows >= 0) & (cols >= 0)
-            entries, slot = np.unique(cols[inside] * m + rows[inside], return_inverse=True)
-            slots = np.full(rows.size, entries.size)
-            slots[inside] = slot
-            indptr = np.zeros(m + 1, dtype=np.int32)
-            np.cumsum(np.bincount(entries // m, minlength=m), out=indptr[1:])
-            self._pattern_cache[key] = (slots, (entries % m).astype(np.int32), indptr)
+            d, nn, B = self.d, self.n_nodes, self.ndof_node * ncomp
+            keep = (np.ones(nn * B, dtype=bool) if free is None
+                    else np.asarray(free, dtype=bool)).reshape(nn, B)
+            number = np.where(keep, np.cumsum(keep).reshape(nn, B) - 1, -1)   # -1: fixed
+            # rows[N, o, b]: number of dof b of the neighbour of N at offset o, else -1
+            shape = self.nodes_per_axis[::-1]   # node ids in C order, axis 0 fastest
+            padded = np.pad(number.reshape(shape + (B,)), [(1, 1)] * d + [(0, 0)],
+                            constant_values=-1)
+            rows = np.stack([padded[tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, shape))]
+                             .reshape(nn, B) for off in itertools.product((-1, 0, 1), repeat=d)],
+                            axis=1)
+            per_offset = (rows >= 0).sum(axis=2)                       # (nn, 3^d)
+            before = np.cumsum(per_offset, axis=1) - per_offset
+            per_node = keep.sum(axis=1)
+            indptr = np.zeros(per_node.sum() + 1, dtype=np.int32)
+            np.cumsum(np.repeat(per_offset.sum(axis=1), per_node), out=indptr[1:])
+            indices = np.repeat(rows.reshape(nn, -1), per_node, axis=0)
+            indices = indices[indices >= 0].astype(np.int32)
+            # element entries as (cell, row node, row dof, column node, column dof)
+            nodes = self.cells_sdofs[:, ::self.ndof_node] // self.ndof_node   # (n_cells, 2^d)
+            # offset[r, c]: the index in `rows` of local node r seen from local node c
+            o = np.array(self._local_o)
+            offset = ((o[:, None] - o[None, :] + 1) * 3 ** np.arange(d)).sum(axis=2)
+            col, row_rank = number[nodes], (np.cumsum(keep, axis=1) - 1)[nodes]
+            slots = (indptr[col][:, None, None]
+                     + before[nodes[:, None], offset][:, :, None, :, None]
+                     + row_rank[..., None, None])
+            inside = (col >= 0)[:, None, None] & keep[nodes][..., None, None]
+            self._pattern_cache[key] = (np.where(inside, slots, indices.size).ravel(),
+                                        indices, indptr)
         return self._pattern_cache[key]
 
     @cached_property

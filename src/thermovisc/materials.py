@@ -15,7 +15,10 @@ Products of (..., d, d) stacks, such as F^T F at every quadrature point,
 are formed entry by entry (:func:`_matmul`): a few whole-array multiplies
 and adds over the stack.  numpy's batched ``@`` pays a fixed cost for each
 small matrix of the stack, which for 2x2 matrices is several times the
-arithmetic itself.
+arithmetic itself.  The tangents (..., d, d, d, d) are formed entry by
+entry too (:func:`_pair_symmetric`), each entry by the products and sums,
+in the order, of its outer-product (einsum) formula, so they equal that
+formula bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +102,20 @@ def _matmul(A, B):
     return out
 
 
+def _pair_symmetric(shape, d, entry):
+    """The (shape..., d, d, d, d) tangent T with T[..., i, a, j, b] =
+    entry(i, a, j, b), evaluated for (i, a) <= (j, b) in row-major order and
+    mirrored.  Each tangent here is symmetric under (i, a) <-> (j, b) bit for
+    bit: its entries are sums of products whose factors swap, and of
+    entries of exactly symmetric F^T F and F F^T (:func:`_matmul`)."""
+    out = np.empty(tuple(shape) + (d,) * 4)
+    pairs = [(i, a) for i in range(d) for a in range(d)]
+    for n, (i, a) in enumerate(pairs):
+        for j, b in pairs[n:]:
+            out[..., i, a, j, b] = out[..., j, b, i, a] = entry(i, a, j, b)
+    return out
+
+
 def _ddot(A, B):
     """A : B for stacks of small matrices, the sum of the entrywise products
     over the last two axes, accumulated entry by entry in row-major order
@@ -124,9 +141,12 @@ def viscous_form(F):
     G -> |F^T G + G^T F|^2, i.e. the viscous rate Hessian divided by nu."""
     F = np.asarray(F, dtype=float)
     FFt = _matmul(F, np.swapaxes(F, -1, -2))
-    t1 = np.einsum("ab,...ij->...iajb", np.eye(F.shape[-1]), FFt)
-    t2 = np.einsum("...ib,...ja->...iajb", F, F)
-    return 2.0 * (t1 + t2)
+
+    def entry(i, a, j, b):
+        t = F[..., i, b] * F[..., j, a]
+        return 2.0 * (FFt[..., i, j] + t if a == b else t)
+
+    return _pair_symmetric(F.shape[:-2], F.shape[-1], entry)
 
 
 @dataclass(frozen=True)
@@ -223,15 +243,19 @@ class MaterialModel:
         u = _ddot(E, E) / r2
         _, b1, b2 = self._bump(u)
         FE = _matmul(F, E)
-        eye = np.eye(self.d)
         FFt = _matmul(F, np.swapaxes(F, -1, -2))
-        outer = np.einsum("...ia,...jb->...iajb", FE, FE)
-        inner = (np.einsum("ij,...ab->...iajb", eye, E)
-                 + np.einsum("...ib,...ja->...iajb", F, F)
-                 + np.einsum("ab,...ij->...iajb", eye, FFt))
-        b1e = b1[..., None, None, None, None]
-        b2e = b2[..., None, None, None, None]
-        return self.phi1_amp * (b2e * (4.0 / r2) ** 2 * outer + b1e * (4.0 / r2) * inner)
+        c_outer, c_inner = b2 * (4.0 / r2) ** 2, b1 * (4.0 / r2)
+
+        def entry(i, a, j, b):
+            # outer FE (x) FE; inner delta (x) E + F (x) F + delta (x) F F^T
+            inner = F[..., i, b] * F[..., j, a]
+            if i == j:
+                inner = E[..., a, b] + inner
+            if a == b:
+                inner = inner + FFt[..., i, j]
+            return self.phi1_amp * (c_outer * (FE[..., i, a] * FE[..., j, b]) + c_inner * inner)
+
+        return _pair_symmetric(F.shape[:-2], self.d, entry)
 
     # -- purely mechanical stored energy -----------------------------------
 
@@ -257,16 +281,19 @@ class MaterialModel:
         J = _check_detF(F)
         n = _frob(F)
         FiT = np.swapaxes(inv(F), -1, -2)
-        eye4 = np.einsum("ij,ab->iajb", np.eye(self.d), np.eye(self.d))
-        nn = n[..., None, None, None, None]
-        FF = np.einsum("...ia,...jb->...iajb", F, F)
-        growth = self.c1 * self.s * ((self.s - 2.0) * nn ** (self.s - 4.0) * FF
-                                     + nn ** (self.s - 2.0) * eye4)
-        Jq = J[..., None, None, None, None] ** (-self.q)
-        TT = np.einsum("...ia,...jb->...iajb", FiT, FiT)
-        TX = np.einsum("...ib,...ja->...iajb", FiT, FiT)
-        barrier = self.c2 * self.q * Jq * (self.q * TT + TX)
-        return growth + barrier
+        c_FF, c_eye = (self.s - 2.0) * n ** (self.s - 4.0), n ** (self.s - 2.0)
+        c_barrier = self.c2 * self.q * J ** (-self.q)
+
+        def entry(i, a, j, b):
+            # growth c1 s ((s-2)|F|^(s-4) F (x) F + |F|^(s-2) I);
+            # barrier c2 q J^-q (q F^-T (x) F^-T + its transposed pairing)
+            growth = c_FF * (F[..., i, a] * F[..., j, b])
+            if (i, a) == (j, b):
+                growth = growth + c_eye
+            tt = self.q * (FiT[..., i, a] * FiT[..., j, b]) + FiT[..., i, b] * FiT[..., j, a]
+            return self.c1 * self.s * growth + c_barrier * tt
+
+        return _pair_symmetric(F.shape[:-2], self.d, entry)
 
     # -- thermo-mechanical coupling -----------------------------------------
     #

@@ -435,8 +435,9 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
     """Stable hash of everything that determines a trajectory, stamped as
     ``config_hash`` into every field dump.
 
-    The loads enter through the preset record ``scenario.params``; the
-    traction of a hand-built scenario, a callable, is not hashed."""
+    The loads enter through the preset record ``scenario.params`` and the
+    numbers ``theta0`` and ``theta_b``, which a hand-built scenario sets
+    without a record; its traction, a callable, is not hashed."""
     payload = {
         "name": scenario.name,
         "extents": scenario.grid.extents,
@@ -446,6 +447,8 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
         "T": scenario.T,
         "tau": tau,
         "eps": eps,
+        "theta0": scenario.theta0,
+        "theta_b": scenario.theta_b,
         "isothermal": scenario.isothermal,
         "params": scenario.params,
         "solver": asdict(config),

@@ -581,6 +581,7 @@ def test_korn_lower_bounds_the_constant_of_perturbed_states(d, monkeypatch):
     grid = traj.grid
     diags = traj.step_diags
     assert np.isfinite(diags[0].korn_const)   # a run's first certificate solves
+    assert run_certificates(traj)["korn_solves"] == 1   # and certifies every later step
     for dg, ref in zip(diags, PARENT_KORN[d], strict=True):
         assert dg.korn_lower <= ref
         if np.isfinite(dg.korn_const):
@@ -599,12 +600,41 @@ def test_korn_lower_bounds_the_constant_of_perturbed_states(d, monkeypatch):
         for drift in (1e-3, 3e-3, 3e-2):
             R = np.stack([random_feasible_gradient(rng, d) for _ in range(np.prod(shape))])
             F = (1.0 - drift) * F_ref + drift * R.reshape(shape + (d, d))
-            korn, lower = korn_certificate(grid, F, copy.copy(state))
-            # a solve of its own, started from the reference eigenvector
-            fresh = korn_constant(grid, F, KornState(x=state.x))
-            assert lower <= fresh, (drift, lower, fresh)
-            bounded += bool(np.isnan(korn))
-        assert bounded >= 2
+            # the drifted state, and the same state turned rigidly as a whole
+            for G in (F, random_rotation(rng, d) @ F):
+                korn, lower = korn_certificate(grid, G, copy.copy(state))
+                # a solve of its own, started from the reference eigenvector
+                fresh = korn_constant(grid, G, KornState(x=state.x))
+                assert lower <= fresh, (drift, lower, fresh)
+                bounded += bool(np.isnan(korn))
+        assert bounded >= 4
+
+
+def planar_rotation(angle, d, rng):
+    """Rotation by angle in a plane: the (0, 1) plane in 2D, a random one in 3D."""
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.eye(d)
+    Q[:2, :2] = [[c, -s], [s, c]]
+    P = random_rotation(rng, d) if d == 3 else np.eye(2)
+    return P @ Q @ P.T
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_korn_certifies_a_rigidly_turned_state_without_a_solve(d):
+    # the Korn constant is frame indifferent, and the bound aligns the
+    # reference to the turn, so it loses only rounding
+    grid = (grid66() if d == 2 else
+            StructuredGrid((3, 2, 2), (1.0, 0.7, 1.3), dirichlet_faces=("x0",)))
+    rng = np.random.default_rng(70 + d)
+    F_ref = drifting_gradients(grid, rng, count=1)[0]
+    state = KornState()
+    korn_certificate(grid, F_ref, state)
+    for angle in (0.1, 0.5, 1.0):
+        F = planar_rotation(angle, d, rng) @ F_ref
+        korn, lower = korn_certificate(grid, F, copy.copy(state))
+        assert np.isnan(korn), angle
+        assert abs(lower - state.lower_ref) <= 1e-12 * state.lower_ref
+        assert lower <= korn_constant(grid, F)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run
 
-from helpers import apply_dirichlet_identity, random_feasible_gradient
+from helpers import apply_dirichlet_identity, random_feasible_gradient, unique_csc_pattern
 
 
 def small_grid(n=3, d=2, dirichlet=("x0",)):
@@ -423,6 +423,20 @@ def test_gradient_and_evaluation_kernels_match_einsum_reference(d, vector):
                          np.einsum("aq,ca->cq", p.B0, field.values[p.sdofs]))
 
 
+@pytest.mark.parametrize("extents, dirichlet", [
+    ((16, 16), ("y0",)), ((5, 3), ("x0", "y1")), ((4, 4, 4), ("x0",)), ((3, 2, 4), ("x0",)),
+], ids=["16x16", "5x3", "4x4x4", "3x2x4"])
+def test_stencil_pattern_equals_the_sorted_one(extents, dirichlet):
+    # the pattern built from the node stencil is the one np.unique sorts out
+    # of the element entries: same slots, row indices and column pointers
+    g = StructuredGrid(extents, (1.0,) * len(extents), dirichlet_faces=dirichlet)
+    for ncomp in (1, g.d):
+        for free in (None, np.repeat(g.free_sdofs, ncomp)):
+            got, ref = g._csc_pattern(ncomp, free), unique_csc_pattern(g, ncomp, free)
+            for a, b in zip(got, ref, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (ncomp, free is None)
+
+
 def test_no_pattern_is_built_with_the_grid():
     g = kernel_grid(2)
     assert g._pattern_cache == {} and g._operator_cache == {}
@@ -535,6 +549,28 @@ def test_bernstein_inverse_maps_values_to_coefficients(n):
     V = np.array([[comb(n, j) * t[i] ** j * (1 - t[i]) ** (n - j) for j in range(n + 1)]
                   for i in range(n + 1)])
     assert np.max(np.abs(bernstein_inverse(n) @ V - np.eye(n + 1))) <= 1e-13
+
+
+def permanent_slope_by_generator(A, M):
+    """sum_ij A_ij perm(minor_ij(M)) as one generator over the permutations,
+    the minors' products by np.prod."""
+    d = A.shape[-1]
+    return sum(A[..., i, s[i]] * np.prod([M[..., k, s[k]] for k in range(d) if k != i], axis=0)
+               for s in itertools.permutations(range(d)) for i in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_permanent_slope_is_bit_equal_to_the_generator_form(d):
+    # nonnegative stacks, as det_lower_bounds passes them
+    rng = np.random.default_rng(40 + d)
+    A, M = rng.uniform(0.0, 2.0, (2, 50, 7, d, d))
+    got = grid_module._permanent_slope(A, M)
+    assert got.shape == (50, 7)
+    assert np.array_equal(got, permanent_slope_by_generator(A, M))
+    # d perm(M) along M itself: for d = 2, 2 (m00 m11 + m01 m10)
+    if d == 2:
+        perm = M[..., 0, 0] * M[..., 1, 1] + M[..., 0, 1] * M[..., 1, 0]
+        assert np.allclose(grid_module._permanent_slope(M, M), 2.0 * perm, rtol=1e-15)
 
 
 HERMITE = {(0, 0): (1, 0, -3, 2), (0, 1): (0, 1, -2, 1), (1, 0): (0, 0, 3, -2),

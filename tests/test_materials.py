@@ -19,6 +19,8 @@ from thermovisc.materials import (
     THETA_TINY,
     MaterialModel,
     NonphysicalStateError,
+    _ddot,
+    _frob,
     _matmul,
     det,
     inv,
@@ -552,23 +554,45 @@ def reference_kernels(m, F, Fd, theta):
     E = Ft @ F - eye
     r2 = m.phi1_radius**2
     _, b1, b2 = m._bump(np.sum(E * E, axis=(-2, -1)) / r2)
-    FE, FFt = F @ E, F @ Ft
-    FxF = np.einsum("...ib,...ja->...iajb", F, F)
-    eFFt = np.einsum("ab,...ij->...iajb", eye, FFt)
-    inner = np.einsum("ij,...ab->...iajb", eye, E) + FxF + eFFt
-    outer = np.einsum("...ia,...jb->...iajb", FE, FE)
+    FE = F @ E
     Cdot = np.swapaxes(Fd, -1, -2) @ F + Ft @ Fd
     Fi = inv(F)
     return {
         "rate_of_cauchy_green": Cdot,
-        "viscous_form": 2.0 * (eFFt + FxF),
         "_strain_dev": E,
         "phi1_grad": m.phi1_amp * b1[..., None, None] * (4.0 / r2) * FE,
-        "phi1_hess": m.phi1_amp * (b2[..., None, None, None, None] * (4.0 / r2) ** 2 * outer
-                                   + b1[..., None, None, None, None] * (4.0 / r2) * inner),
         "viscous_stress": 2.0 * m.nu * (F @ Cdot),
         "pullback_conductivity": det(F)[..., None, None] * (
             Fi @ m.conductivity(theta) @ np.swapaxes(Fi, -1, -2)),
+    }
+
+
+def einsum_tangents(m, F):
+    """The tangents as outer products by einsum, on the stack products of
+    :func:`_matmul`: the formulas the entry-by-entry kernels follow."""
+    eye = np.eye(m.d)
+    Ft = np.swapaxes(F, -1, -2)
+    E, FFt = _matmul(Ft, F) - eye, _matmul(F, Ft)
+    r2 = m.phi1_radius**2
+    _, b1, b2 = m._bump(_ddot(E, E) / r2)
+    FE = _matmul(F, E)
+    FxF = np.einsum("...ib,...ja->...iajb", F, F)
+    eFFt = np.einsum("ab,...ij->...iajb", eye, FFt)
+    inner = np.einsum("ij,...ab->...iajb", eye, E) + FxF + eFFt
+    outer = np.einsum("...ia,...jb->...iajb", FE, FE)
+    J, n, FiT = det(F), _frob(F), np.swapaxes(inv(F), -1, -2)
+    eye4 = np.einsum("ij,ab->iajb", eye, eye)
+    nn = n[..., None, None, None, None]
+    FF = np.einsum("...ia,...jb->...iajb", F, F)
+    growth = m.c1 * m.s * ((m.s - 2.0) * nn ** (m.s - 4.0) * FF + nn ** (m.s - 2.0) * eye4)
+    TT = np.einsum("...ia,...jb->...iajb", FiT, FiT)
+    TX = np.einsum("...ib,...ja->...iajb", FiT, FiT)
+    Jq = J[..., None, None, None, None] ** (-m.q)
+    return {
+        "viscous_form": 2.0 * (eFFt + FxF),
+        "phi1_hess": m.phi1_amp * (b2[..., None, None, None, None] * (4.0 / r2) ** 2 * outer
+                                   + b1[..., None, None, None, None] * (4.0 / r2) * inner),
+        "elastic_hessian": growth + m.c2 * m.q * Jq * (m.q * TT + TX),
     }
 
 
@@ -582,16 +606,20 @@ def test_stacked_kernels_match_batched_matmul(d):
     theta = rng.uniform(0.0, 2.0, F.shape[:-2])
     got = {
         "rate_of_cauchy_green": rate_of_cauchy_green(F, Fd),
-        "viscous_form": viscous_form(F),
         "_strain_dev": m._strain_dev(F),
         "phi1_grad": m.phi1_grad(F),
-        "phi1_hess": m.phi1_hess(F),
         "viscous_stress": m.viscous_stress(F, Fd, theta),
         "pullback_conductivity": m.pullback_conductivity(F, theta),
     }
     for name, ref in reference_kernels(m, F, Fd, theta).items():
         assert np.max(np.abs(ref)) > 0.0, name
         assert rel_err(got[name], ref) <= 1e-14, name
+    # the tangents keep each entry's products and sums, in einsum's order
+    tangents = {"viscous_form": viscous_form(F), "phi1_hess": m.phi1_hess(F),
+                "elastic_hessian": m.elastic_hessian(F)}
+    for name, ref in einsum_tangents(m, F).items():
+        assert np.max(np.abs(ref)) > 0.0, name
+        assert np.array_equal(tangents[name], ref), name
     # both products of the rate are formed by one, so the rate is exactly symmetric
     assert np.array_equal(got["rate_of_cauchy_green"],
                           np.swapaxes(got["rate_of_cauchy_green"], -1, -2))

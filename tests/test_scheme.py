@@ -236,6 +236,11 @@ def test_run_hash_covers_the_loads(change):
     other = shear_pulse(grid=grid, **{**loads, **change})
     assert run_hash(other, 0.05, 0.01, cfg) != run_hash(base, 0.05, 0.01, cfg)
     assert (base.params, other.params) == (loads, {**loads, **change})
+    if set(change) <= {"theta0", "theta_b"}:
+        # a hand-built scenario keeps no params: its numbers are hashed themselves
+        hand = Scenario(name="hand", grid=grid, model=MaterialModel(), T=0.2)
+        other = Scenario(name="hand", grid=grid, model=MaterialModel(), T=0.2, **change)
+        assert run_hash(other, 0.05, 0.01, cfg) != run_hash(hand, 0.05, 0.01, cfg)
 
 
 def test_determinism_bit_identical():
