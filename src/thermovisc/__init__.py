@@ -16,7 +16,7 @@ from .mech import (
     StepRejectedError,
     solve_mech,
 )
-from .scheme import Scenario, Trajectory, interpolants, refinement_study, run
+from .scheme import Scenario, Trajectory, refinement_study, run
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "StepRejectedError",
     "StructuredGrid",
     "Trajectory",
-    "interpolants",
     "refinement_study",
     "run",
     "solve_heat",

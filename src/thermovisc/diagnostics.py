@@ -16,7 +16,7 @@ from numpy.polynomial import Polynomial
 from scipy.sparse.linalg import lobpcg, splu  # splu: no caller; perfbench wraps diagnostics.splu
 
 from .grid import tensor_derivatives
-from .heat import robin_flux
+from .heat import regularized, robin_flux
 from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
@@ -109,7 +109,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
 
     if heat_inc is None:
         xi = model.dissipation_rate(snap_prev.F, dF / tau, th_prev)
-        xi_reg = xi / (1.0 + eps * xi)
+        xi_reg = regularized(xi, eps)
     else:
         xi, xi_reg = heat_inc.xi_qp, heat_inc.xi_reg_qp
     dissipation_step = tau * grid.assemble_scalar(xi)
@@ -140,7 +140,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         ones = grid.constant_field(1.0).values
         heat_term = tau * float(np.sum(heat_res.residual_vector * ones))
         # entropy production rate xi/theta + grad theta . K grad theta / theta^2
-        gth = heat_res.theta_new_grad_qp
+        gth = snap_new.theta_grad_qp
         cond = _matmul(_matmul(gth[..., None, :], heat_inc.K_prev), gth[..., None])[..., 0, 0]
         mask = snap_new.theta_qp > THETA_FLOOR
         dens = np.where(mask, xi / np.maximum(snap_new.theta_qp, THETA_FLOOR)
@@ -495,9 +495,8 @@ def weak_residuals(traj, bank: TestBank):
         wf = field * weights.reshape((-1,) + (1,) * (field.ndim - 2))
         return table.reshape(len(table), -1) @ wf.ravel()
 
-    if thermal:   # damped boundary temperature; gradient and face traces once per snapshot
-        theta_b = scenario.theta_b / (1.0 + eps * scenario.theta_b)
-        gth = [grid.eval_scalar(s.theta)[1] for s in snaps]
+    if thermal:   # damped boundary temperature; face traces once per snapshot
+        theta_b = regularized(scenario.theta_b, eps)
         thf = [{name: grid.eval_face_scalar(name, s.theta) for name in grid.faces}
                for s in snaps]
 
@@ -527,10 +526,10 @@ def weak_residuals(traj, bank: TestBank):
                 continue
 
             w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
-            gth_t = (1 - lam) * gth[k - 1] + lam * gth[k]
+            gth_t = (1 - lam) * s0.theta_grad_qp + lam * s1.theta_grad_qp
             flux = _matmul(model.pullback_conductivity(F, th_qp), gth_t[..., None])[..., 0]
             xi = _ddot(visc, rate)   # the viscous power nu |Cdot|^2
-            src = xi / (1.0 + eps * xi) + _ddot(cpl, rate)
+            src = regularized(xi, eps) + _ddot(cpl, rate)
             robin = 0.0
             for name, p in grid.faces.items():
                 thf_t = (1 - lam) * thf[k - 1][name] + lam * thf[k][name]

@@ -223,6 +223,8 @@ def grid_errors(extents, lengths, dirichlet) -> list[str]:
             close = difflib.get_close_matches(f, valid, n=1)
             hint = f" (nearest: {close[0]})" if close else ""
             errs.append(f"unknown face {f!r}{hint}; valid: {' '.join(valid)}")
+    if len(set(dirichlet)) < len(dirichlet):
+        errs.append(f"the fixed faces must not repeat (got {' '.join(dirichlet)})")
     if not dirichlet:
         errs.append("the fixed boundary part must be nonempty")
     return errs

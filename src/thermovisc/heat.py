@@ -35,6 +35,12 @@ from .mech import SolverConfig
 from .newton import FrozenFactor, minimize
 
 
+def regularized(x, eps):
+    """The eps-regularization x / (1 + eps x): the capped dissipation source
+    and the damped start and boundary temperatures; exact at eps = 0."""
+    return x / (1.0 + eps * x)
+
+
 @dataclass
 class HeatIncrement:
     """Frozen data of one thermal step."""
@@ -61,7 +67,7 @@ class HeatIncrement:
         th_old = np.maximum(self.theta_prev_qp, 0.0)
         self.K_prev = m.pullback_conductivity(self.F_prev, th_old)
         self.xi_qp = m.dissipation_rate(self.F_prev, dF, th_old)
-        self.xi_reg_qp = self.xi_qp / (1.0 + self.eps * self.xi_qp)
+        self.xi_reg_qp = regularized(self.xi_qp, self.eps)
         # implicit coupling enters through phi1'(F_new) : dF
         self.phi1_new = m.phi1(self.F_new)
         self.cpl_qp = _ddot(m.phi1_grad(self.F_new), dF)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import diagnostics as diag
 from .grid import NodalField, StructuredGrid
-from .heat import HeatIncrement, solve_heat
+from .heat import HeatIncrement, regularized, solve_heat
 from .materials import MaterialModel
 from .mech import MechIncrement, SolverConfig, StepRejectedError, solve_mech
 from .newton import FrozenFactor
@@ -81,6 +82,7 @@ class Snapshot:
     G: np.ndarray
     detF: np.ndarray
     theta_qp: np.ndarray
+    theta_grad_qp: np.ndarray
     energies: tuple = None   # (M, H, Phi_cpl, W, E), set once by _make_snapshot
 
 
@@ -145,7 +147,7 @@ def step_load_vector(scenario, t0, t1):
 
 def step_theta_b(scenario, eps):
     """The boundary temperature of every step, damped as ``run`` damps theta0."""
-    return scenario.theta_b / (1.0 + eps * scenario.theta_b)
+    return regularized(scenario.theta_b, eps)
 
 
 @dataclass
@@ -160,10 +162,10 @@ class _SolverState:
     hk: diag.DetBoundState = field(default_factory=diag.DetBoundState)
 
 
-def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
+def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, theta_grad_qp, w_qp):
     """A state of the run; its energies are evaluated here, once."""
     snap = Snapshot(k=k, t=t, y=y, theta=theta, w_qp=w_qp, F=kin.F, G=kin.G,
-                    detF=kin.detF, theta_qp=theta_qp)
+                    detF=kin.detF, theta_qp=theta_qp, theta_grad_qp=theta_grad_qp)
     snap.energies = diag.state_energies(traj.grid, traj.model, snap,
                                         traj.scenario.isothermal)
     return snap
@@ -172,12 +174,12 @@ def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, w_qp):
 def _start_snapshot(traj, y, theta):
     """Snapshot of the initial state: step 0 at t = 0."""
     kin = traj.grid.eval_kinematics(y)
-    th_qp = traj.grid.eval_values(theta)
+    th_qp, gth_qp = traj.grid.eval_scalar(theta)
     if traj.scenario.isothermal:
         w_qp = np.zeros_like(th_qp)
     else:
         w_qp = traj.model.enthalpy(kin.F, np.maximum(th_qp, 0.0))
-    return _make_snapshot(traj, 0, 0.0, y, theta, kin, th_qp, w_qp)
+    return _make_snapshot(traj, 0, 0.0, y, theta, kin, th_qp, gth_qp, w_qp)
 
 
 def time_errors(T, tau, eps) -> list[str]:
@@ -203,10 +205,12 @@ def time_errors(T, tau, eps) -> list[str]:
 
 def refinement_errors(T, tau_list, eps_list) -> list[str]:
     """All violated rules of a (tau, eps) refinement study: both lists
-    sorted decreasing, and the time rules of every run, each once."""
-    errs = [f"{name} must be sorted decreasing (got {' '.join(f'{v:g}' for v in values)})"
+    sorted decreasing with no repeats, and the time rules of every run,
+    each once."""
+    errs = [f"{name} must be sorted decreasing with no repeats "
+            f"(got {' '.join(f'{v:g}' for v in values)})"
             for name, values in (("tau_list", tau_list), ("eps_list", eps_list))
-            if list(values) != sorted(values, reverse=True)]
+            if any(a <= b for a, b in zip(values, values[1:]))]
     errs += [e for tau in tau_list for eps in eps_list for e in time_errors(T, tau, eps)]
     return list(dict.fromkeys(errs))
 
@@ -229,8 +233,8 @@ def run(scenario: Scenario, tau: float, eps: float,
     traj = Trajectory(scenario=scenario, tau=tau, eps=eps, config=cfg)
 
     th0 = scenario.theta0
-    if not scenario.isothermal:   # damped as step_theta_b damps theta_b; exact at eps = 0
-        th0 /= 1.0 + eps * th0
+    if not scenario.isothermal:   # damped as step_theta_b damps theta_b
+        th0 = regularized(th0, eps)
     traj.snapshots.append(_start_snapshot(traj, grid.identity_field(), grid.constant_field(th0)))
 
     solvers = _SolverState()
@@ -281,6 +285,7 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
     if scenario.isothermal:
         heat_inc = heat_res = None
         theta, theta_qp, w_qp = snap_prev.theta, snap_prev.theta_qp, np.zeros_like(snap_prev.w_qp)
+        gth_qp = snap_prev.theta_grad_qp   # the temperature is carried forward
     else:
         heat_inc = HeatIncrement(
             grid=grid, model=model, theta_prev=snap_prev.theta, w_prev_qp=snap_prev.w_qp,
@@ -288,8 +293,9 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
             F_prev=snap_prev.F, F_new=mech_res.kinematics.F)
         heat_res = solve_heat(heat_inc, cfg, solvers.heat)
         theta, theta_qp, w_qp = heat_res.theta_new, heat_res.theta_new_qp, heat_res.w_new_qp
+        gth_qp = heat_res.theta_new_grad_qp
     snap = _make_snapshot(traj, -1, t1, mech_res.y_new, theta, mech_res.kinematics,
-                          theta_qp, w_qp)
+                          theta_qp, gth_qp, w_qp)
     # logged only now: a heat rejection abandons this mech solve
     traj.mech_log.append({
         "t": t1, "descent_gap": mech_res.descent_gap,
@@ -304,100 +310,54 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
 
 
 # ---------------------------------------------------------------------------
-# interpolants in time
-
-
-@dataclass
-class InterpolantState:
-    y_values: np.ndarray
-    theta_values: np.ndarray
-    w_qp: np.ndarray
-
-
-@dataclass
-class Interpolants:
-    hold_new: InterpolantState    # snapshot k on ]( k-1) tau, k tau]
-    hold_old: InterpolantState    # snapshot k-1 on [(k-1) tau, k tau[
-    affine: InterpolantState
-
-
-def interpolants(traj: Trajectory, t: float) -> Interpolants:
-    """The three interpolant families evaluated at one time."""
-    T = traj.snapshots[-1].t
-    if t < -1e-12 or t > T + 1e-12:
-        raise ValueError(f"t={t} outside [0, {T}]")
-    tau = traj.tau
-    t = min(max(t, 0.0), T)
-    k_new = int(np.ceil(t / tau - 1e-12))
-    k_new = min(max(k_new, 0), traj.n_steps)
-    k_old = int(np.floor(t / tau + 1e-12))
-    k_old = min(max(k_old, 0), traj.n_steps)
-    s_new, s_old = traj.snapshots[k_new], traj.snapshots[k_old]
-
-    def state(s):
-        return InterpolantState(s.y.values, s.theta.values, s.w_qp)
-
-    lo = traj.snapshots[max(k_new - 1, 0)]
-    lam = (t - lo.t) / tau if k_new > 0 else 0.0
-    aff = InterpolantState(
-        (1 - lam) * lo.y.values + lam * s_new.y.values,
-        (1 - lam) * lo.theta.values + lam * s_new.theta.values,
-        (1 - lam) * lo.w_qp + lam * s_new.w_qp)
-    return Interpolants(hold_new=state(s_new), hold_old=state(s_old), affine=aff)
-
-
-# ---------------------------------------------------------------------------
 # refinement studies
 
 
 def trajectory_distance(traj_a: Trajectory, traj_b: Trajectory):
-    """Space-time L^2 distances of the affine gradient and temperature
-    interpolants of two runs on the same grid and horizon."""
-    grid = traj_a.grid
-    tau_f = min(traj_a.tau, traj_b.tau)
-    n = round(traj_a.snapshots[-1].t / tau_f)
-    dy2 = 0.0
-    dth2 = 0.0
+    """Space-time L^2 distances (of grad y, of theta) between the affine
+    interpolants in time of two runs on the same grid and horizon.
 
-    def fields(traj, t):
-        s = interpolants(traj, t).affine
-        kin = grid.eval_kinematics(NodalField(grid, s.y_values))
-        th = grid.eval_values(NodalField(grid, s.theta_values))
-        return kin.F, th
+    The result is exact.  With n_a and n_b steps, every step node of either
+    run is a node i T/L of the union, L = lcm(n_a, n_b), and between two
+    consecutive union nodes both interpolants are affine in t, so is their
+    difference e, and the interval, of length h, contributes exactly
+    h/3 (|e0|^2 + e0:e1 + |e1|^2) from the end values e0, e1.  Those are
+    affine blends of the stored quadrature fields ``F`` and ``theta_qp``;
+    no field is evaluated again."""
+    grid, T = traj_a.grid, traj_a.snapshots[-1].t
+    runs = [(traj, traj.n_steps) for traj in (traj_a, traj_b)]
+    L = math.lcm(*(n for _, n in runs))
+    nodes = sorted({i * (L // n) for _, n in runs for i in range(n + 1)})
 
-    # both interpolants are affine on each fine interval, so Simpson is exact
-    for i in range(n):
-        t0, t1 = i * tau_f, (i + 1) * tau_f
-        vals = []
-        for t in (t0, 0.5 * (t0 + t1), t1):
-            Fa, tha = fields(traj_a, t)
-            Fb, thb = fields(traj_b, t)
-            vals.append((grid.assemble_scalar(np.sum((Fa - Fb) ** 2, axis=(-2, -1))),
-                         grid.assemble_scalar((tha - thb) ** 2)))
-        w = np.array([1.0, 4.0, 1.0]) / 6.0
-        dy2 += tau_f * float(np.dot(w, [v[0] for v in vals]))
-        dth2 += tau_f * float(np.dot(w, [v[1] for v in vals]))
+    def at(traj, n, j):
+        """(F, theta_qp) of one run's interpolant at union node j, time j T/L."""
+        k, r = divmod(j * n, L)
+        s0 = traj.snapshots[k]
+        if r == 0:
+            return s0.F, s0.theta_qp
+        s1, lam = traj.snapshots[k + 1], r / L
+        return (1 - lam) * s0.F + lam * s1.F, (1 - lam) * s0.theta_qp + lam * s1.theta_qp
+
+    def diff(j):
+        (Fa, tha), (Fb, thb) = (at(traj, n, j) for traj, n in runs)
+        return Fa - Fb, tha - thb
+
+    dy2 = dth2 = 0.0
+    dF0, dth0 = diff(0)
+    for j0, j1 in zip(nodes, nodes[1:]):
+        dF1, dth1 = diff(j1)
+        h3 = (j1 - j0) * T / L / 3.0
+        dy2 += h3 * grid.assemble_scalar(np.sum(dF0 * dF0 + dF0 * dF1 + dF1 * dF1, axis=(-2, -1)))
+        dth2 += h3 * grid.assemble_scalar(dth0 * dth0 + dth0 * dth1 + dth1 * dth1)
+        dF0, dth0 = dF1, dth1
     return np.sqrt(dy2), np.sqrt(dth2)
-
-
-def regularization_report(traj: Trajectory):
-    """Size of the eps-contributions along one run."""
-    eps_rate = 0.0
-    reg_gap = 0.0
-    total_xi = 0.0
-    for d in traj.step_diags:
-        eps_rate += d.defect_eps
-        reg_gap += d.defect_reg
-        total_xi += d.dissipation_step
-    return {"eps_rate_norm": eps_rate, "reg_gap_l1": reg_gap,
-            "total_dissipation": total_xi}
 
 
 def refinement_study(scenario: Scenario, tau_list, eps_list,
                      config: SolverConfig | None = None):
     """Run the (tau, eps) product and report Cauchy trends.
 
-    tau_list and eps_list must be sorted decreasing (refinement_errors
+    tau_list and eps_list must be strictly decreasing (refinement_errors
     lists every violated rule before any run starts).  For each eps the
     report holds distances between successive tau-refinements; every run
     also reports its regularization contributions.
@@ -414,9 +374,12 @@ def refinement_study(scenario: Scenario, tau_list, eps_list,
         for tau in tau_list:
             traj = run(scenario, tau, eps, cfg)
             trajs[(tau, eps)] = traj
-            entry = {"tau": tau, "eps": eps}
-            entry.update(regularization_report(traj))
-            report["runs"].append(entry)
+            diags = traj.step_diags
+            report["runs"].append({
+                "tau": tau, "eps": eps,
+                "eps_rate_norm": sum(d.defect_eps for d in diags),
+                "reg_gap_l1": sum(d.defect_reg for d in diags),
+                "total_dissipation": sum(d.dissipation_step for d in diags)})
             if prev is not None:
                 dy, dth = trajectory_distance(prev, traj)
                 rows.append({"tau_coarse": prev.tau, "tau_fine": tau,

@@ -637,3 +637,10 @@ def test_cli_validates_and_simulates_each_scenario(tmp_path, capsys, scenario):
     written = parse_config((out / "config.ini").read_text())
     assert written.scenario.params == parse_config(text).scenario.params
     assert json.loads((out / "report.json").read_text())["scenario"] == scenario
+
+
+def test_grid_refuses_a_repeated_fixed_face():
+    # the same clamped grid, but another weak-residual test bank and run hash
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace("extents = 6 6", "extents = 6 6\ndirichlet = y0 y0"))
+    assert exc.value.errors == ["[grid] the fixed faces must not repeat (got y0 y0)"]

@@ -1,26 +1,28 @@
 """Time-loop tests: equilibrium preservation, staggered-data plumbing,
-interpolants, load averaging, rejection policy, the run hash and the
-regularized initial data."""
+interpolants, load averaging, rejection policy, the run hash, the
+regularized initial data and the refinement distances."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
 from thermovisc.diagnostics import korn_constant, run_certificates, state_energies
-from thermovisc.grid import StructuredGrid
+from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import (
     Scenario,
-    interpolants,
+    refinement_errors,
     refinement_study,
     run,
     run_hash,
     step_load_vector,
     step_theta_b,
     time_errors,
+    trajectory_distance,
 )
 
 
@@ -118,21 +120,16 @@ def test_isothermal_mode_skips_thermal_step():
                               traj.snapshots[0].y.values)
 
 
-def test_interpolants_nodal_and_midpoint():
-    sc = shear_pulse(grid=grid66(), T=0.2, amplitude=0.1, t_pulse=0.15)
-    traj = run(sc, tau=0.05, eps=0.01)
-    tau = traj.tau
-    for k in (0, 1, 3):
-        states = interpolants(traj, k * tau)
-        for s in (states.hold_new, states.hold_old, states.affine):
-            assert np.allclose(s.y_values, traj.snapshots[k].y.values, atol=1e-14)
-    mid = interpolants(traj, 2.5 * tau)
-    expect = 0.5 * (traj.snapshots[2].y.values + traj.snapshots[3].y.values)
-    assert np.allclose(mid.affine.y_values, expect, atol=1e-14)
-    assert np.allclose(mid.hold_new.y_values, traj.snapshots[3].y.values, atol=1e-14)
-    assert np.allclose(mid.hold_old.y_values, traj.snapshots[2].y.values, atol=1e-14)
-    with pytest.raises(ValueError):
-        interpolants(traj, -0.1)
+def test_snapshots_keep_the_temperature_gradient():
+    # the stored values and gradient are eval_scalar's, bit for bit: at the
+    # start, after each thermal step, and carried through isothermal steps
+    for sc in (shear_pulse(grid=grid66(), T=0.1, amplitude=0.1, t_pulse=0.08),
+               isothermal_creep(grid=grid66(), T=0.1, amplitude=0.05)):
+        traj = run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=0, hk_every=0))
+        for snap in traj.snapshots:
+            values, grads = traj.grid.eval_scalar(snap.theta)
+            assert np.array_equal(snap.theta_qp, values)
+            assert np.array_equal(snap.theta_grad_qp, grads)
 
 
 def test_interpolant_gap_bounded_by_rate_integral():
@@ -304,3 +301,69 @@ def test_refinement_smoke_tau_cauchy_decreases():
     assert rows[1]["dtheta_l2"] < rows[0]["dtheta_l2"]
     with pytest.raises(ValueError, match="sorted decreasing"):
         refinement_study(sc, tau_list=[0.05, 0.1], eps_list=[0.01])
+
+
+def test_refinement_refuses_repeated_entries():
+    # a repeated entry would run the same cell twice and report a Cauchy
+    # distance of 0 between a run and itself
+    assert refinement_errors(0.2, [0.1, 0.1], [0.01, 0.01]) == [
+        "tau_list must be sorted decreasing with no repeats (got 0.1 0.1)",
+        "eps_list must be sorted decreasing with no repeats (got 0.01 0.01)"]
+    with pytest.raises(ValueError, match="sorted decreasing with no repeats"):
+        refinement_study(steady(grid=grid66(), T=0.2), tau_list=[0.1, 0.1], eps_list=[0.01])
+
+
+@functools.cache
+def pulse_run(tau):
+    sc = shear_pulse(grid=grid66(), T=0.4, t_pulse=0.25)
+    return run(sc, tau=tau, eps=0.01, config=SolverConfig(korn_every=0, hk_every=0))
+
+
+def reevaluated_distance(traj_a, traj_b):
+    """Reference distances by re-evaluation: each run's affine interpolant
+    is formed from the nodal values, evaluated by eval_kinematics and
+    eval_values at the union of both runs' step nodes and at the midpoints
+    between them, and integrated by Simpson's rule, which is exact for the
+    affine-in-time differences between union nodes.  On a nested pair the
+    union nodes are the fine run's, so this is also the fine-step Simpson
+    construction the distances were first computed with."""
+    grid = traj_a.grid
+    ts = np.unique(np.round(np.concatenate(
+        [np.arange(tr.n_steps + 1) * tr.tau for tr in (traj_a, traj_b)]), 12))
+
+    def fields(traj, t):
+        k = min(int(np.floor(t / traj.tau + 1e-9)), traj.n_steps - 1)
+        lam = t / traj.tau - k
+        s0, s1 = traj.snapshots[k], traj.snapshots[k + 1]
+        y = NodalField(grid, (1 - lam) * s0.y.values + lam * s1.y.values)
+        th = NodalField(grid, (1 - lam) * s0.theta.values + lam * s1.theta.values)
+        return grid.eval_kinematics(y).F, grid.eval_values(th)
+
+    dy2 = dth2 = 0.0
+    for t0, t1 in zip(ts, ts[1:]):
+        for t, w in ((t0, 1.0), (0.5 * (t0 + t1), 4.0), (t1, 1.0)):
+            (Fa, tha), (Fb, thb) = fields(traj_a, t), fields(traj_b, t)
+            dy2 += (t1 - t0) * w / 6.0 * grid.assemble_scalar(
+                np.sum((Fa - Fb) ** 2, axis=(-2, -1)))
+            dth2 += (t1 - t0) * w / 6.0 * grid.assemble_scalar((tha - thb) ** 2)
+    return np.sqrt(dy2), np.sqrt(dth2)
+
+
+@pytest.mark.parametrize("taus", [(0.1, 0.05), (0.08, 0.05), (0.1, 0.04)],
+                         ids=["nested", "non-nested-8-5", "non-nested-10-4"])
+def test_trajectory_distance_is_exact_on_the_union_nodes(monkeypatch, taus):
+    # the non-nested pairs are refinement steps refinement_errors accepts;
+    # a Simpson rule on the finer run's steps alone is 0.1-1.4 % off there
+    traj_a, traj_b = (pulse_run(tau) for tau in taus)
+    ref = reevaluated_distance(traj_a, traj_b)
+    assert min(ref) > 1e-5   # the runs differ; the comparison is not of two zeros
+
+    def refused(*args, **kwargs):
+        raise AssertionError("trajectory_distance re-evaluates a field")
+
+    for name in ("eval_kinematics", "eval_values", "eval_scalar"):
+        monkeypatch.setattr(StructuredGrid, name, refused)
+    got = trajectory_distance(traj_a, traj_b)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-12 * r
+    assert trajectory_distance(traj_b, traj_a) == pytest.approx(got, rel=1e-14)
