@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.sparse.linalg import lobpcg, splu  # splu: no caller; perfbench wraps diagnostics.splu
 
-from .grid import tensor_derivatives
+from .grid import QUAD_PTS, _gauss_rule
 from .heat import regularized, robin_flux
 from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
@@ -53,7 +53,6 @@ class StepDiagnostics:
     heat_residual: float
     energy_gap_total: float
     min_theta: float
-    clamp_magnitude: float
     defect_reg: float
     defect_eps: float
     defect_semiconvex: float
@@ -128,7 +127,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
     if heat_inc is None:
         pcpl_old = defect_coupling = boundary_heat = heat_term = entropy_prod = 0.0
         entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
-        clamp = heat_resid = 0.0
+        heat_resid = 0.0
         heat_iters = excluded = 0
         ledger_reg = dissipation_step  # all dissipated power leaves the ledger
     else:
@@ -149,7 +148,6 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         excluded = int((~mask).sum())
         entropy_tot = total_entropy(grid, model, snap_new)
         min_theta = heat_res.min_theta
-        clamp = heat_res.clamp_magnitude
         heat_resid = heat_res.residual_norm
         heat_iters = heat_res.iterations
         ledger_reg = dissipation_step - reg_step
@@ -166,7 +164,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
         min_detF=float(snap_new.detF.min()), hk_bound=float("nan"), korn_const=float("nan"),
         mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
-        energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
+        energy_gap_total=gap_total, min_theta=min_theta,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
         solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
@@ -187,7 +185,6 @@ def merge_step_diagnostics(d1: StepDiagnostics, d2: StepDiagnostics):
     out["E_prev"] = d1.E_prev
     out["min_detF"] = min(d1.min_detF, d2.min_detF)
     out["min_theta"] = min(d1.min_theta, d2.min_theta)
-    out["clamp_magnitude"] = max(d1.clamp_magnitude, d2.clamp_magnitude)
     out["mech_residual"] = max(d1.mech_residual, d2.mech_residual)
     out["heat_residual"] = max(d1.heat_residual, d2.heat_residual)
     return StepDiagnostics(**out)
@@ -372,20 +369,25 @@ def korn_constant(grid, F_qp, state=None):
 
 
 class TestBank:
-    """Deterministic bank of smooth space-time test fields.
+    """Deterministic bank of smooth space-time test fields, kept as 1D factors.
 
     Mechanical tests Z_e(x) s_e(t) vanish on the fixed boundary part for all
     times; thermal tests V_e(x) r_e(t) vanish at the final time.  Every
     spatial field is separable, amp * prod_k f_k(x_k), with f_k = P_k
     sin(a x + ph) for a mechanical component (P_k the product of the clamp
     factors x/L or 1 - x/L of the fixed faces on axis k, else 1) and f_k =
-    cos(a x + ph) for the thermal field.  Values, gradients and Hessians
-    follow in closed form from the 1D derivatives by the product rule
-    (:func:`thermovisc.grid.tensor_derivatives`).  The tables are stacked
-    over the elements e (leading axis): ``Z`` (ne, cells, nq, d), ``gradZ``
-    (..., d, d), ``hessZ`` (..., d, d, d), ``V`` (ne, cells, nq), ``gradV``
-    (..., d), and the face traces ``Zface[name]``, ``Vface[name]``;
-    ``s(t)``, ``r(t)`` and ``rdot(t)`` return (ne,) arrays.
+    cos(a x + ph) for the thermal field.  The bank keeps only the factors,
+    with components 0..d-1 the mechanical ones and component d the thermal
+    field: ``line[k]`` (3, ne, d + 1, L_k) holds f_k, f_k' and f_k'' of
+    every element and component on axis k's Gauss line, the L_k = cells x
+    QUAD_PTS coordinates of the quadrature points along axis k (read from
+    ``grid.qcoords``, cell-major); ``end[k]`` (3, ne, d + 1, 2) holds them
+    at the axis's end coordinates 0 and L_k, where its two faces lie; and
+    ``amp`` (ne, d + 1) the amplitudes.  A value, gradient or Hessian entry
+    at a point is a product of one factor per axis
+    (:func:`thermovisc.grid.tensor_derivatives`), which
+    :func:`weak_residuals` never forms.  ``s(t)``, ``r(t)`` and ``rdot(t)``
+    return (ne,) arrays.
     """
 
     __test__ = False   # not a pytest class
@@ -403,45 +405,33 @@ class TestBank:
             L = grid.lengths[p.axis]
             clamp[p.axis] = clamp[p.axis] * Polynomial([0.0, 1.0] if p.side == 0 else [L, -1.0])
             clamp_scale /= L
-        # each polynomial with its first two derivatives, formed once
-        clamp = [(P, P.deriv(1), P.deriv(2)) for P in clamp]
-        plain = [(one, one.deriv(1), one.deriv(2))] * d
 
-        def draw(polys, trig, scale):
-            modes = []
-            for k in range(d):
-                kk = int(rng.integers(1, 3))
-                ph = float(rng.uniform(0, 2 * np.pi))
-                modes.append((polys[k], np.pi * kk / grid.lengths[k], ph, trig))
-            return scale * float(rng.uniform(0.5, 1.5)), modes
+        def draw(scale):
+            """One field's (a_k, ph_k) on every axis k and its amplitude."""
+            modes = [(np.pi * int(rng.integers(1, 3)) / L, float(rng.uniform(0, 2 * np.pi)))
+                     for L in grid.lengths]
+            return modes, scale * float(rng.uniform(0.5, 1.5))
 
-        mech, therm, times = [], [], []
+        modes, amp, times = [], [], []
         for _ in range(n_elements):
-            mech.append([draw(clamp, "sin", clamp_scale) for _c in range(d)])
-            therm.append(draw(plain, "cos", 1.0))
+            for c in range(d + 1):
+                m, a = draw(clamp_scale if c < d else 1.0)
+                modes.append(m)
+                amp.append(a)
             times.append([rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 2.0)])
         self.om_z, self.ph_z, self.om_v = np.array(times).reshape(-1, 3).T
+        self.amp = np.array(amp).reshape(n_elements, d + 1)
+        modes = np.array(modes).reshape(n_elements, d + 1, d, 2)   # (a, ph) per axis
 
-        # the cell points and the points of every face, evaluated in one call
-        # per mode and split back into (elements, cells or faces, points) tables
-        blocks = [grid.qcoords] + [p.qcoords for p in grid.faces.values()]
-        X = np.concatenate([b.reshape(-1, d) for b in blocks])
-        ends = np.cumsum([b.shape[0] * b.shape[1] for b in blocks])[:-1]
-
-        def split(table):   # contiguous, so weak_residuals reshapes them without a copy
-            return [np.ascontiguousarray(t).reshape((len(t),) + b.shape[:2] + t.shape[2:])
-                    for t, b in zip(np.split(table, ends, axis=1), blocks)]
-
-        # value, gradient, Hessian; component axis before the derivative axes
-        mech_parts = [[_separable(X, *c) for c in comps] for comps in mech]
-        therm_parts = [_separable(X, *v) for v in therm]
-        Z = [split(np.stack([np.stack([pc[j] for pc in pe], axis=-1 - j) for pe in mech_parts]))
-             for j in range(3)]
-        V = [split(np.stack([pe[j] for pe in therm_parts])) for j in range(2)]
-        (self.Z, *Zface), (self.gradZ, *_), (self.hessZ, *_) = Z
-        (self.V, *Vface), (self.gradV, *_) = V
-        self.Zface = dict(zip(grid.faces, Zface))
-        self.Vface = dict(zip(grid.faces, Vface))
+        self.line, self.end = [], []
+        for k, x in enumerate(_gauss_lines(grid)):
+            x = np.concatenate([x, [0.0, grid.lengths[k]]])
+            a, ph = modes[:, :, k, 0, None], modes[:, :, k, 1, None]
+            table = np.concatenate(
+                [_axis_factors(x, clamp[k], a[:, :d], ph[:, :d], "sin"),
+                 _axis_factors(x, one, a[:, d:], ph[:, d:], "cos")], axis=2)
+            self.line.append(table[..., :-2])
+            self.end.append(table[..., -2:])
 
     def s(self, t):
         return np.cos(self.om_z * np.pi * t / self.T + self.ph_z)
@@ -455,24 +445,87 @@ class TestBank:
                 - (1.0 - t / self.T) * self.om_v * np.pi / self.T * np.sin(arg))
 
 
-def _separable(X, amp, modes):
-    """Value, gradient and Hessian of amp * prod_k P_k(x_k) trig(a_k x_k + ph_k)
-    at points X (..., d), for modes ((P_k, P_k', P_k''), a_k, ph_k, "sin" | "cos")."""
-    factors = []
-    for k, ((P, P1, P2), a, ph, trig) in enumerate(modes):
-        x = X[..., k]
-        s, c = np.sin(a * x + ph), np.cos(a * x + ph)
-        g0, g1 = (s, a * c) if trig == "sin" else (c, -a * s)
-        g2 = -a * a * g0
-        p0, p1, p2 = P(x), P1(x), P2(x)
-        factors.append((p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2))
-    value, grad, hess = tensor_derivatives(*zip(*factors))
-    return amp * value, amp * grad, amp * hess
+def _gauss_lines(grid):
+    """Each axis's Gauss line: the coordinates along axis k of the cell
+    quadrature points, cells x QUAD_PTS, cell-major, read from the points
+    of the first row of cells along the axis in ``grid.qcoords``."""
+    d = grid.d
+    pts = grid.qcoords.reshape(grid.extents[::-1] + (QUAD_PTS,) * d + (d,))
+    lines = []
+    for k in range(d):
+        index = [0] * (2 * d) + [k]
+        index[d - 1 - k] = index[d + k] = slice(None)   # cell axis k, point axis k
+        lines.append(pts[tuple(index)].ravel())
+    return lines
+
+
+def _axis_factors(x, P, a, ph, trig):
+    """f, f' and f'' of f = P(x) trig(a x + ph) at the points x, stacked
+    (3, ...) for arrays a, ph (..., 1) of modes."""
+    arg = a * x + ph
+    s, c = np.sin(arg), np.cos(arg)
+    g0, g1 = (s, a * c) if trig == "sin" else (c, -a * s)
+    g2 = -a * a * g0
+    p0, p1, p2 = P(x), P.deriv(1)(x), P.deriv(2)(x)
+    return np.stack([p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2])
 
 
 def _time_nodes(t0, t1, npts=5):
     g, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (t1 - t0) * g + 0.5 * (t0 + t1), 0.5 * (t1 - t0) * w
+
+
+def _component_major(a):
+    """a (cells, points, *entries) as a view of a copy whose entries
+    a[..., i, j] are each contiguous (cells, points) blocks."""
+    entries = tuple(range(2, a.ndim))
+    front = tuple(range(a.ndim - 2))
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, entries, front)), front, entries)
+
+
+def _lines(a, extents):
+    """a (cells, points, *entries), a cell or face field over the axes of
+    ``extents`` in the grid's layout (cells with the first axis fastest,
+    points with the last axis fastest), as a view (entries, n_{m-1}, Q, ...,
+    n_0, Q): each axis's line index (cell, point) adjacent, the first
+    axis's fastest."""
+    m = len(extents)
+    t = a.reshape(tuple(extents[::-1]) + (QUAD_PTS,) * m + (-1,))
+    return t.transpose([2 * m] + [ax for k in reversed(range(m)) for ax in (m - 1 - k, m + k)])
+
+
+def _line_tables(bank, fields, axes, weights, scale):
+    """Factor tables of a batch of fields for :func:`_pair_lines`.
+
+    Field f pairs with component c_f of the tests, differentiated
+    orders_f[k] times along axis k, for fields [(c_f, orders_f)]; tables[j]
+    (nf, ne, L) holds its factors on the Gauss line of axes[j] times the
+    line's quadrature weights, and the first table also carries
+    ``scale`` (ne, d + 1) of the component."""
+    tables = [np.stack([bank.line[k][o[k], :, c] for c, o in fields]) * w
+              for k, w in zip(axes, weights)]
+    tables[0] = tables[0] * np.stack([scale[:, c] for c, _ in fields])[:, :, None]
+    return tables
+
+
+def _pair_lines(fields, tables):
+    """Integral of every field against every element's separable test
+    function, contracted one axis at a time (sum factorization).
+
+    fields (nf, ...) are fields over m axes in the layout of
+    :func:`_lines`, and tables[j] (nf, ne, L_j), as from
+    :func:`_line_tables`, are over the same axes in order.  The first axis,
+    whose line index is fastest, is one GEMM per field against its table;
+    each further axis contracts with the element's own factor.  Returns
+    (nf, ne)."""
+    nf, ne, line0 = tables[0].shape
+    pairs = np.matmul(fields.reshape(nf, -1, line0), tables[0].transpose(0, 2, 1))
+    if len(tables) == 1:
+        return pairs[:, 0]
+    further = "abc"[:len(tables) - 1]   # axes 1, ..., m - 1
+    pairs = pairs.reshape((nf,) + tuple(t.shape[2] for t in tables[:0:-1]) + (ne,))
+    subs = ",".join(["f" + further[::-1] + "e"] + ["fe" + x for x in further])
+    return np.einsum(subs + "->fe", pairs, *tables[1:])
 
 
 def weak_residuals(traj, bank: TestBank):
@@ -482,64 +535,105 @@ def weak_residuals(traj, bank: TestBank):
     the linear eps-viscosity, the capped dissipation source and the damped
     boundary/initial temperature data enter; at eps = 0 they are the plain
     identities.  Evaluation uses the affine interpolants with per-step Gauss
-    quadrature in time.  Each term is evaluated once per time node and
-    paired with every bank element in one contraction.
+    quadrature in time.  Each term is evaluated once per time node, on
+    copies of the snapshots' F and temperature gradient whose entries are
+    contiguous, and paired with every bank element by sum factorization
+    (:func:`_pair_lines`): a cell field is contracted with the bank's line
+    factors one axis at a time, a face field with the factors of its d - 1
+    tangential lines times the normal factor at the face coordinate.  The
+    terms affine in time, the enthalpy and the Robin face traces, are
+    paired once per snapshot and blended.
     """
     grid, model = traj.grid, traj.model
     scenario, eps, snaps = traj.scenario, traj.eps, traj.snapshots
     thermal = not scenario.isothermal
-    mech_res, heat_res = np.zeros((2, len(bank.V)))
+    d, ns = grid.d, len(snaps)
+    weights = [np.tile(_gauss_rule(1)[1] * h, n) for h, n in zip(grid.h, grid.extents)]
+    axes = range(d)
 
-    def pair(table, field, weights=grid.qweights):
-        """Integral of table[e] : field for every element e; quadrature on axis 1."""
-        wf = field * weights.reshape((-1,) + (1,) * (field.ndim - 2))
-        return table.reshape(len(table), -1) @ wf.ravel()
+    def orders(derivs):
+        return tuple(derivs.count(k) for k in axes)
 
-    if thermal:   # damped boundary temperature; face traces once per snapshot
-        theta_b = regularized(scenario.theta_b, eps)
-        thf = [{name: grid.eval_face_scalar(name, s.theta) for name in grid.faces}
-               for s in snaps]
+    # stress entries (i, b), then hyperstress entries (i, b, c), as _lines lists them
+    grad = [(i, orders((b,))) for i in axes for b in axes]
+    hess = [(i, orders((b, c))) for i in axes for b in axes for c in axes]
+    mech_tables = _line_tables(bank, grad + hess, axes, weights, bank.amp)
+
+    def face(p, comps):
+        """The tables of face fields of components comps, on the face's
+        tangential lines and scaled by the normal factor at the face
+        coordinate, and the face's extents."""
+        tang = [k for k in axes if k != p.axis]
+        tables = _line_tables(bank, [(c, (0,) * d) for c in comps], tang,
+                              [weights[k] for k in tang],
+                              bank.amp * bank.end[p.axis][0, ..., p.side])
+        return tables, [grid.extents[k] for k in tang]
+
+    traction = {name: face(grid.faces[name], axes)
+                for name in grid.neumann_faces} if scenario.traction is not None else {}
+    mech_res, heat_res = np.zeros((2, len(bank.amp)))
+    F = [_component_major(s.F) for s in snaps]
+
+    if thermal:
+        heat_tables = _line_tables(bank, [(d, orders((a,))) for a in axes] + [(d, (0,) * d)],
+                                   axes, weights, bank.amp)
+        gth = [_component_major(s.theta_grad_qp) for s in snaps]
+
+        def every_snapshot(tables, extents, fields):
+            """Pairs (ns, ne) of the snapshots' fields (cells, points, ns)."""
+            return _pair_lines(_lines(fields, extents),
+                               [np.broadcast_to(t, (ns,) + t.shape[1:]) for t in tables])
+
+        # the terms affine in time, paired once per snapshot: the enthalpy and
+        # the Robin face traces (each traced once) less the damped boundary datum
+        w_pair = every_snapshot([t[d:] for t in heat_tables], grid.extents,
+                                np.stack([s.w_qp for s in snaps], axis=-1))
+        theta_b, robin_pair = regularized(scenario.theta_b, eps), 0.0
+        for name, p in grid.faces.items():
+            traces = np.stack([grid.eval_face_scalar(name, s.theta) for s in snaps], axis=-1)
+            robin_pair = robin_pair + every_snapshot(*face(p, (d,)), traces - theta_b)
 
     for k in range(1, traj.n_steps + 1):
         s0, s1 = snaps[k - 1], snaps[k]
         tau = s1.t - s0.t
-        rate = (s1.F - s0.F) / tau
+        rate = (F[k] - F[k - 1]) / tau
         for t, wt in zip(*_time_nodes(s0.t, s1.t)):
             lam = (t - s0.t) / tau
-            F = (1 - lam) * s0.F + lam * s1.F
-            G = (1 - lam) * s0.G + lam * s1.G
+            F_t = (1 - lam) * F[k - 1] + lam * F[k]
+            # G stays point-major: the hyperstress sums G * G over its entries,
+            # which on component-major memory would add them in another order
+            G_t = (1 - lam) * s0.G + lam * s1.G
             th_qp = np.maximum((1 - lam) * s0.theta_qp + lam * s1.theta_qp, 0.0)
 
-            visc = model.viscous_stress(F, rate, th_qp)
-            stress = visc + eps * rate + model.elastic_stress(F)
+            visc = model.viscous_stress(F_t, rate, th_qp)
+            stress = visc + eps * rate + model.elastic_stress(F_t)
             if thermal:
-                cpl = model.coupling_stress(F, th_qp)
+                cpl = model.coupling_stress(F_t, th_qp)
                 stress = stress + cpl
-            contrib = pair(bank.gradZ, stress) + pair(bank.hessZ, model.hyperstress(G))
-            if scenario.traction is not None:
-                for name in grid.neumann_faces:
-                    p = grid.faces[name]
-                    fval = np.asarray(scenario.traction(t, name, p.qcoords), dtype=float)
-                    contrib -= pair(bank.Zface[name], fval, p.weights)
+            fields = np.concatenate([_lines(stress, grid.extents),
+                                     _lines(model.hyperstress(G_t), grid.extents)])
+            contrib = _pair_lines(fields, mech_tables).sum(axis=0)
+            for name, (tables, extents) in traction.items():
+                fval = np.asarray(scenario.traction(t, name, grid.faces[name].qcoords), dtype=float)
+                contrib -= _pair_lines(_lines(fval, extents), tables).sum(axis=0)
             mech_res += wt * bank.s(t) * contrib
             if not thermal:
                 continue
 
-            w_qp = (1 - lam) * s0.w_qp + lam * s1.w_qp
-            gth_t = (1 - lam) * s0.theta_grad_qp + lam * s1.theta_grad_qp
-            flux = _matmul(model.pullback_conductivity(F, th_qp), gth_t[..., None])[..., 0]
+            gth_t = (1 - lam) * gth[k - 1] + lam * gth[k]
+            flux = _matmul(model.pullback_conductivity(F_t, th_qp), gth_t[..., None])[..., 0]
             xi = _ddot(visc, rate)   # the viscous power nu |Cdot|^2
             src = regularized(xi, eps) + _ddot(cpl, rate)
-            robin = 0.0
-            for name, p in grid.faces.items():
-                thf_t = (1 - lam) * thf[k - 1][name] + lam * thf[k][name]
-                robin = robin + pair(bank.Vface[name], thf_t - theta_b, p.weights)
-            heat_res += wt * (bank.r(t) * (pair(bank.gradV, flux) - pair(bank.V, src)
+            pairs = _pair_lines(np.concatenate([_lines(flux, grid.extents),
+                                                _lines(src, grid.extents)]), heat_tables)
+            w_t = (1 - lam) * w_pair[k - 1] + lam * w_pair[k]
+            robin = (1 - lam) * robin_pair[k - 1] + lam * robin_pair[k]
+            heat_res += wt * (bank.r(t) * (pairs[:d].sum(axis=0) - pairs[d]
                                            + model.kappa * robin)
-                              - bank.rdot(t) * pair(bank.V, w_qp))
+                              - bank.rdot(t) * w_t)
 
     if thermal:
-        heat_res -= bank.r(0.0) * pair(bank.V, snaps[0].w_qp)
+        heat_res -= bank.r(0.0) * w_pair[0]
     return (float(np.sqrt(np.mean(mech_res**2))),
             float(np.sqrt(np.mean(heat_res**2))))
 

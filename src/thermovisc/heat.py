@@ -83,7 +83,6 @@ class HeatResult:
     theta_new_qp: np.ndarray
     theta_new_grad_qp: np.ndarray
     min_theta: float
-    clamp_magnitude: float
     iterations: int
     residual_norm: float
     residual_vector: np.ndarray
@@ -122,17 +121,18 @@ def heat_hessian(inc: HeatIncrement, theta: NodalField):
 
 def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
                frozen: FrozenFactor | None = None) -> HeatResult:
-    """Damped Newton from theta_prev; audits and clamps tiny undershoots.
+    """Damped Newton from theta_prev; audits undershoots without a patch.
 
     The globalization (shift ladder, Armijo backtracking, noise-floor probe
     against J0, CG against the factorization ``frozen`` keeps between
     solves) is :func:`thermovisc.newton.minimize`, over all dofs with the
     scalar (H^1)* norm; the thermal field has no Dirichlet part.
     ``residual_norm`` is always the dual norm of the returned
-    ``residual_vector``, the gradient at the final Newton iterate (before
-    any clamp of a nodal undershoot).  ``theta_new_qp`` and
-    ``theta_new_grad_qp`` are the returned field and its gradient at the
-    quadrature points, after any clamp.
+    ``residual_vector``, the gradient at the returned Newton iterate.
+    ``theta_new_qp`` and ``theta_new_grad_qp`` are the returned field and
+    its gradient at the quadrature points.  A negative nodal value or
+    quadrature value is kept and reported as ``min_theta``: raising it
+    after the solve would break the step's energy balance.
     """
     cfg = config or SolverConfig()
     g, m = inc.grid, inc.model
@@ -150,16 +150,10 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
     theta = res.x
 
     th_qp, gth_qp = g.eval_scalar(theta)
-    nd = g.ndof_node
-    node_vals = theta.values[0::nd]
-    min_theta = float(min(th_qp.min(), node_vals.min()))
-    clamp = float(max(0.0, -node_vals.min()))
-    if clamp > 0.0:
-        theta.values[0::nd] = np.maximum(node_vals, 0.0)
-        th_qp, gth_qp = g.eval_scalar(theta)
+    min_theta = float(min(th_qp.min(), theta.values[0::g.ndof_node].min()))
     w_new = m.enthalpy_ext(inc.phi1_new, th_qp)
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
-                      theta_new_grad_qp=gth_qp, min_theta=min_theta, clamp_magnitude=clamp,
+                      theta_new_grad_qp=gth_qp, min_theta=min_theta,
                       iterations=res.iterations,
                       residual_norm=res.residual_norm, residual_vector=res.residual,
                       factorizations=frozen.factorizations - work0[0],

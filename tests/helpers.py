@@ -1,6 +1,10 @@
 """Random inputs and Dirichlet data shared by the tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
+
+from thermovisc.grid import QUAD_PTS, tensor_derivatives
 
 
 def random_rotation(rng, d):
@@ -48,3 +52,34 @@ def unique_csc_pattern(grid, ncomp, free):
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(entries // m, minlength=m), out=indptr[1:])
     return slots, (entries % m).astype(np.int32), indptr
+
+
+def bank_tables(bank):
+    """The fields of a ``TestBank`` at the grid's quadrature points, expanded
+    from its 1D factors (a product of one factor per axis): ``Z`` (ne, cells,
+    nq, d), ``gradZ`` (..., d, d), ``hessZ`` (..., d, d, d), ``V`` (ne, cells,
+    nq), ``gradV`` (..., d), and the face traces ``Zface[name]`` (ne,
+    face cells, nqf, d) and ``Vface[name]`` (ne, face cells, nqf)."""
+    grid, q = bank.grid, QUAD_PTS
+    d = grid.d
+    cells = grid._cell_index                                   # (d, n_cells)
+    points = np.indices((q,) * d).reshape(d, -1)               # last axis fastest
+    factors = [bank.line[k][..., cells[k][:, None] * q + points[k]] for k in range(d)]
+    amp = bank.amp[:, :, None, None]
+    value, grad, hess = (amp[(...,) + (None,) * j] * part
+                         for j, part in enumerate(tensor_derivatives(*zip(*factors))))
+    out = SimpleNamespace(Z=np.moveaxis(value[:, :d], 1, -1),
+                          gradZ=np.moveaxis(grad[:, :d], 1, -2),
+                          hessZ=np.moveaxis(hess[:, :d], 1, -3),
+                          V=value[:, d], gradV=grad[:, d], Zface={}, Vface={})
+    fpoints = np.indices((q,) * (d - 1)).reshape(d - 1, -1)
+    for name, p in grid.faces.items():
+        face_cells = np.flatnonzero(cells[p.axis] == p.side * (grid.extents[p.axis] - 1))
+        tang = [k for k in range(d) if k != p.axis]
+        parts = [bank.end[k][0, ..., p.side, None, None] if k == p.axis else
+                 bank.line[k][0][..., cells[k][face_cells, None] * q + fpoints[tang.index(k)]]
+                 for k in range(d)]
+        trace = bank.amp[:, :, None, None] * np.prod(np.broadcast_arrays(*parts), axis=0)
+        out.Zface[name] = np.moveaxis(trace[:, :d], 1, -1)
+        out.Vface[name] = trace[:, d]
+    return out

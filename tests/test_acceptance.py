@@ -410,8 +410,14 @@ def test_criterion_12_weak_residual_audit(tau_study):
         m, h = weak_residuals(trajs[(tau, 0.01)], bank)
         mechs.append(m)
         heats.append(h)
+    # the tau-halving order log2(r_k / r_{k+1}) of each pair; the last pair's
+    # must show first order in time for both identities
+    orders = [[float(np.log2(a / b)) for a, b in zip(r, r[1:])] for r in (mechs, heats)]
     ok = (all(b < a for a, b in zip(mechs, mechs[1:]))
-          and all(b < a for a, b in zip(heats, heats[1:])))
+          and all(b < a for a, b in zip(heats, heats[1:]))
+          and all(0.75 <= o[-1] <= 1.5 for o in orders))
     report(12, "weak residual audit", ok,
-           f"momentum identity {['%.3e' % v for v in mechs]}, heat identity "
-           f"{['%.3e' % v for v in heats]} under tau-halving (monotone)")
+           f"momentum identity {['%.3e' % v for v in mechs]} (orders "
+           f"{['%.2f' % v for v in orders[0]]}), heat identity "
+           f"{['%.3e' % v for v in heats]} (orders {['%.2f' % v for v in orders[1]]}) "
+           f"under tau-halving (monotone, last order in [0.75, 1.5])")

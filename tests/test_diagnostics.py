@@ -38,7 +38,12 @@ from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import Trajectory, run
 
-from helpers import apply_dirichlet_identity, random_feasible_gradient, random_rotation
+from helpers import (
+    apply_dirichlet_identity,
+    bank_tables,
+    random_feasible_gradient,
+    random_rotation,
+)
 
 
 def grid66():
@@ -188,7 +193,7 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
     mech_term = float(np.sum(mech_res.residual_vector * dvals))
     if iso:
         pcpl_old = pcpl_new = boundary_heat = heat_term = entropy_prod = 0.0
-        entropy_tot, min_theta, clamp = float("nan"), float(snap_new.theta_qp.min()), 0.0
+        entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
         heat_resid, heat_iters, excluded, ledger_reg = 0.0, 0, 0, dissipation_step
     else:
         pcpl_old = grid.assemble_scalar(
@@ -210,7 +215,7 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         entropy_prod = tau * grid.assemble_scalar(np.where(mask, xi / th + cond / th**2, 0.0))
         excluded = int((~mask).sum())
         entropy_tot = grid.assemble_scalar(model.entropy_density(snap_new.F, th))
-        min_theta, clamp = heat_res.min_theta, heat_res.clamp_magnitude
+        min_theta = heat_res.min_theta
         heat_resid, heat_iters = heat_res.residual_norm, heat_res.iterations
         ledger_reg = dissipation_step - reg_step
     defect_coupling = pcpl_old - pcpl_new
@@ -225,7 +230,7 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
         min_detF=float(snap_new.detF.min()), hk_bound=float("nan"), korn_const=float("nan"),
         mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
-        energy_gap_total=gap_total, min_theta=min_theta, clamp_magnitude=clamp,
+        energy_gap_total=gap_total, min_theta=min_theta,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
         solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
@@ -677,12 +682,14 @@ def test_isothermal_weak_residual_mech_only():
 
 
 def loop_weak_residuals(traj, bank):
-    """Reference audit: the per-element loop over every time node that the
-    stacked contraction of ``weak_residuals`` replaced, term by term."""
+    """Reference audit: a per-element loop over every time node, term by
+    term, on the bank's fields expanded to the quadrature points; no sum
+    factorization and no pairing per snapshot."""
     grid, model = traj.grid, traj.model
     scenario = traj.scenario
     eps = traj.eps
-    ne = len(bank.V)
+    tables = bank_tables(bank)
+    ne = len(tables.V)
     mech_res = np.zeros(ne)
     heat_res = np.zeros(ne)
     for k in range(1, traj.n_steps + 1):
@@ -715,35 +722,35 @@ def loop_weak_residuals(traj, bank):
 
             for e in range(ne):
                 s_t, r_t, rd_t = bank.s(t)[e], bank.r(t)[e], bank.rdot(t)[e]
-                dens = (np.einsum("cqib,cqib->cq", stress, bank.gradZ[e])
-                        + np.einsum("cqibg,cqibg->cq", hyper, bank.hessZ[e]))
+                dens = (np.einsum("cqib,cqib->cq", stress, tables.gradZ[e])
+                        + np.einsum("cqibg,cqibg->cq", hyper, tables.hessZ[e]))
                 contrib = grid.assemble_scalar(dens)
                 if scenario.traction is not None:
                     for name in grid.neumann_faces:
                         p = grid.faces[name]
                         fval = np.asarray(scenario.traction(t, name, p.qcoords), dtype=float)
                         contrib -= float(np.einsum(
-                            "cqi,cqi,q->", fval, bank.Zface[name][e], p.weights))
+                            "cqi,cqi,q->", fval, tables.Zface[name][e], p.weights))
                 mech_res[e] += wt * s_t * contrib
 
                 if scenario.isothermal:
                     continue
-                hdens = (np.einsum("cqa,cqa->cq", flux, bank.gradV[e]) * r_t
-                         - src * r_t * bank.V[e]
-                         - w_qp * rd_t * bank.V[e])
+                hdens = (np.einsum("cqa,cqa->cq", flux, tables.gradV[e]) * r_t
+                         - src * r_t * tables.V[e]
+                         - w_qp * rd_t * tables.V[e])
                 hcontrib = grid.assemble_scalar(hdens)
                 for name, p in grid.faces.items():
                     thf = ((1 - lam) * grid.eval_face_scalar(name, s0.theta)
                            + lam * grid.eval_face_scalar(name, s1.theta))
                     tb = scenario.theta_b / (1.0 + eps * scenario.theta_b)
                     hcontrib += model.kappa * float(np.einsum(
-                        "cq,cq,q->", thf - tb, bank.Vface[name][e], p.weights)) * r_t
+                        "cq,cq,q->", thf - tb, tables.Vface[name][e], p.weights)) * r_t
                 heat_res[e] += wt * hcontrib
 
     if not scenario.isothermal:
         s0 = traj.snapshots[0]
         for e in range(ne):
-            heat_res[e] -= bank.r(0.0)[e] * grid.assemble_scalar(s0.w_qp * bank.V[e])
+            heat_res[e] -= bank.r(0.0)[e] * grid.assemble_scalar(s0.w_qp * tables.V[e])
     return (float(np.sqrt(np.mean(mech_res**2))),
             float(np.sqrt(np.mean(heat_res**2))))
 
@@ -755,12 +762,24 @@ def shear3d_traj():
     return run(sc, tau=0.05, eps=0.01)
 
 
-@pytest.mark.parametrize("case", ["pulse", "isothermal", "3d"])
+def nonsquare_traj(extents, lengths):
+    """A heated shear pulse on a box whose axes differ in cells and length,
+    so that a swapped axis in the audit's tensor layout changes its result."""
+    grid = StructuredGrid(extents, lengths, dirichlet_faces=("x0",))
+    model = MaterialModel(d=grid.d, **({"q": 13.0, "c2": 12.0 / 13.0} if grid.d == 3 else {}))
+    sc = shear_pulse(grid=grid, model=model, T=0.1, amplitude=0.2, t_pulse=0.1,
+                     theta0=1.0, theta_b=0.6)
+    return run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=0, hk_every=0))
+
+
+@pytest.mark.parametrize("case", ["pulse", "isothermal", "3d", "2d-nonsquare", "3d-nonsquare"])
 def test_weak_residuals_match_per_element_loop(case, pulse_traj):
     traj = {"pulse": lambda: pulse_traj,
             "isothermal": lambda: run(isothermal_creep(grid=grid66(), T=0.1, amplitude=0.05),
                                       tau=0.05, eps=0.0),
-            "3d": shear3d_traj}[case]()
+            "3d": shear3d_traj,
+            "2d-nonsquare": lambda: nonsquare_traj((5, 3), (1.3, 0.7)),
+            "3d-nonsquare": lambda: nonsquare_traj((3, 2, 4), (0.9, 1.1, 1.4))}[case]()
     bank = TestBank(traj.grid, T=traj.scenario.T, n_elements=5, seed=3)
     got, ref = weak_residuals(traj, bank), loop_weak_residuals(traj, bank)
     assert ref[0] > 0.0
@@ -838,7 +857,7 @@ def test_test_bank_derivatives_match_central_differences(extents, lengths, faces
     def bank_at(shift):
         g = copy.copy(grid)
         g.qcoords = grid.qcoords + shift
-        return TestBank(g, T=1.0, n_elements=3, seed=11)
+        return bank_tables(TestBank(g, T=1.0, n_elements=3, seed=11))
 
     base = bank_at(0.0)
     for b in range(grid.d):
@@ -851,6 +870,19 @@ def test_test_bank_derivatives_match_central_differences(extents, lengths, faces
                 assert np.max(np.abs(fd - exact)) <= 1e-7 * max(1.0, np.max(np.abs(exact))), dkey
     for name in faces:   # mechanical tests vanish exactly on the fixed faces
         assert np.all(base.Zface[name] == 0.0)
+
+
+def test_test_bank_holds_under_a_megabyte_at_6x6x6():
+    # the bank keeps 1D factors only; element-by-point tables held 48.7 MB here
+    bank = TestBank(StructuredGrid((6, 6, 6), (1.0, 1.0, 1.0)), T=1.0)
+    held = {}
+    for value in vars(bank).values():
+        for a in value if isinstance(value, list) else [value]:
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            if isinstance(a, np.ndarray):
+                held[id(a)] = a.nbytes
+    assert 0 < sum(held.values()) < 2**20, held
 
 
 # Entries of element 3 of TestBank(grid, T=0.3, n_elements=4, seed=1234),
@@ -885,10 +917,11 @@ def test_test_bank_pinned_entries(case):
     (extents, lengths, faces), face, want = BANK_PINS[case]
     grid = StructuredGrid(extents, lengths, dirichlet_faces=faces)
     bank = TestBank(grid, T=0.3, n_elements=4, seed=1234)
-    got = {"Z": bank.Z[3, 7, 5], "gradZ": bank.gradZ[3, 7, 5, -1],
-           "hessZ": bank.hessZ[3, 7, 5, 0, -1], "V": bank.V[3, 7, 5],
-           "gradV": bank.gradV[3, 7, 5], "Zface": bank.Zface[face][3, 1, 2],
-           "Vface": bank.Vface[face][3, 1, 2],
+    tables = bank_tables(bank)
+    got = {"Z": tables.Z[3, 7, 5], "gradZ": tables.gradZ[3, 7, 5, -1],
+           "hessZ": tables.hessZ[3, 7, 5, 0, -1], "V": tables.V[3, 7, 5],
+           "gradV": tables.gradV[3, 7, 5], "Zface": tables.Zface[face][3, 1, 2],
+           "Vface": tables.Vface[face][3, 1, 2],
            "s_r_rdot": [bank.s(0.1)[3], bank.r(0.1)[3], bank.rdot(0.1)[3]]}
     for key, value in want.items():
         np.testing.assert_allclose(got[key], value, rtol=0.0, atol=1e-12, err_msg=key)
