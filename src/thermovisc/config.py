@@ -45,9 +45,8 @@ _SCHEMA = {
     "output": {"directory": "str", "tau_list": "float_list", "eps_list": "float_list"},
 }
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-_PARSE = {"float": float, "int": int, "bool": lambda v: _BOOLS[v.strip().lower()],
+_PARSE = {"float": float, "int": int,
+          "bool": lambda v: ConfigParser.BOOLEAN_STATES[v.strip().lower()],
           "str": str.strip}   # parsed form of one value of each kind
 _FORMAT = {"float": lambda v: f"{v:.17g}", "int": str, "bool": lambda v: str(v).lower(),
            "str": str}   # serialized form of one value of each kind

@@ -30,7 +30,8 @@ W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
 
 @dataclass
 class StepDiagnostics:
-    """Everything the certificate suite knows about one accepted step."""
+    """The run's one record of an accepted step: its certificates and the
+    descent and work of its solves."""
 
     t: float
     M: float
@@ -62,10 +63,18 @@ class StepDiagnostics:
     mech_iterations: int
     heat_iterations: int
     entropy_excluded: int
+    descent_gap: float            # J0 - J of the mech solve; least over substeps
+    iterate_min_det: float        # least min det F over the accepted mech iterates
+    mech_factorizations: int      # sparse LUs and CG iterations of each solve
+    mech_pcg_iterations: int
+    heat_factorizations: int
+    heat_pcg_iterations: int
     korn_lower: float = float("nan")   # certified lower bound of the Korn constant
+    substeps: int = 1                  # accepted steps of a halved step
 
     def ledger_items(self):
-        """The itemized total-energy identity; sums to energy_gap_total."""
+        """The itemized total-energy identity of the step, whose sum is
+        energy_gap_total (on a halved step, the sum of the substeps' sums)."""
         return {
             "dE": self.E - self.E_prev,
             "ext_power": -self.ext_power,
@@ -76,6 +85,10 @@ class StepDiagnostics:
             "defect_coupling": self.defect_coupling,
             "solver_term": -self.solver_term,
         }
+
+    def ledger_scale(self):
+        """The energy scale the ledger gap is measured against."""
+        return max(abs(self.E), abs(self.ext_power), self.dissipation_step, 1.0)
 
 
 def state_energies(grid, model, snap, isothermal=False):
@@ -128,7 +141,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         pcpl_old = defect_coupling = boundary_heat = heat_term = entropy_prod = 0.0
         entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
         heat_resid = 0.0
-        heat_iters = excluded = 0
+        heat_iters = excluded = heat_lus = heat_pcg = 0
         ledger_reg = dissipation_step  # all dissipated power leaves the ledger
     else:
         th_new = np.maximum(snap_new.theta_qp, 0.0)
@@ -150,13 +163,10 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         min_theta = heat_res.min_theta
         heat_resid = heat_res.residual_norm
         heat_iters = heat_res.iterations
+        heat_lus, heat_pcg = heat_res.factorizations, heat_res.pcg_iterations
         ledger_reg = dissipation_step - reg_step
 
-    solver_term = mech_term + heat_term
-    gap_total = ((E - E_prev) - ext_power + boundary_heat + ledger_reg
-                 + defect_eps + defect_semiconvex + defect_coupling - solver_term)
-
-    return StepDiagnostics(
+    row = StepDiagnostics(
         t=snap_new.t, M=M, M_prev=M_prev, H_val=H_val, Phi_cpl=Phi_cpl,
         W_total=W_total, E=E, E_prev=E_prev,
         dissipation_step=dissipation_step, reg_dissipation_step=reg_step,
@@ -164,11 +174,18 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         entropy_prod=entropy_prod, entropy_total=entropy_tot,
         min_detF=float(snap_new.detF.min()), hk_bound=float("nan"), korn_const=float("nan"),
         mech_residual=mech_res.residual_norm, heat_residual=heat_resid,
-        energy_gap_total=gap_total, min_theta=min_theta,
+        energy_gap_total=float("nan"), min_theta=min_theta,
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
-        solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
-        heat_iterations=heat_iters, entropy_excluded=excluded)
+        solver_term=mech_term + heat_term, pcpl_old=pcpl_old,
+        mech_iterations=mech_res.iterations, heat_iterations=heat_iters,
+        entropy_excluded=excluded, descent_gap=mech_res.descent_gap,
+        iterate_min_det=min(mech_res.iterate_min_dets),
+        mech_factorizations=mech_res.factorizations,
+        mech_pcg_iterations=mech_res.pcg_iterations,
+        heat_factorizations=heat_lus, heat_pcg_iterations=heat_pcg)
+    row.energy_gap_total = sum(row.ledger_items().values())
+    return row
 
 
 def merge_step_diagnostics(d1: StepDiagnostics, d2: StepDiagnostics):
@@ -177,14 +194,15 @@ def merge_step_diagnostics(d1: StepDiagnostics, d2: StepDiagnostics):
            "boundary_heat", "entropy_prod", "defect_reg", "defect_eps",
            "defect_semiconvex", "defect_coupling", "solver_term",
            "energy_gap_total", "pcpl_old", "mech_iterations", "heat_iterations",
-           "entropy_excluded")
+           "entropy_excluded", "mech_factorizations", "mech_pcg_iterations",
+           "heat_factorizations", "heat_pcg_iterations", "substeps")
     out = {f.name: getattr(d2, f.name) for f in dc_fields(StepDiagnostics)}
     for name in add:
         out[name] = getattr(d1, name) + getattr(d2, name)
     out["M_prev"] = d1.M_prev
     out["E_prev"] = d1.E_prev
-    out["min_detF"] = min(d1.min_detF, d2.min_detF)
-    out["min_theta"] = min(d1.min_theta, d2.min_theta)
+    for name in ("min_detF", "min_theta", "descent_gap", "iterate_min_det"):
+        out[name] = min(getattr(d1, name), getattr(d2, name))
     out["mech_residual"] = max(d1.mech_residual, d2.mech_residual)
     out["heat_residual"] = max(d1.heat_residual, d2.heat_residual)
     return StepDiagnostics(**out)
@@ -216,7 +234,8 @@ def mechanical_energy_check(traj, k):
 
 
 def total_energy_check(traj, k):
-    """Itemized total-energy ledger of step k; raises ValueError unless the
+    """Itemized total-energy ledger of step k with the scale its gap is
+    judged against in :func:`run_certificates`; raises ValueError unless the
     items sum to the stored gap."""
     d = traj.step(k)[2]
     items = d.ledger_items()
@@ -224,35 +243,19 @@ def total_energy_check(traj, k):
     if not abs(total - d.energy_gap_total) < 1e-10 * max(1.0, abs(d.E)):
         raise ValueError(f"step {k}: the ledger items sum to {total!r}, "
                          f"not to the stored gap {d.energy_gap_total!r}")
-    return {"gap": d.energy_gap_total, "items": items,
-            "scale": max(abs(d.E), abs(d.ext_power), d.dissipation_step, 1e-30)}
+    return {"gap": d.energy_gap_total, "items": items, "scale": d.ledger_scale()}
 
 
 # ---------------------------------------------------------------------------
 # determinant lower bound
 
 
-@dataclass
-class DetBoundState:
-    """The last deformation a run bounded (its nodal values) and its bound."""
-
-    y: np.ndarray | None = None
-    bound: float = float("nan")
-
-
-def hk_determinant_bound(grid, y, state=None):
+def hk_determinant_bound(grid, y):
     """Least lower bound of det grad y over all closed cells, at or below
     the Gauss-point minimum (:meth:`StructuredGrid.det_lower_bounds`).  The
     name and the ``hk_bound`` column recall the Healey-Kroemer positivity
-    of det grad y on energy sublevels (ESAIM COCV 15, 2009).  With a
-    ``state`` (a :class:`DetBoundState`), a y equal bit for bit to the last
-    one bounded, as on a load-free step, takes the kept bound."""
-    if state is not None and state.y is not None and np.array_equal(state.y, y.values):
-        return state.bound
-    bound = float(grid.det_lower_bounds(y).min())
-    if state is not None:
-        state.y, state.bound = y.values, bound
-    return bound
+    of det grad y on energy sublevels (ESAIM COCV 15, 2009)."""
+    return float(grid.det_lower_bounds(y).min())
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +618,8 @@ def weak_residuals(traj, bank: TestBank):
             contrib = _pair_lines(fields, mech_tables).sum(axis=0)
             for name, (tables, extents) in traction.items():
                 fval = np.asarray(scenario.traction(t, name, grid.faces[name].qcoords), dtype=float)
-                contrib -= _pair_lines(_lines(fval, extents), tables).sum(axis=0)
+                if np.any(fval):   # an unloaded face pairs to exact zeros
+                    contrib -= _pair_lines(_lines(fval, extents), tables).sum(axis=0)
             mech_res += wt * bank.s(t) * contrib
             if not thermal:
                 continue
@@ -642,15 +646,15 @@ def weak_residuals(traj, bank: TestBank):
 # run-level certificate summary
 
 
-def run_certificates(traj, tol_pos=1e-10):
+def run_certificates(traj):
     """Evaluate the per-run certificates and return a JSON-able summary.
 
-    A run passes only if every accepted mechanical solve descended, the
-    temperature never undershot below -tol_pos, every state stayed locally
-    invertible with a positive certified determinant bound on every cell,
-    entropy production stayed nonnegative, the itemized energy ledger
-    closed to ``LEDGER_RTOL``, and the stored enthalpy matched the
-    constitutive relation pointwise to ``W_TOL``.
+    A run passes only if every step's mechanical solves descended, the
+    temperature never undershot below -tol_pos (the run's ``SolverConfig``),
+    every state stayed locally invertible with a positive certified
+    determinant bound on every cell, entropy production stayed nonnegative,
+    the itemized energy ledger closed to ``LEDGER_RTOL``, and the stored
+    enthalpy matched the constitutive relation pointwise to ``W_TOL``.
     """
     diags = traj.step_diags
     iso = traj.scenario.isothermal
@@ -660,9 +664,10 @@ def run_certificates(traj, tol_pos=1e-10):
         checks.append({"name": name, "passed": bool(passed),
                        "value": float(value), "threshold": float(threshold)})
 
-    n_violations = sum(1 for rec in traj.mech_log if rec["descent_gap"] < 0.0)
+    n_violations = sum(1 for d in diags if d.descent_gap < 0.0)
     add("mech_descent_violations", n_violations == 0, n_violations, 0)
 
+    tol_pos = traj.config.tol_pos
     min_th = min((d.min_theta for d in diags), default=0.0)
     add("min_theta", min_th >= -tol_pos, min_th, -tol_pos)
 
@@ -678,8 +683,7 @@ def run_certificates(traj, tol_pos=1e-10):
 
     worst_gap = 0.0
     for d in diags:
-        scale = max(abs(d.E), abs(d.ext_power), d.dissipation_step, 1.0)
-        worst_gap = max(worst_gap, abs(d.energy_gap_total) / scale)
+        worst_gap = max(worst_gap, abs(d.energy_gap_total) / d.ledger_scale())
     add("energy_ledger_closes", worst_gap <= LEDGER_RTOL, worst_gap, LEDGER_RTOL)
 
     if not iso:

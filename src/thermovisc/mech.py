@@ -99,7 +99,6 @@ class MechResult:
     y_new: NodalField
     descent_gap: float
     iterations: int
-    min_detF: float
     residual_norm: float
     residual_vector: np.ndarray   # assembled gradient at the accepted state
     kinematics: object
@@ -178,11 +177,10 @@ def solve_mech(inc: MechIncrement, config: SolverConfig | None = None,
         admissible=lambda kin_c, kin: kin_c.detF.min() > cfg.det_floor * kin.detF.min(),
         on_accept=lambda kin: iterate_dets.append(kin.min_detF),
         label="mechanical")
-    kin = res.aux
     return MechResult(y_new=res.x, descent_gap=res.initial_value - res.value,
-                      iterations=res.iterations, min_detF=kin.min_detF,
-                      residual_norm=res.residual_norm, residual_vector=res.residual,
-                      kinematics=kin, iterate_min_dets=iterate_dets,
+                      iterations=res.iterations, residual_norm=res.residual_norm,
+                      residual_vector=res.residual, kinematics=res.aux,
+                      iterate_min_dets=iterate_dets,
                       factorizations=frozen.factorizations - work0[0],
                       pcg_iterations=frozen.pcg_iterations - work0[1])
 

@@ -129,7 +129,7 @@ def emit_outputs(traj, outdir, config_text=None, config_hash=""):
     if config_text is not None:
         with open(os.path.join(outdir, "config.ini"), "w", encoding="utf-8") as fh:
             fh.write(config_text)
-    report = run_certificates(traj, tol_pos=traj.config.tol_pos)
+    report = run_certificates(traj)
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

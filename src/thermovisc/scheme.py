@@ -94,7 +94,6 @@ class Trajectory:
     config: SolverConfig
     snapshots: list = field(default_factory=list)
     step_diags: list = field(default_factory=list)
-    mech_log: list = field(default_factory=list)   # every accepted mech solve
 
     @property
     def grid(self):
@@ -153,13 +152,11 @@ def step_theta_b(scenario, eps):
 @dataclass
 class _SolverState:
     """What a run keeps between solves: the frozen factorizations of the
-    mechanical and thermal Newton steps, the last Korn solve and the last
-    determinant bound."""
+    mechanical and thermal Newton steps and the last Korn solve."""
 
     mech: FrozenFactor = field(default_factory=FrozenFactor)
     heat: FrozenFactor = field(default_factory=FrozenFactor)
     korn: diag.KornState = field(default_factory=diag.KornState)
-    hk: diag.DetBoundState = field(default_factory=diag.DetBoundState)
 
 
 def _make_snapshot(traj, k, t, y, theta, kin, theta_qp, theta_grad_qp, w_qp):
@@ -220,7 +217,9 @@ def run(scenario: Scenario, tau: float, eps: float,
     """Run the staggered scheme over [0, T] with constant step tau.
 
     The run keeps one factorization per Newton solve (mech and heat) and
-    the last Korn solve from step to step.  A step still rejected after
+    the last Korn solve from step to step.  A bounded end state equal bit
+    for bit to the last one bounded, as on a load-free step, takes that
+    step's ``hk_bound``.  A step still rejected after
     ``max_step_halvings`` halvings raises :class:`StepRejectedError`,
     naming the interval that failed."""
     cfg = config or SolverConfig()
@@ -245,7 +244,12 @@ def run(scenario: Scenario, tau: float, eps: float,
         snap.k, snap.t = k, t1
         # determinant and Korn certificates on the end state of every n-th macro step
         if cfg.hk_every and k % cfg.hk_every == 0:
-            d = replace(d, hk_bound=diag.hk_determinant_bound(grid, snap.y, solvers.hk))
+            j = k - cfg.hk_every
+            if j > 0 and np.array_equal(traj.snapshots[j].y.values, snap.y.values):
+                bound = traj.step_diags[j - 1].hk_bound
+            else:
+                bound = diag.hk_determinant_bound(grid, snap.y)
+            d = replace(d, hk_bound=bound)
         if cfg.korn_every and k % cfg.korn_every == 0:
             korn_const, korn_lower = diag.korn_certificate(grid, snap.F, solvers.korn)
             d = replace(d, korn_const=korn_const, korn_lower=korn_lower)
@@ -296,15 +300,6 @@ def _single_step(traj, snap_prev, t0, t1, solvers):
         gth_qp = heat_res.theta_new_grad_qp
     snap = _make_snapshot(traj, -1, t1, mech_res.y_new, theta, mech_res.kinematics,
                           theta_qp, gth_qp, w_qp)
-    # logged only now: a heat rejection abandons this mech solve
-    traj.mech_log.append({
-        "t": t1, "descent_gap": mech_res.descent_gap,
-        "iterations": mech_res.iterations, "min_detF": mech_res.min_detF,
-        "iterate_min_det": min(mech_res.iterate_min_dets),
-        "residual_norm": mech_res.residual_norm,
-        "factorizations": mech_res.factorizations,
-        "pcg_iterations": mech_res.pcg_iterations})
-
     d = diag.compute_step_diagnostics(snap_prev, snap, mech_inc, mech_res, heat_inc, heat_res)
     return snap, d
 

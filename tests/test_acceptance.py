@@ -226,9 +226,9 @@ def test_criterion_04_per_step_descent(matrix, tau_study):
     n_steps = 0
     violations = 0
     for traj in list(matrix.values()) + list(tau_study["trajectories"].values()):
-        for rec in traj.mech_log:
-            n_steps += 1
-            if rec["descent_gap"] < 0.0:
+        for d in traj.step_diags:
+            n_steps += d.substeps
+            if d.descent_gap < 0.0:
                 violations += 1
     report(4, "per-step descent", violations == 0,
            f"{violations} violations over {n_steps} accepted mechanical steps "
@@ -242,11 +242,9 @@ def test_criterion_05_positivity_and_invertibility(matrix, tau_study):
     for traj in list(matrix.values()) + list(tau_study["trajectories"].values()):
         for d in traj.step_diags:
             min_theta = min(min_theta, d.min_theta)
-            min_det = min(min_det, d.min_detF)
+            min_det = min(min_det, d.min_detF, d.iterate_min_det)
             if np.isfinite(d.hk_bound):
                 hk_ok &= d.hk_bound <= d.min_detF
-        for rec in traj.mech_log:
-            min_det = min(min_det, rec["min_detF"], rec["iterate_min_det"])
     ok = min_theta >= -1e-10 and min_det > 0.0 and hk_ok
     report(5, "positivity and invertibility", ok,
            f"min theta {min_theta:.2e} (tol -1e-10), min det {min_det:.3f} > 0, "

@@ -19,7 +19,6 @@ import thermovisc
 import thermovisc.diagnostics as diagnostics
 from thermovisc.diagnostics import (
     THETA_FLOOR,
-    DetBoundState,
     KornState,
     StepDiagnostics,
     TestBank,
@@ -234,7 +233,12 @@ def recomputed_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res, heat_in
         defect_reg=ledger_reg, defect_eps=defect_eps,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
         solver_term=solver_term, pcpl_old=pcpl_old, mech_iterations=mech_res.iterations,
-        heat_iterations=heat_iters, entropy_excluded=excluded)
+        heat_iterations=heat_iters, entropy_excluded=excluded,
+        descent_gap=mech_res.descent_gap, iterate_min_det=min(mech_res.iterate_min_dets),
+        mech_factorizations=mech_res.factorizations,
+        mech_pcg_iterations=mech_res.pcg_iterations,
+        heat_factorizations=0 if iso else heat_res.factorizations,
+        heat_pcg_iterations=0 if iso else heat_res.pcg_iterations)
 
 
 def with_eigen_certificates(row, traj, k, korn_state):
@@ -435,7 +439,8 @@ def test_hk_bound_affine_state():
 
 def test_hk_bound_of_an_unchanged_state_is_kept(monkeypatch):
     # the load-free steady state is bit-identical from step to step, so the
-    # first step's bound serves every step; a moved state is bounded anew
+    # first bounded step's bound serves every later one; a loaded state moves
+    # and is bounded anew on every bounded step
     calls = []
     det_lower_bounds = StructuredGrid.det_lower_bounds
 
@@ -444,17 +449,18 @@ def test_hk_bound_of_an_unchanged_state_is_kept(monkeypatch):
         return det_lower_bounds(grid, y)
 
     monkeypatch.setattr(StructuredGrid, "det_lower_bounds", counted)
-    traj = run(steady(grid=grid66(), T=0.2), tau=0.05, eps=0.01,
-               config=SolverConfig(korn_every=0))
-    bounds = [d.hk_bound for d in traj.step_diags]
-    assert len(calls) == 1 and bounds == [bounds[0]] * 4
-    assert bounds[0] == hk_determinant_bound(traj.grid, traj.snapshots[-1].y)
-    moved = traj.snapshots[-1].y.copy()
-    moved.values[-1] += 1e-3
-    state = DetBoundState()
-    for y in (traj.snapshots[-1].y, moved, moved):
-        hk_determinant_bound(traj.grid, y, state)
-    assert len(calls) == 4 and state.bound == hk_determinant_bound(traj.grid, moved)
+    for every in (1, 2):
+        for sc, loaded in ((steady(grid=grid66(), T=0.2), False),
+                           (shear_pulse(grid=grid66(), T=0.2, amplitude=0.1, t_pulse=0.15),
+                            True)):
+            calls.clear()
+            traj = run(sc, tau=0.05, eps=0.01,
+                       config=SolverConfig(korn_every=0, hk_every=every))
+            bounded = range(every, traj.n_steps + 1, every)
+            assert len(calls) == (len(bounded) if loaded else 1)
+            for k in bounded:
+                fresh = float(det_lower_bounds(traj.grid, traj.snapshots[k].y).min())
+                assert traj.step_diags[k - 1].hk_bound == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +808,21 @@ def test_weak_residuals_trace_each_snapshot_once(pulse_traj, monkeypatch):
     assert len(calls) == len(pulse_traj.snapshots) * len(grid.faces)
 
 
+def test_weak_residuals_pair_no_all_zero_field(pulse_traj, monkeypatch):
+    # the shear pulse loads y1 only, and only up to t_pulse: the tractions of
+    # x0 and x1, and of y1 after the pulse, are exact zeros and pair to zero
+    assert {"x0", "x1"} <= set(pulse_traj.grid.neumann_faces)
+    pair_lines, nonzero = diagnostics._pair_lines, []
+
+    def watched(fields, tables):
+        nonzero.append(bool(np.any(fields)))
+        return pair_lines(fields, tables)
+
+    monkeypatch.setattr(diagnostics, "_pair_lines", watched)
+    weak_residuals(pulse_traj, TestBank(pulse_traj.grid, T=0.3, n_elements=4, seed=5))
+    assert nonzero and all(nonzero)
+
+
 def run_python(code, *flags):
     """Run ``code`` in a fresh interpreter that imports this thermovisc."""
     src = os.path.dirname(os.path.dirname(thermovisc.__file__))
@@ -938,3 +959,16 @@ def test_run_certificates_pass_on_pulse(pulse_traj):
     assert {"mech_descent_violations", "min_theta", "min_detF_positive",
             "hk_bound_positive", "entropy_production_nonnegative",
             "energy_ledger_closes", "enthalpy_consistency"} <= names
+
+
+def test_run_certificates_judge_min_theta_by_the_run_tol_pos():
+    # an undershoot of 1e-8 is inside tol_pos = 1e-7 and outside the default 1e-10
+    def min_theta_check(config):
+        traj = run(steady(grid=grid66(), T=0.05), tau=0.05, eps=0.01, config=config)
+        traj.step_diags = [dataclasses.replace(traj.step_diags[0], min_theta=-1e-8)]
+        return next(c for c in run_certificates(traj)["checks"] if c["name"] == "min_theta")
+
+    check = min_theta_check(SolverConfig(tol_pos=1e-7, korn_every=0))
+    assert check["passed"] and check["threshold"] == -1e-7
+    check = min_theta_check(SolverConfig(korn_every=0))
+    assert not check["passed"] and check["threshold"] == -1e-10

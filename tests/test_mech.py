@@ -117,7 +117,7 @@ def test_solve_steady_keeps_identity():
     assert res.iterations == 0
     assert np.allclose(res.y_new.values, g.identity_field().values, atol=1e-10)
     assert res.descent_gap == 0.0
-    assert res.min_detF > 0.0
+    assert res.kinematics.min_detF > 0.0
 
 
 def test_solve_small_dead_load_descends():
@@ -130,7 +130,7 @@ def test_solve_small_dead_load_descends():
     assert res.iterations >= 1
     assert res.descent_gap > 0.0
     assert res.residual_norm <= max(1e-8 * 1.0, 1e-13) or res.residual_norm < 1e-8
-    assert res.min_detF > 0.0
+    assert res.kinematics.min_detF > 0.0
     # descent certificate restated through the functional
     J_prev, _ = incremental_functional(inc, inc.y_prev)
     J_new, _ = incremental_functional(inc, res.y_new)
@@ -152,7 +152,7 @@ def test_solver_never_returns_nonpositive_det():
     inc = make_inc(g, y_prev=NodalField(g, y0.values), load=load, tau=0.1)
     try:
         res = solve_mech(inc, SolverConfig(max_newton=30))
-        assert res.min_detF > 0.0
+        assert res.kinematics.min_detF > 0.0
     except StepRejectedError:
         pass  # rejection is an allowed outcome; det <= 0 is not
 

@@ -132,8 +132,9 @@ def test_every_factorization_uses_the_spd_setting(monkeypatch):
     assert all(kwargs == SPD_LU for made in calls.values() for kwargs in made)
     # one factorization per Newton solve and run, the rest is CG against it
     assert len(calls[mech.__name__]) == len(calls[heat.__name__]) == 1
-    assert [rec["factorizations"] for rec in traj.mech_log] == [1, 0]
-    assert traj.mech_log[1]["pcg_iterations"] > 0
+    assert [d.mech_factorizations for d in traj.step_diags] == [1, 0]
+    assert [d.heat_factorizations for d in traj.step_diags] == [1, 0]
+    assert traj.step_diags[1].mech_pcg_iterations > 0
 
 
 def perturbed_spd_sequence(rng, n=40, count=6, size=0.05):

@@ -182,10 +182,10 @@ def test_step_rejection_bubbles_up():
         run(sc, tau=0.2, eps=0.0, config=cfg)
 
 
-def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
+def test_merged_row_counts_only_the_solves_of_accepted_substeps(monkeypatch):
     import thermovisc.scheme as scheme
-    solve_heat = scheme.solve_heat
-    calls = []
+    solve_heat, solve_mech = scheme.solve_heat, scheme.solve_mech
+    calls, mech_results = [], []
 
     def heat_rejects_first(inc, cfg, frozen):
         calls.append(inc.tau)
@@ -193,14 +193,28 @@ def test_mech_log_skips_attempts_abandoned_by_heat(monkeypatch):
             raise StepRejectedError("injected thermal failure")
         return solve_heat(inc, cfg, frozen)
 
+    def recorded(*args):
+        mech_results.append(solve_mech(*args))
+        return mech_results[-1]
+
     monkeypatch.setattr(scheme, "solve_heat", heat_rejects_first)
+    monkeypatch.setattr(scheme, "solve_mech", recorded)
     sc = shear_pulse(grid=grid66(), T=0.05, amplitude=0.1, t_pulse=0.08)
     cfg = SolverConfig(max_step_halvings=1, korn_every=0, hk_every=0)
     traj = run(sc, tau=0.05, eps=0.01, config=cfg)
     assert calls == [0.05, 0.025, 0.025]
-    # the two accepted half steps, not the abandoned full-step mech solve
-    assert len(traj.mech_log) == 2
-    assert [rec["t"] for rec in traj.mech_log] == [0.025, 0.05]
+    # the work and descent of the two accepted half steps, not of the
+    # abandoned full-step mech solve, which made the run's one mech LU
+    abandoned, *halves = mech_results
+    assert len(halves) == 2 and abandoned.factorizations == 1
+    (d,) = traj.step_diags
+    assert d.substeps == 2
+    assert d.mech_factorizations == sum(r.factorizations for r in halves) == 0
+    assert d.mech_pcg_iterations == sum(r.pcg_iterations for r in halves) > 0
+    assert d.mech_iterations == sum(r.iterations for r in halves)
+    assert d.descent_gap == min(r.descent_gap for r in halves)
+    assert d.iterate_min_det == min(min(r.iterate_min_dets) for r in halves)
+    assert (d.heat_factorizations, d.heat_pcg_iterations > 0) == (1, True)
     # the merged row starts from snapshot 0's energies and its ledger closes
     (d,) = traj.step_diags
     M0, _, _, _, E0 = state_energies(traj.grid, traj.model, traj.snapshots[0])
