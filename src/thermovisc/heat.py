@@ -19,7 +19,9 @@ With K_prev frozen, the conduction and Robin terms are one fixed quadratic
 form per step, (1/2) u.A u in u = theta - theta_b, where A is the
 conduction stiffness plus kappa times the boundary mass.  The stiffness
 vanishes on constants, so this is exactly the two terms above, and no term
-of size kappa theta_b^2 |Gamma| is formed and cancelled.
+of size kappa theta_b^2 |Gamma| is formed and cancelled.  The step's
+functional, gradient and Hessian read one pointwise state per Newton
+iterate (:func:`heat_state`).
 """
 
 from __future__ import annotations
@@ -90,33 +92,32 @@ class HeatResult:
     pcg_iterations: int = 0       # CG iterations against the kept LU
 
 
-def heat_functional(inc: HeatIncrement, theta: NodalField):
-    g, m = inc.grid, inc.model
-    th = g.eval_values(theta)
-    W = m.w_total_ext(inc.phi1_new, th)
-    mval, _, _ = m.coupling_factor_ext(th)
+def heat_state(inc: HeatIncrement, theta: NodalField):
+    """(theta_qp, (W, W', W''), (m, m', m''), u, A u) with u = theta - theta_b:
+    theta and the triples of ``w_total_ext`` and ``coupling_factor_ext`` at
+    the quadrature points, all the step's functional, gradient and Hessian
+    read of an iterate."""
+    th = inc.grid.eval_values(theta)
+    u = theta.values - inc.theta_b_values
+    return (th, inc.model.w_total_ext(inc.phi1_new, th), inc.model.coupling_factor_ext(th),
+            u, inc.A @ u)
+
+
+def heat_functional(inc: HeatIncrement, theta: NodalField, state=None):
+    th, (W, _, _), (mval, _, _), u, Au = state or heat_state(inc, theta)
     dens = (W - inc.w_prev_qp * th) / inc.tau - inc.xi_reg_qp * th - mval * inc.cpl_qp
-    u = theta.values - inc.theta_b_values
-    return g.assemble_scalar(dens) + 0.5 * float(u @ (inc.A @ u))
+    return inc.grid.assemble_scalar(dens) + 0.5 * float(u @ Au)
 
 
-def heat_gradient(inc: HeatIncrement, theta: NodalField):
-    g, m = inc.grid, inc.model
-    th = g.eval_values(theta)
-    w_th = m.enthalpy_ext(inc.phi1_new, th)
-    _, m1, _ = m.coupling_factor_ext(th)
+def heat_gradient(inc: HeatIncrement, theta: NodalField, state=None):
+    _, (_, w_th, _), (_, m1, _), _, Au = state or heat_state(inc, theta)
     source = (w_th - inc.w_prev_qp) / inc.tau - inc.xi_reg_qp - m1 * inc.cpl_qp
-    u = theta.values - inc.theta_b_values
-    return g.assemble_gradient(1, source=source) + inc.A @ u
+    return inc.grid.assemble_gradient(1, source=source) + Au
 
 
-def heat_hessian(inc: HeatIncrement, theta: NodalField):
-    g, m = inc.grid, inc.model
-    th = g.eval_values(theta)
-    cv = m.heat_capacity_ext(inc.phi1_new, th)
-    _, _, m2 = m.coupling_factor_ext(th)
-    c0 = cv / inc.tau - m2 * inc.cpl_qp
-    return inc.A + g.assemble_hessian(1, c0=c0)
+def heat_hessian(inc: HeatIncrement, theta: NodalField, state=None):
+    _, (_, _, cv), (_, _, m2), _, _ = state or heat_state(inc, theta)
+    return inc.A + inc.grid.assemble_hessian(1, c0=cv / inc.tau - m2 * inc.cpl_qp)
 
 
 def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
@@ -126,7 +127,8 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
     The globalization (shift ladder, Armijo backtracking, noise-floor probe
     against J0, CG against the factorization ``frozen`` keeps between
     solves) is :func:`thermovisc.newton.minimize`, over all dofs with the
-    scalar (H^1)* norm; the thermal field has no Dirichlet part.
+    scalar (H^1)* norm; the thermal field has no Dirichlet part.  Each
+    iterate's :func:`heat_state` is Newton's ``aux``.
     ``residual_norm`` is always the dual norm of the returned
     ``residual_vector``, the gradient at the returned Newton iterate.
     ``theta_new_qp`` and ``theta_new_grad_qp`` are the returned field and
@@ -135,15 +137,18 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
     after the solve would break the step's energy balance.
     """
     cfg = config or SolverConfig()
-    g, m = inc.grid, inc.model
+    g = inc.grid
     frozen = frozen or FrozenFactor()
     work0 = frozen.factorizations, frozen.pcg_iterations
 
+    def functional(theta):
+        state = heat_state(inc, theta)
+        return heat_functional(inc, theta, state), state
+
     res = minimize(
-        inc.theta_prev.copy(),
-        functional=lambda th: (heat_functional(inc, th), None),
-        gradient=lambda th, _: heat_gradient(inc, th),
-        hessian=lambda th, _: heat_hessian(inc, th),
+        inc.theta_prev.copy(), functional=functional,
+        gradient=lambda th, state: heat_gradient(inc, th, state),
+        hessian=lambda th, state: heat_hessian(inc, th, state),
         dual_norm=lambda r: g.dual_norm(r, free_only=False), rtol=cfg.tol_heat, cfg=cfg,
         factor=frozen.bind(lambda A: splu(A, **SPD_LU)),
         label="thermal")
@@ -151,7 +156,7 @@ def solve_heat(inc: HeatIncrement, config: SolverConfig | None = None,
 
     th_qp, gth_qp = g.eval_scalar(theta)
     min_theta = float(min(th_qp.min(), theta.values[0::g.ndof_node].min()))
-    w_new = m.enthalpy_ext(inc.phi1_new, th_qp)
+    w_new = res.aux[1][1]   # W', the enthalpy, at the returned iterate
     return HeatResult(theta_new=theta, w_new_qp=w_new, theta_new_qp=th_qp,
                       theta_new_grad_qp=gth_qp, min_theta=min_theta,
                       iterations=res.iterations,

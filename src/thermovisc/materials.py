@@ -331,38 +331,26 @@ class MaterialModel:
 
     # -- thermal internal energy ---------------------------------------------
 
-    def _h_family(self, theta):
-        # h with h' = 1 - a + theta a' (the enthalpy bracket), h'' = theta a''
-        a = self.a(theta)
-        h = theta - 2.0 * self.a_int(theta) + theta * a
-        h1 = 1.0 - a + theta * self.a_prime(theta)
-        h2 = theta * self.a_dprime(theta)
-        return h, h1, h2
-
     def enthalpy(self, F, theta):
         """Thermal part of the internal energy; zero at theta = 0."""
         theta = _check_theta(theta)
-        _, h1, _ = self._h_family(theta)
-        return self.c * theta + self.phi1(F) * h1
-
-    # extensions below theta = 0 by the quadratic Taylor model at 0; these are
-    # what the unconstrained thermal minimization evaluates.
+        return self.w_total_ext(self.phi1(F), theta)[1]
 
     def w_total_ext(self, phi1v, theta):
+        """(W, W', W''): the thermal potential c theta^2/2 + phi1 h(theta),
+        the enthalpy and the heat capacity, with h' = 1 - a + theta a' (the
+        enthalpy bracket) and h'' = theta a''.  Below theta = 0 each is
+        extended by the quadratic Taylor model at 0; this is what the
+        unconstrained thermal minimization evaluates."""
         tp = np.maximum(theta, 0.0)
-        h, _, _ = self._h_family(tp)
-        return np.where(theta > 0.0, phi1v * h, 0.0) + 0.5 * self.c * theta**2
-
-    def enthalpy_ext(self, phi1v, theta):
-        tp = np.maximum(theta, 0.0)
-        _, h1, _ = self._h_family(tp)
-        return self.c * theta + np.where(theta > 0.0, phi1v * h1, 0.0)
-
-    def heat_capacity_ext(self, phi1v, theta):
-        """Slope of enthalpy_ext in theta; c at and below theta = 0."""
-        tp = np.maximum(theta, 0.0)
-        _, _, h2 = self._h_family(tp)
-        return self.c + np.where(theta > 0.0, phi1v * h2, 0.0)
+        a = self.a(tp)
+        h = tp - 2.0 * self.a_int(tp) + tp * a
+        h1 = 1.0 - a + tp * self.a_prime(tp)
+        h2 = tp * self.a_dprime(tp)
+        pos = theta > 0.0
+        return (np.where(pos, phi1v * h, 0.0) + 0.5 * self.c * theta**2,
+                self.c * theta + np.where(pos, phi1v * h1, 0.0),
+                self.c + np.where(pos, phi1v * h2, 0.0))
 
     def coupling_factor_ext(self, theta):
         """(m, m', m'') of the F-coupling antiderivative, extended below 0."""

@@ -116,8 +116,8 @@ def test_criterion_01_gradient_consistency():
         check(MODEL.coupling_dtheta(F, th),
               (MODEL.coupling_energy(F, th + h) - MODEL.coupling_energy(F, th - h)) / (2 * h))
         check(MODEL.enthalpy(F, th),
-              (MODEL.w_total_ext(MODEL.phi1(F), th + h)
-               - MODEL.w_total_ext(MODEL.phi1(F), th - h)) / (2 * h))
+              (MODEL.w_total_ext(MODEL.phi1(F), th + h)[0]
+               - MODEL.w_total_ext(MODEL.phi1(F), th - h)[0]) / (2 * h))
 
     # assembled gradients: grid energy, mechanical increment, thermal update
     grid = StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=("y0",))
@@ -264,7 +264,7 @@ def test_criterion_06_enthalpy_laws(matrix):
     ths = rng.uniform(1e-6, 10.0, size=n)
     th2 = rng.uniform(0.0, 10.0, size=n)
     phi1v = MODEL.phi1(Fs)
-    cv = np.concatenate([MODEL.heat_capacity_ext(phi1v, ths), MODEL.heat_capacity_ext(phi1v, th2)])
+    cv = np.concatenate([MODEL.w_total_ext(phi1v, ths)[2], MODEL.w_total_ext(phi1v, th2)[2]])
     eps_hat, K = float(cv.min()), float(cv.max())
     bounds_ok = 0.0 < eps_hat <= K < np.inf
     w1 = MODEL.enthalpy(Fs, ths)

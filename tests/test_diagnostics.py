@@ -972,3 +972,40 @@ def test_run_certificates_judge_min_theta_by_the_run_tol_pos():
     assert check["passed"] and check["threshold"] == -1e-7
     check = min_theta_check(SolverConfig(korn_every=0))
     assert not check["passed"] and check["threshold"] == -1e-10
+
+
+@pytest.fixture(scope="module")
+def two_step_traj():
+    sc = shear_pulse(grid=StructuredGrid((3, 3), (1.0, 1.0), dirichlet_faces=("y0",)),
+                     T=0.1, amplitude=0.2, t_pulse=0.1)
+    return run(sc, tau=0.05, eps=0.01)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("field,check", [
+    ("energy_gap_total", "energy_ledger_closes"),
+    ("hk_bound", "hk_bound_positive"),
+    ("korn_lower", "korn_lower_positive"),
+    ("descent_gap", "mech_descent_violations"),
+    ("min_theta", "min_theta"),
+    ("min_detF", "min_detF_positive"),
+    ("entropy_prod", "entropy_production_nonnegative"),
+    ("w_qp", "enthalpy_consistency"),
+])
+def test_run_certificates_fail_on_nan(two_step_traj, field, check, row):
+    # a NaN in one step row (for w_qp, in the end state of that row's step)
+    # fails its check wherever the row stands
+    assert run_certificates(two_step_traj)["all_passed"]
+    bad = copy.copy(two_step_traj)
+    if field == "w_qp":
+        bad.snapshots = list(two_step_traj.snapshots)
+        snap = bad.snapshots[row + 1]
+        w = snap.w_qp.copy()
+        w[0, 0] = np.nan
+        bad.snapshots[row + 1] = dataclasses.replace(snap, w_qp=w)
+    else:
+        bad.step_diags = list(two_step_traj.step_diags)
+        bad.step_diags[row] = dataclasses.replace(bad.step_diags[row], **{field: np.nan})
+    report = run_certificates(bad)
+    assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
+    assert not report["all_passed"]

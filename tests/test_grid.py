@@ -845,10 +845,11 @@ def reference_heat_step(inc, theta):
     g, m = inc.grid, inc.model
     th, gth = g.eval_scalar(theta)
     mval, m1, _ = m.coupling_factor_ext(th)
-    dens = ((m.w_total_ext(inc.phi1_new, th) - inc.w_prev_qp * th) / inc.tau
+    W, w, _ = m.w_total_ext(inc.phi1_new, th)
+    dens = ((W - inc.w_prev_qp * th) / inc.tau
             + 0.5 * np.einsum("cqa,cqab,cqb->cq", gth, inc.K_prev, gth)
             - inc.xi_reg_qp * th - mval * inc.cpl_qp)
-    source = ((m.enthalpy_ext(inc.phi1_new, th) - inc.w_prev_qp) / inc.tau
+    source = ((w - inc.w_prev_qp) / inc.tau
               - inc.xi_reg_qp - m1 * inc.cpl_qp)
     flux = np.einsum("cqab,cqb->cqa", inc.K_prev, gth)
     e, r = trace_robin(g, theta, inc.theta_b, m.kappa)

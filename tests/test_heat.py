@@ -5,12 +5,15 @@ enthalpy balance under pure heating, and positivity."""
 import numpy as np
 from scipy.sparse.linalg import splu
 
+import thermovisc.heat as heat
 from thermovisc.diagnostics import run_certificates
 from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.heat import (
     HeatIncrement,
     heat_functional,
     heat_gradient,
+    heat_hessian,
+    heat_state,
     robin_flux,
     solve_heat,
 )
@@ -87,6 +90,39 @@ def test_heat_gradient_matches_fd():
         fm = heat_functional(inc, NodalField(g, th.values - h * dv))
         fd = (fp - fm) / (2 * h)
         assert abs(np.dot(r, dv) - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_one_pointwise_state_per_newton_iterate(monkeypatch):
+    # the functional, gradient and Hessian give the same bits from a passed
+    # state as from their own, and solve_heat evaluates theta at the
+    # quadrature points once per functional call
+    g = StructuredGrid((3, 3), (1.0, 1.0))
+    rng = np.random.default_rng(4)
+    y_new = g.identity_field()
+    y_new.values += 0.01 * rng.standard_normal(y_new.values.shape)
+    inc = make_inc(g, y_new=NodalField(g, y_new.values), theta_prev=1.0, theta_b=0.2)
+    th = NodalField(g, g.constant_field(0.1).values + 0.2 * rng.standard_normal(g.n_sdofs))
+    state = heat_state(inc, th)
+    assert state[0].min() < 0.0 < state[0].max()   # both branches of the laws
+    assert heat_functional(inc, th, state) == heat_functional(inc, th)
+    assert np.array_equal(heat_gradient(inc, th, state), heat_gradient(inc, th))
+    assert np.array_equal(heat_hessian(inc, th, state).toarray(),
+                          heat_hessian(inc, th).toarray())
+
+    calls = {"eval_values": 0, "heat_functional": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(StructuredGrid, "eval_values",
+                        counted("eval_values", StructuredGrid.eval_values))
+    monkeypatch.setattr(heat, "heat_functional", counted("heat_functional", heat_functional))
+    res = solve_heat(inc)
+    assert res.iterations > 0
+    assert calls["eval_values"] == calls["heat_functional"] > res.iterations
 
 
 def test_uniform_scalar_reduction_oracle():

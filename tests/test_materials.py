@@ -240,14 +240,14 @@ def test_heat_capacity_limits_and_fd():
     # the thermal step's heat capacity, the theta-slope of the enthalpy
     rng = np.random.default_rng(14)
     F = random_feasible_gradient(rng, 2)
-    assert MODEL.heat_capacity_ext(MODEL.phi1(F), 0.0) == pytest.approx(MODEL.c, abs=1e-14)
+    assert MODEL.w_total_ext(MODEL.phi1(F), 0.0)[2] == pytest.approx(MODEL.c, abs=1e-14)
     m0 = MaterialModel(phi1_amp=0.0)
-    assert m0.heat_capacity_ext(m0.phi1(F), 2.3) == pytest.approx(m0.c, abs=1e-14)
+    assert m0.w_total_ext(m0.phi1(F), 2.3)[2] == pytest.approx(m0.c, abs=1e-14)
     for _ in range(100):
         F = random_feasible_gradient(rng, 2)
         th = rng.uniform(0.05, 3.0)
         g = fd_scalar(lambda t: MODEL.enthalpy(F, t), th)
-        assert rel_err(MODEL.heat_capacity_ext(MODEL.phi1(F), th), g) < 1e-6
+        assert rel_err(MODEL.w_total_ext(MODEL.phi1(F), th)[2], g) < 1e-6
 
 
 def test_enthalpy_two_sided_bounds():
@@ -270,31 +270,35 @@ def test_enthalpy_two_sided_bounds():
 
 
 def test_thermal_potentials_zero_at_zero():
-    assert MODEL.w_total_ext(MODEL.phi1(np.eye(2) * 1.1), 0.0) == 0.0
+    W, w, _ = MODEL.w_total_ext(MODEL.phi1(np.eye(2) * 1.1), 0.0)
+    assert W == 0.0 and w == 0.0
 
 
 def test_thermal_potentials_derivative_relations():
-    # the heat solve's potential W: dW/dtheta is the enthalpy, d^2W/dtheta^2
-    # the heat capacity
+    # the heat solve's triple (W, W', W''): W' is the enthalpy, and the
+    # first and second difference quotients of W match W' and W''
     rng = np.random.default_rng(16)
     for _ in range(100):
         F = random_feasible_gradient(rng, 2, spread=0.4)
         th = rng.uniform(0.05, 3.0)
         phi1v = MODEL.phi1(F)
-        dW = fd_scalar(lambda t: MODEL.w_total_ext(phi1v, t), th)
-        assert rel_err(MODEL.enthalpy(F, th), dW) < 1e-6
+        W, w, cv = MODEL.w_total_ext(phi1v, th)
+        assert w == MODEL.enthalpy(F, th)
+        dW = fd_scalar(lambda t: MODEL.w_total_ext(phi1v, t)[0], th)
+        assert rel_err(w, dW) < 1e-6
         h = 1e-4
-        Wp, W0, Wm = (MODEL.w_total_ext(phi1v, t) for t in (th + h, th, th - h))
+        Wp, W0, Wm = (MODEL.w_total_ext(phi1v, t)[0] for t in (th + h, th, th - h))
         d2W = (Wp - 2 * W0 + Wm) / h**2
-        assert rel_err(MODEL.heat_capacity_ext(phi1v, th), d2W) < 1e-5
+        assert rel_err(cv, d2W) < 1e-5
 
 
 def test_extended_thermal_family_is_c2_at_zero():
     phi1v = 0.7
     for t in (-1e-9, 0.0, 1e-9):
-        assert MODEL.w_total_ext(phi1v, t) == pytest.approx(0.5 * MODEL.c * t**2, abs=1e-17)
-        assert MODEL.enthalpy_ext(phi1v, t) == pytest.approx(MODEL.c * t, abs=1e-16)
-        assert MODEL.heat_capacity_ext(phi1v, t) == pytest.approx(MODEL.c, rel=1e-8)
+        W, w, cv = MODEL.w_total_ext(phi1v, t)
+        assert W == pytest.approx(0.5 * MODEL.c * t**2, abs=1e-17)
+        assert w == pytest.approx(MODEL.c * t, abs=1e-16)
+        assert cv == pytest.approx(MODEL.c, rel=1e-8)
     m, m1, m2 = MODEL.coupling_factor_ext(np.array([-1e-9, 0.0, 1e-9]))
     assert np.allclose(m, 0.0, atol=1e-17)
     assert np.allclose(m1, [-1e-9 * MODEL.alpha, 0.0, 1e-9 * MODEL.alpha], atol=1e-16)
