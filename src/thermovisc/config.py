@@ -32,9 +32,7 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "grid": {"extents": "int_list", "lengths": "float_list", "dirichlet": "str_list"},
-    "material": {k: "float" for k in
-                 ("c1", "c2", "s", "q", "p", "h_coef", "nu", "c", "alpha",
-                  "phi1_amp", "phi1_radius", "k_bar", "kappa")},
+    "material": {f.name: "float" for f in dc_fields(MaterialModel) if f.name != "d"},
     "loads": {"scenario": "str", "amplitude": "float", "t_pulse": "float",
               "theta_b": "float", "theta0": "float"},
     "time": {"T": "float", "tau": "float", "eps": "float"},

@@ -9,7 +9,7 @@ evidence that a run did what the analysis says it must.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -27,50 +27,61 @@ KORN_SLACK = 0.1      # korn_certificate solves again once the bound loses this 
 LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
 W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
 
+# How merge_step_diagnostics folds a field of a halved step's two substep rows
+# (a, b): least and most are min and max bit for bit, ties and signed zeros
+# included, but keep a NaN from either substep.
+SUM = {"merge": lambda a, b: a + b}
+FIRST = {"merge": lambda a, b: a}
+LAST = {"merge": lambda a, b: b}
+LEAST = {"merge": lambda a, b: b if b < a or b != b else a}
+MOST = {"merge": lambda a, b: b if b > a or b != b else a}
+
 
 @dataclass
 class StepDiagnostics:
     """The run's one record of an accepted step: its certificates and the
-    descent and work of its solves."""
+    descent and work of its solves.  Each field names the rule that merges
+    it over a halved step's substeps."""
 
-    t: float
-    M: float
-    M_prev: float
-    H_val: float
-    Phi_cpl: float
-    W_total: float
-    E: float
-    E_prev: float
-    dissipation_step: float
-    reg_dissipation_step: float
-    ext_power: float
-    boundary_heat: float
-    entropy_prod: float
-    entropy_total: float
-    min_detF: float
-    hk_bound: float
-    korn_const: float
-    mech_residual: float
-    heat_residual: float
-    energy_gap_total: float
-    min_theta: float
-    defect_reg: float
-    defect_eps: float
-    defect_semiconvex: float
-    defect_coupling: float
-    solver_term: float
-    pcpl_old: float
-    mech_iterations: int
-    heat_iterations: int
-    entropy_excluded: int
-    descent_gap: float            # J0 - J of the mech solve; least over substeps
-    iterate_min_det: float        # least min det F over the accepted mech iterates
-    mech_factorizations: int      # sparse LUs and CG iterations of each solve
-    mech_pcg_iterations: int
-    heat_factorizations: int
-    heat_pcg_iterations: int
-    korn_lower: float = float("nan")   # certified lower bound of the Korn constant
-    substeps: int = 1                  # accepted steps of a halved step
+    t: float = field(metadata=LAST)
+    M: float = field(metadata=LAST)
+    M_prev: float = field(metadata=FIRST)
+    H_val: float = field(metadata=LAST)
+    Phi_cpl: float = field(metadata=LAST)
+    W_total: float = field(metadata=LAST)
+    E: float = field(metadata=LAST)
+    E_prev: float = field(metadata=FIRST)
+    dissipation_step: float = field(metadata=SUM)
+    reg_dissipation_step: float = field(metadata=SUM)
+    ext_power: float = field(metadata=SUM)
+    boundary_heat: float = field(metadata=SUM)
+    entropy_prod: float = field(metadata=SUM)
+    entropy_total: float = field(metadata=LAST)
+    min_detF: float = field(metadata=LEAST)
+    hk_bound: float = field(metadata=LAST)
+    korn_const: float = field(metadata=LAST)
+    mech_residual: float = field(metadata=MOST)
+    heat_residual: float = field(metadata=MOST)
+    energy_gap_total: float = field(metadata=SUM)
+    min_theta: float = field(metadata=LEAST)
+    defect_reg: float = field(metadata=SUM)
+    defect_eps: float = field(metadata=SUM)
+    defect_semiconvex: float = field(metadata=SUM)
+    defect_coupling: float = field(metadata=SUM)
+    solver_term: float = field(metadata=SUM)
+    pcpl_old: float = field(metadata=SUM)
+    mech_iterations: int = field(metadata=SUM)
+    heat_iterations: int = field(metadata=SUM)
+    entropy_excluded: int = field(metadata=SUM)
+    descent_gap: float = field(metadata=LEAST)   # J0 - J of the mech solve
+    iterate_min_det: float = field(metadata=LEAST)   # min det F over the accepted mech iterates
+    mech_factorizations: int = field(metadata=SUM)   # sparse LUs and CG iterations of each solve
+    mech_pcg_iterations: int = field(metadata=SUM)
+    heat_factorizations: int = field(metadata=SUM)
+    heat_pcg_iterations: int = field(metadata=SUM)
+    # certified lower bound of the Korn constant
+    korn_lower: float = field(default=float("nan"), metadata=LAST)
+    substeps: int = field(default=1, metadata=SUM)   # accepted steps of a halved step
 
     def ledger_items(self):
         """The itemized total-energy identity of the step, whose sum is
@@ -189,23 +200,10 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
 
 
 def merge_step_diagnostics(d1: StepDiagnostics, d2: StepDiagnostics):
-    """Aggregate two consecutive substeps into one macro-step row."""
-    add = ("dissipation_step", "reg_dissipation_step", "ext_power",
-           "boundary_heat", "entropy_prod", "defect_reg", "defect_eps",
-           "defect_semiconvex", "defect_coupling", "solver_term",
-           "energy_gap_total", "pcpl_old", "mech_iterations", "heat_iterations",
-           "entropy_excluded", "mech_factorizations", "mech_pcg_iterations",
-           "heat_factorizations", "heat_pcg_iterations", "substeps")
-    out = {f.name: getattr(d2, f.name) for f in dc_fields(StepDiagnostics)}
-    for name in add:
-        out[name] = getattr(d1, name) + getattr(d2, name)
-    out["M_prev"] = d1.M_prev
-    out["E_prev"] = d1.E_prev
-    for name in ("min_detF", "min_theta", "descent_gap", "iterate_min_det"):
-        out[name] = min(getattr(d1, name), getattr(d2, name))
-    out["mech_residual"] = max(d1.mech_residual, d2.mech_residual)
-    out["heat_residual"] = max(d1.heat_residual, d2.heat_residual)
-    return StepDiagnostics(**out)
+    """Aggregate two consecutive substeps into one macro-step row, each
+    field by the rule its declaration names."""
+    return StepDiagnostics(**{f.name: f.metadata["merge"](getattr(d1, f.name), getattr(d2, f.name))
+                              for f in dc_fields(StepDiagnostics)})
 
 
 # ---------------------------------------------------------------------------

@@ -217,31 +217,24 @@ class MaterialModel:
                 np.where(inside, b1, zero),
                 np.where(inside, b2, zero))
 
-    def _strain_dev(self, F):
-        return _matmul(np.swapaxes(F, -1, -2), F) - np.eye(self.d)
+    def _phi1_parts(self, F):
+        """(F, E, b, b', b''): F as an array, the strain E = F^T F - I and the
+        bump with its two derivatives at u = |E|^2 / r^2."""
+        F = np.asarray(F, dtype=float)
+        E = _matmul(np.swapaxes(F, -1, -2), F) - np.eye(self.d)
+        return (F, E) + self._bump(_ddot(E, E) / self.phi1_radius**2)
 
     def phi1(self, F):
-        F = np.asarray(F, dtype=float)
-        E = self._strain_dev(F)
-        u = _ddot(E, E) / self.phi1_radius**2
-        b, _, _ = self._bump(u)
-        return self.phi1_amp * b
+        return self.phi1_amp * self._phi1_parts(F)[2]
 
     def phi1_grad(self, F):
-        F = np.asarray(F, dtype=float)
-        E = self._strain_dev(F)
-        r2 = self.phi1_radius**2
-        u = _ddot(E, E) / r2
-        _, b1, _ = self._bump(u)
-        return self.phi1_amp * b1[..., None, None] * (4.0 / r2) * _matmul(F, E)
+        F, E, _, b1, _ = self._phi1_parts(F)
+        return self.phi1_amp * b1[..., None, None] * (4.0 / self.phi1_radius**2) * _matmul(F, E)
 
     def phi1_hess(self, F):
         """d^2 phi1 / dF^2 with index order (..., i, a, j, b)."""
-        F = np.asarray(F, dtype=float)
-        E = self._strain_dev(F)
+        F, E, _, b1, b2 = self._phi1_parts(F)
         r2 = self.phi1_radius**2
-        u = _ddot(E, E) / r2
-        _, b1, b2 = self._bump(u)
         FE = _matmul(F, E)
         FFt = _matmul(F, np.swapaxes(F, -1, -2))
         c_outer, c_inner = b2 * (4.0 / r2) ** 2, b1 * (4.0 / r2)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -393,23 +393,14 @@ def run_hash(scenario: Scenario, tau, eps, config: SolverConfig):
     """Stable hash of everything that determines a trajectory, stamped as
     ``config_hash`` into every field dump.
 
-    The loads enter through the preset record ``scenario.params`` and the
-    numbers ``theta0`` and ``theta_b``, which a hand-built scenario sets
-    without a record; its traction, a callable, is not hashed."""
-    payload = {
-        "name": scenario.name,
-        "extents": scenario.grid.extents,
-        "lengths": scenario.grid.lengths,
-        "dirichlet": scenario.grid.dirichlet_faces,
-        "model": asdict(scenario.model),
-        "T": scenario.T,
-        "tau": tau,
-        "eps": eps,
-        "theta0": scenario.theta0,
-        "theta_b": scenario.theta_b,
-        "isothermal": scenario.isothermal,
-        "params": scenario.params,
-        "solver": asdict(config),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    Every scenario field is hashed, a dataclass as its fields, except the
+    grid, which enters through its extents, lengths and clamped faces, and
+    the traction, a callable; its loads enter through the preset record
+    ``params`` and the numbers ``theta0`` and ``theta_b``."""
+    payload = {f.name: getattr(scenario, f.name) for f in fields(scenario)
+               if f.name not in ("grid", "traction")}
+    grid = scenario.grid
+    payload.update(extents=grid.extents, lengths=grid.lengths,
+                   dirichlet=grid.dirichlet_faces, tau=tau, eps=eps, solver=config)
+    blob = json.dumps(payload, sort_keys=True, default=asdict).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -130,7 +130,6 @@ def test_insulated_entropy_nondecreasing():
 def test_merged_substep_diagnostics_keep_ledger_closed():
     # the local tau-halving policy aggregates two substeps into one row;
     # additive items must telescope so the merged ledger still closes
-    from thermovisc.diagnostics import merge_step_diagnostics
     sc = shear_pulse(grid=grid66(), T=0.1, amplitude=0.2, t_pulse=0.08)
     traj = run(sc, tau=0.05, eps=0.01)
     d1, d2 = traj.step_diags
@@ -142,6 +141,19 @@ def test_merged_substep_diagnostics_keep_ledger_closed():
     items = merged.ledger_items()
     assert sum(items.values()) == pytest.approx(merged.energy_gap_total, abs=1e-12)
     assert abs(merged.energy_gap_total) < 1e-12
+    # the least and most of two substeps keep a NaN from either one, and
+    # fold numbers as min and max do, signed zeros included
+    for name, fold in [(n, min) for n in ("min_detF", "min_theta", "descent_gap",
+                                          "iterate_min_det")] + [
+            (n, max) for n in ("mech_residual", "heat_residual")]:
+        for a, b in ((np.nan, 1.0), (1.0, np.nan)):
+            merged = merge_step_diagnostics(dataclasses.replace(d1, **{name: a}),
+                                            dataclasses.replace(d2, **{name: b}))
+            assert np.isnan(getattr(merged, name)), (name, a, b)
+        for a, b in ((0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (2.0, 1.0)):
+            merged = merge_step_diagnostics(dataclasses.replace(d1, **{name: a}),
+                                            dataclasses.replace(d2, **{name: b}))
+            assert getattr(merged, name).hex() == fold(a, b).hex(), (name, a, b)
 
 
 # ---------------------------------------------------------------------------

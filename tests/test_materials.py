@@ -563,7 +563,7 @@ def reference_kernels(m, F, Fd, theta):
     Fi = inv(F)
     return {
         "rate_of_cauchy_green": Cdot,
-        "_strain_dev": E,
+        "_phi1_parts": E,   # its strain E = F^T F - I
         "phi1_grad": m.phi1_amp * b1[..., None, None] * (4.0 / r2) * FE,
         "viscous_stress": 2.0 * m.nu * (F @ Cdot),
         "pullback_conductivity": det(F)[..., None, None] * (
@@ -610,7 +610,7 @@ def test_stacked_kernels_match_batched_matmul(d):
     theta = rng.uniform(0.0, 2.0, F.shape[:-2])
     got = {
         "rate_of_cauchy_green": rate_of_cauchy_green(F, Fd),
-        "_strain_dev": m._strain_dev(F),
+        "_phi1_parts": m._phi1_parts(F)[1],
         "phi1_grad": m.phi1_grad(F),
         "viscous_stress": m.viscous_stress(F, Fd, theta),
         "pullback_conductivity": m.pullback_conductivity(F, theta),

@@ -2,6 +2,7 @@
 interpolants, load averaging, rejection policy, the run hash, the
 regularized initial data and the refinement distances."""
 
+import dataclasses
 import functools
 import re
 
@@ -237,21 +238,33 @@ def test_korn_and_hk_every_are_periods():
         assert np.isnan(d.korn_const) or abs(d.korn_const - fresh) <= 1e-12 * fresh
 
 
+@dataclasses.dataclass
+class TaggedScenario(Scenario):
+    """A scenario with one field more than the library's."""
+
+    tag: float = 1.0
+
+
 @pytest.mark.parametrize("change", [{"amplitude": 0.4}, {"t_pulse": 0.1}, {"theta0": 1.5},
-                                    {"theta_b": 0.5}], ids=lambda c: next(iter(c)))
+                                    {"theta_b": 0.5}, {"name": "other"}, {"T": 0.3},
+                                    {"isothermal": True}, {"tag": 2.0}],
+                         ids=lambda c: next(iter(c)))
 def test_run_hash_covers_the_loads(change):
     # the same grid, model and times under other loads hash differently
     loads = dict(T=0.2, amplitude=0.1, t_pulse=0.15, theta0=1.0, theta_b=1.0)
     grid, cfg = grid66(), SolverConfig()
-    base = shear_pulse(grid=grid, **loads)
-    other = shear_pulse(grid=grid, **{**loads, **change})
-    assert run_hash(other, 0.05, 0.01, cfg) != run_hash(base, 0.05, 0.01, cfg)
-    assert (base.params, other.params) == (loads, {**loads, **change})
-    if set(change) <= {"theta0", "theta_b"}:
-        # a hand-built scenario keeps no params: its numbers are hashed themselves
-        hand = Scenario(name="hand", grid=grid, model=MaterialModel(), T=0.2)
-        other = Scenario(name="hand", grid=grid, model=MaterialModel(), T=0.2, **change)
-        assert run_hash(other, 0.05, 0.01, cfg) != run_hash(hand, 0.05, 0.01, cfg)
+    if set(change) <= set(loads):
+        base = shear_pulse(grid=grid, **loads)
+        other = shear_pulse(grid=grid, **{**loads, **change})
+        assert run_hash(other, 0.05, 0.01, cfg) != run_hash(base, 0.05, 0.01, cfg)
+        assert (base.params, other.params) == (loads, {**loads, **change})
+    if not set(change) <= {"amplitude", "t_pulse"}:
+        # a hand-built scenario keeps no params: its fields are hashed
+        # themselves, a field of a subclass too
+        build = TaggedScenario if "tag" in change else Scenario
+        hand = dict(name="hand", grid=grid, model=MaterialModel(), T=0.2)
+        assert (run_hash(build(**{**hand, **change}), 0.05, 0.01, cfg)
+                != run_hash(build(**hand), 0.05, 0.01, cfg))
 
 
 def test_determinism_bit_identical():
