@@ -537,8 +537,8 @@ def weak_residuals(traj, bank: TestBank):
     boundary/initial temperature data enter; at eps = 0 they are the plain
     identities.  Evaluation uses the affine interpolants with per-step Gauss
     quadrature in time.  Each term is evaluated once per time node, on
-    copies of the snapshots' F and temperature gradient whose entries are
-    contiguous, and paired with every bank element by sum factorization
+    copies of the snapshots' F, G and temperature gradient whose entries
+    are contiguous, and paired with every bank element by sum factorization
     (:func:`_pair_lines`): a cell field is contracted with the bank's line
     factors one axis at a time, a face field with the factors of its d - 1
     tangential lines times the normal factor at the face coordinate.  The
@@ -574,6 +574,7 @@ def weak_residuals(traj, bank: TestBank):
                 for name in grid.neumann_faces} if scenario.traction is not None else {}
     mech_res, heat_res = np.zeros((2, len(bank.amp)))
     F = [_component_major(s.F) for s in snaps]
+    G = [_component_major(s.G) for s in snaps]
 
     if thermal:
         heat_tables = _line_tables(bank, [(d, orders((a,))) for a in axes] + [(d, (0,) * d)],
@@ -601,9 +602,7 @@ def weak_residuals(traj, bank: TestBank):
         for t, wt in zip(*_time_nodes(s0.t, s1.t)):
             lam = (t - s0.t) / tau
             F_t = (1 - lam) * F[k - 1] + lam * F[k]
-            # G stays point-major: the hyperstress sums G * G over its entries,
-            # which on component-major memory would add them in another order
-            G_t = (1 - lam) * s0.G + lam * s1.G
+            G_t = (1 - lam) * G[k - 1] + lam * G[k]
             th_qp = np.maximum((1 - lam) * s0.theta_qp + lam * s1.theta_qp, 0.0)
 
             visc = model.viscous_stress(F_t, rate, th_qp)

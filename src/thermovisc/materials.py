@@ -130,6 +130,13 @@ def _ddot(A, B):
     return acc
 
 
+def _sumsq3(G):
+    """|G|^2 of (..., d, d, d) stacks, summed entry by entry in row-major
+    order (:func:`_ddot`), so its bits do not depend on G's memory layout."""
+    G = G.reshape(G.shape[:-2] + (-1,))
+    return _ddot(G, G)
+
+
 def rate_of_cauchy_green(F, Fdot):
     """C-rate Fdot^T F + F^T Fdot for given gradient and gradient rate."""
     S = _matmul(np.swapaxes(Fdot, -1, -2), F)
@@ -361,11 +368,11 @@ class MaterialModel:
 
     def hyperstress_energy(self, G):
         G = np.asarray(G, dtype=float)
-        return self.h_coef * np.sum(G * G, axis=(-3, -2, -1)) ** (self.p / 2.0)
+        return self.h_coef * _sumsq3(G) ** (self.p / 2.0)
 
     def hyperstress(self, G):
         G = np.asarray(G, dtype=float)
-        g2 = np.sum(G * G, axis=(-3, -2, -1))
+        g2 = _sumsq3(G)
         coef = np.where(g2 > 0.0, g2 ** ((self.p - 2.0) / 2.0), 0.0)
         return self.h_coef * self.p * coef[..., None, None, None] * G
 
@@ -376,7 +383,7 @@ class MaterialModel:
         is the outer square of R = sqrt(h p (p-2)) |G|^((p-4)/2) G.
         """
         G = np.asarray(G, dtype=float)
-        g2 = np.sum(G * G, axis=(-3, -2, -1))
+        g2 = _sumsq3(G)
         pos = g2 > 0.0
         scal = self.h_coef * self.p * np.where(pos, g2 ** ((self.p - 2.0) / 2.0), 0.0)
         amp = np.sqrt(self.h_coef * self.p * (self.p - 2.0))

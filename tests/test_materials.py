@@ -12,6 +12,7 @@ import pytest
 from scipy.special import xlogy
 
 import thermovisc
+from thermovisc.diagnostics import _component_major
 from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.heat import HeatIncrement
 from thermovisc.materials import (
@@ -345,6 +346,19 @@ def test_hyperstress_hessian_parts_match_fd():
         lhs = scal * H + np.sum(R * H) * R
         rhs = fd_grad(lambda X: np.sum(MODEL.hyperstress(X) * H), G)
         assert rel_err(lhs, rhs, floor=1e-8) < 1e-5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hyperstress_bits_do_not_depend_on_memory_layout(d):
+    # the weak-residual audit evaluates the hyperstress on component-major copies
+    m = MODEL if d == 2 else MaterialModel(d=3, q=13.0, c2=12.0 / 13.0)
+    G = np.random.default_rng(30 + d).standard_normal((256, 16, d, d, d))
+    Gc = _component_major(G)
+    assert not Gc.flags.c_contiguous and np.array_equal(Gc, G)
+    for kernel in (m.hyperstress_energy, m.hyperstress):
+        assert np.array_equal(kernel(Gc), kernel(G)), kernel.__name__
+    for got, ref in zip(m.hyperstress_hessian_parts(Gc), m.hyperstress_hessian_parts(G)):
+        assert np.array_equal(got, ref)
 
 
 def test_hyperstress_frame_indifference():
