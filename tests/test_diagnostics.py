@@ -143,17 +143,15 @@ def test_merged_substep_diagnostics_keep_ledger_closed():
     assert abs(merged.energy_gap_total) < 1e-12
     # the least and most of two substeps keep a NaN from either one, and
     # fold numbers as min and max do, signed zeros included
-    for name, fold in [(n, min) for n in ("min_detF", "min_theta", "descent_gap",
-                                          "iterate_min_det")] + [
-            (n, max) for n in ("mech_residual", "heat_residual")]:
-        for a, b in ((np.nan, 1.0), (1.0, np.nan)):
+    folds = dict.fromkeys(("min_detF", "min_theta", "descent_gap", "iterate_min_det"), min)
+    folds.update(dict.fromkeys(("mech_residual", "heat_residual"), max))
+    for name, fold in folds.items():
+        for a, b in ((np.nan, 1.0), (1.0, np.nan), (0.0, -0.0), (-0.0, 0.0), (1.0, 2.0),
+                     (2.0, 1.0)):
             merged = merge_step_diagnostics(dataclasses.replace(d1, **{name: a}),
                                             dataclasses.replace(d2, **{name: b}))
-            assert np.isnan(getattr(merged, name)), (name, a, b)
-        for a, b in ((0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (2.0, 1.0)):
-            merged = merge_step_diagnostics(dataclasses.replace(d1, **{name: a}),
-                                            dataclasses.replace(d2, **{name: b}))
-            assert getattr(merged, name).hex() == fold(a, b).hex(), (name, a, b)
+            ref = np.nan if np.isnan([a, b]).any() else fold(a, b)
+            assert getattr(merged, name).hex() == ref.hex(), (name, a, b)
 
 
 # ---------------------------------------------------------------------------
