@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from .grid import StructuredGrid, grid_errors
 from .materials import MaterialModel
 from .mech import SolverConfig
-from .presets import DEFAULT_REFINEMENT, PRESETS, parameters
+from .presets import PRESETS, parameters
 from .scheme import Scenario, refinement_errors, time_errors
 
 
@@ -90,8 +90,7 @@ class RunConfig:
     def serialize(self) -> str:
         """The config as an INI document, every key in ``_SCHEMA`` order.  The
         scenario's parameters are written as its preset recorded them; a
-        preset key the scenario does not take and a material key its preset
-        fixes are left out."""
+        preset key the scenario does not take is left out."""
         sc, grid = self.scenario, self.scenario.grid
         # isothermal is an INI key of [solver] but belongs to the scenario
         held = {"extents": grid.extents, "lengths": grid.lengths,
@@ -102,8 +101,7 @@ class RunConfig:
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
             for key, kind in keys.items():
-                fixed = section == "material" and key in sc.params
-                if fixed or key in _PRESET_KEYS and key not in sc.params:
+                if key in _PRESET_KEYS and key not in sc.params:
                     continue
                 value = held[key] if key in held else getattr(owners.get(section, self), key)
                 fmt = _FORMAT[kind.removesuffix("_list")]
@@ -145,10 +143,11 @@ def parse_config(text: str) -> RunConfig:
     errors.extend(f"[grid] {e}" for e in grid_errors(extents, lengths, dirichlet))
 
     mat_kwargs = {key: v for (section, key), v in values.items() if section == "material"}
-    try:
-        material = MaterialModel(d=len(extents), **mat_kwargs)
-    except ValueError as exc:
-        errors.extend(f"[material] {e}" for e in str(exc).split("; "))
+    if len(extents) in (2, 3):   # another axis count is a [grid] violation above
+        try:
+            material = MaterialModel(d=len(extents), **mat_kwargs)
+        except ValueError as exc:
+            errors.extend(f"[material] {e}" for e in str(exc).split("; "))
 
     name = get("loads", "scenario", "steady")
     takes = parameters(name) if name in PRESETS else {}
@@ -158,7 +157,6 @@ def parse_config(text: str) -> RunConfig:
     named = f"scenario '{name}' (its parameters: {', '.join(takes)})"
     errors.extend(f"[{'time' if key == 'T' else 'loads'}] {key} is not a parameter of {named}"
                   for key in preset_args if takes and key not in takes)
-    errors.extend(f"[material] {key} is fixed by {named}" for key in mat_kwargs if key in takes)
     errors.extend(f"[loads] {key} must be nonnegative" for key in ("theta_b", "theta0")
                   if preset_args.get(key, 0.0) < 0)
 
@@ -178,9 +176,7 @@ def parse_config(text: str) -> RunConfig:
                               "which is isothermal")
             scenario.isothermal = scenario.isothermal or bool(flag)
 
-    refinement = DEFAULT_REFINEMENT.get(name, {})
-    tau_list = get("output", "tau_list") or refinement.get("tau_list", [])
-    eps_list = get("output", "eps_list") or refinement.get("eps_list", [])
+    tau_list, eps_list = get("output", "tau_list", []), get("output", "eps_list", [])
     errors.extend(f"[time] {e}" for e in time_errors(T, tau, eps))
     if tau_list or eps_list:
         errors.extend(f"[output] {e}" for e in refinement_errors(T, tau_list or [tau],

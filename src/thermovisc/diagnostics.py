@@ -72,7 +72,6 @@ class StepDiagnostics:
     pcpl_old: float = field(metadata=SUM)
     mech_iterations: int = field(metadata=SUM)
     heat_iterations: int = field(metadata=SUM)
-    entropy_excluded: int = field(metadata=SUM)
     descent_gap: float = field(metadata=LEAST)   # J0 - J of the mech solve
     iterate_min_det: float = field(metadata=LEAST)   # min det F over the accepted mech iterates
     mech_factorizations: int = field(metadata=SUM)   # sparse LUs and CG iterations of each solve
@@ -152,7 +151,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         pcpl_old = defect_coupling = boundary_heat = heat_term = entropy_prod = 0.0
         entropy_tot, min_theta = float("nan"), float(snap_new.theta_qp.min())
         heat_resid = 0.0
-        heat_iters = excluded = heat_lus = heat_pcg = 0
+        heat_iters = heat_lus = heat_pcg = 0
         ledger_reg = dissipation_step  # all dissipated power leaves the ledger
     else:
         th_new = np.maximum(snap_new.theta_qp, 0.0)
@@ -169,7 +168,6 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         dens = np.where(mask, xi / np.maximum(snap_new.theta_qp, THETA_FLOOR)
                         + cond / np.maximum(snap_new.theta_qp, THETA_FLOOR) ** 2, 0.0)
         entropy_prod = tau * grid.assemble_scalar(dens)
-        excluded = int((~mask).sum())
         entropy_tot = total_entropy(grid, model, snap_new)
         min_theta = heat_res.min_theta
         heat_resid = heat_res.residual_norm
@@ -190,8 +188,7 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
         defect_semiconvex=defect_semiconvex, defect_coupling=defect_coupling,
         solver_term=mech_term + heat_term, pcpl_old=pcpl_old,
         mech_iterations=mech_res.iterations, heat_iterations=heat_iters,
-        entropy_excluded=excluded, descent_gap=mech_res.descent_gap,
-        iterate_min_det=min(mech_res.iterate_min_dets),
+        descent_gap=mech_res.descent_gap, iterate_min_det=min(mech_res.iterate_min_dets),
         mech_factorizations=mech_res.factorizations,
         mech_pcg_iterations=mech_res.pcg_iterations,
         heat_factorizations=heat_lus, heat_pcg_iterations=heat_pcg)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import replace
 
 import numpy as np
 
-from .grid import StructuredGrid
 from .materials import MaterialModel
 from .scheme import Scenario
 
@@ -32,10 +30,11 @@ def parameters(name):
 
 
 def _preset(build):
-    """Register ``build``, which gets a grid and a model always.  Its
-    scenarios record the call's parameters with defaults filled in, as the
-    scenario holds them where it does (so theta_b = None records the
-    theta0 it resolves to)."""
+    """Register ``build``, which gets a model always (the default material
+    of the grid's dimension unless one is passed).  Its scenarios record
+    the call's parameters with defaults filled in, as the scenario holds
+    them where it does (so theta_b = None records the theta0 it resolves
+    to)."""
     signature = inspect.signature(build)
 
     @functools.wraps(build)
@@ -43,7 +42,6 @@ def _preset(build):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         kw = bound.arguments
-        kw["grid"] = kw["grid"] or StructuredGrid((16, 16), (1.0, 1.0), dirichlet_faces=("y0",))
         kw["model"] = kw["model"] or MaterialModel(d=kw["grid"].d)
         sc = build(**kw)
         sc.params = {key: getattr(sc, key, value) for key, value in kw.items()
@@ -83,13 +81,13 @@ def _pulse_scenario(name, grid, model, T, amplitude, t_pulse, theta0, theta_b, p
 
 
 @_preset
-def steady(grid=None, model=None, T=1.0, theta0=1.0):
+def steady(grid, model=None, T=1.0, theta0=1.0):
     """Load-free equilibrium audit: identity map, uniform temperature data."""
     return Scenario(name="steady", grid=grid, model=model, T=T, theta_b=theta0, theta0=theta0)
 
 
 @_preset
-def shear_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
+def shear_pulse(grid, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
                 theta0=1.0, theta_b=None):
     """Tangential traction amplitude * sin^2(pi t / t_pulse) on the loaded
     face up to t_pulse, then none."""
@@ -97,7 +95,7 @@ def shear_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
 
 
 @_preset
-def press_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
+def press_pulse(grid, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
                 theta0=1.0, theta_b=None):
     """The shear pulse pressing on the loaded face.  Its rates are strain
     dominated (little rigid spin), which isolates the linear-viscosity
@@ -107,39 +105,9 @@ def press_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5,
 
 
 @_preset
-def insulated_pulse(grid=None, model=None, T=1.0, amplitude=0.15, t_pulse=0.5, theta0=1.0,
-                    kappa=1e-6):
-    """Shear pulse with the model's heat-transfer coefficient replaced by a
-    near-zero kappa, for the entropy-monotonicity audit."""
-    return _pulse_scenario("insulated_pulse", grid, replace(model, kappa=kappa), T, amplitude,
-                           t_pulse, theta0, None)
-
-
-@_preset
-def isothermal_creep(grid=None, model=None, T=1.0, amplitude=0.05, theta0=1.0):
+def isothermal_creep(grid, model=None, T=1.0, amplitude=0.05, theta0=1.0):
     """Constant small dead traction at fixed temperature (eps = 0 intended)."""
     return Scenario(name="isothermal_creep", grid=grid, model=model, T=T,
                     traction=_face_traction(grid, lambda t: amplitude),
                     theta0=theta0, theta_b=theta0, isothermal=True)
 
-
-@_preset
-def refine_tau(grid=None, model=None, T=0.4, amplitude=0.15, t_pulse=0.25,
-               theta0=1.0, theta_b=None):
-    """Shear pulse sized for tau-halving studies (see DEFAULT_REFINEMENT)."""
-    return _pulse_scenario("refine_tau", grid, model, T, amplitude, t_pulse, theta0, theta_b)
-
-
-@_preset
-def refine_eps(grid=None, model=None, T=0.4, amplitude=0.15, t_pulse=0.25,
-               theta0=1.0, theta_b=None):
-    """Pressing pulse sized for eps-refinement studies (see press_pulse)."""
-    return _pulse_scenario("refine_eps", grid, model, T, amplitude, t_pulse, theta0, theta_b,
-                           press=True)
-
-
-# list defaults used when a refine_* scenario is selected without explicit lists
-DEFAULT_REFINEMENT = {
-    "refine_tau": {"tau_list": [0.1, 0.05, 0.025, 0.0125], "eps_list": [0.01]},
-    "refine_eps": {"tau_list": [0.025], "eps_list": [0.1, 0.01, 0.001]},
-}

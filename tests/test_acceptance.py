@@ -21,7 +21,7 @@ from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.heat import HeatIncrement, heat_functional, heat_gradient
 from thermovisc.materials import MaterialModel, rate_of_cauchy_green
 from thermovisc.mech import MechIncrement, SolverConfig, incremental_functional, incremental_gradient
-from thermovisc.presets import insulated_pulse, isothermal_creep, press_pulse, shear_pulse, steady
+from thermovisc.presets import isothermal_creep, press_pulse, shear_pulse, steady
 from thermovisc.scheme import refinement_study, run
 
 from helpers import apply_dirichlet_identity, random_feasible_gradient, random_rotation
@@ -54,8 +54,8 @@ def matrix():
     runs["steady"] = run(steady(grid=grid16(), T=1.0), tau=0.01, eps=0.01)
     runs["shear"] = run(shear_pulse(grid=grid16(), T=1.0, amplitude=0.15,
                                     t_pulse=0.5), tau=0.02, eps=0.01)
-    runs["insulated"] = run(insulated_pulse(grid=grid16(), T=0.6, amplitude=0.2,
-                                            t_pulse=0.4),
+    runs["insulated"] = run(shear_pulse(grid=grid16(), model=MaterialModel(kappa=1e-6),
+                                        T=0.6, amplitude=0.2, t_pulse=0.4),
                             tau=0.02, eps=0.01,
                             config=SolverConfig(korn_every=0))
     runs["isothermal"] = run(isothermal_creep(grid=grid16(), T=0.4, amplitude=0.05),

@@ -131,6 +131,13 @@ def test_grid_rules_come_from_the_grid():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL.replace("extents = 6 6", "extents = 6 6\ndirichlet ="))
     assert exc.value.errors == ["[grid] the fixed boundary part must be nonempty"]
+    # an axis count other than 2 or 3 is one [grid] violation, not a [material] one too
+    for extents, lengths in (("16", "1"), ("4 4 4 4", "1 1 1 1")):
+        grid = f"extents = {extents}\nlengths = {lengths}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("extents = 6 6", grid))
+        n = len(extents.split())
+        assert exc.value.errors == [f"[grid] extents must have 2 or 3 entries (got {n})"]
 
 
 def test_unknown_key_suggests_nearest():
@@ -187,6 +194,8 @@ def test_config_surface_matches_solver_config_and_readme():
     rows = [[c.strip(" `") for c in line.strip("|").split("|")] for line in lines.splitlines()]
     table = {row[0]: {k: v for k, v in zip(rows[0][1:], row[1:]) if v != "–"} for row in rows[2:]}
     assert set(table) == set(PRESETS)
+    # a preset takes load and time parameters only; the material is the [material] section's
+    assert not {k for name in PRESETS for k in parameters(name)} & set(_SCHEMA["material"])
     for name, cells in table.items():
         expect = {k: "theta0" if v is None else v for k, v in parameters(name).items()}
         assert {k: v if v == "theta0" else float(v) for k, v in cells.items()} == expect, name
@@ -282,17 +291,7 @@ def test_solver_checkpoint_every_is_unknown_key():
                                 "(nearest valid key: korn_every)"]
 
 
-def test_refine_presets_carry_default_lists():
-    cfg = parse_config(MINIMAL + "\n[loads]\nscenario = refine_tau\n")
-    assert cfg.tau_list == [0.1, 0.05, 0.025, 0.0125]
-    assert cfg.eps_list == [0.01]
-    assert cfg.scenario.name == "refine_tau"
-    cfg2 = parse_config(MINIMAL + "\n[loads]\nscenario = refine_eps\n")
-    assert cfg2.eps_list == [0.1, 0.01, 0.001]
-    assert cfg2.scenario.name == "refine_eps"
-
-
-# a value for each preset key, none of them a default; T = 0.6 suits every preselected list
+# a value for each preset key, none of them a default
 PRESET_VALUES = {"amplitude": 0.0625, "t_pulse": 0.125, "theta_b": 0.75, "theta0": 1.25, "T": 0.6}
 SMALL = "[grid]\nextents = 4 4\n\n[time]\ntau = 0.05\n"
 
@@ -335,20 +334,9 @@ def test_unset_preset_keys_take_the_preset_defaults(scenario):
 
 
 def test_config_runs_the_scenario_its_preset_defines():
-    # insulated_pulse keeps the [material] keys and applies its own kappa
-    insulated = preset_config("insulated_pulse") + "\n[material]\n"
-    sc = parse_config(insulated + "nu = 2.0\n").scenario
-    assert (sc.model.nu, sc.model.kappa) == (2.0, 1e-6)
-    with pytest.raises(ConfigError) as exc:
-        parse_config(insulated + "kappa = 0.5\n")
-    assert exc.value.errors == ["[material] kappa is fixed by scenario 'insulated_pulse' (its "
-                                "parameters: T, amplitude, t_pulse, theta0, kappa)"]
-    # the refinement presets run over the time they are sized for
-    for name in ("refine_tau", "refine_eps"):
-        sc = parse_config(preset_config(name)).scenario
-        face = sc.grid.faces["y1"]
-        peak = np.abs(sc.traction(0.125, "y1", face.qcoords)).max()
-        assert (sc.T, peak) == (0.4, 0.15), name   # the pulse peaks at t_pulse / 2 = 0.125
+    # a [material] key reaches the preset's model
+    sc = parse_config(preset_config("shear_pulse") + "\n[material]\nkappa = 0.5\n").scenario
+    assert sc.model.kappa == 0.5
     # isothermal_creep pulls with its own amplitude
     sc = parse_config(preset_config("isothermal_creep")).scenario
     assert sc.traction(0.5, "y1", sc.grid.faces["y1"].qcoords)[..., 0].max() == 0.05
@@ -541,9 +529,9 @@ def test_cli_validate_rejects_unsorted_tau_list(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL + "\n[output]\ntau_list = 0.025 0.05\n")
     assert cli_main(["validate", path]) == 1
     assert "[output] tau_list must be sorted decreasing" in capsys.readouterr().out
-    # refine with a default list that does not divide T stops before any run
+    # refine with a list that does not divide T stops before any run
     path = write_cfg(tmp_path, MINIMAL.replace("T = 0.2", "T = 0.15")
-                     + "\n[loads]\nscenario = refine_tau\n")
+                     + "\n[output]\ntau_list = 0.1\n")
     rule = "[output] T/tau must be an integer (T=0.15, tau=0.1)"
     assert cli_main(["validate", path]) == 1
     assert f"  - {rule}" in capsys.readouterr().out

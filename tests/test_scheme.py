@@ -13,7 +13,7 @@ from thermovisc.diagnostics import korn_constant, run_certificates, state_energi
 from thermovisc.grid import NodalField, StructuredGrid
 from thermovisc.materials import MaterialModel
 from thermovisc.mech import SolverConfig, StepRejectedError
-from thermovisc.presets import insulated_pulse, isothermal_creep, shear_pulse, steady
+from thermovisc.presets import isothermal_creep, shear_pulse, steady
 from thermovisc.scheme import (
     Scenario,
     refinement_errors,
@@ -96,7 +96,8 @@ def test_time_rules_refuse_a_non_finite_final_time(T, message):
 
 
 def test_shear_pulse_heats_and_dissipates():
-    sc = insulated_pulse(grid=grid66(), T=0.3, amplitude=0.2, t_pulse=0.3)
+    sc = shear_pulse(grid=grid66(), model=MaterialModel(kappa=1e-6), T=0.3, amplitude=0.2,
+                     t_pulse=0.3)
     traj = run(sc, tau=0.05, eps=0.01)
     total_xi = sum(d.dissipation_step for d in traj.step_diags)
     assert total_xi > 0.0
