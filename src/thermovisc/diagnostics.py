@@ -2,9 +2,10 @@
 lower bound of det grad y over every cell, the generalized Korn constant
 and weak-form residual audits.
 
-Every quantity here is computed from trajectory data alone; the solvers
-never see these numbers, so a passing certificate is independent
-evidence that a run did what the analysis says it must.
+The solvers never see these numbers.  The step certificates compute
+them from the two snapshots and the step data (tau, eps, theta_b), but
+read three from the solves: the load vector, the conductivity
+``heat_inc.K_prev`` and the residual vectors paired in ``solver_term``.
 """
 
 from __future__ import annotations
@@ -129,11 +130,8 @@ def compute_step_diagnostics(snap_prev, snap_new, mech_inc, mech_res,
     dF = snap_new.F - snap_prev.F
     th_prev = mech_inc.theta_prev_qp
 
-    if heat_inc is None:
-        xi = model.dissipation_rate(snap_prev.F, dF / tau, th_prev)
-        xi_reg = regularized(xi, eps)
-    else:
-        xi, xi_reg = heat_inc.xi_qp, heat_inc.xi_reg_qp
+    xi = model.dissipation_rate(snap_prev.F, dF / tau, th_prev)
+    xi_reg = regularized(xi, eps)
     dissipation_step = tau * grid.assemble_scalar(xi)
     reg_step = tau * grid.assemble_scalar(xi_reg)
 
@@ -336,7 +334,7 @@ def korn_constant(grid, F_qp, state=None):
     A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
     # the H^1 form on vector fields, kron(G, I_d) with the component fastest:
     # the scalar Gram G acting on the d columns of the (n_free, d) field
-    G = grid.h1_gram(free_only=True)
+    G = grid.h1_gram()
 
     def gram(X):
         return (G @ X.reshape(G.shape[0], -1)).reshape(X.shape)

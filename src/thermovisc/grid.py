@@ -46,8 +46,6 @@ from operator import mul
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded
-from scipy.linalg.lapack import dtrtri
 
 from .materials import det
 
@@ -153,47 +151,12 @@ def _permanent_slope(A, M):
     return total
 
 
-GRAM_TILE = 32   # tile size of band_cholesky
-
-
-def band_cholesky(A):
-    """Lower Cholesky factor L of a sparse banded SPD matrix, in LAPACK
-    lower band storage cb[k, j] = L[j + k, j] (the input of
-    :func:`scipy.linalg.cho_solve_banded`).
-
-    Right-looking by square tiles of side ``GRAM_TILE``: the Cholesky
-    factor and its inverse of each diagonal tile, the tiles below it times
-    that inverse, and the trailing update by products of single tiles.
-    Each LAPACK or BLAS call works on one tile, which keeps it on the
-    calling thread.  LAPACK's band Cholesky (dpbtrf) instead makes hundreds
-    of small multithreaded BLAS calls, each of which waits for the BLAS
-    threads: on the 16x16 Gram it took 2 ms on an idle 2-core host and
-    30-600 ms when the other core was busy, where this takes about 10 ms.
-    """
-    C = sp.tril(A).tocoo()
-    n, nb = A.shape[0], GRAM_TILE
-    b = int(np.max(C.row - C.col))
-    w, T = -(-b // nb), -(-n // nb)                # tile half-bandwidth, tile count
-    tiles = np.zeros((T, w + 1, nb, nb))           # tiles[I, I - J] = block (I, J)
-    tiles[C.row // nb, C.row // nb - C.col // nb, C.row % nb, C.col % nb] = C.data
-    pad = np.arange(n, T * nb)
-    tiles[pad // nb, 0, pad % nb, pad % nb] = 1.0
-    for K in range(T):
-        L = tiles[K, 0] = np.linalg.cholesky(tiles[K, 0])
-        m = min(w, T - 1 - K)
-        if m == 0:
-            continue
-        below = (np.arange(K + 1, K + 1 + m), np.arange(1, m + 1))   # blocks (K + i, K)
-        P = tiles[below] = tiles[below] @ dtrtri(L, lower=1)[0].T
-        for i in range(m):
-            # block (K+1+i, K+1+j) -= P_i P_j^T for j <= i
-            tiles[K + 1 + i, i - np.arange(i + 1)] -= P[i] @ np.swapaxes(P[:i + 1], 1, 2)
-    j = np.arange(n)
-    rows = j + np.arange(b + 1)[:, None]
-    inside = rows < n
-    rows = np.where(inside, rows, j)
-    cb = tiles[rows // nb, rows // nb - j // nb, rows % nb, j % nb]
-    return np.where(inside, cb, 0.0)
+def _pencil_eigh(S, M):
+    """(lam, V): S V = M V diag(lam), V^T M V = I, through the Cholesky factor
+    of M (scipy's eigh(S, M) waits on the BLAS threads, 12 ms at 34x34)."""
+    Li = np.linalg.inv(np.linalg.cholesky(M))
+    lam, W = np.linalg.eigh(Li @ S @ Li.T)
+    return lam, Li.T @ W
 
 
 FACE_NAMES = {2: ("x0", "x1", "y0", "y1"),
@@ -301,7 +264,7 @@ class StructuredGrid:
         self._pattern_cache = {}
         self._operator_cache = {}
         self._gram_cache = {}
-        self._face_mass = None
+        self._free_gram = self._face_mass = None
 
     # -- construction -------------------------------------------------------
 
@@ -648,42 +611,80 @@ class StructuredGrid:
                                              np.concatenate(cols))), shape=(n, n)).tocsr()
         return self._face_mass
 
-    # -- norms and cached Gram factorizations ----------------------------------
+    # -- norms: the H^1 Gram as a Kronecker sum -------------------------------
 
-    def _gram(self, free_only):
-        """(G, cb): the scalar H^1 Gram (mass + stiffness) on the free dofs
-        or all dofs and its banded Cholesky factor, built once per mask and
-        kept.
+    @cached_property
+    def _line_forms(self):
+        """Per axis, the 1D Hermite mass and stiffness (2, N, N) on its
+        N = 2 (n + 1) dofs, 1D dof 2 i + m the type-m dof of node i."""
+        t, w = _gauss_rule(1)
+        forms = []
+        for n, h in zip(self.extents, self.h):
+            B = np.array([[_hermite_1d(o, m, t[:, 0], h, order) for o in (0, 1) for m in (0, 1)]
+                          for order in (0, 1)])                    # (order, 4, npts)
+            cell = 2 * np.arange(n)[:, None] + np.arange(4)        # 1D dofs of each cell
+            forms.append(np.zeros((2, 2 * n + 2, 2 * n + 2)))
+            np.add.at(forms[-1], (slice(None), cell[:, :, None], cell[:, None, :]),
+                      ((B * (w * h)) @ np.swapaxes(B, 1, 2))[:, None])
+        return forms
 
-        The node-by-node dof numbering keeps G banded, and a Cholesky factor
-        stays inside the band: ``cb`` is :func:`band_cholesky` of G.  It
-        holds fewer entries than a SuperLU factor of G, in numpy arrays.
-        SuperLU reserves its C workspace from a fill estimate instead, about
-        26 MB for the 16x16 Gram, and that reservation made the peak memory
-        of a process vary by tens of MB from one run to the next.
-        """
+    def _gram_eigen(self, free_only):
+        """(pos, V, inv) of the scalar H^1 Gram on the free dofs or all dofs,
+        the Kronecker sum of the 1D forms, set up once per mask and kept:
+        G^{-1} = (kron_k V_k) diag(inv) (kron_k V_k)^T, inv = 1 / (1 + sum_k
+        lambda_k), from each axis's pencil on its free 1D dofs (fast
+        diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  A
+        fixed face removes only the value dof of its end node on its normal
+        axis.  ``pos`` places each dof in the tensor of 1D dofs, axis 0
+        slowest."""
         if free_only not in self._gram_cache:
-            c4 = np.broadcast_to(np.eye(self.d), (self.n_cells, self.nq, self.d, self.d))
-            G = self.assemble_hessian(1, c4=c4, c0=np.ones((self.n_cells, self.nq)),
-                                      free=self.free_sdofs if free_only else None)
-            self._gram_cache[free_only] = (G, band_cholesky(G))
+            # the 1D dof 2 i_k + m_k on each axis k of every scalar dof
+            j = (2 * _index_map(self.nodes_per_axis)[:, :, None]
+                 + np.array(self._local_m).T[:, None]).reshape(self.d, -1)
+            keep = [np.ones(2 * n, dtype=bool) for n in self.nodes_per_axis]
+            for name in self.dirichlet_faces if free_only else ():
+                axis, side = _face_axis_side(name)
+                keep[axis][2 * side * self.extents[axis]] = False
+            mask = np.logical_and.reduce([k[jk] for k, jk in zip(keep, j)])
+            if not np.array_equal(mask, self.free_sdofs if free_only else np.ones_like(mask)):
+                raise ValueError("the free dofs are not a product of 1D free sets")
+            pos = np.ravel_multi_index([(np.cumsum(k) - 1)[jk[mask]] for k, jk in zip(keep, j)],
+                                       [int(k.sum()) for k in keep])
+            lam, V = zip(*(_pencil_eigh(S[np.ix_(k, k)], M[np.ix_(k, k)])
+                           for (M, S), k in zip(self._line_forms, keep)))
+            self._gram_cache[free_only] = (pos, V, 1.0 / (1.0 + reduce(np.add.outer, lam)))
         return self._gram_cache[free_only]
 
-    def h1_gram(self, free_only=False):
-        """Scalar H^1 Gram matrix (CSC), on the free dofs or all dofs.  The
-        Gram of a d-vector field, component fastest, is kron(G, I_d)."""
-        return self._gram(free_only)[0]
+    def h1_gram(self):
+        """Scalar H^1 Gram matrix (CSC) on the free dofs, assembled once and
+        kept: the H^1 form of the Korn pencil.  The Gram of a d-vector
+        field, component fastest, is kron(G, I_d)."""
+        if self._free_gram is None:
+            c4 = np.broadcast_to(np.eye(self.d), (self.n_cells, self.nq, self.d, self.d))
+            self._free_gram = self.assemble_hessian(1, c4=c4, c0=np.ones((self.n_cells, self.nq)),
+                                                    free=self.free_sdofs)
+        return self._free_gram
 
     def h1_gram_solve(self, rhs, free_only=True):
         """G^{-1} R for R of shape (n,) or (n, ncomp) on the free dofs or all
-        dofs, through the cached factorization: ncomp right-hand sides."""
-        return cho_solve_banded((self._gram(free_only)[1], True), rhs, check_finite=False)
+        dofs, by the Kronecker inverse of :meth:`_gram_eigen` applied to the
+        ncomp columns."""
+        pos, V, inv = self._gram_eigen(free_only)
+        X = np.empty(rhs.shape)
+        X[pos] = rhs
+        X = X.reshape(inv.shape + rhs.shape[1:])
+        for k, Vk in enumerate(V):
+            X = np.moveaxis(np.tensordot(Vk.T, X, axes=(1, k)), 0, k)
+        X = X * inv.reshape(inv.shape + (1,) * (rhs.ndim - 1))
+        for k, Vk in enumerate(V):
+            X = np.moveaxis(np.tensordot(Vk, X, axes=(1, k)), 0, k)
+        return X.reshape(rhs.shape)[pos]
 
     def dual_norm(self, residual, free_only=True):
         """Discrete (H^1)* norm sqrt(R : G^{-1} R) of a nodal dual vector R,
         (n_sdofs,) or (n_sdofs, ncomp), on the free dofs or, with
         free_only=False, on all dofs.  G is the scalar Gram; a vector
-        residual is solved as ncomp right-hand sides of its factorization."""
+        residual is solved as ncomp right-hand sides."""
         r = residual[self.free_sdofs] if free_only else residual
         if not np.any(r):
             return 0.0

@@ -32,6 +32,16 @@ def apply_dirichlet_identity(grid, y):
     return y
 
 
+def reference_gram(grid, ncomp, free_only):
+    """The ncomp-vector H^1 Gram assembled as one form (mass + stiffness,
+    component fastest), on the free dofs or all dofs: the reference of the
+    grid's Kronecker inverse and of the Korn pencil's H^1 form."""
+    eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(grid.d))
+    c4 = np.broadcast_to(eye4, (grid.n_cells, grid.nq, ncomp, grid.d, ncomp, grid.d))
+    free = np.repeat(grid.free_sdofs, ncomp) if free_only else None
+    return grid.assemble_hessian(ncomp, c4=c4, c0=np.ones((grid.n_cells, grid.nq)), free=free)
+
+
 def unique_csc_pattern(grid, ncomp, free):
     """(slots, indices, indptr) of ``StructuredGrid._csc_pattern`` by sorting
     the element entries: np.unique over col * m + row keeps one entry per

@@ -32,6 +32,7 @@ from thermovisc.diagnostics import (
     weak_residuals,
 )
 from thermovisc.grid import NodalField, StructuredGrid
+from thermovisc.heat import HeatIncrement
 from thermovisc.materials import MaterialModel, det, viscous_form
 from thermovisc.mech import SolverConfig, StepRejectedError
 from thermovisc.presets import isothermal_creep, shear_pulse, steady
@@ -42,6 +43,7 @@ from helpers import (
     bank_tables,
     random_feasible_gradient,
     random_rotation,
+    reference_gram,
 )
 
 
@@ -324,11 +326,12 @@ def test_step_diagnostics_match_recomputation_from_snapshots(case, monkeypatch):
 
 
 def test_step_diagnostics_reuse_the_step(monkeypatch):
-    # no constitutive function sees the previous deformation from the
-    # certificates, the certificates do not re-evaluate the new temperature
-    # or trace any boundary face, and each snapshot's energies are evaluated
-    # exactly once
+    # the certificates evaluate one constitutive function at the previous
+    # deformation, the dissipation rate, once per step; they do not
+    # re-evaluate the new temperature or trace any boundary face, and each
+    # snapshot's energies are evaluated exactly once
     energies, on_prev, on_new_theta, on_face, current = [], [], [], [], []
+    steps = []
     state_energies = diagnostics.state_energies
     compute = diagnostics.compute_step_diagnostics
     eval_face_scalar = StructuredGrid.eval_face_scalar
@@ -338,6 +341,7 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
         return state_energies(grid, model, snap, *args)
 
     def watched(snap_prev, snap_new, *args):
+        steps.append(snap_new)
         current.append((snap_prev, snap_new))
         try:
             return compute(snap_prev, snap_new, *args)
@@ -378,8 +382,8 @@ def test_step_diagnostics_reuse_the_step(monkeypatch):
     monkeypatch.setattr(StructuredGrid, "eval_face_scalar", face_spy)
     sc = shear_pulse(grid=grid66(), T=0.15, amplitude=0.2, t_pulse=0.08)
     traj = run(sc, tau=0.05, eps=0.01)
-    assert len(traj.step_diags) == 3
-    assert on_prev == []
+    assert len(traj.step_diags) == 3 and len(steps) == 3
+    assert on_prev == ["dissipation_rate"] * 3
     assert on_new_theta == []
     assert on_face == []
     assert len(energies) == len(traj.snapshots)
@@ -541,7 +545,7 @@ def test_korn_converges_on_a_rough_3d_state_without_a_factorization(monkeypatch)
     F = F.reshape(grid.n_cells, grid.nq, 3, 3)
     free = np.repeat(grid.free_sdofs, 3)
     A = grid.assemble_hessian(3, c4=viscous_form(F), free=free).toarray()
-    B = np.kron(grid.h1_gram(free_only=True).toarray(), np.eye(3))
+    B = reference_gram(grid, 3, free_only=True).toarray()
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
 
     def no_factorization(*args, **kwargs):
@@ -969,6 +973,23 @@ def test_run_certificates_pass_on_pulse(pulse_traj):
     assert {"mech_descent_violations", "min_theta", "min_detF_positive",
             "hk_bound_positive", "entropy_production_nonnegative",
             "energy_ledger_closes", "enthalpy_consistency"} <= names
+
+
+def test_energy_ledger_fails_a_heat_step_without_its_dissipation_source(monkeypatch):
+    # a mutant heat step that drops the capped dissipation source: the ledger
+    # computes that source from the snapshots, so its gap opens
+    init = HeatIncrement.__post_init__
+
+    def no_source(self):
+        init(self)
+        self.xi_reg_qp = np.zeros_like(self.xi_reg_qp)
+
+    monkeypatch.setattr(HeatIncrement, "__post_init__", no_source)
+    sc = shear_pulse(grid=StructuredGrid((8, 8), (1.0, 1.0), dirichlet_faces=("y0",)),
+                     T=0.4, amplitude=4.0, t_pulse=0.25, theta0=1.0, theta_b=0.5)
+    report = run_certificates(run(sc, tau=0.05, eps=0.01))
+    ledger = next(c for c in report["checks"] if c["name"] == "energy_ledger_closes")
+    assert not ledger["passed"] and ledger["value"] > 1e3 * ledger["threshold"], ledger
 
 
 def test_run_certificates_judge_min_theta_by_the_run_tol_pos():

@@ -10,7 +10,6 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
 from scipy.sparse.linalg import splu
 
 import thermovisc.grid as grid_module
@@ -20,7 +19,6 @@ from thermovisc.grid import (
     SPD_LU,
     NodalField,
     StructuredGrid,
-    band_cholesky,
     bernstein_inverse,
     zero_dirichlet_rows,
 )
@@ -35,7 +33,12 @@ from thermovisc.mech import SolverConfig
 from thermovisc.presets import shear_pulse
 from thermovisc.scheme import run
 
-from helpers import apply_dirichlet_identity, random_feasible_gradient, unique_csc_pattern
+from helpers import (
+    apply_dirichlet_identity,
+    random_feasible_gradient,
+    reference_gram,
+    unique_csc_pattern,
+)
 
 
 def small_grid(n=3, d=2, dirichlet=("x0",)):
@@ -438,23 +441,16 @@ def test_stencil_pattern_equals_the_sorted_one(extents, dirichlet):
 
 
 def test_no_pattern_is_built_with_the_grid():
+    # nor by a dual norm, which applies the Kronecker inverse of the Gram
     g = kernel_grid(2)
     assert g._pattern_cache == {} and g._operator_cache == {}
     g.dual_norm(np.ones((g.n_sdofs, 2)))
-    assert list(g._pattern_cache) == [(1, g.free_sdofs.tobytes())]
+    g.dual_norm(np.ones(g.n_sdofs), free_only=False)
+    assert g._pattern_cache == {}
 
 
 # ---------------------------------------------------------------------------
-# the scalar H^1 Gram against the vector Gram it replaced
-
-
-def reference_gram(g, ncomp, free_only):
-    """The ncomp-vector H^1 Gram assembled as one form (mass + stiffness,
-    component fastest), as dual norms and the Korn form once built it."""
-    eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(g.d))
-    c4 = np.broadcast_to(eye4, (g.n_cells, g.nq, ncomp, g.d, ncomp, g.d))
-    free = np.repeat(g.free_sdofs, ncomp) if free_only else None
-    return g.assemble_hessian(ncomp, c4=c4, c0=np.ones((g.n_cells, g.nq)), free=free)
+# the scalar H^1 Gram: Kronecker inverse against the assembled form
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -503,40 +499,54 @@ def test_korn_constant_matches_the_vector_gram(d):
 
 def test_a_step_factorizes_one_scalar_gram_per_dof_mask(monkeypatch):
     # mech (vector, free dofs), heat (scalar, all dofs) and the Korn form
-    # (vector, free dofs) share the two scalar factorizations
+    # (vector, free dofs) share two eigen-set-ups, one per dof mask: one 1D
+    # pencil per axis, the x0 clamp removing one value dof on axis 0
     sc = shear_pulse(grid=small_grid(4), T=0.05, amplitude=0.1, t_pulse=0.08)
     g = sc.grid
-    shapes = []
+    sizes = []
 
-    def counted(A, **kwargs):
-        shapes.append(A.shape)
-        return band_cholesky(A, **kwargs)
+    def counted(S, M):
+        sizes.append(S.shape)
+        return pencil_eigh(S, M)
 
-    monkeypatch.setattr(grid_module, "band_cholesky", counted)
+    pencil_eigh = grid_module._pencil_eigh
+    monkeypatch.setattr(grid_module, "_pencil_eigh", counted)
     traj = run(sc, tau=0.05, eps=0.01, config=SolverConfig(korn_every=1, hk_every=0))
     assert np.isfinite(traj.step_diags[0].korn_const)
-    n_free = int(g.free_sdofs.sum())
-    assert sorted(shapes) == [(n_free, n_free), (g.n_sdofs, g.n_sdofs)]
+    assert sorted(sizes) == [(9, 9), (10, 10), (10, 10), (10, 10)]
     korn_constant(g, traj.snapshots[-1].F)
     g.dual_norm(np.ones(g.n_sdofs), free_only=True)
-    assert len(shapes) == 2
+    g.dual_norm(np.ones(g.n_sdofs), free_only=False)
+    assert len(sizes) == 4
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (3, 5), (2, 2, 2), (4, 3, 2)])
 @pytest.mark.parametrize("free_only", [True, False])
-def test_band_cholesky_matches_lapack(shape, free_only):
-    # the tiled factor against LAPACK's band Cholesky, on Grams whose sizes
-    # are not multiples of the tile: 84 to 1156 dofs, half-bandwidths 21 to 215
-    g = StructuredGrid(shape, (1.0,) * len(shape), dirichlet_faces=("x0",))
-    G = g.h1_gram(free_only)
-    cb = band_cholesky(G)
-    C = sp.tril(G).tocoo()
-    ab = np.zeros_like(cb)
-    ab[C.row - C.col, C.col] = C.data
-    ref = cholesky_banded(ab, lower=True)
-    assert np.max(np.abs(cb - ref)) <= 1e-14 * np.max(np.abs(ref))
-    with pytest.raises(np.linalg.LinAlgError):
-        band_cholesky(-G)
+def test_kronecker_solve_matches_the_assembled_gram(shape, free_only):
+    # unequal lengths, one clamped face, two on different axes and x0 x1,
+    # one and d right-hand sides.  The Gram has condition numbers up to
+    # 1e10 here, so the LU solve takes one step of iterative refinement:
+    # its forward error alone reaches 1e-12
+    rng = np.random.default_rng([len(shape), int(free_only)])
+    for faces in (("x0",), ("x0", "y1"), ("x0", "x1")):
+        g = StructuredGrid(shape, (1.0, 0.7, 1.3)[:len(shape)], dirichlet_faces=faces)
+        G = reference_gram(g, 1, free_only)
+        r = rng.standard_normal((G.shape[0], g.d))
+        lu = splu(G)
+        ref = lu.solve(r)
+        ref += lu.solve(r - G @ ref)
+        for got, want in ((g.h1_gram_solve(r, free_only), ref),
+                          (g.h1_gram_solve(r[:, 0], free_only), ref[:, 0])):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), faces
+        assert (g.h1_gram() != reference_gram(g, 1, free_only=True)).nnz == 0
+
+
+def test_a_free_set_that_is_not_a_product_is_refused():
+    g = small_grid(3)
+    g.free_sdofs = g.free_sdofs.copy()
+    g.free_sdofs[g.n_sdofs - 1] = False
+    with pytest.raises(ValueError, match="product"):
+        g.dual_norm(np.ones(g.n_sdofs))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_singular_hessian_moves_up_one_rung():
 def test_every_factorization_uses_the_spd_setting(monkeypatch):
     # the Korn certificate factorizes only on its fallback path, covered by
     # test_diagnostics.test_korn_fallback_factorizes_with_the_spd_setting
-    # and the grid's Gram is a banded Cholesky, not an LU
+    # and the grid inverts its Gram by fast diagonalization, not an LU
     calls = {}
     for module in (mech, heat, diagnostics):
         def recorder(A, _name=module.__name__, **kwargs):
