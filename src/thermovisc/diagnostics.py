@@ -22,7 +22,7 @@ from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
-KORN_TOL = 1e-8       # LOBPCG residual |A x - lambda B x| at x.B x = 1
+KORN_TOL = 1e-8       # LOBPCG residual |C z - theta z| = rho at |z| = 1 (korn_constant)
 KORN_MAX_ITER = 1000  # LOBPCG iterations; a miss warns (see korn_constant)
 KORN_SLACK = 0.1      # korn_certificate solves again once the bound loses this share
 LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
@@ -257,7 +257,8 @@ def hk_determinant_bound(grid, y):
 
 @dataclass
 class KornState:
-    """What a run keeps of its last Korn solve: the eigenvector, the start of
+    """What a run keeps of its last Korn solve: the eigenvector's
+    coefficients z (the field S z, see :func:`korn_constant`), the start of
     the next solve, and the reference F_ref and lower_ref of the bound
     between solves (:func:`korn_certificate`)."""
 
@@ -308,19 +309,21 @@ def korn_certificate(grid, F_qp, state):
 
 
 def korn_constant(grid, F_qp, state=None):
-    """Smallest generalized eigenvalue of the Korn form against the H^1 form
-    over vector fields vanishing on the fixed boundary part.
+    """Smallest generalized eigenvalue of the Korn form A(F) against the
+    H^1 form B = kron(G, I_d) over vector fields vanishing on the fixed
+    boundary part.
 
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the pencil
-    (A(F), kron(G, I_d)), preconditioned by the grid's cached scalar Gram
-    factorization applied to the field's d components, from the
-    eigenvector kept in ``state`` (a :class:`KornState`) or from ones, until
-    |A x - rho B x| <= ``KORN_TOL`` at x.B x = 1.  The result is the
-    Rayleigh quotient theta of the B-normalized iterate x, which ``state``
-    keeps for the next call, together with F and the lower bound
-    theta - rho, rho = |A x - theta B x|_{B^-1}: an eigenvalue of the pencil
-    lies within rho of theta.  That it is the smallest one rests on the
-    solve (the warm start and LOBPCG's descent).  If LOBPCG misses
+    With the Gram's Kronecker factor S (S S^T = G^{-1}, S^T G S = I;
+    :meth:`thermovisc.grid.StructuredGrid.h1_transform`) applied to each
+    component, x = S z turns the pencil into the standard eigenproblem of
+    C = S^T A S.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) solves it
+    from the z kept in ``state`` (a :class:`KornState`) or from S^{-1} 1,
+    the field of ones, until |C z - theta z| <= ``KORN_TOL`` at |z| = 1.
+    The result is the Rayleigh quotient theta = z.C z, and ``state`` keeps
+    z for the next call, together with F and the lower bound theta - rho,
+    rho = |C z - theta z| = |A x - theta B x|_{B^-1}: an eigenvalue of the
+    pencil lies within rho of theta.  That it is the smallest one rests on
+    the solve (the warm start and LOBPCG's descent).  If LOBPCG misses
     ``KORN_TOL`` within ``KORN_MAX_ITER`` iterations it raises its own
     ``UserWarning`` and returns its iterate of least residual; theta - rho
     then bounds the eigenvalue nearest that iterate, which need not be the
@@ -332,30 +335,23 @@ def korn_constant(grid, F_qp, state=None):
     free = np.repeat(grid.free_sdofs, d)
     # the Korn form int |F^T grad v + (grad v)^T F|^2
     A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
-    # the H^1 form on vector fields, kron(G, I_d) with the component fastest:
-    # the scalar Gram G acting on the d columns of the (n_free, d) field
-    G = grid.h1_gram()
+    n = A.shape[0] // d
 
-    def gram(X):
-        return (G @ X.reshape(G.shape[0], -1)).reshape(X.shape)
-
-    def gram_solve(X):
-        return grid.h1_gram_solve(X.reshape(G.shape[0], -1)).reshape(X.shape)
+    def korn(Z):
+        # C Z = S^T A S Z, with S on the d components (component fastest) of each column
+        X = grid.h1_transform(Z.reshape(n, -1), "S").reshape(Z.shape)
+        return grid.h1_transform((A @ X).reshape(n, -1), "ST").reshape(Z.shape)
 
     state = state or KornState()
-    x = state.x
-    if x is None:
-        x = np.ones(A.shape[0])
-        x /= np.sqrt(x @ gram(x))
-    _, X = lobpcg(A, x[:, None], B=gram, M=gram_solve, tol=KORN_TOL, maxiter=KORN_MAX_ITER,
-                  largest=False)
-    x = X[:, 0]
-    x = x / np.sqrt(x @ gram(x))
-    Ax = A @ x
-    theta = float(x @ Ax)
-    r = Ax - theta * gram(x)
-    rho = float(np.sqrt(r @ gram_solve(r)))
-    state.x, state.F_ref = x, F_qp
+    z = state.x
+    if z is None:
+        z = grid.h1_transform(np.ones((n, d)), "S^-1").ravel()
+    _, Z = lobpcg(korn, z[:, None], tol=KORN_TOL, maxiter=KORN_MAX_ITER, largest=False)
+    z = Z[:, 0] / np.linalg.norm(Z[:, 0])
+    Cz = korn(z)
+    theta = float(z @ Cz)
+    rho = float(np.linalg.norm(Cz - theta * z))
+    state.x, state.F_ref = z, F_qp
     state.lower_ref = theta - rho
     return theta
 

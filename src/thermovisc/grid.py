@@ -264,7 +264,7 @@ class StructuredGrid:
         self._pattern_cache = {}
         self._operator_cache = {}
         self._gram_cache = {}
-        self._free_gram = self._face_mass = None
+        self._face_mass = None
 
     # -- construction -------------------------------------------------------
 
@@ -629,14 +629,15 @@ class StructuredGrid:
         return forms
 
     def _gram_eigen(self, free_only):
-        """(pos, V, inv) of the scalar H^1 Gram on the free dofs or all dofs,
-        the Kronecker sum of the 1D forms, set up once per mask and kept:
-        G^{-1} = (kron_k V_k) diag(inv) (kron_k V_k)^T, inv = 1 / (1 + sum_k
-        lambda_k), from each axis's pencil on its free 1D dofs (fast
-        diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  A
-        fixed face removes only the value dof of its end node on its normal
-        axis.  ``pos`` places each dof in the tensor of 1D dofs, axis 0
-        slowest."""
+        """(pos, V, W, root) of the scalar H^1 Gram G on the free dofs or all
+        dofs, the Kronecker sum of the 1D forms, set up once per mask and
+        kept: S = (kron_k V_k) diag(root), root = (1 + sum_k lambda_k)^(-1/2),
+        from each axis's pencil S_k V_k = M_k V_k diag(lambda_k) on its free
+        1D dofs, has S S^T = G^{-1} and S^T G S = I, and W_k = V_k^T M_k
+        inverts V_k (fast diagonalization; Lynch, Rice & Thomas, Numer.
+        Math. 6, 1964).  A fixed face removes only the value dof of its end
+        node on its normal axis.  ``pos`` places each dof in the tensor of 1D
+        dofs, axis 0 slowest."""
         if free_only not in self._gram_cache:
             # the 1D dof 2 i_k + m_k on each axis k of every scalar dof
             j = (2 * _index_map(self.nodes_per_axis)[:, :, None]
@@ -652,43 +653,36 @@ class StructuredGrid:
                                        [int(k.sum()) for k in keep])
             lam, V = zip(*(_pencil_eigh(S[np.ix_(k, k)], M[np.ix_(k, k)])
                            for (M, S), k in zip(self._line_forms, keep)))
-            self._gram_cache[free_only] = (pos, V, 1.0 / (1.0 + reduce(np.add.outer, lam)))
+            W = [Vk.T @ M[np.ix_(k, k)] for Vk, (M, _), k in zip(V, self._line_forms, keep)]
+            self._gram_cache[free_only] = (pos, V, W, (1.0 + reduce(np.add.outer, lam)) ** -0.5)
         return self._gram_cache[free_only]
 
-    def h1_gram(self):
-        """Scalar H^1 Gram matrix (CSC) on the free dofs, assembled once and
-        kept: the H^1 form of the Korn pencil.  The Gram of a d-vector
-        field, component fastest, is kron(G, I_d)."""
-        if self._free_gram is None:
-            c4 = np.broadcast_to(np.eye(self.d), (self.n_cells, self.nq, self.d, self.d))
-            self._free_gram = self.assemble_hessian(1, c4=c4, c0=np.ones((self.n_cells, self.nq)),
-                                                    free=self.free_sdofs)
-        return self._free_gram
-
-    def h1_gram_solve(self, rhs, free_only=True):
-        """G^{-1} R for R of shape (n,) or (n, ncomp) on the free dofs or all
-        dofs, by the Kronecker inverse of :meth:`_gram_eigen` applied to the
-        ncomp columns."""
-        pos, V, inv = self._gram_eigen(free_only)
-        X = np.empty(rhs.shape)
-        X[pos] = rhs
-        X = X.reshape(inv.shape + rhs.shape[1:])
-        for k, Vk in enumerate(V):
-            X = np.moveaxis(np.tensordot(Vk.T, X, axes=(1, k)), 0, k)
-        X = X * inv.reshape(inv.shape + (1,) * (rhs.ndim - 1))
-        for k, Vk in enumerate(V):
-            X = np.moveaxis(np.tensordot(Vk, X, axes=(1, k)), 0, k)
-        return X.reshape(rhs.shape)[pos]
+    def h1_transform(self, X, kind, free_only=True):
+        """S X (kind "S"), S^T X ("ST") or S^{-1} X ("S^-1") for X of shape
+        (n, ...) on the free dofs or all dofs, with S the Kronecker factor
+        of the scalar Gram's inverse (:meth:`_gram_eigen`), applied to each
+        column of the trailing axes: S scales by root before its 1D
+        products, S^T and S^{-1} after theirs.  The coefficients that S maps
+        are numbered like the dofs."""
+        pos, V, W, root = self._gram_eigen(free_only)
+        mats, pre, post = {"S": (V, root, 1.0), "ST": ([Vk.T for Vk in V], 1.0, root),
+                           "S^-1": (W, 1.0, 1.0 / root)}[kind]
+        T = np.empty(X.shape)
+        T[pos] = X
+        T = T.reshape(root.shape + (-1,)) * np.expand_dims(pre, -1)
+        for k, Mk in enumerate(mats):
+            T = np.moveaxis(np.tensordot(Mk, T, axes=(1, k)), 0, k)
+        return (T * np.expand_dims(post, -1)).reshape(X.shape)[pos]
 
     def dual_norm(self, residual, free_only=True):
-        """Discrete (H^1)* norm sqrt(R : G^{-1} R) of a nodal dual vector R,
-        (n_sdofs,) or (n_sdofs, ncomp), on the free dofs or, with
-        free_only=False, on all dofs.  G is the scalar Gram; a vector
-        residual is solved as ncomp right-hand sides."""
+        """Discrete (H^1)* norm sqrt(R : G^{-1} R) = |S^T R| of a nodal dual
+        vector R, (n_sdofs,) or (n_sdofs, ncomp), on the free dofs or, with
+        free_only=False, on all dofs (:meth:`h1_transform`).  G is the
+        scalar Gram; a vector residual is transformed as ncomp columns."""
         r = residual[self.free_sdofs] if free_only else residual
         if not np.any(r):
             return 0.0
-        return float(np.sqrt(abs(np.vdot(r, self.h1_gram_solve(r, free_only)))))
+        return float(np.linalg.norm(self.h1_transform(r, "ST", free_only)))
 
 
 @dataclass

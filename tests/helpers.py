@@ -35,7 +35,8 @@ def apply_dirichlet_identity(grid, y):
 def reference_gram(grid, ncomp, free_only):
     """The ncomp-vector H^1 Gram assembled as one form (mass + stiffness,
     component fastest), on the free dofs or all dofs: the reference of the
-    grid's Kronecker inverse and of the Korn pencil's H^1 form."""
+    grid's Kronecker factors (``h1_transform``), of its dual norms and of
+    the Korn pencil's H^1 form.  No program path assembles it."""
     eye4 = np.einsum("ij,ab->iajb", np.eye(ncomp), np.eye(grid.d))
     c4 = np.broadcast_to(eye4, (grid.n_cells, grid.nq, ncomp, grid.d, ncomp, grid.d))
     free = np.repeat(grid.free_sdofs, ncomp) if free_only else None

@@ -635,6 +635,13 @@ def test_korn_lower_bounds_the_constant_of_perturbed_states(d, monkeypatch):
         assert bounded >= 4
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_converged_korn_solve_certifies_within_its_tolerance(d):
+    # LOBPCG stops on rho = |C z - theta z|, the residual the bound subtracts
+    first = shear_run(d).step_diags[0]
+    assert 0.0 <= first.korn_const - first.korn_lower <= diagnostics.KORN_TOL
+
+
 def planar_rotation(angle, d, rng):
     """Rotation by angle in a plane: the (0, 1) plane in 2D, a random one in 3D."""
     c, s = np.cos(angle), np.sin(angle)

@@ -441,7 +441,7 @@ def test_stencil_pattern_equals_the_sorted_one(extents, dirichlet):
 
 
 def test_no_pattern_is_built_with_the_grid():
-    # nor by a dual norm, which applies the Kronecker inverse of the Gram
+    # nor by a dual norm, which applies the Kronecker factor of the Gram
     g = kernel_grid(2)
     assert g._pattern_cache == {} and g._operator_cache == {}
     g.dual_norm(np.ones((g.n_sdofs, 2)))
@@ -450,7 +450,7 @@ def test_no_pattern_is_built_with_the_grid():
 
 
 # ---------------------------------------------------------------------------
-# the scalar H^1 Gram: Kronecker inverse against the assembled form
+# the scalar H^1 Gram: Kronecker factors against the assembled form
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -497,6 +497,24 @@ def test_korn_constant_matches_the_vector_gram(d):
     assert abs(korn_constant(g, F_qp) - ref) <= 1e-12 * ref
 
 
+def test_korn_constant_assembles_the_korn_form_alone():
+    # the H^1 form acts through the Gram's Kronecker factors: no scalar
+    # Gram is assembled, and no scalar free-dof pattern is built
+    g = small_grid(4)
+    assemble, built = g.assemble_hessian, []
+
+    def counted(ncomp, *args, **kwargs):
+        built.append(ncomp)
+        return assemble(ncomp, *args, **kwargs)
+
+    g.assemble_hessian = counted
+    F_qp = np.broadcast_to(np.eye(2), (g.n_cells, g.nq, 2, 2))
+    assert korn_constant(g, F_qp) > 0.0
+    assert built == [g.d]
+    scalar_free = (1, g.free_sdofs.tobytes())
+    assert scalar_free not in g._pattern_cache
+
+
 def test_a_step_factorizes_one_scalar_gram_per_dof_mask(monkeypatch):
     # mech (vector, free dofs), heat (scalar, all dofs) and the Korn form
     # (vector, free dofs) share two eigen-set-ups, one per dof mask: one 1D
@@ -523,10 +541,11 @@ def test_a_step_factorizes_one_scalar_gram_per_dof_mask(monkeypatch):
 @pytest.mark.parametrize("shape", [(16, 16), (3, 5), (2, 2, 2), (4, 3, 2)])
 @pytest.mark.parametrize("free_only", [True, False])
 def test_kronecker_solve_matches_the_assembled_gram(shape, free_only):
-    # unequal lengths, one clamped face, two on different axes and x0 x1,
-    # one and d right-hand sides.  The Gram has condition numbers up to
-    # 1e10 here, so the LU solve takes one step of iterative refinement:
-    # its forward error alone reaches 1e-12
+    # the Kronecker factor S of the Gram's inverse: S S^T = G^{-1},
+    # S^T G S = I and S^{-1} S = I.  Unequal lengths, one clamped face, two
+    # on different axes and x0 x1, one and d columns.  The Gram has
+    # condition numbers up to 1e10 here, so the LU solve takes one step of
+    # iterative refinement: its forward error alone reaches 1e-12
     rng = np.random.default_rng([len(shape), int(free_only)])
     for faces in (("x0",), ("x0", "y1"), ("x0", "x1")):
         g = StructuredGrid(shape, (1.0, 0.7, 1.3)[:len(shape)], dirichlet_faces=faces)
@@ -535,10 +554,15 @@ def test_kronecker_solve_matches_the_assembled_gram(shape, free_only):
         lu = splu(G)
         ref = lu.solve(r)
         ref += lu.solve(r - G @ ref)
-        for got, want in ((g.h1_gram_solve(r, free_only), ref),
-                          (g.h1_gram_solve(r[:, 0], free_only), ref[:, 0])):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), faces
-        assert (g.h1_gram() != reference_gram(g, 1, free_only=True)).nnz == 0
+
+        def S(X, kind):
+            return g.h1_transform(X, kind, free_only)
+
+        for x, want in ((r, ref), (r[:, 0], ref[:, 0])):
+            for got, expect in ((S(S(x, "ST"), "S"), want),
+                                (S(G @ S(x, "S"), "ST"), x),
+                                (S(S(x, "S"), "S^-1"), x)):
+                assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect), faces
 
 
 def test_a_free_set_that_is_not_a_product_is_refused():
