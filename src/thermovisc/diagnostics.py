@@ -10,11 +10,12 @@ read three from the solves: the load vector, the conductivity
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.sparse.linalg import lobpcg, splu  # splu: no caller; perfbench wraps diagnostics.splu
+from scipy.sparse.linalg import splu  # no caller; perfbench wraps diagnostics.splu
 
 from .grid import QUAD_PTS, _gauss_rule
 from .heat import regularized, robin_flux
@@ -22,8 +23,10 @@ from .materials import _ddot, _frob, _matmul, det, viscous_form
 from .mech import main_mechanical_energy, semiconvexity_gap
 
 THETA_FLOOR = 1e-12   # entropy quotients exclude colder quadrature points
-KORN_TOL = 1e-8       # LOBPCG residual |C z - theta z| = rho at |z| = 1 (korn_constant)
-KORN_MAX_ITER = 1000  # LOBPCG iterations; a miss warns (see korn_constant)
+KORN_TOL = 1e-8       # a Korn solve ends at |C z - theta z| = rho <= KORN_TOL, |z| = 1
+KORN_MAX_ITER = 1000  # Lanczos steps (products with C) of a Korn solve; a miss warns
+KORN_SEED = 2001      # seed of the random part of a Korn solve's first start
+KORN_CHUNK = 64       # rows the Lanczos basis grows by
 KORN_SLACK = 0.1      # korn_certificate solves again once the bound loses this share
 LEDGER_RTOL = 1e-8    # energy_ledger_closes: worst step gap relative to its scale
 W_TOL = 1e-12         # enthalpy_consistency: stored against recomputed enthalpy
@@ -316,18 +319,21 @@ def korn_constant(grid, F_qp, state=None):
     With the Gram's Kronecker factor S (S S^T = G^{-1}, S^T G S = I;
     :meth:`thermovisc.grid.StructuredGrid.h1_transform`) applied to each
     component, x = S z turns the pencil into the standard eigenproblem of
-    C = S^T A S.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) solves it
-    from the z kept in ``state`` (a :class:`KornState`) or from S^{-1} 1,
-    the field of ones, until |C z - theta z| <= ``KORN_TOL`` at |z| = 1.
-    The result is the Rayleigh quotient theta = z.C z, and ``state`` keeps
-    z for the next call, together with F and the lower bound theta - rho,
+    C = S^T A S, which :func:`_lanczos_smallest` solves from the z kept in
+    ``state`` (a :class:`KornState`) or, on a first solve, from
+    S^{-1} 1 / |S^{-1} 1| + g / sqrt(N): the field of ones plus a standard
+    normal g of the N coefficients, drawn from ``KORN_SEED``, so the start
+    sees every mode (ones alone is B-orthogonal to the lowest mode on grids
+    symmetric about the clamped part) and reruns are bit-identical.  The
+    solve ends at |C z - theta z| <= ``KORN_TOL`` with |z| = 1.  The result
+    is the Rayleigh quotient theta = z.C z, and ``state`` keeps z for the
+    next call, together with F and the lower bound theta - rho,
     rho = |C z - theta z| = |A x - theta B x|_{B^-1}: an eigenvalue of the
     pencil lies within rho of theta.  That it is the smallest one rests on
-    the solve (the warm start and LOBPCG's descent).  If LOBPCG misses
-    ``KORN_TOL`` within ``KORN_MAX_ITER`` iterations it raises its own
-    ``UserWarning`` and returns its iterate of least residual; theta - rho
-    then bounds the eigenvalue nearest that iterate, which need not be the
-    smallest.
+    the solve (the start and the Krylov space it spans).  A solve that
+    misses ``KORN_TOL`` within ``KORN_MAX_ITER`` steps warns
+    (``UserWarning``) and returns its last Ritz pair; theta - rho then
+    bounds the eigenvalue nearest it, which need not be the smallest.
     """
     d = grid.d
     if np.min(det(F_qp)) <= 0:
@@ -337,23 +343,61 @@ def korn_constant(grid, F_qp, state=None):
     A = grid.assemble_hessian(d, c4=viscous_form(F_qp), free=free)
     n = A.shape[0] // d
 
-    def korn(Z):
-        # C Z = S^T A S Z, with S on the d components (component fastest) of each column
-        X = grid.h1_transform(Z.reshape(n, -1), "S").reshape(Z.shape)
-        return grid.h1_transform((A @ X).reshape(n, -1), "ST").reshape(Z.shape)
+    def korn(z):
+        # C z = S^T A S z, with S on the d components (component fastest)
+        x = grid.h1_transform(z.reshape(n, d), "S").ravel()
+        return grid.h1_transform((A @ x).reshape(n, d), "ST").ravel()
 
     state = state or KornState()
     z = state.x
     if z is None:
-        z = grid.h1_transform(np.ones((n, d)), "S^-1").ravel()
-    _, Z = lobpcg(korn, z[:, None], tol=KORN_TOL, maxiter=KORN_MAX_ITER, largest=False)
-    z = Z[:, 0] / np.linalg.norm(Z[:, 0])
-    Cz = korn(z)
-    theta = float(z @ Cz)
-    rho = float(np.linalg.norm(Cz - theta * z))
+        ones = grid.h1_transform(np.ones((n, d)), "S^-1").ravel()
+        g = np.random.default_rng(KORN_SEED).standard_normal(ones.size)
+        z = ones / np.linalg.norm(ones) + g / np.sqrt(ones.size)
+    theta, z, rho = _lanczos_smallest(korn, z)
     state.x, state.F_ref = z, F_qp
     state.lower_ref = theta - rho
     return theta
+
+
+def _lanczos_smallest(op, q):
+    """(theta, z, rho): the Ritz pair of least value of the symmetric
+    operator ``op`` by Lanczos from q, with full reorthogonalization
+    (classical Gram-Schmidt, twice; Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 13).  After each step the tridiagonal T gives
+    the pair (theta, s) and the residual estimate |beta s_last|; once that
+    is at most ``KORN_TOL``, z = Q s is formed and rho = |op(z) - theta z|
+    is recomputed at |z| = 1, and the solve ends when rho <= ``KORN_TOL``.
+    The basis Q grows by ``KORN_CHUNK`` rows at a time."""
+    n = q.size
+    Q, T = np.empty((0, n)), np.zeros((1, 1))   # T keeps one row and column more than Q
+    q = q / np.linalg.norm(q)
+    for k in range(KORN_MAX_ITER):
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty((KORN_CHUNK, n))])
+            T = np.pad(T, (0, KORN_CHUNK))
+        Q[k] = q
+        basis = Q[:k + 1]
+        w = op(q)
+        for _ in range(2):
+            h = basis @ w
+            w -= h @ basis
+            T[k, k] += h[k]
+        b = float(np.linalg.norm(w))
+        s = np.linalg.eigh(T[:k + 1, :k + 1])[1][:, 0]   # eigh reads the lower triangle
+        if b * abs(s[-1]) <= KORN_TOL or k == KORN_MAX_ITER - 1:
+            z = s @ basis
+            z /= np.linalg.norm(z)
+            Cz = op(z)
+            theta = float(z @ Cz)
+            rho = float(np.linalg.norm(Cz - theta * z))
+            if rho <= KORN_TOL:
+                return theta, z, rho
+        T[k + 1, k] = b
+        q = w / b
+    warnings.warn(f"Korn solve missed KORN_TOL = {KORN_TOL:g} in {KORN_MAX_ITER} Lanczos "
+                  f"steps (rho = {rho:.3g})", UserWarning, stacklevel=3)
+    return theta, z, rho
 
 
 # ---------------------------------------------------------------------------

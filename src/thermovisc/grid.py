@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb
+from math import comb, prod
 from operator import mul
 
 import numpy as np
@@ -629,15 +629,16 @@ class StructuredGrid:
         return forms
 
     def _gram_eigen(self, free_only):
-        """(pos, V, W, root) of the scalar H^1 Gram G on the free dofs or all
-        dofs, the Kronecker sum of the 1D forms, set up once per mask and
-        kept: S = (kron_k V_k) diag(root), root = (1 + sum_k lambda_k)^(-1/2),
+        """(pos, order, V, W, root) of the scalar H^1 Gram G on the free dofs
+        or all dofs, the Kronecker sum of the 1D forms, set up once per mask
+        and kept: S = (kron_k V_k) diag(root), root = (1 + sum_k lambda_k)^(-1/2),
         from each axis's pencil S_k V_k = M_k V_k diag(lambda_k) on its free
         1D dofs, has S S^T = G^{-1} and S^T G S = I, and W_k = V_k^T M_k
         inverts V_k (fast diagonalization; Lynch, Rice & Thomas, Numer.
         Math. 6, 1964).  A fixed face removes only the value dof of its end
         node on its normal axis.  ``pos`` places each dof in the tensor of 1D
-        dofs, axis 0 slowest."""
+        dofs, axis 0 slowest, and its inverse ``order`` lists the dof at
+        each place."""
         if free_only not in self._gram_cache:
             # the 1D dof 2 i_k + m_k on each axis k of every scalar dof
             j = (2 * _index_map(self.nodes_per_axis)[:, :, None]
@@ -654,7 +655,8 @@ class StructuredGrid:
             lam, V = zip(*(_pencil_eigh(S[np.ix_(k, k)], M[np.ix_(k, k)])
                            for (M, S), k in zip(self._line_forms, keep)))
             W = [Vk.T @ M[np.ix_(k, k)] for Vk, (M, _), k in zip(V, self._line_forms, keep)]
-            self._gram_cache[free_only] = (pos, V, W, (1.0 + reduce(np.add.outer, lam)) ** -0.5)
+            self._gram_cache[free_only] = (pos, np.argsort(pos), V, W,
+                                           (1.0 + reduce(np.add.outer, lam)) ** -0.5)
         return self._gram_cache[free_only]
 
     def h1_transform(self, X, kind, free_only=True):
@@ -662,17 +664,22 @@ class StructuredGrid:
         (n, ...) on the free dofs or all dofs, with S the Kronecker factor
         of the scalar Gram's inverse (:meth:`_gram_eigen`), applied to each
         column of the trailing axes: S scales by root before its 1D
-        products, S^T and S^{-1} after theirs.  The coefficients that S maps
-        are numbered like the dofs."""
-        pos, V, W, root = self._gram_eigen(free_only)
-        mats, pre, post = {"S": (V, root, 1.0), "ST": ([Vk.T for Vk in V], 1.0, root),
-                           "S^-1": (W, 1.0, 1.0 / root)}[kind]
-        T = np.empty(X.shape)
-        T[pos] = X
-        T = T.reshape(root.shape + (-1,)) * np.expand_dims(pre, -1)
-        for k, Mk in enumerate(mats):
-            T = np.moveaxis(np.tensordot(Mk, T, axes=(1, k)), 0, k)
-        return (T * np.expand_dims(post, -1)).reshape(X.shape)[pos]
+        products, S^T and S^{-1} after theirs.  Each 1D product is one
+        matmul on the tensor viewed as (axes before k, axis k, the rest),
+        so no axis moves, and the dofs enter and leave the tensor by one
+        take each.  The coefficients that S maps are numbered like the
+        dofs."""
+        pos, order, V, W, root = self._gram_eigen(free_only)
+        scale = root[..., None]
+        T = np.take(X, order, axis=0).reshape(root.shape + (-1,))
+        if kind == "S":
+            T = T * scale
+        for k, Mk in enumerate({"S": V, "ST": [Vk.T for Vk in V], "S^-1": W}[kind]):
+            T = np.matmul(Mk, T.reshape(prod(root.shape[:k]), Mk.shape[1], -1))
+        T = T.reshape(root.shape + (-1,))
+        if kind != "S":
+            T = T * (scale if kind == "ST" else 1.0 / scale)
+        return np.take(T.reshape(X.shape), pos, axis=0)
 
     def dual_norm(self, residual, free_only=True):
         """Discrete (H^1)* norm sqrt(R : G^{-1} R) = |S^T R| of a nodal dual

@@ -536,9 +536,46 @@ def test_warm_started_korn_matches_a_fresh_solve(d):
         assert abs(warm - fresh) <= 1e-12 * fresh
 
 
+def test_a_warm_korn_solve_of_the_same_state_ends_at_once():
+    # the kept z already meets KORN_TOL at the same F: one Lanczos step and
+    # the recomputed residual, no more than four products with C
+    grid = grid66()
+    F = const_F(grid, random_feasible_gradient(np.random.default_rng(5), 2))
+    state = KornState()
+    cold = korn_constant(grid, F, state)
+    kinds = []
+    transform = grid.h1_transform
+
+    def counted(X, kind, *args):
+        kinds.append(kind)
+        return transform(X, kind, *args)
+
+    grid.h1_transform = counted
+    warm = korn_constant(grid, F, state)
+    assert "S^-1" not in kinds and kinds.count("S") == kinds.count("ST") <= 4
+    assert abs(warm - cold) <= 1e-12 * cold
+
+
+@pytest.mark.parametrize("extents, faces", [((3, 3, 3), ("x0",)), ((3, 3, 3), ("x0", "x1")),
+                                            ((3, 2, 2), ("x0",))])
+def test_korn_finds_the_lowest_mode_of_a_grid_symmetric_about_its_clamp(extents, faces):
+    # at F = I the field of ones is B-orthogonal to the lowest mode here, so
+    # a start from ones alone converges to the next eigenvalue
+    grid = StructuredGrid(extents, (1.0, 1.0, 1.0), dirichlet_faces=faces)
+    F = const_F(grid, np.eye(3))
+    free = np.repeat(grid.free_sdofs, 3)
+    A = grid.assemble_hessian(3, c4=viscous_form(F), free=free).toarray()
+    B = reference_gram(grid, 3, free_only=True).toarray()
+    ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+    state = KornState()
+    value = korn_constant(grid, F, state)
+    assert state.lower_ref <= ref
+    assert abs(value - ref) <= 1e-10
+
+
 def test_korn_converges_on_a_rough_3d_state_without_a_factorization(monkeypatch):
-    # F drawn at every quadrature point: LOBPCG from ones needs over a
-    # hundred iterations here, and the value must match a dense eigensolve
+    # F drawn at every quadrature point: Lanczos needs some 80 steps here
+    # (a cap of 30 misses), and the value must match a dense eigensolve
     grid = StructuredGrid((3, 3, 3), (1.0, 1.0, 1.0), dirichlet_faces=("x0",))
     rng = np.random.default_rng(0)
     F = np.stack([random_feasible_gradient(rng, 3) for _ in range(grid.n_cells * grid.nq)])
@@ -558,7 +595,7 @@ def test_korn_converges_on_a_rough_3d_state_without_a_factorization(monkeypatch)
         value = korn_constant(grid, F, state)
     assert abs(value - ref) <= 1e-12
     assert state.lower_ref <= ref
-    # a capped solve reports its miss with LOBPCG's own warning
+    # a capped solve reports its miss with a warning
     monkeypatch.setattr(diagnostics, "KORN_MAX_ITER", 30)
     with pytest.warns(UserWarning):
         korn_constant(grid, F)
@@ -637,7 +674,7 @@ def test_korn_lower_bounds_the_constant_of_perturbed_states(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_converged_korn_solve_certifies_within_its_tolerance(d):
-    # LOBPCG stops on rho = |C z - theta z|, the residual the bound subtracts
+    # the solve stops on rho = |C z - theta z|, the residual the bound subtracts
     first = shear_run(d).step_diags[0]
     assert 0.0 <= first.korn_const - first.korn_lower <= diagnostics.KORN_TOL
 

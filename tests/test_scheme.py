@@ -232,7 +232,7 @@ def test_korn_and_hk_every_are_periods():
     assert [np.isfinite(d.hk_bound) for d in traj.step_diags] == [False, False, True, False]
     assert np.isfinite(traj.step_diags[1].korn_const)   # the first certificate solves
     for k in (2, 4):
-        # a solve (step 4 starts LOBPCG from step 2's eigenvector) gets the
+        # a solve (step 4 starts Lanczos from step 2's eigenvector) gets the
         # fresh value, and the bound lies below it
         d, fresh = traj.step_diags[k - 1], korn_constant(traj.grid, traj.snapshots[k].F)
         assert d.korn_lower <= fresh
