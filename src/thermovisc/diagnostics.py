@@ -579,9 +579,17 @@ def weak_residuals(traj, bank: TestBank):
     tangential lines times the normal factor at the face coordinate.  The
     terms affine in time, the enthalpy and the Robin face traces, are
     paired once per snapshot and blended.
+
+    Raises ``ValueError`` for a bank built on another grid or for another
+    end time (to 1e-9 relative): its thermal fields vanish only at ``bank.T``.
     """
     grid, model = traj.grid, traj.model
     scenario, eps, snaps = traj.scenario, traj.eps, traj.snapshots
+    layout = [(g.extents, g.lengths, sorted(g.dirichlet_faces)) for g in (bank.grid, grid)]
+    if layout[0] != layout[1]:
+        raise ValueError(f"test bank built on grid {layout[0]}, the run's is {layout[1]}")
+    if abs(bank.T - snaps[-1].t) > 1e-9 * snaps[-1].t:
+        raise ValueError(f"test bank built for T = {bank.T!r}, the run ends at {snaps[-1].t!r}")
     thermal = not scenario.isothermal
     d, ns = grid.d, len(snaps)
     weights = [np.tile(_gauss_rule(1)[1] * h, n) for h, n in zip(grid.h, grid.extents)]

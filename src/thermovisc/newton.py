@@ -2,14 +2,15 @@
 
 Newton with Hessian modification (Nocedal & Wright, *Numerical
 Optimization*, Sec. 3.4).  Each iteration solves with the Hessian on the
-free dofs plus a Levenberg shift ``s * mean|diag H|``, s = 0 first, then
-1e-8 growing x100 per rung (12 rungs), until a finite descent step passes
-Armijo backtracking (t = 1, 1/2, ...) and the problem's admissibility
-gate.  Once the predicted decrease of the unshifted step is below the
-roundoff of J, a line search cannot add anything: the raw step is probed
-once and kept only if J stays at or below J0, its value at the start of
-the solve (so overall descent stays exact), and the dual residual at
-least halves; either way the solve ends there, possibly above its target.
+free dofs plus a Levenberg shift ``s * mean|diag H|``, s climbing the
+ladder :data:`SHIFTS` (0, then 1e-8 growing x100 per rung, 12 rungs),
+until a finite descent step passes Armijo backtracking (t = 1, 1/2, ...)
+and the problem's admissibility gate.  Once the predicted decrease of the
+unshifted step is below the roundoff of J, a line search cannot add
+anything: the raw step is probed once and kept only if J stays at or
+below J0, its value at the start of the solve (so overall descent stays
+exact), and the dual residual at least halves.  The probe ends the solve
+whether it is kept or not, possibly above its target.
 
 Factor once, iterate many (inexact Newton, Nocedal & Wright Sec. 7.1):
 a :class:`FrozenFactor` keeps one factorization across the Newton solves
@@ -26,6 +27,8 @@ shift ladder, the Armijo search and the noise-floor probe do not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +39,8 @@ ATOL_RESIDUAL = 1e-13  # absolute dual-norm floor of the target (steady states)
 ARMIJO = 1e-4          # sufficient decrease of the backtracking line search
 CG_RTOL = 1e-12      # relative residual of a CG solve against the kept LU
 CG_MAX_ITER = 25     # CG iterations before the current matrix is factorized
+# Levenberg shifts in units of mean|diag H|: 0, then 1e-8 growing x100
+SHIFTS = (0.0, *accumulate([1e-8] + [100.0] * 10, mul))
 
 
 class StepRejectedError(RuntimeError):
@@ -120,85 +125,66 @@ def minimize(x, functional, gradient, hessian, dual_norm, rtol, cfg, factor,
     :meth:`FrozenFactor.bind` of one) and raises ``RuntimeError`` on
     breakdown.  ``admissible(aux_cand, aux)`` gates candidates against the
     current iterate; ``on_accept(aux)`` sees the start and every
-    accepted iterate.  Raises :class:`StepRejectedError` when every rung's
-    line search fails or ``max_newton`` iterations miss the target.
+    accepted iterate.  Each iteration climbs :data:`SHIFTS` until an Armijo
+    step is accepted; a probe at the noise floor ends the solve, kept or
+    not.  Raises :class:`StepRejectedError` when every rung's line search
+    fails or ``max_newton`` iterations miss the target.
     """
     J0, aux = functional(x)
     if not np.isfinite(J0):
         raise ValueError(f"{label} functional must be finite at the start")
     if on_accept is not None:
         on_accept(aux)
-    J = J0
-    r = gradient(x, aux)
-    rnorm0 = dual_norm(r)
-    rnorm = rnorm0
-    target = max(rtol * rnorm0, ATOL_RESIDUAL)
+    J, r = J0, gradient(x, aux)
+    rnorm = dual_norm(r)
+    target = max(rtol * rnorm, ATOL_RESIDUAL)
 
+    def trial(step, bound):
+        """(x + step, J, aux) if J is finite, at most ``bound`` and admissible."""
+        cand = x.copy()
+        cand.values.reshape(-1)[free] += step
+        Jc, aux_c = functional(cand)
+        if np.isfinite(Jc) and Jc <= bound and (admissible is None or admissible(aux_c, aux)):
+            return cand, Jc, aux_c
+        return None
+
+    halvings = list(accumulate([1.0] + [0.5] * (cfg.max_backtracks - 1), mul))   # t = 1, 1/2, ...
     iters = 0
-    at_floor = False
-    while rnorm > target and iters < cfg.max_newton:
+    while rnorm > target:
+        if iters == cfg.max_newton:
+            raise StepRejectedError(f"{label} Newton did not converge in {cfg.max_newton} "
+                                    f"iterations (residual {rnorm:.3e}, target {target:.3e})")
         Hf = hessian(x, aux).tocsc()
         rf = r.reshape(-1)[free]
         scale = max(float(np.mean(np.abs(Hf.diagonal()))), 1e-30)
-        accepted = False
-        shift = 0.0
-        for _ in range(12):
+        for shift in SHIFTS:
             try:
-                lu = factor(Hf if shift == 0.0 else
-                            Hf + shift * scale * sp.identity(Hf.shape[0], format="csc"))
-                p = -lu.solve(rf)
+                p = -factor(Hf if shift == 0.0 else
+                            Hf + shift * scale * sp.identity(Hf.shape[0], format="csc")).solve(rf)
             except RuntimeError:
-                p = None
-            if p is not None and np.all(np.isfinite(p)) and rf @ p < 0.0:
-                slope = float(rf @ p)
-                in_noise = abs(slope) <= 1e-15 * (1.0 + abs(J))
-                if in_noise and shift == 0.0:
-                    at_floor = True
-                    cand = x.copy()
-                    cand.values.reshape(-1)[free] += p
-                    Jc, aux_c = functional(cand)
-                    if (np.isfinite(Jc) and Jc <= J0
-                            and (admissible is None or admissible(aux_c, aux))):
-                        r_c = gradient(cand, aux_c)
-                        rc = dual_norm(r_c)
-                        if rc < 0.5 * rnorm:
-                            x, J, aux = cand, Jc, aux_c
-                            r, rnorm = r_c, rc
-                            accepted = True
-                    break
-                t = 1.0
-                for _ in range(cfg.max_backtracks):
-                    cand = x.copy()
-                    cand.values.reshape(-1)[free] += t * p
-                    Jc, aux_c = functional(cand)
-                    if (Jc <= J + ARMIJO * t * slope
-                            and np.isfinite(Jc)
-                            and (admissible is None or admissible(aux_c, aux))):
-                        x, J, aux = cand, Jc, aux_c
-                        accepted = True
-                        break
-                    t *= 0.5
-            if accepted or at_floor:
+                continue
+            if not (np.all(np.isfinite(p)) and rf @ p < 0.0):
+                continue
+            slope = float(rf @ p)
+            # at the noise floor the raw step is probed against J0 instead
+            probe = shift == 0.0 and abs(slope) <= 1e-15 * (1.0 + abs(J))
+            found = trial(p, J0) if probe else next(filter(None, (
+                trial(t * p, J + ARMIJO * t * slope) for t in halvings)), None)
+            if probe or found is not None:
                 break
-            shift = 1e-8 if shift == 0.0 else shift * 100.0
-        if accepted and on_accept is not None:
-            on_accept(aux)
-        if at_floor:
-            if not accepted:
-                break   # converged at the noise floor without moving
-            iters += 1
-            continue    # gradient already refreshed by the probe
-        if not accepted:
-            raise StepRejectedError(
-                f"{label} line search failed at iteration {iters} "
-                f"(residual {rnorm:.3e})")
-        r = gradient(x, aux)
-        rnorm = dual_norm(r)
-        iters += 1
-
-    if rnorm > target and not at_floor:
-        raise StepRejectedError(
-            f"{label} Newton did not converge in {cfg.max_newton} iterations "
-            f"(residual {rnorm:.3e}, target {target:.3e})")
+        else:
+            raise StepRejectedError(f"{label} line search failed at iteration {iters} "
+                                    f"(residual {rnorm:.3e})")
+        if found is not None:
+            cand, Jc, aux_c = found
+            r_c = gradient(cand, aux_c)
+            rc = dual_norm(r_c)
+            if not probe or rc < 0.5 * rnorm:   # a probe must halve the residual
+                x, J, aux, r, rnorm = cand, Jc, aux_c, r_c, rc
+                iters += 1
+                if on_accept is not None:
+                    on_accept(aux)
+        if probe:
+            break   # the noise floor ends the solve, kept or not
     return NewtonResult(x=x, value=J, initial_value=J0, aux=aux, residual=r,
                         residual_norm=rnorm, iterations=iters)

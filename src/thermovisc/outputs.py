@@ -54,9 +54,11 @@ def read_timeseries(path):
         if not header.startswith("# thermovisc-timeseries"):
             raise ValueError(f"{path}: not a timeseries file")
         cols = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = {c: np.array([float(r[i]) for r in rows]) for i, c in enumerate(cols)}
-    return data
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=3) if line.strip()]
+    for n, row in rows:
+        if len(row) != len(cols):
+            raise ValueError(f"{path}: line {n} has {len(row)} fields, not {len(cols)}")
+    return {c: np.array([float(r[i]) for _, r in rows]) for i, c in enumerate(cols)}
 
 
 def write_field_dump(path, step, t, grid, arrays, config_hash=""):
@@ -90,12 +92,10 @@ def write_snapshot(path, snap, grid, config_hash=""):
 
 def read_field_dump(path):
     with open(path, "rb") as fh:
-        meta = {}
-        order = []
         first = fh.readline().decode("ascii").split()
         if first[0] != FIELDS_MAGIC:
             raise ValueError(f"{path}: bad magic {first[0]!r}")
-        meta["version"] = int(first[1])
+        meta, order = {"version": int(first[1])}, []
         while True:
             line = fh.readline().decode("ascii").strip()
             if line == "end_header":
@@ -111,7 +111,12 @@ def read_field_dump(path):
         for name, dtype, count in order:
             if dtype != "float64":
                 raise ValueError(f"{path}: unsupported dtype {dtype}")
-            arrays[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
+            blob = fh.read(8 * count)
+            if len(blob) != 8 * count:
+                raise ValueError(f"{path}: array {name} has {len(blob)} of {8 * count} bytes")
+            arrays[name] = np.frombuffer(blob, dtype="<f8").copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the last array")
     return meta, arrays
 
 

@@ -402,6 +402,27 @@ def test_field_dump_roundtrip(tmp_path, small_traj):
         assert fh.readline().startswith(b"THERMOVISC-FIELDS 1")
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda blob: blob[:-16], "array b has 8 of 24 bytes"),
+    (lambda blob: blob + b"\0" * 8, "bytes after the last array"),
+], ids=["truncated", "trailing-bytes"])
+def test_field_dump_reader_refuses_a_damaged_file(tmp_path, damage, message):
+    path = tmp_path / "f.bin"
+    write_field_dump(path, step=1, t=0.1, grid=StructuredGrid((2, 2), (1.0, 1.0)),
+                     arrays={"a": [1.0, 2.0], "b": [3.0, 4.0, 5.0]})
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"f.bin: {message}"):
+        read_field_dump(path)
+
+
+@pytest.mark.parametrize("row, fields", [("2", 1), ("2,0.2,7", 3)], ids=["short", "long"])
+def test_timeseries_reader_refuses_a_row_of_another_width(tmp_path, row, fields):
+    path = tmp_path / "timeseries.csv"
+    path.write_text(f"# thermovisc-timeseries v2\nstep,t\n1,0.1\n{row}\n")
+    with pytest.raises(ValueError, match=f"timeseries.csv: line 4 has {fields} fields, not 2"):
+        read_timeseries(path)
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     grid_args = dict(extents=(5, 5), lengths=(1.0, 1.0), dirichlet_faces=("y0",))
     outs = []

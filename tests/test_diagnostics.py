@@ -736,6 +736,28 @@ def test_weak_residuals_detect_corruption(pulse_traj):
     assert (m2 + h2) > 10.0 * (base_m + base_h)
 
 
+@pytest.mark.parametrize("extents, lengths, faces, T", [
+    ((6, 6), (1.0, 1.0), ("y0",), 0.6),
+    ((6, 6), (1.0, 1.0), ("x0",), 0.3),
+    ((6, 5), (1.0, 1.0), ("y0",), 0.3),
+    ((6, 6), (1.0, 1.2), ("y0",), 0.3),
+], ids=["end-time", "clamped-faces", "extents", "lengths"])
+def test_weak_residuals_refuse_a_bank_built_for_another_run(pulse_traj, extents, lengths,
+                                                             faces, T):
+    # the thermal test fields vanish only at the bank's T, and the mechanical
+    # ones only on the bank's clamped faces
+    bank = TestBank(StructuredGrid(extents, lengths, dirichlet_faces=faces), T=T,
+                    n_elements=2, seed=5)
+    with pytest.raises(ValueError, match="test bank built"):
+        weak_residuals(pulse_traj, bank)
+
+
+def test_weak_residuals_take_a_bank_built_on_an_equal_grid(pulse_traj):
+    assert pulse_traj.snapshots[-1].t == 6 * 0.05 != 0.3
+    own = weak_residuals(pulse_traj, TestBank(pulse_traj.grid, T=0.3, n_elements=2, seed=5))
+    assert weak_residuals(pulse_traj, TestBank(grid66(), T=0.3, n_elements=2, seed=5)) == own
+
+
 def test_isothermal_weak_residual_mech_only():
     sc = isothermal_creep(grid=grid66(), T=0.2, amplitude=0.05)
     traj = run(sc, tau=0.05, eps=0.0)

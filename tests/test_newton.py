@@ -213,3 +213,36 @@ def test_gate_rejecting_every_candidate_raises():
     with pytest.raises(StepRejectedError, match="line search failed at iteration 0"):
         minimize(Vec(np.zeros(3)), **COSH, rtol=1e-12, cfg=cfg, factor=splu,
                  admissible=lambda aux_c, aux: False, label="test")
+
+
+# J = 1e20 + x^4/4 from x = 10: every predicted decrease x^4/3 lies below the
+# noise floor 1e-15 (1 + |J|) = 1e5 of J
+OFFSET_QUARTIC = separable(lambda x: 1e20 + 0.25 * x**4, lambda x: x**3,
+                           lambda x: 3.0 * x**2)
+
+
+def test_noise_floor_probe_ends_the_solve():
+    values = []
+    res = minimize(Vec([10.0]), **OFFSET_QUARTIC, rtol=1e-12, cfg=SolverConfig(),
+                   factor=splu, on_accept=values.append)
+    assert res.iterations == 1                    # the probe is kept, and the solve ends
+    assert res.x.values[0] == pytest.approx(20.0 / 3.0, rel=1e-15)
+    assert res.residual_norm > 1e-12 * 1e3       # above its target
+    assert values == [res.initial_value, res.value]
+
+
+def test_residual_is_the_gradient_at_the_returned_iterate():
+    # a Hessian that shrinks after its first use would send a second
+    # iteration far away; the probe ends the solve first, and the residual
+    # returned belongs to the iterate returned
+    calls = []
+
+    def hessian(x, aux):
+        calls.append(x.values.copy())
+        return OFFSET_QUARTIC["hessian"](x, aux) * (1.0 if len(calls) == 1 else 1e-6)
+
+    res = minimize(Vec([10.0]), **{**OFFSET_QUARTIC, "hessian": hessian}, rtol=1e-12,
+                   cfg=SolverConfig(), factor=splu)
+    assert np.array_equal(res.residual, res.x.values**3)
+    assert res.residual_norm == float(np.linalg.norm(res.residual))
+    assert len(calls) == 1
